@@ -116,17 +116,8 @@ impl HostSide {
         let switched = self.last_kind.is_some_and(|prev| prev != kind);
         metrics::inc(metrics::CCI_CHANNEL_PACKETS, idx, 1);
         metrics::inc(metrics::CCI_CHANNEL_SWITCHES, idx, switched as u64);
-        if trace::enabled() {
-            if switched {
-                trace::instant(Track::channels(), "channel_switch", now, &[("channel", idx as u64)]);
-                trace::count(Track::channels(), metrics::def(metrics::CCI_CHANNEL_SWITCHES).name, 1);
-            }
-            let counter = match kind {
-                ChannelKind::Upi => "upi_packets",
-                ChannelKind::Pcie0 => "pcie0_packets",
-                ChannelKind::Pcie1 => "pcie1_packets",
-            };
-            trace::count(Track::channels(), counter, 1);
+        if switched {
+            trace::instant(Track::channels(), "channel_switch", now, &[("channel", idx as u64)]);
         }
         self.last_kind = Some(kind);
     }
@@ -219,7 +210,6 @@ impl HostSide {
                         if trace::enabled() {
                             let link = Track::link(src.0 as usize);
                             trace::complete(link, "dma_read", now, ready - now, &[("iova", iova.raw())]);
-                            trace::count(link, "dma_read_bytes", 64);
                         }
                         self.push_outbound(DownPacket::DmaReadResp { data, dst: src, tag }, ready);
                     }
@@ -261,7 +251,6 @@ impl HostSide {
                         if trace::enabled() {
                             let link = Track::link(src.0 as usize);
                             trace::complete(link, "dma_write", now, ready - now, &[("iova", iova.raw())]);
-                            trace::count(link, "dma_write_bytes", 64);
                         }
                         self.push_outbound(DownPacket::DmaWriteAck { dst: src, tag }, ready);
                     }
@@ -314,11 +303,6 @@ impl HostSide {
                         start.ceil() as Cycle,
                         (done - start).ceil() as Cycle,
                         &[("walker", walker_idx as u64), ("walk_steps", walk_steps as u64)],
-                    );
-                    trace::count(
-                        Track::iommu(),
-                        metrics::def(metrics::MEM_PAGE_WALK_CYCLES).name,
-                        (done - start).ceil() as u64,
                     );
                 }
                 done

@@ -686,12 +686,41 @@ impl<D: PlatformDevice> Optimus<D> {
         metrics::set_device(self.device_id.0);
         metrics::inc(metrics::HV_MMIO_TRAPS, va.0, 1);
         metrics::observe(metrics::HV_MMIO_TRAP_CYCLES, va.0, c);
-        if trace::enabled() {
-            let t = Track::vaccel(va.0);
-            trace::complete(t, "mmio_trap", self.device.now(), c, &[("offset", offset)]);
-            trace::count(t, metrics::def(metrics::HV_MMIO_TRAPS).name, 1);
-        }
+        let now = self.device.now();
+        trace::complete(Track::vaccel(va.0), "mmio_trap", now, c, &[("offset", offset)]);
         self.advance(c);
+    }
+
+    /// The one job-lifecycle emit: journals `phase` for `job` and draws the
+    /// Perfetto flow-arrow edge that phase implies on `va`'s track — an
+    /// arrow opens where the job leaves the hardware (`Saved`) or hands
+    /// its output on (`Complete`) and closes where it rejoins (`Restored`)
+    /// — so the journal and the trace cannot disagree about when. A
+    /// vaccel that never started a job (`job == 0`) emits nothing.
+    fn job_phase(&self, va: VaccelId, job: u64, phase: journal::Phase, ts: Cycle) {
+        if job == 0 {
+            return;
+        }
+        journal::phase(job, phase, ts);
+        let track = Track::vaccel(va.0);
+        match phase {
+            journal::Phase::Saved | journal::Phase::Complete => {
+                trace::flow_start(track, "job", ts, job)
+            }
+            journal::Phase::Restored => trace::flow_end(track, "job", ts, job),
+            _ => {}
+        }
+    }
+
+    /// [`job_phase`](Self::job_phase) for a share handoff: links
+    /// `consumer` (running on `va`) to the `producer` whose output it
+    /// reads, and closes the arrow the producer's completion opened.
+    fn job_linked(&self, va: VaccelId, consumer: u64, producer: u64, ts: Cycle) {
+        if consumer == 0 {
+            return;
+        }
+        journal::link(consumer, producer, ts);
+        trace::flow_end(Track::vaccel(va.0), "job", ts, producer);
     }
 
     /// Whether `va` is currently occupying its physical slot.
@@ -754,28 +783,19 @@ impl<D: PlatformDevice> Optimus<D> {
                 self.slicing.slice_bytes,
             );
         }
-        if spec::enabled() {
-            spec::bind_slot(self.device_id.0, slot, self.vaccel(va).vm.0);
-        }
         let v = self.vaccel(va);
+        spec::bind_slot(self.device_id.0, slot, v.vm.0);
         let state_buffer = v.state_buffer.raw();
         let run = v.run;
         let pending_start = v.pending_start;
         let job = v.job;
-        if job != 0 {
-            if journal::enabled() {
-                let ph = match run {
-                    VaccelRun::SavedInMemory => journal::Phase::Restored,
-                    _ => journal::Phase::Installed,
-                };
-                journal::phase(job, ph, install_start);
-            }
-            if trace::enabled() && run == VaccelRun::SavedInMemory {
-                // Close the flow arrow the save opened: the job's span
-                // resumes here after its off-hardware gap.
-                trace::flow_end(Track::vaccel(va.0), "job", install_start, job);
-            }
-        }
+        // A restore closes the flow arrow the save opened: the job's span
+        // resumes here after its off-hardware gap.
+        let phase = match run {
+            VaccelRun::SavedInMemory => journal::Phase::Restored,
+            _ => journal::Phase::Installed,
+        };
+        self.job_phase(va, job, phase, install_start);
         self.device.mmio_write(base + accel_reg::CTRL_STATE_ADDR, state_buffer);
         // Move the cached register file out, replay it, and move it back:
         // installs happen on every context switch, so avoid re-collecting
@@ -799,26 +819,19 @@ impl<D: PlatformDevice> Optimus<D> {
         self.slots[slot].current = Some(va);
         // Let the install MMIOs settle (they are asynchronous writes).
         self.advance(ns_to_cycles(500.0));
-        if job != 0 && journal::enabled() {
-            journal::phase(job, journal::Phase::Executing, self.device.now());
-        }
+        self.job_phase(va, job, journal::Phase::Executing, self.device.now());
+        let install_cycles = self.device.now() - install_start;
         metrics::inc(metrics::HV_INSTALLS, va.0, 1);
-        metrics::observe(metrics::HV_INSTALL_CYCLES, va.0, self.device.now() - install_start);
-        if trace::enabled() {
-            // Register replay + reset + CMD_RESUME/CMD_START: the restore
-            // half of the preemption machinery (a fresh start shows as
-            // `preempt.install`, resuming saved state as `preempt.restore`).
-            let name = match run {
-                VaccelRun::SavedInMemory => "preempt.restore",
-                _ => "preempt.install",
-            };
-            let t = Track::vaccel(va.0);
-            trace::complete(t, name, install_start, self.device.now() - install_start, &[(
-                "slot",
-                slot as u64,
-            )]);
-            trace::count(t, metrics::def(metrics::HV_INSTALLS).name, 1);
-        }
+        metrics::observe(metrics::HV_INSTALL_CYCLES, va.0, install_cycles);
+        // Register replay + reset + CMD_RESUME/CMD_START: the restore
+        // half of the preemption machinery (a fresh start shows as
+        // `preempt.install`, resuming saved state as `preempt.restore`).
+        let name = match run {
+            VaccelRun::SavedInMemory => "preempt.restore",
+            _ => "preempt.install",
+        };
+        let track = Track::vaccel(va.0);
+        trace::complete(track, name, install_start, install_cycles, &[("slot", slot as u64)]);
     }
 
     /// Preempts the vaccel currently on `slot` (if any), waiting for the
@@ -842,9 +855,7 @@ impl<D: PlatformDevice> Optimus<D> {
             self.harvest_app_regs(va, slot);
             self.retire(va);
             self.slots[slot].current = None;
-            if spec::enabled() {
-                spec::unbind_slot(self.device_id.0, slot);
-            }
+            spec::unbind_slot(self.device_id.0, slot);
             return;
         }
         // Resolve the guest-provided state buffer before trusting the
@@ -875,25 +886,19 @@ impl<D: PlatformDevice> Optimus<D> {
                 job: (job != 0).then_some(job),
                 peer_job: None,
             });
-            if job != 0 && journal::enabled() {
-                journal::phase(job, journal::Phase::SaveRefused, self.device.now());
-            }
+            self.job_phase(va, job, journal::Phase::SaveRefused, self.device.now());
             let v = self.vaccel_mut(va);
             v.forced_resets += 1;
             v.run = VaccelRun::Fresh;
             v.pending_start = true;
-            if trace::enabled() {
-                trace::instant(
-                    Track::vaccel(va.0),
-                    "preempt.save_refused",
-                    self.device.now(),
-                    &[("slot", slot as u64)],
-                );
-            }
+            trace::instant(
+                Track::vaccel(va.0),
+                "preempt.save_refused",
+                self.device.now(),
+                &[("slot", slot as u64)],
+            );
             self.slots[slot].current = None;
-            if spec::enabled() {
-                spec::unbind_slot(self.device_id.0, slot);
-            }
+            spec::unbind_slot(self.device_id.0, slot);
             return;
         }
         self.device.mmio_write(base + accel_reg::CTRL_CMD, accel_reg::CMD_PREEMPT);
@@ -901,16 +906,11 @@ impl<D: PlatformDevice> Optimus<D> {
         let preempt_start = self.device.now();
         metrics::inc(metrics::HV_PREEMPTIONS, slot as u32, 1);
         let job = self.vaccel(va).job;
-        if job != 0 && journal::enabled() {
-            journal::phase(job, journal::Phase::Preempted, preempt_start);
-        }
+        self.job_phase(va, job, journal::Phase::Preempted, preempt_start);
         let track = Track::vaccel(va.0);
-        if trace::enabled() {
-            // Drain phase: from CMD_PREEMPT until the accelerator reports
-            // it started streaming state out.
-            trace::begin(track, "preempt.drain", preempt_start, &[("slot", slot as u64)]);
-            trace::count(track, "preemptions", 1);
-        }
+        // Drain phase: from CMD_PREEMPT until the accelerator reports it
+        // started streaming state out.
+        trace::begin(track, "preempt.drain", preempt_start, &[("slot", slot as u64)]);
         let mut saving_seen = false;
         let deadline = preempt_start + self.preempt_timeout;
         loop {
@@ -936,23 +936,13 @@ impl<D: PlatformDevice> Optimus<D> {
                         slot as u32,
                         self.device.now() - preempt_start,
                     );
-                    if job != 0 && journal::enabled() {
-                        journal::phase(job, journal::Phase::Saved, self.device.now());
-                    }
-                    if trace::enabled() {
-                        let now = self.device.now();
-                        if saving_seen {
-                            trace::end(track, "preempt.save", now);
-                        } else {
-                            trace::end(track, "preempt.drain", now);
-                        }
-                        if job != 0 {
-                            // Open a flow arrow to the eventual restore
-                            // (or migration target): the job leaves the
-                            // hardware here.
-                            trace::flow_start(track, "job", now, job);
-                        }
-                    }
+                    let now = self.device.now();
+                    let open = if saving_seen { "preempt.save" } else { "preempt.drain" };
+                    trace::end(track, open, now);
+                    // The job leaves the hardware here: the arrow this
+                    // phase opens runs to the eventual restore (or
+                    // migration target).
+                    self.job_phase(va, job, journal::Phase::Saved, now);
                     break;
                 }
                 _ if self.device.now() >= deadline => {
@@ -974,34 +964,24 @@ impl<D: PlatformDevice> Optimus<D> {
                         job: (job != 0).then_some(job),
                         peer_job: None,
                     });
-                    if job != 0 && journal::enabled() {
-                        journal::phase(job, journal::Phase::ForcedReset, self.device.now());
-                    }
+                    let now = self.device.now();
+                    self.job_phase(va, job, journal::Phase::ForcedReset, now);
                     let v = self.vaccel_mut(va);
                     v.forced_resets += 1;
                     // The job's progress is lost; it restarts from its
                     // cached registers at its next slice.
                     v.run = VaccelRun::Fresh;
                     v.pending_start = true;
-                    if trace::enabled() {
-                        let now = self.device.now();
-                        trace::end(
-                            track,
-                            if saving_seen { "preempt.save" } else { "preempt.drain" },
-                            now,
-                        );
-                        trace::instant(track, "preempt.forced_reset", now, &[("slot", slot as u64)]);
-                        trace::count(track, metrics::def(metrics::HV_FORCED_RESETS).name, 1);
-                    }
+                    let open = if saving_seen { "preempt.save" } else { "preempt.drain" };
+                    trace::end(track, open, now);
+                    trace::instant(track, "preempt.forced_reset", now, &[("slot", slot as u64)]);
                     break;
                 }
                 _ => {}
             }
         }
         self.slots[slot].current = None;
-        if spec::enabled() {
-            spec::unbind_slot(self.device_id.0, slot);
-        }
+        spec::unbind_slot(self.device_id.0, slot);
     }
 
     /// Copies the physical slot's application register file into the
@@ -1052,16 +1032,10 @@ impl<D: PlatformDevice> Optimus<D> {
         let slot = v.slot;
         let job = v.job;
         self.slots[slot].sched.set_runnable(va.0 as u64, false);
-        if fresh && job != 0 {
-            if journal::enabled() {
-                journal::phase(job, journal::Phase::Complete, now);
-            }
-            if trace::enabled() {
-                // Open a flow arrow toward whoever consumes this job's
-                // output through a share handoff (closed at the
-                // consumer's start).
-                trace::flow_start(Track::vaccel(va.0), "job", now, job);
-            }
+        if fresh {
+            // Opens a flow arrow toward whoever consumes this job's output
+            // through a share handoff (closed at the consumer's link).
+            self.job_phase(va, job, journal::Phase::Complete, now);
         }
     }
 
@@ -1088,11 +1062,8 @@ impl<D: PlatformDevice> Optimus<D> {
             slot as u32,
             self.device.now().saturating_sub(self.slots[slot].slice_ends),
         );
-        if trace::enabled() {
-            let t = Track::hypervisor();
-            trace::instant(t, "slice_boundary", self.device.now(), &[("slot", slot as u64)]);
-            trace::count(t, metrics::def(metrics::HV_CONTEXT_SWITCHES).name, 1);
-        }
+        let now = self.device.now();
+        trace::instant(Track::hypervisor(), "slice_boundary", now, &[("slot", slot as u64)]);
         let current = self.slots[slot].current;
         // Completed jobs retire (but stay resident until displaced, so the
         // guest can read result registers from hardware).
@@ -1175,17 +1146,15 @@ impl<D: PlatformDevice> Optimus<D> {
             AlertKind::SaveRefused => self.stats.alerts_save_refused += 1,
         }
         metrics::inc(metrics::HV_ISOLATION_ALERTS, alert.kind.metric_label(), 1);
-        if trace::enabled() {
-            trace::instant(
-                Track::hypervisor(),
-                "isolation_alert",
-                alert.at,
-                &[
-                    ("kind", alert.kind.metric_label() as u64),
-                    ("slot", alert.slot.map_or(u64::MAX, |s| s as u64)),
-                ],
-            );
-        }
+        trace::instant(
+            Track::hypervisor(),
+            "isolation_alert",
+            alert.at,
+            &[
+                ("kind", alert.kind.metric_label() as u64),
+                ("slot", alert.slot.map_or(u64::MAX, |s| s as u64)),
+            ],
+        );
         self.watchdog.push(alert);
     }
 
@@ -1416,9 +1385,7 @@ impl<D: PlatformDevice> Optimus<D> {
                 .iommu_mut()
                 .unmap(iova)
                 .expect("retrieved span was IOPT-mapped");
-            if spec::enabled() {
-                spec::relinquish_page(self.device_id.0, iova.raw(), hpa, vm.0, span.handle, how);
-            }
+            spec::relinquish_page(self.device_id.0, iova.raw(), hpa, vm.0, span.handle, how);
         }
     }
 
@@ -1462,18 +1429,16 @@ impl<D: PlatformDevice> Optimus<D> {
                 .iommu_mut()
                 .map(iova, Hpa::new(hpa), PageSize::Huge, flags)
                 .expect("fresh IOVA slice");
-            if spec::enabled() {
-                spec::retrieve_page(
-                    self.device_id.0,
-                    iova.raw(),
-                    hpa,
-                    PAGE_2M,
-                    writable,
-                    vm_id.0,
-                    None,
-                    handle,
-                );
-            }
+            spec::retrieve_page(
+                self.device_id.0,
+                iova.raw(),
+                hpa,
+                PAGE_2M,
+                writable,
+                vm_id.0,
+                None,
+                handle,
+            );
         }
         self.stats.pinned_pages += pages;
         self.foreign_retrievals.push(RetrievalState {
@@ -1634,9 +1599,7 @@ impl<D: PlatformDevice> Optimus<D> {
                         .iommu_mut()
                         .unmap(iova)
                         .expect("tenant page was IOPT-mapped");
-                    if spec::enabled() {
-                        spec::unmap_page(self.device_id.0, iova.raw());
-                    }
+                    spec::unmap_page(self.device_id.0, iova.raw());
                 }
                 PageSize::Small => {
                     for k in 0..(PAGE_2M / PAGE_4K) {
@@ -1645,26 +1608,22 @@ impl<D: PlatformDevice> Optimus<D> {
                             .iommu_mut()
                             .unmap(Iova::new(iova.raw() + k * PAGE_4K))
                             .expect("tenant page was IOPT-mapped");
-                        if spec::enabled() {
-                            spec::unmap_page(self.device_id.0, iova.raw() + k * PAGE_4K);
-                        }
+                        spec::unmap_page(self.device_id.0, iova.raw() + k * PAGE_4K);
                     }
                 }
             }
             io_pages.push(size);
         }
         metrics::set_device(self.device_id.0);
-        if trace::enabled() {
-            trace::instant(
-                Track::hypervisor(),
-                "migrate.detach",
-                self.device.now(),
-                &[("va", va.0 as u64), ("slot", slot as u64)],
-            );
-            if v.job != 0 {
-                // Flow arrow across the migration gap, closed at attach.
-                trace::flow_start(Track::vaccel(va.0), "job", self.device.now(), v.job);
-            }
+        trace::instant(
+            Track::hypervisor(),
+            "migrate.detach",
+            self.device.now(),
+            &[("va", va.0 as u64), ("slot", slot as u64)],
+        );
+        if v.job != 0 {
+            // Flow arrow across the migration gap, closed at attach.
+            trace::flow_start(Track::vaccel(va.0), "job", self.device.now(), v.job);
         }
         Ok(TenantState {
             name: vm.name().to_string(),
@@ -1743,9 +1702,7 @@ impl<D: PlatformDevice> Optimus<D> {
                         .iommu_mut()
                         .map(iova, Hpa::new(hpa), PageSize::Huge, PageFlags::rw())
                         .expect("fresh IOVA slice");
-                    if spec::enabled() {
-                        spec::map_page(self.device_id.0, iova.raw(), hpa, PAGE_2M, true, vm_id.0);
-                    }
+                    spec::map_page(self.device_id.0, iova.raw(), hpa, PAGE_2M, true, vm_id.0);
                 }
                 PageSize::Small => {
                     for k in 0..(PAGE_2M / PAGE_4K) {
@@ -1759,16 +1716,14 @@ impl<D: PlatformDevice> Optimus<D> {
                                 PageFlags::rw(),
                             )
                             .expect("fresh IOVA slice");
-                        if spec::enabled() {
-                            spec::map_page(
-                                self.device_id.0,
-                                iova.raw() + k * PAGE_4K,
-                                hpa + k * PAGE_4K,
-                                PAGE_4K,
-                                true,
-                                vm_id.0,
-                            );
-                        }
+                        spec::map_page(
+                            self.device_id.0,
+                            iova.raw() + k * PAGE_4K,
+                            hpa + k * PAGE_4K,
+                            PAGE_4K,
+                            true,
+                            vm_id.0,
+                        );
                     }
                 }
             }
@@ -1800,16 +1755,14 @@ impl<D: PlatformDevice> Optimus<D> {
             .sched
             .insert_member(MemberState { key: id.0 as u64, ..t.sched });
         metrics::set_device(self.device_id.0);
-        if trace::enabled() {
-            trace::instant(
-                Track::hypervisor(),
-                "migrate.attach",
-                self.device.now(),
-                &[("va", id.0 as u64), ("slot", t.slot as u64)],
-            );
-            if t.job != 0 {
-                trace::flow_end(Track::vaccel(id.0), "job", self.device.now(), t.job);
-            }
+        trace::instant(
+            Track::hypervisor(),
+            "migrate.attach",
+            self.device.now(),
+            &[("va", id.0 as u64), ("slot", t.slot as u64)],
+        );
+        if t.job != 0 {
+            trace::flow_end(Track::vaccel(id.0), "job", self.device.now(), t.job);
         }
         Ok((id, copies))
     }
@@ -1832,9 +1785,7 @@ impl<D: PlatformDevice> Optimus<D> {
                 }
             }
         }
-        if trace::enabled() {
-            trace::instant(Track::hypervisor(), "live_update.freeze", self.device.now(), &[]);
-        }
+        trace::instant(Track::hypervisor(), "live_update.freeze", self.device.now(), &[]);
         let iopt = self
             .device
             .host()
@@ -2115,9 +2066,7 @@ impl<D: PlatformDevice> Optimus<D> {
                 }
             }
         }
-        if trace::enabled() {
-            trace::instant(Track::hypervisor(), "live_update.thaw", hv.device.now(), &[]);
-        }
+        trace::instant(Track::hypervisor(), "live_update.thaw", hv.device.now(), &[]);
         Ok(hv)
     }
 
@@ -2350,11 +2299,8 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
         let c = ns_to_cycles(host_costs::HYPERCALL_NS);
         metrics::set_device(self.hv.device_id.0);
         metrics::inc(metrics::HV_HYPERCALLS, self.va.0, 1);
-        if trace::enabled() {
-            let t = Track::vaccel(self.va.0);
-            trace::complete(t, "hypercall", self.hv.device.now(), c, &[("gva", gva.raw())]);
-            trace::count(t, metrics::def(metrics::HV_HYPERCALLS).name, 1);
-        }
+        let (track, now) = (Track::vaccel(self.va.0), self.hv.device.now());
+        trace::complete(track, "hypercall", now, c, &[("gva", gva.raw())]);
         self.hv.advance(c);
     }
 
@@ -2365,11 +2311,8 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
         let c = ns_to_cycles(host_costs::HYPERCALL_NS);
         metrics::set_device(self.hv.device_id.0);
         metrics::inc(metrics::HV_HYPERCALLS, self.va.0, 1);
-        if trace::enabled() {
-            let t = Track::vaccel(self.va.0);
-            trace::complete(t, "hypercall", self.hv.device.now(), c, &[("key", key)]);
-            trace::count(t, metrics::def(metrics::HV_HYPERCALLS).name, 1);
-        }
+        let (track, now) = (Track::vaccel(self.va.0), self.hv.device.now());
+        trace::complete(track, "hypercall", now, c, &[("key", key)]);
         self.hv.advance(c);
     }
 
@@ -2464,18 +2407,16 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                 .iommu_mut()
                 .map(iova, Hpa::new(hpa), PageSize::Huge, flags)
                 .expect("fresh IOVA slice");
-            if spec::enabled() {
-                spec::retrieve_page(
-                    self.hv.device_id.0,
-                    iova.raw(),
-                    hpa,
-                    PAGE_2M,
-                    writable,
-                    vm_id.0,
-                    Some(owner_vm),
-                    handle,
-                );
-            }
+            spec::retrieve_page(
+                self.hv.device_id.0,
+                iova.raw(),
+                hpa,
+                PAGE_2M,
+                writable,
+                vm_id.0,
+                Some(owner_vm),
+                handle,
+            );
         }
         self.hv.stats.pinned_pages += hpas.len() as u64;
         let rec = self.hv.shares.get_mut(&handle).expect("checked above");
@@ -2484,17 +2425,8 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
         rec.retriever_gva = gva.raw();
         // A consumer with a job already in flight links to the producer
         // right here (jobs submitted later link at their own start).
-        if journal::enabled() {
-            let consumer = self.v().job;
-            if consumer != 0 {
-                if let Some(producer) = self.hv.vm_job(owner_vm) {
-                    let now = self.hv.device.now();
-                    journal::link(consumer, producer, now);
-                    if trace::enabled() {
-                        trace::flow_end(Track::vaccel(self.va.0), "job", now, producer);
-                    }
-                }
-            }
+        if let Some(producer) = self.hv.vm_job(owner_vm) {
+            self.hv.job_linked(self.va, self.v().job, producer, self.hv.device.now());
         }
         self.hypercall_cost(handle);
         Ok(gva)
@@ -2601,9 +2533,7 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                 .expect("guest write to unmapped memory");
             let in_page = (PAGE_2M - cur.page_offset(PAGE_2M)) as usize;
             let take = in_page.min(data.len() - off);
-            if spec::enabled() {
-                spec::check_cpu(self.hv.device_id.0, hpa.raw(), take as u64, vm_id.0, true);
-            }
+            spec::check_cpu(self.hv.device_id.0, hpa.raw(), take as u64, vm_id.0, true);
             self.hv
                 .device
                 .host_mut()
@@ -2624,9 +2554,7 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                 .expect("guest read of unmapped memory");
             let in_page = (PAGE_2M - cur.page_offset(PAGE_2M)) as usize;
             let take = in_page.min(buf.len() - off);
-            if spec::enabled() {
-                spec::check_cpu(self.hv.device_id.0, hpa.raw(), take as u64, vm_id.0, false);
-            }
+            spec::check_cpu(self.hv.device_id.0, hpa.raw(), take as u64, vm_id.0, false);
             let hv: &Optimus<D> = self.hv;
             hv.device.host().memory().read(hpa, &mut buf[off..off + take]);
             off += take;
@@ -2641,20 +2569,19 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
         let va = self.va;
         self.hv.vaccel_mut(va).state_buffer = gva;
         if self.hv.is_scheduled(self.va) {
-            let slot = self.v().slot;
-            if spec::enabled() {
-                let vm = self.v().vm.0;
-                spec::check_mmio_write(
-                    self.hv.device_id.0,
-                    slot,
-                    vm,
-                    accel_mmio_base(slot) + accel_reg::CTRL_STATE_ADDR,
-                );
-            }
-            self.hv
-                .device
-                .mmio_write(accel_mmio_base(slot) + accel_reg::CTRL_STATE_ADDR, gva.raw());
+            self.forward_mmio(accel_reg::CTRL_STATE_ADDR, gva.raw());
         }
+    }
+
+    /// Forwards a write to the resident vaccel's physical register file
+    /// at BAR-page offset `offset`, refinement-checked: the slot must be
+    /// bound to this guest's VM.
+    fn forward_mmio(&mut self, offset: u64, value: u64) {
+        let v = self.v();
+        let (slot, vm) = (v.slot, v.vm.0);
+        let addr = accel_mmio_base(slot) + offset;
+        spec::check_mmio_write(self.hv.device_id.0, slot, vm, addr);
+        self.hv.device.mmio_write(addr, value);
     }
 
     /// Guest MMIO write to its BAR0 (page-relative offset).
@@ -2691,9 +2618,9 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                     if self.hv.vaccel(va).job == 0 || was_completed {
                         let job = self.hv.mint_job();
                         self.hv.vaccel_mut(va).job = job;
+                        let now = self.hv.device.now();
+                        let vm = self.hv.vaccel(va).vm;
                         if journal::enabled() {
-                            let now = self.hv.device.now();
-                            let vm = self.hv.vaccel(va).vm;
                             let payload =
                                 self.hv.vm(vm).export_pages().len() as u64 * PAGE_2M;
                             let tenant = self.hv.vm(vm).name().to_string();
@@ -2705,42 +2632,24 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                                 payload,
                                 now,
                             );
-                            // Share handoff: a consumer reading a span it
-                            // retrieved links its job to the producer's.
-                            if let Some(p) = self.hv.peer_producer_job(vm.0) {
-                                journal::link(job, p, now);
-                                if trace::enabled() {
-                                    trace::flow_end(Track::vaccel(va.0), "job", now, p);
-                                }
-                            }
+                        }
+                        // Share handoff: a consumer reading a span it
+                        // retrieved links its job to the producer's.
+                        if let Some(p) = self.hv.peer_producer_job(vm.0) {
+                            self.hv.job_linked(va, job, p, now);
                         }
                     }
                     let slot = self.v().slot;
                     self.hv.slots[slot].sched.set_runnable(va.0 as u64, true);
                     if self.hv.is_scheduled(va) {
-                        self.hv.vaccel_mut(va).pending_start = false;
-                        if spec::enabled() {
-                            let vm = self.v().vm.0;
-                            spec::check_mmio_write(
-                                self.hv.device_id.0,
-                                slot,
-                                vm,
-                                accel_mmio_base(slot) + accel_reg::CTRL_CMD,
-                            );
-                        }
-                        let fwd = self.hv.device.now();
-                        self.hv
-                            .device
-                            .mmio_write(accel_mmio_base(slot) + accel_reg::CTRL_CMD, accel_reg::CMD_START);
-                        if journal::enabled() {
-                            let job = self.hv.vaccel(va).job;
-                            if job != 0 {
-                                // The vaccel is already resident: the start
-                                // forwards straight to hardware, so the
-                                // install phase is just this posted write.
-                                journal::phase(job, journal::Phase::Installed, fwd);
-                            }
-                        }
+                        let v = self.hv.vaccel_mut(va);
+                        v.pending_start = false;
+                        let job = v.job;
+                        // The vaccel is already resident: the start
+                        // forwards straight to hardware, so the install
+                        // phase is just this posted write.
+                        self.hv.job_phase(va, job, journal::Phase::Installed, self.hv.device.now());
+                        self.forward_mmio(accel_reg::CTRL_CMD, accel_reg::CMD_START);
                         // The start is a posted fabric write. On a restart
                         // (resident, already-retired vaccel) the slot still
                         // latches the previous job's `Done`, so completion
@@ -2748,16 +2657,7 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                         // new job before it runs. Let it land, as
                         // `install` does for its register replay.
                         self.hv.advance(ns_to_cycles(500.0));
-                        if journal::enabled() {
-                            let job = self.hv.vaccel(va).job;
-                            if job != 0 {
-                                journal::phase(
-                                    job,
-                                    journal::Phase::Executing,
-                                    self.hv.device.now(),
-                                );
-                            }
-                        }
+                        self.hv.job_phase(va, job, journal::Phase::Executing, self.hv.device.now());
                     }
                 }
                 // CMD_PREEMPT / CMD_RESUME are privileged: guests cannot
@@ -2768,19 +2668,7 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                 let va = self.va;
                 self.hv.vaccel_mut(va).state_buffer = Gva::new(value);
                 if self.hv.is_scheduled(self.va) {
-                    let slot = self.v().slot;
-                    if spec::enabled() {
-                        let vm = self.v().vm.0;
-                        spec::check_mmio_write(
-                            self.hv.device_id.0,
-                            slot,
-                            vm,
-                            accel_mmio_base(slot) + accel_reg::CTRL_STATE_ADDR,
-                        );
-                    }
-                    self.hv
-                        .device
-                        .mmio_write(accel_mmio_base(slot) + accel_reg::CTRL_STATE_ADDR, value);
+                    self.forward_mmio(accel_reg::CTRL_STATE_ADDR, value);
                 }
             }
             off if off >= accel_reg::APP_BASE => {
@@ -2788,12 +2676,7 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                 let va = self.va;
                 self.hv.vaccel_mut(va).cache_app_reg(rel, value);
                 if self.hv.is_scheduled(self.va) {
-                    let slot = self.v().slot;
-                    if spec::enabled() {
-                        let vm = self.v().vm.0;
-                        spec::check_mmio_write(self.hv.device_id.0, slot, vm, accel_mmio_base(slot) + off);
-                    }
-                    self.hv.device.mmio_write(accel_mmio_base(slot) + off, value);
+                    self.forward_mmio(off, value);
                 }
             }
             _ => {}

@@ -4,11 +4,11 @@
 //! presents a single facade: tenants are placed onto devices by a
 //! [`Placement`] policy, guest operations are routed to the owning device
 //! via [`NodeVaccel`] handles, and [`run`](OptimusNode::run) advances
-//! every device across the requested span — by default *free-running*
-//! each device to the end of the span in one dispatch, or in lock-step
-//! horizon chunks under `OPTIMUS_LOCKSTEP=1`.
+//! every device across the requested span — *free-running* each device
+//! to the end of the span in one dispatch, or in horizon chunks with a
+//! span sync at every boundary while cross-device shares are live.
 //!
-//! # Why free-running is bit-identical to lock-step chunking
+//! # Why free-running is bit-identical to horizon chunking
 //!
 //! Devices never interact *during* a `run`: the only cross-device
 //! channels are guest operations (`guest`, `create_tenant`, `migrate`,
@@ -33,13 +33,12 @@
 //! serially in index order or concurrently on worker threads — produces
 //! the same per-device state. The two process-global side effects are
 //! made order-independent or explicitly ordered: `simrate` cycle
-//! accounting is a commutative atomic sum, and flight-recorder events
-//! are drained per worker and replayed into the main thread's recorder
-//! in device-index order (see `optimus_sim::trace::absorb_chunk`), so
-//! even the exported trace JSON is byte-identical.
-//! `OPTIMUS_NODE_THREADS=1` forces the serial schedule and
-//! `OPTIMUS_LOCKSTEP=1` restores horizon-chunked stepping, mirroring
-//! `OPTIMUS_NO_FASTFWD` as differential-testing escape hatches.
+//! accounting is a commutative atomic sum, and what the recording planes
+//! captured is drained per device and merged into the main thread's
+//! planes in device-index order (see `optimus_sim::plane`), so even the
+//! exported trace JSON is byte-identical. `OPTIMUS_NODE_THREADS=1` forces
+//! the serial schedule; `NodeConfig::lockstep` forces horizon-chunked
+//! stepping, the reference schedule of the differential suites.
 
 use crate::hypervisor::{
     CarriedRetrieval, GuestCtx, HvStats, MigrateError, Optimus, OptimusConfig, ShareError,
@@ -53,10 +52,10 @@ use optimus_fabric::platform::{DeviceId, FabricError};
 use optimus_mem::addr::{Gva, Hpa, PAGE_2M};
 use optimus_sim::journal;
 use optimus_sim::metrics;
+use optimus_sim::plane::{Chunk, Gates};
 use optimus_sim::rng::derive_seed;
 use optimus_sim::spec;
 use optimus_sim::time::{ms_to_cycles, Cycle};
-use optimus_sim::trace;
 
 /// How the node assigns new tenants to devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,11 +86,11 @@ pub struct NodeConfig {
     /// Worker threads for [`OptimusNode::run`]. `None` consults
     /// `OPTIMUS_NODE_THREADS`, then the host's available parallelism.
     pub threads: Option<usize>,
-    /// Force lock-step horizon chunking instead of free-running. `None`
-    /// consults `OPTIMUS_LOCKSTEP` (default: free-running). Both
-    /// schedules are bit-identical (see the module docs); the knob
-    /// exists for differential testing.
-    pub lockstep: Option<bool>,
+    /// Always step in horizon chunks ([`OptimusNode::run`] otherwise
+    /// does so only while cross-device shares are live). Both schedules
+    /// are bit-identical (see the module docs); the differential suites
+    /// set this to get their reference schedule.
+    pub lockstep: bool,
 }
 
 impl NodeConfig {
@@ -105,7 +104,7 @@ impl NodeConfig {
             time_slice: ms_to_cycles(10.0),
             sched_policy: SchedPolicy::RoundRobin,
             threads: None,
-            lockstep: None,
+            lockstep: false,
         }
     }
 }
@@ -172,8 +171,8 @@ pub struct OptimusNode {
     placement: Placement,
     rr_next: usize,
     threads: usize,
-    /// Lock-step horizon chunking instead of free-running (differential
-    /// testing escape hatch).
+    /// Horizon chunking even with no cross-device share live (the
+    /// differential suites' reference schedule).
     lockstep: bool,
     /// Per-device cached sync horizons for the lock-step path, reused
     /// across `run` calls (`None` = recompute; `Some(None)` = device has
@@ -222,7 +221,6 @@ impl OptimusNode {
                 std::thread::available_parallelism().map_or(1, |n| n.get())
             })
             .clamp(1, devices.len());
-        let lockstep = cfg.lockstep.unwrap_or_else(env_lockstep);
         let alerts_seen = vec![0; devices.len()];
         let horizon_cache = vec![None; devices.len()];
         Ok(Self {
@@ -230,7 +228,7 @@ impl OptimusNode {
             placement: cfg.placement,
             rr_next: 0,
             threads,
-            lockstep,
+            lockstep: cfg.lockstep,
             horizon_cache,
             chunk_scratch: Vec::new(),
             alerts_seen,
@@ -238,14 +236,12 @@ impl OptimusNode {
         })
     }
 
-    /// Whether [`run`](Self::run) uses lock-step horizon chunking instead
-    /// of free-running.
+    /// Whether [`run`](Self::run) always steps in horizon chunks.
     pub fn lockstep(&self) -> bool {
         self.lockstep
     }
 
-    /// Overrides the stepping schedule sampled at construction
-    /// (differential testing).
+    /// Overrides [`NodeConfig::lockstep`] (differential testing).
     pub fn set_lockstep(&mut self, on: bool) {
         self.lockstep = on;
     }
@@ -645,7 +641,7 @@ impl OptimusNode {
                 });
             }
         }
-        if job != 0 && journal::enabled() {
+        if job != 0 {
             // Stamped on the destination clock: the journey's first phase
             // on the new device (the accounting treats it like a requeue).
             journal::phase(job, journal::Phase::Migrated, self.devices[to_idx].now());
@@ -768,11 +764,11 @@ impl OptimusNode {
     /// Default schedule: **free-running** — devices never interact during
     /// a run (see the module docs), so every device's dependency horizon
     /// is the end of the span and each one is advanced in a single
-    /// `Optimus::run(cycles)` dispatch. Under
-    /// [`lockstep`](Self::lockstep) the node instead re-synchronizes
-    /// every horizon chunk, the pre-free-running schedule. With more
-    /// than one worker thread, devices step concurrently; state, stats,
-    /// and traces are bit-identical across all four schedules.
+    /// `Optimus::run(cycles)` dispatch. While cross-device shares are
+    /// live (or under [`lockstep`](Self::lockstep)) the node instead
+    /// re-synchronizes every horizon chunk. With more than one worker
+    /// thread, devices step concurrently; state, stats, and traces are
+    /// bit-identical across all four schedules.
     pub fn run(&mut self, cycles: Cycle) {
         if cycles == 0 {
             return;
@@ -799,9 +795,12 @@ impl OptimusNode {
         }
     }
 
-    /// The lock-step schedule: advance all devices together one horizon
-    /// chunk at a time. Kept as a differential baseline for the free-
-    /// running schedule (`OPTIMUS_LOCKSTEP=1`).
+    /// The horizon-chunked schedule: advance all devices together one
+    /// sync horizon at a time, propagating cross-device shared spans at
+    /// every chunk boundary. This is what the node runs while such shares
+    /// are live — their two sides must observe each other's writes — and,
+    /// via [`NodeConfig::lockstep`], the reference schedule `free_run_prop`,
+    /// `noninterference_prop` and `spec_prop` compare free-running against.
     fn run_lockstep(&mut self, cycles: Cycle) {
         let n = self.devices.len();
         // Cached per-device horizons: recompute a device's entry only
@@ -864,86 +863,34 @@ impl OptimusNode {
         self.chunk_scratch = chunk_log;
     }
 
-    /// Steps every device by `span` on scoped worker threads. Devices
-    /// are split into contiguous index-order groups (one per worker), so
-    /// each worker's trace chunks — and therefore the device-index-order
-    /// replay below — preserve the serial recording order.
+    /// Steps every device by `chunk` on scoped worker threads. Devices
+    /// are split into contiguous index-order groups (one per worker);
+    /// each worker steps its devices under the dispatching thread's plane
+    /// gates and drains one [`Chunk`] per device, and the chunks merge
+    /// here in device-index order — which equals the serial recording
+    /// (see `optimus_sim::plane`).
     fn run_span_parallel(&mut self, chunk: Cycle) {
-        let tracing = trace::enabled();
-        // Workers inherit the main thread's metrics gate explicitly:
-        // their own thread-locals would re-read the environment, which
-        // can disagree with a runtime set_enabled override.
-        let recording = metrics::enabled();
-        // The spec plane mirrors the trace/metrics chunk protocol: each
-        // worker imports its devices' models, checks accesses locally, and
-        // exports models + violations for the main thread to re-absorb in
-        // device-index order.
-        let speccing = spec::enabled();
-        // The journal follows the same chunk protocol: workers record
-        // into their own thread-local planes and the main thread merges
-        // in device-index order, so the merged record order equals the
-        // serial recording.
-        let journaling = journal::enabled();
+        let gates = Gates::capture();
         let workers = self.threads.min(self.devices.len());
         let per = self.devices.len().div_ceil(workers);
-        let spec_groups: Vec<Vec<Option<spec::DeviceChunk>>> = if speccing {
-            self.devices
-                .chunks(per)
-                .map(|g| g.iter().map(|hv| spec::export_device(hv.device_id().0)).collect())
-                .collect()
-        } else {
-            self.devices.chunks(per).map(|_| Vec::new()).collect()
-        };
-        type WorkerOut = (
-            Vec<trace::TraceChunk>,
-            Vec<metrics::MetricsChunk>,
-            Vec<Option<spec::DeviceChunk>>,
-            (u64, Vec<spec::Violation>),
-            Vec<journal::JournalChunk>,
-        );
-        let chunks_out: Vec<WorkerOut> = std::thread::scope(|s| {
+        let drained: Vec<Vec<Chunk>> = std::thread::scope(|s| {
             let handles: Vec<_> = self
                 .devices
                 .chunks_mut(per)
-                .zip(spec_groups)
-                .map(|(group, spec_group)| {
+                .map(|group| {
+                    let lent: Vec<Chunk> =
+                        group.iter().map(|hv| Chunk::lend(hv.device_id().0)).collect();
                     s.spawn(move || {
-                        if tracing {
-                            trace::set_enabled(true);
-                        }
-                        metrics::set_enabled(recording);
-                        journal::set_enabled(journaling);
-                        if speccing {
-                            spec::set_enabled(true);
-                            for c in spec_group.into_iter().flatten() {
-                                spec::import_device(c);
-                            }
-                        }
-                        let mut traces = Vec::new();
-                        let mut planes = Vec::new();
-                        let mut journals = Vec::new();
-                        for hv in group.iter_mut() {
-                            hv.run(chunk);
-                            if tracing {
-                                traces.push(trace::take_chunk());
-                            }
-                            if recording {
-                                planes.push(metrics::take_chunk());
-                            }
-                            if journaling {
-                                journals.push(journal::take_chunk());
-                            }
-                        }
-                        let mut spec_chunks = Vec::new();
-                        let spec_violations = if speccing {
-                            for hv in group.iter() {
-                                spec_chunks.push(spec::export_device(hv.device_id().0));
-                            }
-                            spec::take_violations()
-                        } else {
-                            (0, Vec::new())
-                        };
-                        (traces, planes, spec_chunks, spec_violations, journals)
+                        gates.apply();
+                        group
+                            .iter_mut()
+                            .zip(lent)
+                            .map(|(hv, lent)| {
+                                lent.absorb();
+                                hv.run(chunk);
+                                Chunk::take(hv.device_id().0)
+                            })
+                            .collect()
                     })
                 })
                 .collect();
@@ -952,23 +899,8 @@ impl OptimusNode {
                 .map(|h| h.join().expect("node worker thread panicked"))
                 .collect()
         });
-        // Replay in device-index order. Metric merges are commutative
-        // (counter adds, bucket adds, min/max) and gauges are
-        // device-disjoint, so this equals the serial recording.
-        for (traces, planes, spec_chunks, spec_violations, journals) in chunks_out {
-            for c in traces {
-                trace::absorb_chunk(c);
-            }
-            for p in planes {
-                metrics::absorb_chunk(p);
-            }
-            for c in spec_chunks.into_iter().flatten() {
-                spec::import_device(c);
-            }
-            spec::absorb_violations(spec_violations);
-            for j in journals {
-                journal::absorb_chunk(j);
-            }
+        for c in drained.into_iter().flatten() {
+            c.absorb();
         }
     }
 
@@ -986,16 +918,6 @@ impl OptimusNode {
             self.run(poll.min(budget));
         }
         self.vaccel_completed(h)
-    }
-}
-
-/// Parses `OPTIMUS_LOCKSTEP`: any non-empty value other than `0` restores
-/// lock-step horizon chunking (the differential baseline for
-/// free-running).
-fn env_lockstep() -> bool {
-    match std::env::var("OPTIMUS_LOCKSTEP") {
-        Ok(v) => !(v.is_empty() || v == "0"),
-        Err(_) => false,
     }
 }
 

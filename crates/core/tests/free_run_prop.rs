@@ -2,8 +2,9 @@
 //! batched device stepping.
 //!
 //! The node's default schedule free-runs every device to the end of the
-//! requested span in one dispatch; `OPTIMUS_LOCKSTEP=1` (or
-//! `NodeConfig::lockstep`) restores the horizon-chunked schedule, and
+//! requested span in one dispatch; `NodeConfig::lockstep` selects the
+//! horizon-chunked schedule (what the node runs anyway while
+//! cross-device shares are live) as the reference, and
 //! `OPTIMUS_BATCH_STEP` / `OptimusNode::set_batch_step` controls how many
 //! busy cycles a device executes per horizon scan. All of these are
 //! claimed bit-identical (see the `node` module docs for the
@@ -47,7 +48,7 @@ fn fingerprint(threads: usize, lockstep: bool, batch: u64) -> Vec<u64> {
     cfg.seed = 7;
     cfg.time_slice = 6_000;
     cfg.threads = Some(threads);
-    cfg.lockstep = Some(lockstep);
+    cfg.lockstep = lockstep;
     let mut node = OptimusNode::new(cfg).expect("node boots");
     node.set_batch_step(batch);
     let mut handles: Vec<NodeVaccel> =
@@ -144,7 +145,7 @@ fn share_fingerprint(threads: usize, lockstep: bool, batch: u64) -> Vec<u64> {
     cfg.seed = 9;
     cfg.time_slice = 6_000;
     cfg.threads = Some(threads);
-    cfg.lockstep = Some(lockstep);
+    cfg.lockstep = lockstep;
     let mut node = OptimusNode::new(cfg).expect("node boots");
     node.set_batch_step(batch);
     // Slot layout per device is [Sha, Mb]; least-populated-slot assignment

@@ -75,7 +75,7 @@ fn victim_fingerprint(
     cfg.seed = 7;
     cfg.time_slice = 6_000;
     cfg.threads = Some(threads);
-    cfg.lockstep = Some(lockstep);
+    cfg.lockstep = lockstep;
     let mut node = OptimusNode::new(cfg).expect("node boots");
     node.set_batch_step(batch);
     let mut victim = node.create_tenant_on(DeviceId(0), "victim");
@@ -175,7 +175,7 @@ fn pipeline_fingerprint(
     cfg.seed = 11;
     cfg.time_slice = 6_000;
     cfg.threads = Some(threads);
-    cfg.lockstep = Some(lockstep);
+    cfg.lockstep = lockstep;
     let mut node = OptimusNode::new(cfg).expect("node boots");
     node.set_batch_step(batch);
     let mut owner = node.create_tenant_on(DeviceId(0), "owner");

@@ -119,7 +119,7 @@ fn scenario_fingerprint(threads: usize, lockstep: bool, spec_on: bool) -> Vec<u6
     cfg.seed = 7;
     cfg.time_slice = 6_000;
     cfg.threads = Some(threads);
-    cfg.lockstep = Some(lockstep);
+    cfg.lockstep = lockstep;
     let mut node = OptimusNode::new(cfg).expect("node boots");
     let mut handles: Vec<NodeVaccel> = (0..4)
         .map(|t| node.create_tenant_on(DeviceId((t % DEVICES) as u32), &format!("t{t}")))

@@ -358,13 +358,9 @@ impl FpgaDevice {
             let t = Track::accel(i);
             match (prev, status) {
                 (_, CtrlStatus::Saving) => trace::begin(t, "preempt.save", now, &[]),
-                (CtrlStatus::Saving, CtrlStatus::Saved) => {
-                    trace::end(t, "preempt.save", now);
-                    trace::count(t, "state_saves", 1);
-                }
+                (CtrlStatus::Saving, CtrlStatus::Saved) => trace::end(t, "preempt.save", now),
                 (CtrlStatus::Saved, CtrlStatus::Running) => {
-                    trace::instant(t, "preempt.restore_begin", now, &[]);
-                    trace::count(t, "state_restores", 1);
+                    trace::instant(t, "preempt.restore_begin", now, &[])
                 }
                 _ => trace::instant(t, "ctrl_status", now, &[("status", status as u64)]),
             }

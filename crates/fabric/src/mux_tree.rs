@@ -216,9 +216,7 @@ impl MuxTree {
                     .any(|q| q.peek_ready(now).is_some());
                 metrics::inc(metrics::FABRIC_MUX_STALLS, idx as u32, ready_input as u64);
                 if trace::enabled() && ready_input {
-                    let t = Track::mux_node(idx);
-                    trace::instant(t, "mux_stall", now, &[]);
-                    trace::count(t, "stalls", 1);
+                    trace::instant(Track::mux_node(idx), "mux_stall", now, &[]);
                 }
                 continue;
             }
@@ -247,9 +245,7 @@ impl MuxTree {
                     self.nodes[idx].inputs[i].len() as u64 + 1,
                 );
                 if trace::enabled() {
-                    let t = Track::mux_node(idx);
-                    trace::instant(t, "mux_grant", now, &[("input", i as u64)]);
-                    trace::count(t, "grants", 1);
+                    trace::instant(Track::mux_node(idx), "mux_grant", now, &[("input", i as u64)]);
                 }
                 self.nodes[idx].rr = if i + 1 == n_inputs { 0 } else { i + 1 };
                 self.nodes[idx].next_slot = now + MONITOR_INJECT_INTERVAL;

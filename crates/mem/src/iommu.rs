@@ -355,7 +355,6 @@ impl Iommu {
                     "iotlb_hit"
                 };
                 trace::instant(Track::iommu(), name, now, &[("iova", iova.raw())]);
-                trace::count(Track::iommu(), metrics::def(metric).name, 1);
             }
             if is_write && !writable {
                 return Err(IommuError::WriteDenied { iova });
@@ -387,18 +386,12 @@ impl Iommu {
                         now,
                         &[("iova", iova.raw()), ("set", set), ("walk_steps", walk_steps as u64)],
                     );
-                    trace::count(Track::iommu(), metrics::def(metrics::MEM_IOTLB_MISSES).name, 1);
                     if evicted {
                         trace::instant(
                             Track::iommu(),
                             "iotlb_conflict_evict",
                             now,
                             &[("iova", iova.raw()), ("set", set)],
-                        );
-                        trace::count(
-                            Track::iommu(),
-                            metrics::def(metrics::MEM_IOTLB_CONFLICT_EVICTIONS).name,
-                            1,
                         );
                     }
                 }
@@ -410,10 +403,7 @@ impl Iommu {
             None => {
                 self.faults += 1;
                 metrics::inc(metrics::MEM_IO_PAGE_FAULTS, tenant, 1);
-                if trace::enabled() {
-                    trace::instant(Track::iommu(), "io_page_fault", now, &[("iova", iova.raw())]);
-                    trace::count(Track::iommu(), metrics::def(metrics::MEM_IO_PAGE_FAULTS).name, 1);
-                }
+                trace::instant(Track::iommu(), "io_page_fault", now, &[("iova", iova.raw())]);
                 Err(IommuError::Fault { iova })
             }
         }

@@ -12,20 +12,21 @@
 //! # Gating
 //!
 //! The journal is **on by default** and disabled with `OPTIMUS_JOURNAL=0`
-//! (or `off`/`false`), sampled once per thread; tests override per thread
-//! with [`set_enabled`]. Every emit helper returns after one thread-local
-//! flag read when disabled. Recording is read-only with respect to the
-//! simulation: a journaled run and an unjournaled run of the same
-//! workload produce bit-equal fingerprints (ci.sh stage 11).
+//! (accepted values: [`crate::plane::env_gate`]), sampled once per
+//! thread; tests override per thread with [`set_enabled`]. Every emit
+//! helper returns after one thread-local flag read when disabled.
+//! Recording is read-only with respect to the simulation: a journaled
+//! run and an unjournaled run of the same workload produce bit-equal
+//! fingerprints (ci.sh's plane stage).
 //!
 //! # Threading
 //!
 //! Like the flight recorder, the journal is thread-local. Worker threads
-//! stepping devices drain their records into [`JournalChunk`]s which the
-//! node layer absorbs on the main thread **in device-index order**, so a
-//! parallel run's journal is byte-identical to a serial run's: a job
-//! lives on exactly one device at a time, so its phase list is appended
-//! in timestamp order regardless of the thread schedule.
+//! stepping devices drain their records into [`crate::plane::Chunk`]s
+//! which the node layer absorbs on the main thread **in device-index
+//! order**, so a parallel run's journal is byte-identical to a serial
+//! run's: a job lives on exactly one device at a time, so its phase list
+//! is appended in timestamp order regardless of the thread schedule.
 //!
 //! # Derivation
 //!
@@ -247,15 +248,8 @@ struct Plane {
     recs: BTreeMap<JobId, JobRecord>,
 }
 
-fn env_enabled() -> bool {
-    match std::env::var("OPTIMUS_JOURNAL") {
-        Ok(v) => !(v == "0" || v == "off" || v == "false"),
-        Err(_) => true,
-    }
-}
-
 thread_local! {
-    static ENABLED: Cell<bool> = Cell::new(env_enabled());
+    static ENABLED: Cell<bool> = Cell::new(crate::plane::env_gate("OPTIMUS_JOURNAL", true));
     static PLANE: RefCell<Plane> = RefCell::new(Plane::default());
 }
 
@@ -341,27 +335,15 @@ pub fn link(consumer: JobId, producer: JobId, ts: Cycle) {
     });
 }
 
-/// Records drained from one thread's journal for replay on another.
-/// Contents are opaque; a chunk only moves between planes.
+/// Records drained from one thread's journal for replay on another (the
+/// journal leg of [`crate::plane::Chunk`]).
 #[derive(Debug, Default)]
-pub struct JournalChunk {
+pub(crate) struct JournalChunk {
     recs: Vec<JobRecord>,
 }
 
-impl JournalChunk {
-    /// Number of job records carried.
-    pub fn len(&self) -> usize {
-        self.recs.len()
-    }
-
-    /// Whether the chunk carries no records.
-    pub fn is_empty(&self) -> bool {
-        self.recs.is_empty()
-    }
-}
-
-/// Drains this thread's journal into a [`JournalChunk`].
-pub fn take_chunk() -> JournalChunk {
+/// Drains this thread's journal.
+pub(crate) fn take_chunk() -> JournalChunk {
     PLANE.with(|p| JournalChunk {
         recs: std::mem::take(&mut p.borrow_mut().recs).into_values().collect(),
     })
@@ -371,7 +353,7 @@ pub fn take_chunk() -> JournalChunk {
 /// whole; known jobs append the chunk's phases (a job runs on exactly
 /// one device, so device-index-order absorption appends in timestamp
 /// order) and fill any metadata the stub lacked.
-pub fn absorb_chunk(chunk: JournalChunk) {
+pub(crate) fn absorb_chunk(chunk: JournalChunk) {
     PLANE.with(|p| {
         let mut p = p.borrow_mut();
         for rec in chunk.recs {
@@ -771,32 +753,6 @@ mod tests {
         // for 300 of them.
         assert_eq!(consumer.share_stall.max, 300);
         assert_eq!(consumer.queue.max, 100);
-    }
-
-    #[test]
-    fn chunk_merge_fills_stub_metadata_in_order() {
-        set_enabled(true);
-        reset();
-        submit(5, "tenant-a", 1, 0, 4096, 100);
-        // Worker thread sees only the phases, not the submit metadata.
-        let chunk = std::thread::spawn(|| {
-            set_enabled(true);
-            phase(5, Phase::Installed, 150);
-            phase(5, Phase::Executing, 160);
-            take_chunk()
-        })
-        .join()
-        .expect("worker");
-        absorb_chunk(chunk);
-        phase(5, Phase::Complete, 400);
-        let recs = export();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].tenant, "tenant-a");
-        let names: Vec<&str> = recs[0].phases.iter().map(|(p, _)| p.name()).collect();
-        assert_eq!(
-            names,
-            ["submit", "queued", "installed", "executing", "complete"]
-        );
     }
 
     #[test]

@@ -35,6 +35,9 @@
 //!   model of which tenant may touch which HPA, updated only from the
 //!   hypervisor's history and refinement-checked against every host
 //!   memory access the simulator performs, gated behind `OPTIMUS_SPEC`.
+//! * [`plane`] — what those four recording planes share: the one
+//!   environment-gate parser, the gate hand-off to worker threads, and the
+//!   per-device chunk hand-off merged in device-index order.
 //!
 //! # Examples
 //!
@@ -54,6 +57,7 @@ pub mod hashing;
 pub mod journal;
 pub mod metrics;
 pub mod perm;
+pub mod plane;
 pub mod queue;
 pub mod rng;
 pub mod simrate;

@@ -13,8 +13,9 @@
 //!
 //! Recording never feeds back into simulation: the plane is write-only
 //! from the simulated layers and only read by reports, tests, and
-//! exposition. `OPTIMUS_METRICS=off` (or `0`) disables accumulation, but
-//! through a *branch-free masked path*: the accumulate executes
+//! exposition. `OPTIMUS_METRICS=off` (accepted values:
+//! [`crate::plane::env_gate`]) disables accumulation, but through a
+//! *branch-free masked path*: the accumulate executes
 //! unconditionally with a per-thread mask of `!0` (on) or `0` (off), so
 //! the instruction stream — and therefore the simulation — is identical
 //! either way. A differential property test in `crates/core/tests/prop.rs`
@@ -22,10 +23,11 @@
 //! off.
 //!
 //! Storage is thread-local, like the flight recorder, so parallel device
-//! stepping needs no locks: node workers drain per-device
-//! [`MetricsChunk`]s which the main thread absorbs. Every merge operation
-//! (counter add, bucket add, min/max) is commutative and associative, so
-//! parallel stepping yields bit-identical totals to serial stepping.
+//! stepping needs no locks: node workers drain their cells per device
+//! into a [`crate::plane::Chunk`] which the main thread absorbs. Every
+//! merge operation (counter add, bucket add, min/max) is commutative and
+//! associative, so parallel stepping yields bit-identical totals to
+//! serial stepping.
 //!
 //! # Exposition
 //!
@@ -68,10 +70,8 @@ pub struct MetricDef {
 
 // ---- The registry ---------------------------------------------------------
 //
-// Names that overlap with flight-recorder counters (mmio_traps,
-// hypercalls, installs, forced_resets, page_walk_cycles) are the single
-// source of truth: the instrumented sites pass `def(id).name` to
-// `trace::count`, so the two planes can never drift apart.
+// The workspace's one counter mechanism: the flight recorder carries
+// events only, so every aggregate count is a series here.
 
 pub const HV_MMIO_TRAPS: Metric = Metric(0);
 pub const HV_MMIO_TRAP_CYCLES: Metric = Metric(1);
@@ -220,13 +220,6 @@ impl Plane {
     }
 }
 
-fn env_enabled() -> bool {
-    match std::env::var("OPTIMUS_METRICS") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false")),
-        Err(_) => true,
-    }
-}
-
 /// All per-thread metrics state behind a *single* `thread_local`, so the
 /// record path pays exactly one TLS address computation. (Split across
 /// three keys — mask, device scope, plane — each `inc` cost three TLS
@@ -244,7 +237,7 @@ struct Tls {
 
 thread_local! {
     static TLS: Tls = Tls {
-        mask: Cell::new(if env_enabled() { !0u64 } else { 0 }),
+        mask: Cell::new(if crate::plane::env_gate("OPTIMUS_METRICS", true) { !0 } else { 0 }),
         device: Cell::new(0),
         plane: RefCell::new(Plane::new()),
     };
@@ -405,26 +398,17 @@ pub fn reset() {
 
 // ---- Parallel chunk drain -------------------------------------------------
 
-/// A worker thread's accumulated metrics, drained after stepping its
-/// devices so the main thread can merge them (mirrors
-/// [`crate::trace::TraceChunk`]). Every merge is commutative, so the
-/// absorb order cannot affect totals.
+/// A worker thread's accumulated cells (the metrics leg of
+/// [`crate::plane::Chunk`]). Every merge is commutative, so the absorb
+/// order cannot affect totals.
 #[derive(Debug)]
-pub struct MetricsChunk {
+pub(crate) struct MetricsChunk {
     scalars: Vec<Vec<u64>>,
     hists: Vec<Vec<Hist>>,
 }
 
-impl MetricsChunk {
-    /// Whether the chunk holds no data at all.
-    pub fn is_empty(&self) -> bool {
-        self.scalars.iter().all(|v| v.iter().all(|&x| x == 0))
-            && self.hists.iter().all(|v| v.iter().all(|h| h.count == 0))
-    }
-}
-
 /// Takes this thread's plane, leaving it empty.
-pub fn take_chunk() -> MetricsChunk {
+pub(crate) fn take_chunk() -> MetricsChunk {
     TLS.with(|t| {
         let plane = std::mem::replace(&mut *t.plane.borrow_mut(), Plane::new());
         MetricsChunk {
@@ -438,7 +422,7 @@ pub fn take_chunk() -> MetricsChunk {
 /// histogram cells add; gauges overwrite when the chunk wrote a value
 /// (series are device-disjoint across node workers, so this is
 /// order-independent too).
-pub fn absorb_chunk(chunk: MetricsChunk) {
+pub(crate) fn absorb_chunk(chunk: MetricsChunk) {
     TLS.with(|t| {
         let mut p = t.plane.borrow_mut();
         for (mi, src) in chunk.scalars.into_iter().enumerate() {
@@ -704,23 +688,6 @@ mod tests {
         inc_at(CCI_DMA_BYTES, 3, 2, 64);
         assert_eq!(counter_value(CCI_DMA_BYTES, 3, 2), 128);
         assert_eq!(counter_total(CCI_DMA_BYTES), 128);
-    }
-
-    #[test]
-    fn chunk_take_and_absorb_round_trips() {
-        set_enabled(true);
-        inc(FABRIC_MUX_GRANTS, 1, 10);
-        observe(CCI_DMA_RT_CYCLES, 1, 333);
-        set_gauge(FABRIC_FAIRNESS_JAIN, 0, 0.75);
-        let chunk = take_chunk();
-        assert!(!chunk.is_empty());
-        assert_eq!(counter_value(FABRIC_MUX_GRANTS, 0, 1), 0, "plane drained");
-        inc(FABRIC_MUX_GRANTS, 1, 5);
-        absorb_chunk(chunk);
-        assert_eq!(counter_value(FABRIC_MUX_GRANTS, 0, 1), 15);
-        assert_eq!(hist_count(CCI_DMA_RT_CYCLES, 0, 1), 1);
-        assert_eq!(hist_sum(CCI_DMA_RT_CYCLES, 0, 1), 333);
-        assert_eq!(gauge_value(FABRIC_FAIRNESS_JAIN, 0, 0), 0.75);
     }
 
     #[test]

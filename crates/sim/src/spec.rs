@@ -38,16 +38,17 @@
 //! # Gating and determinism
 //!
 //! Like the flight recorder ([`crate::trace`]) the plane is off by default
-//! and enabled with `OPTIMUS_SPEC=1`. Every hook site is guarded by
-//! [`enabled`] (one thread-local read), the model is write-only from the
-//! simulated layers, and nothing here ever feeds back into simulation
-//! state or timing — a differential test proves fingerprints are
-//! byte-identical with the spec plane on vs off.
+//! and enabled with `OPTIMUS_SPEC=1` (accepted values:
+//! [`crate::plane::env_gate`]). Every hook self-gates on one thread-local
+//! read, the model is write-only from the simulated layers, and nothing
+//! here ever feeds back into simulation state or timing — a differential
+//! test proves fingerprints are byte-identical with the spec plane on vs
+//! off.
 //!
-//! State is thread-local. Node workers stepping device subsets import the
-//! relevant [`DeviceChunk`]s before a parallel span and export them after,
-//! mirroring the trace/metrics chunk protocol; violations drain with
-//! [`take_violations`] and merge in device-index order.
+//! State is thread-local. A node worker stepping a device receives that
+//! device's model in a [`crate::plane::Chunk`] before a parallel span and
+//! hands it back — with the violations the span recorded — after, merged
+//! in device-index order like every other plane.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -164,11 +165,16 @@ impl DeviceModel {
     }
 }
 
-/// A device's model state in transit between threads (node workers).
+/// A device's model in transit between threads, with the violations
+/// recorded since the last drain (the spec leg of [`crate::plane::Chunk`]).
 #[derive(Debug)]
-pub struct DeviceChunk {
+pub(crate) struct DeviceChunk {
     device: u32,
-    model: DeviceModel,
+    /// `None` if the device has no model yet (the receiving thread starts
+    /// it fresh via `or_default`).
+    model: Option<DeviceModel>,
+    count: u64,
+    violations: Vec<Violation>,
 }
 
 #[derive(Default)]
@@ -183,23 +189,14 @@ struct Tls {
     state: RefCell<SpecState>,
 }
 
-fn env_enabled() -> bool {
-    match std::env::var("OPTIMUS_SPEC") {
-        Ok(v) => v == "1" || v.eq_ignore_ascii_case("on") || v.eq_ignore_ascii_case("true"),
-        Err(_) => false,
-    }
-}
-
 thread_local! {
     static TLS: Tls = Tls {
-        enabled: Cell::new(env_enabled()),
+        enabled: Cell::new(crate::plane::env_gate("OPTIMUS_SPEC", false)),
         state: RefCell::new(SpecState::default()),
     };
 }
 
-/// Whether this thread is checking accesses against the model. Every hook
-/// site guards on this, so a disabled run pays one thread-local read per
-/// hook and builds no arguments.
+/// Whether this thread is checking accesses against the model.
 #[inline]
 pub fn enabled() -> bool {
     TLS.with(|t| t.enabled.get())
@@ -234,8 +231,16 @@ fn record(s: &mut SpecState, device: u32, kind: &'static str, detail: String) {
     }
 }
 
-fn with_state<R>(f: impl FnOnce(&mut SpecState) -> R) -> R {
-    TLS.with(|t| f(&mut t.state.borrow_mut()))
+/// The gate every model update and access check goes through: runs `f`
+/// against the model when this thread is checking, and costs a single
+/// thread-local read when it is not.
+#[inline]
+fn hook(f: impl FnOnce(&mut SpecState)) {
+    TLS.with(|t| {
+        if t.enabled.get() {
+            f(&mut t.state.borrow_mut());
+        }
+    });
 }
 
 // ---- Model updates (history events) ---------------------------------------
@@ -244,8 +249,9 @@ fn with_state<R>(f: impl FnOnce(&mut SpecState) -> R) -> R {
 /// for `vm`. Also claims the HPA span for `vm`; a claim overlapping a
 /// *different* VM's live frames is itself a violation (the bump allocator
 /// must never hand the same frame to two tenants).
+#[inline]
 pub fn map_page(device: u32, iova: u64, hpa: u64, len: u64, write: bool, vm: u32) {
-    with_state(|s| {
+    hook(|s| {
         let conflict = s
             .devices
             .entry(device)
@@ -270,8 +276,9 @@ pub fn map_page(device: u32, iova: u64, hpa: u64, len: u64, write: bool, vm: u32
 
 /// Detach tore down the IOPT span at `iova`. Frame ownership persists (the
 /// node still copies the frames out during migration).
+#[inline]
 pub fn unmap_page(device: u32, iova: u64) {
-    with_state(|s| {
+    hook(|s| {
         let m = s.devices.entry(device).or_default();
         if m.iopt.remove(&iova).is_none() {
             record(
@@ -294,6 +301,7 @@ pub fn unmap_page(device: u32, iova: u64) {
 /// owner's authoritative copy). Either way the retriever gains a live
 /// entitlement carrying the handle and permission, and the IOPT span acts
 /// on the retriever's behalf so its slot may DMA through it.
+#[inline]
 pub fn retrieve_page(
     device: u32,
     iova: u64,
@@ -304,7 +312,7 @@ pub fn retrieve_page(
     owner: Option<u32>,
     handle: u64,
 ) {
-    with_state(|s| {
+    hook(|s| {
         let m = s.devices.entry(device).or_default();
         let base = match owner {
             Some(o) => match m.frame_at(hpa) {
@@ -340,8 +348,9 @@ pub fn retrieve_page(
 /// `mem_reclaim`, or the retriever migrating away (`how` names which).
 /// Removes the IOPT span, ends the live entitlement, and appends it to the
 /// frame's history so later violations carry the full provenance.
+#[inline]
 pub fn relinquish_page(device: u32, iova: u64, hpa: u64, vm: u32, handle: u64, how: &'static str) {
-    with_state(|s| {
+    hook(|s| {
         let m = s.devices.entry(device).or_default();
         let missing_iopt = m.iopt.remove(&iova).is_none();
         let ended = match m.frame_base(hpa) {
@@ -382,8 +391,9 @@ pub fn relinquish_page(device: u32, iova: u64, hpa: u64, vm: u32, handle: u64, h
 
 /// The hypervisor installed `vm`'s virtual accelerator onto `slot`: DMAs
 /// from that slot now act on `vm`'s behalf.
+#[inline]
 pub fn bind_slot(device: u32, slot: usize, vm: u32) {
-    with_state(|s| {
+    hook(|s| {
         let m = s.devices.entry(device).or_default();
         if m.slots.len() <= slot {
             m.slots.resize(slot + 1, None);
@@ -394,8 +404,9 @@ pub fn bind_slot(device: u32, slot: usize, vm: u32) {
 
 /// The slot's occupant finished its drain/save (or was force-reset): no
 /// tenant may issue DMA through it until the next install.
+#[inline]
 pub fn unbind_slot(device: u32, slot: usize) {
-    with_state(|s| {
+    hook(|s| {
         let m = s.devices.entry(device).or_default();
         if m.slots.len() <= slot {
             m.slots.resize(slot + 1, None);
@@ -411,8 +422,9 @@ pub fn unbind_slot(device: u32, slot: usize) {
 /// permission, and the span's acting VM must be the VM bound to the slot.
 /// When the target HPA is a frame the model knows (e.g. a probe of a
 /// relinquished share span), the detail embeds its ownership history.
+#[inline]
 pub fn check_dma(device: u32, slot: u32, iova: u64, hpa: u64, write: bool) {
-    with_state(|s| {
+    hook(|s| {
         let verdict: Option<(&'static str, String)> = (|| {
             let Some(m) = s.devices.get(&device) else {
                 return Some(("dma_unmodeled_device", format!("iova {iova:#x} slot {slot}")));
@@ -462,8 +474,9 @@ pub fn check_dma(device: u32, slot: u32, iova: u64, hpa: u64, write: bool) {
 /// The IOMMU refused a DMA (translation fault). Refinement runs both ways:
 /// if the model *would* have permitted the access, the simulator dropped
 /// legal traffic.
+#[inline]
 pub fn check_dma_fault(device: u32, slot: u32, iova: u64, write: bool) {
-    with_state(|s| {
+    hook(|s| {
         let Some(m) = s.devices.get(&device) else { return };
         if let Some((_, span)) = m.iopt_at(iova) {
             if (!write || span.write) && m.slot_owner(slot as usize) == Some(span.owner) {
@@ -481,8 +494,9 @@ pub fn check_dma_fault(device: u32, slot: u32, iova: u64, write: bool) {
 /// An MMIO access was delivered to accelerator `slot`; `base`/`size` is
 /// that slot's BAR page. Delivery outside the page is a containment
 /// violation regardless of how the auditor's arithmetic got there.
+#[inline]
 pub fn check_mmio_deliver(device: u32, slot: usize, addr: u64, base: u64, size: u64) {
-    with_state(|s| {
+    hook(|s| {
         if addr.wrapping_sub(base) >= size {
             record(
                 s,
@@ -499,8 +513,9 @@ pub fn check_mmio_deliver(device: u32, slot: usize, addr: u64, base: u64, size: 
 /// The slot must currently be bound to `vm` — forwarding another tenant's
 /// cached or live write into a slot mutates a register file that tenant
 /// does not own, even if delivery routing (page containment) was correct.
+#[inline]
 pub fn check_mmio_write(device: u32, slot: usize, vm: u32, addr: u64) {
-    with_state(|s| {
+    hook(|s| {
         let owner = s.devices.get(&device).and_then(|m| m.slot_owner(slot));
         if owner != Some(vm) {
             record(
@@ -522,8 +537,9 @@ pub fn check_mmio_write(device: u32, slot: usize, vm: u32, addr: u64) {
 /// sufficient permission). Frames are claimed at the hypercall's
 /// granularity (2 MB or 4 KB), so the check walks contiguous frames until
 /// the span is covered rather than assuming one frame suffices.
+#[inline]
 pub fn check_cpu(device: u32, hpa: u64, len: u64, vm: u32, write: bool) {
-    with_state(|s| {
+    hook(|s| {
         let kind = if write { "cpu_write" } else { "cpu_read" };
         let verdict: Option<(&'static str, String)> = (|| {
             let Some(m) = s.devices.get(&device) else {
@@ -569,6 +585,7 @@ pub fn check_cpu(device: u32, hpa: u64, len: u64, vm: u32, write: bool) {
 /// tenant (`src_vm` on `src_device`), the destination span to the freshly
 /// attached one (`dst_vm` on `dst_device`). Cross-device share syncs reuse
 /// this check with each side's registered (device, vm) pair.
+#[inline]
 pub fn check_adopt(
     src_device: u32,
     src_hpa: u64,
@@ -577,7 +594,7 @@ pub fn check_adopt(
     dst_hpa: u64,
     dst_vm: u32,
 ) {
-    with_state(|s| {
+    hook(|s| {
         let src_owner = s
             .devices
             .get(&src_device)
@@ -609,8 +626,9 @@ pub fn check_adopt(
 
 /// Live-update thaw verified an IOPT entry against the persistent device:
 /// the model (which also persisted across the freeze) must agree.
+#[inline]
 pub fn check_thaw(device: u32, iova: u64, hpa: u64) {
-    with_state(|s| {
+    hook(|s| {
         let modeled = s
             .devices
             .get(&device)
@@ -629,39 +647,32 @@ pub fn check_thaw(device: u32, iova: u64, hpa: u64) {
 
 // ---- Parallel chunk plumbing ---------------------------------------------
 
-/// Removes `device`'s model from this thread so a worker can own it for a
-/// parallel span. Returns `None` if the device has no model yet (the
-/// worker starts it fresh via `or_default`).
-pub fn export_device(device: u32) -> Option<DeviceChunk> {
-    with_state(|s| s.devices.remove(&device).map(|model| DeviceChunk { device, model }))
-}
-
-/// Installs a model exported by [`export_device`] into this thread.
-pub fn import_device(chunk: DeviceChunk) {
-    with_state(|s| {
-        s.devices.insert(chunk.device, chunk.model);
-    });
-}
-
-/// Drains this thread's violations (count, retained list) for the main
-/// thread to [`absorb_violations`] in device-index order.
-pub fn take_violations() -> (u64, Vec<Violation>) {
-    with_state(|s| {
-        let count = std::mem::take(&mut s.count);
-        let v = std::mem::take(&mut s.violations);
-        (count, v)
+/// Lifts `device`'s model and this thread's recorded violations out, for
+/// the thread that steps the device next (or, after the span, for the
+/// main thread to merge).
+pub(crate) fn take_chunk(device: u32) -> DeviceChunk {
+    TLS.with(|t| {
+        let s = &mut *t.state.borrow_mut();
+        DeviceChunk {
+            device,
+            model: s.devices.remove(&device),
+            count: std::mem::take(&mut s.count),
+            violations: std::mem::take(&mut s.violations),
+        }
     })
 }
 
-/// Merges a worker's drained violations into this thread's totals.
-pub fn absorb_violations((count, v): (u64, Vec<Violation>)) {
-    with_state(|s| {
-        s.count += count;
-        for violation in v {
-            if s.violations.len() < MAX_RETAINED {
-                s.violations.push(violation);
-            }
+/// Installs a chunk's model into this thread and appends its violations
+/// (the retention cap applies to the merged list).
+pub(crate) fn absorb_chunk(chunk: DeviceChunk) {
+    TLS.with(|t| {
+        let s = &mut *t.state.borrow_mut();
+        if let Some(model) = chunk.model {
+            s.devices.insert(chunk.device, model);
         }
+        s.count += chunk.count;
+        let room = MAX_RETAINED.saturating_sub(s.violations.len());
+        s.violations.extend(chunk.violations.into_iter().take(room));
     });
 }
 
@@ -770,26 +781,12 @@ mod tests {
     }
 
     #[test]
-    fn export_import_round_trips_across_threads() {
-        fresh();
-        map_page(3, 0x0, 0x1000, 0x1000, true, 5);
-        bind_slot(3, 0, 5);
-        let chunk = export_device(3).expect("model exists");
-        // Simulate the worker: fresh thread state, imported model.
-        let handle = std::thread::spawn(move || {
-            set_enabled(true);
-            import_device(chunk);
-            check_dma(3, 0, 0x40, 0x1040, false);
-            check_dma(3, 0, 0x40, 0xbad0, false); // one violation
-            (export_device(3).expect("still there"), take_violations())
-        });
-        let (chunk, violations_chunk) = handle.join().unwrap();
-        import_device(chunk);
-        absorb_violations(violations_chunk);
-        assert_eq!(violation_count(), 1);
-        // The re-imported model still checks.
-        check_dma(3, 0, 0x80, 0x1080, false);
-        assert_eq!(violation_count(), 1);
+    fn disabled_plane_checks_nothing() {
+        set_enabled(false);
+        reset();
+        check_dma(0, 0, 0x40, 0x1040, false);
+        unmap_page(0, 0x40);
+        assert_eq!(violation_count(), 0);
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! arbitration, mux-tree grants, preemption phases) can emit events into
 //! a bounded per-thread ring buffer. The recorder exports Chrome
 //! `trace_event` JSON that loads directly into Perfetto / `chrome://tracing`,
-//! with one track per vAccel, per DMA link, and per mux node, plus a
-//! per-track counter registry for aggregate dumps in bench reports.
+//! with one track per vAccel, per DMA link, and per mux node. Aggregate
+//! counts live in the [`crate::metrics`] plane, not here.
 //!
 //! # Gating
 //!
 //! Tracing is **off by default** and enabled by the `OPTIMUS_TRACE`
-//! environment variable (any non-empty value other than `"0"`), sampled
-//! once per thread; tests can override per thread with [`set_enabled`].
+//! environment variable (see [`crate::plane::env_gate`] for the accepted
+//! values), sampled once per thread; tests can override per thread with
+//! [`set_enabled`].
 //! When disabled every emit helper returns after a single thread-local
 //! flag read, so instrumented hot paths cost one predictable branch.
 //! Instrumentation is read-only with respect to simulation state — a
@@ -24,7 +25,7 @@
 //! The ring buffer holds [`DEFAULT_CAPACITY`] events (override with
 //! `OPTIMUS_TRACE_CAP`); when full, the oldest events are overwritten
 //! and counted in [`dropped`], so memory stays bounded no matter how
-//! long the run. Counters are exact regardless of ring occupancy.
+//! long the run.
 //!
 //! The recorder is thread-local on purpose: `cargo test` runs each test
 //! on its own thread, so concurrent tests never interleave events, and
@@ -32,7 +33,7 @@
 
 use crate::time::Cycle;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -122,11 +123,6 @@ impl Track {
             (_, t) => format!("accel{t}"),
         }
     }
-
-    /// Stable label used for counter keys and plain-text dumps.
-    fn label(self) -> String {
-        format!("{}/{}", self.process_name(), self.thread_name())
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,9 +159,6 @@ struct Recorder {
     head: usize,
     cap: usize,
     dropped: u64,
-    /// Hash-indexed so [`counter_value`] polls are O(1) (watchdogs and
-    /// tests); deterministic dumps sort a snapshot in [`counters`].
-    counters: HashMap<(Track, &'static str), u64>,
 }
 
 impl Recorder {
@@ -192,13 +185,6 @@ impl Recorder {
     }
 }
 
-fn env_enabled() -> bool {
-    match std::env::var("OPTIMUS_TRACE") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    }
-}
-
 fn env_capacity() -> usize {
     std::env::var("OPTIMUS_TRACE_CAP")
         .ok()
@@ -208,7 +194,7 @@ fn env_capacity() -> usize {
 }
 
 thread_local! {
-    static ENABLED: Cell<bool> = Cell::new(env_enabled());
+    static ENABLED: Cell<bool> = Cell::new(crate::plane::env_gate("OPTIMUS_TRACE", false));
     static RECORDER: RefCell<Recorder> = RefCell::new(Recorder::with_capacity(env_capacity()));
 }
 
@@ -227,14 +213,13 @@ pub fn set_enabled(on: bool) {
     ENABLED.with(|c| c.set(on));
 }
 
-/// Discards all recorded events and counters (capacity is kept).
+/// Discards all recorded events (capacity is kept).
 pub fn reset() {
     RECORDER.with(|r| {
         let mut r = r.borrow_mut();
         r.buf.clear();
         r.head = 0;
         r.dropped = 0;
-        r.counters.clear();
     });
 }
 
@@ -253,34 +238,17 @@ pub fn dropped() -> u64 {
     RECORDER.with(|r| r.borrow().dropped)
 }
 
-/// Events and counters drained from one thread's recorder, for replay on
-/// another thread. The node layer uses this to merge worker-thread
-/// recordings back into the main recorder in device-index order, so a
-/// parallel run's trace is byte-identical to a serial run's.
-///
-/// The contents are opaque: a chunk only moves between recorders.
+/// Events drained from one thread's recorder for replay on another (the
+/// trace leg of [`crate::plane::Chunk`]).
 #[derive(Debug, Default)]
-pub struct TraceChunk {
+pub(crate) struct TraceChunk {
     events: Vec<Event>,
-    counters: HashMap<(Track, &'static str), u64>,
     dropped: u64,
 }
 
-impl TraceChunk {
-    /// Number of events carried.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the chunk carries neither events nor counters.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.counters.is_empty() && self.dropped == 0
-    }
-}
-
-/// Drains this thread's recorder into a [`TraceChunk`] (events in
-/// emission order; the recorder is left empty with its capacity kept).
-pub fn take_chunk() -> TraceChunk {
+/// Drains this thread's recorder (events in emission order; the recorder
+/// is left empty with its capacity kept).
+pub(crate) fn take_chunk() -> TraceChunk {
     RECORDER.with(|r| {
         let mut r = r.borrow_mut();
         let events: Vec<Event> = r.ordered().copied().collect();
@@ -288,25 +256,20 @@ pub fn take_chunk() -> TraceChunk {
         r.head = 0;
         TraceChunk {
             events,
-            counters: std::mem::take(&mut r.counters),
             dropped: std::mem::take(&mut r.dropped),
         }
     })
 }
 
 /// Replays a chunk into this thread's recorder as if its events had been
-/// emitted here: ring bounds and drop accounting apply as usual, and
-/// counters accumulate.
-pub fn absorb_chunk(chunk: TraceChunk) {
+/// emitted here: ring bounds and drop accounting apply as usual.
+pub(crate) fn absorb_chunk(chunk: TraceChunk) {
     RECORDER.with(|r| {
         let mut r = r.borrow_mut();
         for ev in chunk.events {
             r.push(ev);
         }
         r.dropped += chunk.dropped;
-        for (key, v) in chunk.counters {
-            *r.counters.entry(key).or_insert(0) += v;
-        }
     });
 }
 
@@ -385,44 +348,6 @@ pub fn flow_end(track: Track, name: &'static str, ts: Cycle, id: u64) {
         return;
     }
     emit(track, name, EventKind::FlowEnd, ts, id, &[]);
-}
-
-/// Adds `delta` to the per-track counter `name` in the registry.
-#[inline]
-pub fn count(track: Track, name: &'static str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    RECORDER.with(|r| {
-        *r.borrow_mut().counters.entry((track, name)).or_insert(0) += delta;
-    });
-}
-
-/// Snapshot of the counter registry as `("layer/track counter", value)`
-/// pairs in deterministic (track, name) order.
-pub fn counters() -> Vec<(String, u64)> {
-    RECORDER.with(|r| {
-        let r = r.borrow();
-        let mut entries: Vec<(&(Track, &'static str), &u64)> = r.counters.iter().collect();
-        entries.sort_unstable_by_key(|&(&(track, name), _)| (track, name));
-        entries
-            .into_iter()
-            .map(|(&(track, name), &v)| (format!("{} {}", track.label(), name), v))
-            .collect()
-    })
-}
-
-/// Reads one counter back in O(1) (0 if never incremented). Counter
-/// names are interned `&'static str`s, so the hash lookup needs no
-/// allocation — cheap enough for watchdogs and tests to poll.
-pub fn counter_value(track: Track, name: &'static str) -> u64 {
-    RECORDER.with(|r| {
-        r.borrow()
-            .counters
-            .get(&(track, name))
-            .copied()
-            .unwrap_or(0)
-    })
 }
 
 fn push_json_str(out: &mut String, s: &str) {
@@ -543,16 +468,6 @@ pub fn chrome_trace_json() -> String {
     })
 }
 
-/// Renders the counter registry as plain text, one `layer/track counter
-/// = value` line per entry, for appending to bench reports.
-pub fn counters_dump() -> String {
-    let mut out = String::new();
-    for (key, value) in counters() {
-        let _ = writeln!(out, "{key} = {value}");
-    }
-    out
-}
-
 /// Writes [`chrome_trace_json`] to `path`.
 pub fn write_chrome_trace(path: &Path) -> io::Result<()> {
     std::fs::write(path, chrome_trace_json())
@@ -570,9 +485,7 @@ mod tests {
         set_enabled(false);
         instant(Track::iommu(), "iotlb_miss", 10, &[]);
         complete(Track::vaccel(0), "mmio_trap", 5, 800, &[]);
-        count(Track::iommu(), "misses", 1);
         assert_eq!(event_count(), 0);
-        assert!(counters().is_empty());
     }
 
     #[test]
@@ -591,20 +504,6 @@ mod tests {
         assert!(json.contains("\"cycle\":2"));
         assert!(json.contains("\"cycle\":5"));
         assert!(json.contains("\"dropped_events\":2"));
-    }
-
-    #[test]
-    fn counters_accumulate_per_track() {
-        set_enabled(true);
-        reset();
-        count(Track::iommu(), "misses", 2);
-        count(Track::iommu(), "misses", 3);
-        count(Track::vaccel(1), "traps", 1);
-        assert_eq!(counter_value(Track::iommu(), "misses"), 5);
-        assert_eq!(counter_value(Track::vaccel(1), "traps"), 1);
-        let dump = counters_dump();
-        assert!(dump.contains("host-interface/iommu misses = 5"));
-        assert!(dump.contains("hypervisor/vaccel1 traps = 1"));
     }
 
     #[test]
@@ -650,60 +549,11 @@ mod tests {
     }
 
     #[test]
-    fn chunk_round_trip_preserves_events_and_counters() {
-        set_enabled(true);
-        reset();
-        instant(Track::iommu(), "iotlb_miss", 40, &[("set", 7)]);
-        complete(Track::link(0), "dma_read", 12, 100, &[("bytes", 64)]);
-        count(Track::iommu(), "misses", 3);
-        let direct = chrome_trace_json();
-        let chunk = take_chunk();
-        assert_eq!(chunk.len(), 2);
-        assert_eq!(event_count(), 0);
-        assert!(counters().is_empty());
-        absorb_chunk(chunk);
-        assert_eq!(chrome_trace_json(), direct);
-        assert_eq!(counter_value(Track::iommu(), "misses"), 3);
-        reset();
-    }
-
-    #[test]
-    fn chunks_absorb_cross_thread_in_caller_order() {
-        set_enabled(true);
-        reset();
-        let mut chunks = Vec::new();
-        for dev in 0..2u64 {
-            chunks.push(
-                std::thread::spawn(move || {
-                    set_enabled(true);
-                    instant(Track::accel(dev as usize), "tick", 10 + dev, &[]);
-                    count(Track::accel(dev as usize), "ticks", 1);
-                    take_chunk()
-                })
-                .join()
-                .expect("worker"),
-            );
-        }
-        for c in chunks {
-            absorb_chunk(c);
-        }
-        assert_eq!(event_count(), 2);
-        assert_eq!(counter_value(Track::accel(0), "ticks"), 1);
-        assert_eq!(counter_value(Track::accel(1), "ticks"), 1);
-        let json = chrome_trace_json();
-        assert!(json.contains("\"cycle\":10"));
-        assert!(json.contains("\"cycle\":11"));
-        reset();
-    }
-
-    #[test]
-    fn reset_clears_events_and_counters() {
+    fn reset_clears_events() {
         set_enabled(true);
         instant(Track::channels(), "channel_switch", 1, &[]);
-        count(Track::channels(), "switches", 1);
         reset();
         assert_eq!(event_count(), 0);
         assert_eq!(dropped(), 0);
-        assert!(counters().is_empty());
     }
 }

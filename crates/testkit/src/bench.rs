@@ -478,17 +478,6 @@ impl Report {
             fields.push(("metrics", metrics_json()));
         }
         if optimus_sim::trace::enabled() {
-            // Plain-text flight-recorder counter dump, one
-            // "layer/track counter = value" line per registry entry.
-            fields.push((
-                "trace_counters",
-                Json::Arr(
-                    optimus_sim::trace::counters()
-                        .iter()
-                        .map(|(k, v)| Json::s(&format!("{k} = {v}")))
-                        .collect(),
-                ),
-            ));
             fields.push((
                 "trace_events",
                 Json::Num(optimus_sim::trace::event_count() as f64),
