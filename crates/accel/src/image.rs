@@ -11,7 +11,7 @@
 use crate::harness::Kernel;
 use crate::ser::{Reader, Writer};
 use crate::stream::{Pacer, StreamEngine};
-use optimus_algo::image::{gaussian_blur, sobel, Image};
+use optimus_algo::image::{blur_row, sobel_row};
 use optimus_fabric::accelerator::{AccelMeta, AccelPort};
 use optimus_mem::addr::Gva;
 use optimus_sim::time::Cycle;
@@ -84,17 +84,11 @@ impl ConvKernel {
     /// Applies the 3×3 window to produce output row `r` from the window
     /// rows (clamped copies of r−1, r, r+1).
     fn window_output(&self, above: &[u8; 64], center: &[u8; 64], below: &[u8; 64]) -> [u8; 64] {
-        let mut data = Vec::with_capacity(3 * ROW_PIXELS);
-        data.extend_from_slice(above);
-        data.extend_from_slice(center);
-        data.extend_from_slice(below);
-        let img = Image::new(ROW_PIXELS, 3, 1, data);
-        let out = match self.op {
-            ConvOp::Gaussian => gaussian_blur(&img),
-            ConvOp::Sobel => sobel(&img),
-        };
         let mut row = [0u8; 64];
-        row.copy_from_slice(&out.data()[ROW_PIXELS..2 * ROW_PIXELS]);
+        match self.op {
+            ConvOp::Gaussian => blur_row(above, center, below, 1, &mut row),
+            ConvOp::Sobel => sobel_row(above, center, below, &mut row),
+        }
         row
     }
 
@@ -231,7 +225,9 @@ impl Kernel for ConvKernel {
     }
 
     fn reset(&mut self) {
-        *self = ConvKernel::with_op(self.op);
+        // A fresh kernel that keeps its line buffers' allocation.
+        (self.src, self.dst, self.lines) = (0, 0, 0);
+        self.start();
     }
 }
 
@@ -380,6 +376,7 @@ impl Kernel for GrsKernel {
 mod tests {
     use super::*;
     use crate::harness::Harnessed;
+    use optimus_algo::image::{gaussian_blur, sobel, Image};
     use optimus_fabric::accelerator::Accelerator;
     use optimus_fabric::mmio::accel_reg;
 
@@ -492,5 +489,44 @@ mod tests {
         run(&mut acc, &mut store, 10_000);
         let expect = gaussian_blur(&img);
         assert_eq!(&store[0x4000..0x4040], expect.data());
+    }
+
+    #[test]
+    fn reset_kernel_filters_like_a_fresh_one() {
+        let (_, raw) = test_image(10);
+        for make in [ConvKernel::gaussian, ConvKernel::sobel] {
+            let program = |acc: &mut Harnessed<ConvKernel>, rows: u64| {
+                acc.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_SRC, 0x1000);
+                acc.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_DST, 0x4000);
+                acc.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_LINES, rows);
+                acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+            };
+            let fresh_store = {
+                let mut acc = Harnessed::new(make());
+                let mut store = vec![0u8; 0x8000];
+                store[0x1000..0x1000 + raw.len()].copy_from_slice(&raw);
+                program(&mut acc, 10);
+                run(&mut acc, &mut store, 100_000);
+                store
+            };
+            // The same job after a reset in the middle of a shorter one.
+            let mut acc = Harnessed::new(make());
+            let mut store = vec![0u8; 0x8000];
+            store[0x1000..0x1000 + raw.len()].copy_from_slice(&raw);
+            program(&mut acc, 6);
+            let mut port = AccelPort::new();
+            for now in 0..35 {
+                acc.step(now, &mut port);
+                service(&mut port, &mut store, now);
+            }
+            assert!(!acc.is_done());
+            acc.reset();
+            assert_eq!(acc.kernel().serialize(), make().serialize());
+            let mut store = vec![0u8; 0x8000];
+            store[0x1000..0x1000 + raw.len()].copy_from_slice(&raw);
+            program(&mut acc, 10);
+            run(&mut acc, &mut store, 100_000);
+            assert_eq!(store, fresh_store);
+        }
     }
 }

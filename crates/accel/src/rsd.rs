@@ -83,21 +83,19 @@ impl RsdKernel {
 
     fn emit_decoded(&mut self) {
         debug_assert_eq!(self.staging.len(), 4 * 64);
-        let codeword = &self.staging[..CODEWORD_LEN];
-        let message = match self.codec.decode(codeword) {
-            Ok(msg) => msg,
-            Err(_) => {
-                self.failures += 1;
-                vec![0u8; MESSAGE_LEN]
-            }
-        };
+        // Corrected in place: the message is then the staging prefix.
+        let codeword = &mut self.staging[..CODEWORD_LEN];
+        let decoded = self.codec.correct(codeword).is_ok();
+        if !decoded {
+            self.failures += 1;
+        }
         let out_base = self.dst + self.decoded_codewords * CODEWORD_LINES * 64;
         for i in 0..CODEWORD_LINES as usize {
             let mut line = [0u8; 64];
             let lo = i * 64;
             let hi = ((i + 1) * 64).min(MESSAGE_LEN);
-            if lo < MESSAGE_LEN {
-                line[..hi - lo].copy_from_slice(&message[lo..hi]);
+            if decoded && lo < MESSAGE_LEN {
+                line[..hi - lo].copy_from_slice(&self.staging[lo..hi]);
             }
             self.out_queue.push_back((out_base + i as u64 * 64, line));
         }
@@ -203,7 +201,10 @@ impl Kernel for RsdKernel {
     }
 
     fn reset(&mut self) {
-        *self = RsdKernel::new();
+        // A fresh kernel but for the codec, whose field and syndrome tables
+        // depend on nothing a job can change.
+        (self.src, self.dst, self.lines) = (0, 0, 0);
+        self.start();
     }
 }
 
@@ -354,5 +355,62 @@ mod tests {
             let base = 0x8000 + c * 256;
             assert_eq!(&store[base..base + MESSAGE_LEN], &msg[..], "codeword {c}");
         }
+    }
+
+    /// Programs and runs one job to completion; returns the cycle count.
+    fn run_job(acc: &mut Harnessed<RsdKernel>, store: &mut Vec<u8>, lines: u64) -> Cycle {
+        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_SRC, 0x1000);
+        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_DST, 0x4000);
+        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_LINES, lines);
+        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+        let mut port = AccelPort::new();
+        for now in 0..100_000 {
+            acc.step(now, &mut port);
+            service(&mut port, store, now);
+            if acc.is_done() {
+                return now;
+            }
+        }
+        panic!("kernel never finished");
+    }
+
+    #[test]
+    fn reset_kernel_decodes_like_a_fresh_one() {
+        // A stream with both outcomes: correctable and hopeless codewords.
+        let (mut stream, _) = build_stream(6, 9, 11);
+        for b in &mut stream[256..256 + 40] {
+            *b ^= 0x5A;
+        }
+        let fresh = {
+            let mut acc = Harnessed::new(RsdKernel::new());
+            let mut store = vec![0u8; 0x8000];
+            store[0x1000..0x1000 + stream.len()].copy_from_slice(&stream);
+            let cycles = run_job(&mut acc, &mut store, 24);
+            (cycles, acc.kernel().serialize(), store)
+        };
+        let failures = &fresh.1[32..40];
+        assert_eq!(failures, 1u64.to_le_bytes(), "one codeword must fail");
+
+        // The same job on a kernel reset in the middle of another one.
+        let mut acc = Harnessed::new(RsdKernel::new());
+        let (other, _) = build_stream(4, 3, 12);
+        let mut store = vec![0u8; 0x8000];
+        store[0x1000..0x1000 + other.len()].copy_from_slice(&other);
+        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_SRC, 0x1000);
+        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_DST, 0x6000);
+        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_LINES, 16);
+        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+        let mut port = AccelPort::new();
+        for now in 0..100 {
+            acc.step(now, &mut port);
+            service(&mut port, &mut store, now);
+        }
+        assert!(!acc.is_done());
+        acc.reset();
+        assert_eq!(acc.kernel().serialize(), RsdKernel::new().serialize());
+        let mut store = vec![0u8; 0x8000];
+        store[0x1000..0x1000 + stream.len()].copy_from_slice(&stream);
+        let cycles = run_job(&mut acc, &mut store, 24);
+        assert_eq!((cycles, acc.kernel().serialize(), store), fresh);
     }
 }

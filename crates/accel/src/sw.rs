@@ -9,7 +9,7 @@
 use crate::harness::Kernel;
 use crate::ser::{Reader, Writer};
 use crate::stream::{Pacer, StreamEngine};
-use optimus_algo::smith_waterman::{score_only, Scoring};
+use optimus_algo::smith_waterman::{Scoring, Wavefront};
 use optimus_fabric::accelerator::{AccelMeta, AccelPort};
 use optimus_sim::time::Cycle;
 
@@ -32,6 +32,8 @@ pub struct SwKernel {
     engine: StreamEngine,
     pacer: Pacer,
     scoring: Scoring,
+    /// The scorer's diagonals, kept from block to block.
+    wavefront: Wavefront,
 }
 
 impl Default for SwKernel {
@@ -65,6 +67,7 @@ impl SwKernel {
             engine: StreamEngine::new(0, 0),
             pacer: Pacer::new(),
             scoring: Scoring::default(),
+            wavefront: Wavefront::default(),
         }
     }
 }
@@ -115,7 +118,8 @@ impl Kernel for SwKernel {
             if idx < self.ref_lines {
                 self.reference.extend_from_slice(&line[..]);
             } else {
-                let score = score_only(&line[..], &self.reference, &self.scoring) as u64;
+                let scorer = &mut self.wavefront;
+                let score = scorer.score(&line[..], &self.reference, &self.scoring) as u64;
                 if score > self.best_score {
                     self.best_score = score;
                     self.best_block = idx - self.ref_lines;
@@ -151,7 +155,9 @@ impl Kernel for SwKernel {
     }
 
     fn reset(&mut self) {
-        *self = SwKernel::new();
+        // A fresh kernel that keeps its buffers.
+        (self.src, self.lines, self.ref_lines) = (0, 0, 1);
+        self.start();
     }
 }
 
@@ -159,6 +165,7 @@ impl Kernel for SwKernel {
 mod tests {
     use super::*;
     use crate::harness::Harnessed;
+    use optimus_algo::smith_waterman::score_only;
     use optimus_fabric::accelerator::Accelerator;
     use optimus_fabric::mmio::accel_reg;
 
@@ -254,5 +261,42 @@ mod tests {
         assert_eq!(k.read_reg(SwKernel::REG_REF_LINES), MAX_REF_LINES);
         k.write_reg(SwKernel::REG_REF_LINES, 0);
         assert_eq!(k.read_reg(SwKernel::REG_REF_LINES), 1);
+    }
+
+    #[test]
+    fn reset_kernel_scores_like_a_fresh_one() {
+        let mut rng = optimus_sim::rng::Xoshiro256::seed_from(9);
+        let store: Vec<u8> = (0..0x800)
+            .map(|_| b"ACGT"[rng.gen_range(0..4) as usize])
+            .collect();
+        let run = |acc: &mut Harnessed<SwKernel>, src: u64, lines: u64, ref_lines: u64, limit| {
+            acc.mmio_write(accel_reg::APP_BASE + SwKernel::REG_SRC, src);
+            acc.mmio_write(accel_reg::APP_BASE + SwKernel::REG_LINES, lines);
+            acc.mmio_write(accel_reg::APP_BASE + SwKernel::REG_REF_LINES, ref_lines);
+            acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+            let mut port = AccelPort::new();
+            for now in 0..limit {
+                acc.step(now, &mut port);
+                service(&mut port, &store, now);
+                if acc.is_done() {
+                    return now;
+                }
+            }
+            limit
+        };
+        let mut fresh = Harnessed::new(SwKernel::new());
+        let fresh_cycles = run(&mut fresh, 0x400, 12, 2, 10_000);
+        assert!(fresh.is_done());
+
+        // The same job after a reset in the middle of a different one (a
+        // longer reference, so the scorer's buffers have been larger).
+        let mut acc = Harnessed::new(SwKernel::new());
+        run(&mut acc, 0, 16, 4, 30);
+        assert!(!acc.is_done());
+        acc.reset();
+        assert_eq!(acc.kernel().serialize(), SwKernel::new().serialize());
+        let cycles = run(&mut acc, 0x400, 12, 2, 10_000);
+        assert_eq!(cycles, fresh_cycles);
+        assert_eq!(acc.kernel().serialize(), fresh.kernel().serialize());
     }
 }

@@ -104,6 +104,28 @@ impl Gf256 {
         self.exp[power.rem_euclid(255) as usize]
     }
 
+    /// α raised to a sum of two discrete logs, `log_sum` in `0..510`: the
+    /// antilog table is doubled so that a caller keeping values in the log
+    /// domain (a Chien-search register, say) needs no mod-255 reduction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `log_sum >= 512`.
+    #[inline]
+    pub fn exp(&self, log_sum: usize) -> u8 {
+        self.exp[log_sum]
+    }
+
+    /// The whole multiplication row of `a`: `table[y] = a · y`. A Horner
+    /// step with a fixed evaluation point becomes one lookup through it.
+    pub fn mul_table(&self, a: u8) -> [u8; 256] {
+        let mut table = [0u8; 256];
+        for (y, t) in table.iter_mut().enumerate() {
+            *t = self.mul(a, y as u8);
+        }
+        table
+    }
+
     /// Discrete log base α.
     ///
     /// # Panics
@@ -214,6 +236,28 @@ mod tests {
         }
         assert_eq!(seen.iter().filter(|&&s| s).count(), 255);
         assert!(!seen[0]);
+    }
+
+    #[test]
+    fn mul_table_is_the_multiplication_row() {
+        let f = Gf256::new();
+        for a in [0u8, 1, 2, 0x1D, 0xFF] {
+            let table = f.mul_table(a);
+            for y in 0..=255u8 {
+                assert_eq!(table[y as usize], f.mul(a, y), "a={a} y={y}");
+            }
+        }
+    }
+
+    #[test]
+    fn exp_covers_a_sum_of_two_logs() {
+        let f = Gf256::new();
+        for a in (1..=255u8).step_by(7) {
+            for b in (1..=255u8).step_by(11) {
+                let sum = f.log(a) as usize + f.log(b) as usize;
+                assert_eq!(f.exp(sum), f.mul(a, b));
+            }
+        }
     }
 
     #[test]

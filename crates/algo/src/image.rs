@@ -113,59 +113,125 @@ pub fn grayscale(image: &Image) -> Image {
     out
 }
 
-/// 3×3 integer Gaussian kernel `[1 2 1; 2 4 2; 1 2 1] / 16`.
-const GAUSS3: [[i32; 3]; 3] = [[1, 2, 1], [2, 4, 2], [1, 2, 1]];
-
-/// Applies a 3×3 Gaussian blur per channel (clamp-to-edge).
-pub fn gaussian_blur(image: &Image) -> Image {
+/// Filters `image` row by row: `filter(above, center, below, out_row)` gets
+/// every row with its two neighbours, clamped to the image.
+fn filter_rows(image: &Image, filter: impl Fn(&[u8], &[u8], &[u8], &mut [u8])) -> Image {
     let mut out = Image::zeroed(image.width(), image.height(), image.channels());
-    for y in 0..image.height() as isize {
-        for x in 0..image.width() as isize {
-            for c in 0..image.channels() {
-                let mut acc = 0i32;
-                for (ky, row) in GAUSS3.iter().enumerate() {
-                    for (kx, &w) in row.iter().enumerate() {
-                        acc += w * image.get(x + kx as isize - 1, y + ky as isize - 1, c) as i32;
-                    }
-                }
-                out.set(x as usize, y as usize, c, ((acc + 8) / 16).clamp(0, 255) as u8);
-            }
-        }
+    let stride = image.width() * image.channels();
+    if stride == 0 {
+        return out;
+    }
+    let row = |r: usize| &image.data()[r * stride..(r + 1) * stride];
+    for (y, out_row) in out.data_mut().chunks_exact_mut(stride).enumerate() {
+        let below = (y + 1).min(image.height() - 1);
+        filter(row(y.saturating_sub(1)), row(y), row(below), out_row);
     }
     out
 }
 
-/// Sobel gradient kernels.
-const SOBEL_X: [[i32; 3]; 3] = [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]];
-const SOBEL_Y: [[i32; 3]; 3] = [[-1, -2, -1], [0, 0, 0], [1, 2, 1]];
+/// Applies a 3×3 Gaussian blur `[1 2 1; 2 4 2; 1 2 1] / 16` per channel
+/// (clamp-to-edge).
+pub fn gaussian_blur(image: &Image) -> Image {
+    filter_rows(image, |above, center, below, out| {
+        blur_row(above, center, below, image.channels(), out)
+    })
+}
+
+/// One output row of [`gaussian_blur`] from the three input rows around it
+/// (pass the row itself for a neighbour beyond the image): what a line-
+/// buffered hardware pipeline computes per row, with no image in between.
+/// The kernel is separable, `[1 2 1]ᵀ ⊗ [1 2 1]`: a column sum per window
+/// column, then `[1 2 1]` across the three sums. `channels` interleaved
+/// channels put a pixel's horizontal neighbours `channels` bytes away.
+///
+/// # Panics
+///
+/// Panics if the four rows differ in length.
+pub fn blur_row(above: &[u8], center: &[u8], below: &[u8], channels: usize, out: &mut [u8]) {
+    convolve_row([above, center, below], channels, out, |a, c, b| {
+        let column = |x: usize| a[x] as u16 + 2 * c[x] as u16 + b[x] as u16;
+        // At most 16 · 255 + 8: no clamp needed after the shift.
+        ((column(0) + 2 * column(1) + column(2) + 8) >> 4) as u8
+    });
+}
+
+/// One output row of [`sobel`] from three grayscale rows (pass the row
+/// itself for a neighbour beyond the image).
+///
+/// # Panics
+///
+/// Panics if the four rows differ in length.
+pub fn sobel_row(above: &[u8], center: &[u8], below: &[u8], out: &mut [u8]) {
+    convolve_row([above, center, below], 1, out, |a, c, b| {
+        let column = |x: usize| a[x] as i32 + 2 * c[x] as i32 + b[x] as i32;
+        let across = |row: [u8; 3]| row[0] as i32 + 2 * row[1] as i32 + row[2] as i32;
+        let gx = column(2) - column(0);
+        let gy = across(b) - across(a);
+        (gx.abs() + gy.abs()).min(255) as u8
+    });
+}
+
+/// Drives a 3×3 window along a row: `pixel(above, center, below)` gets the
+/// window's three rows, left to right, the outer columns clamped to the
+/// row. Only the first and last pixel can clamp, so the loop between them
+/// is branch-free over equal-length slices.
+fn convolve_row(
+    rows: [&[u8]; 3],
+    channels: usize,
+    out: &mut [u8],
+    pixel: impl Fn([u8; 3], [u8; 3], [u8; 3]) -> u8,
+) {
+    let len = out.len();
+    assert!(
+        rows.iter().all(|r| r.len() == len),
+        "window rows and output row differ in length"
+    );
+    let window = |left: usize, mid: usize, right: usize| {
+        let [a, c, b] = rows.map(|r| [r[left], r[mid], r[right]]);
+        pixel(a, c, b)
+    };
+    let clamped = |k: usize| {
+        let left = if k >= channels { k - channels } else { k };
+        let right = if k + channels < len { k + channels } else { k };
+        window(left, k, right)
+    };
+    let edge = len.min(channels);
+    let (first, rest) = out.split_at_mut(edge);
+    let (inner, last) = rest.split_at_mut(len.saturating_sub(2 * edge));
+    for (k, o) in first.iter_mut().enumerate() {
+        *o = clamped(k);
+    }
+    // Each row as three slices of the inner pixels' left, own and right
+    // columns, all of the inner length: indexed without bounds checks.
+    let n = inner.len();
+    let [a, c, b] = rows.map(|r| [&r[..n], &r[edge..][..n], &r[len - n..]]);
+    for (k, o) in inner.iter_mut().enumerate() {
+        *o = pixel(
+            [a[0][k], a[1][k], a[2][k]],
+            [c[0][k], c[1][k], c[2][k]],
+            [b[0][k], b[1][k], b[2][k]],
+        );
+    }
+    let last_at = len - last.len();
+    for (k, o) in last.iter_mut().enumerate() {
+        *o = clamped(last_at + k);
+    }
+}
 
 /// Sobel edge magnitude on a grayscale image (`|Gx| + |Gy|`, saturated) —
-/// the L1 approximation FPGA pipelines use to avoid a square root.
+/// the L1 approximation FPGA pipelines use to avoid a square root, with
+/// `Gx = [-1 0 1; -2 0 2; -1 0 1]` and `Gy` its transpose.
 ///
 /// RGB inputs are converted to grayscale first.
 pub fn sobel(image: &Image) -> Image {
-    let gray = grayscale(image);
-    let mut out = Image::zeroed(gray.width(), gray.height(), 1);
-    for y in 0..gray.height() as isize {
-        for x in 0..gray.width() as isize {
-            let mut gx = 0i32;
-            let mut gy = 0i32;
-            for ky in 0..3 {
-                for kx in 0..3 {
-                    let p = gray.get(x + kx as isize - 1, y + ky as isize - 1, 0) as i32;
-                    gx += SOBEL_X[ky][kx] * p;
-                    gy += SOBEL_Y[ky][kx] * p;
-                }
-            }
-            out.set(x as usize, y as usize, 0, (gx.abs() + gy.abs()).min(255) as u8);
-        }
-    }
-    out
+    filter_rows(&grayscale(image), sobel_row)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optimus_testkit::runner::check;
+    use optimus_testkit::{gens, prop_assert_eq};
 
     fn gradient_image(w: usize, h: usize) -> Image {
         let mut img = Image::zeroed(w, h, 1);
@@ -274,5 +340,117 @@ mod tests {
     #[should_panic(expected = "data size mismatch")]
     fn rejects_bad_buffer_size() {
         Image::new(4, 4, 3, vec![0; 10]);
+    }
+
+    const GAUSS3: [[i32; 3]; 3] = [[1, 2, 1], [2, 4, 2], [1, 2, 1]];
+    const SOBEL_X: [[i32; 3]; 3] = [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]];
+    const SOBEL_Y: [[i32; 3]; 3] = [[-1, -2, -1], [0, 0, 0], [1, 2, 1]];
+
+    /// The 3×3 window summed tap by tap through the clamping `get`: the
+    /// definition the row functions are an optimisation of.
+    fn convolve_per_tap(
+        image: &Image,
+        kernel: &[[i32; 3]; 3],
+        x: isize,
+        y: isize,
+        c: usize,
+    ) -> i32 {
+        let mut acc = 0;
+        for (ky, row) in kernel.iter().enumerate() {
+            for (kx, &w) in row.iter().enumerate() {
+                acc += w * image.get(x + kx as isize - 1, y + ky as isize - 1, c) as i32;
+            }
+        }
+        acc
+    }
+
+    fn blur_per_tap(image: &Image) -> Image {
+        let mut out = Image::zeroed(image.width(), image.height(), image.channels());
+        for y in 0..image.height() {
+            for x in 0..image.width() {
+                for c in 0..image.channels() {
+                    let acc = convolve_per_tap(image, &GAUSS3, x as isize, y as isize, c);
+                    out.set(x, y, c, ((acc + 8) / 16).clamp(0, 255) as u8);
+                }
+            }
+        }
+        out
+    }
+
+    fn sobel_per_tap(image: &Image) -> Image {
+        let gray = grayscale(image);
+        let mut out = Image::zeroed(gray.width(), gray.height(), 1);
+        for y in 0..gray.height() {
+            for x in 0..gray.width() {
+                let gx = convolve_per_tap(&gray, &SOBEL_X, x as isize, y as isize, 0);
+                let gy = convolve_per_tap(&gray, &SOBEL_Y, x as isize, y as isize, 0);
+                out.set(x, y, 0, (gx.abs() + gy.abs()).min(255) as u8);
+            }
+        }
+        out
+    }
+
+    /// A `w × h` image of 1 or 3 channels whose pixels cycle through
+    /// generated bytes (so shrinking the bytes simplifies the picture).
+    fn image_gen() -> gens::Gen<Image> {
+        gens::zip4(
+            gens::usize_in(1..71),
+            gens::usize_in(1..71),
+            gens::choose(vec![1usize, 3]),
+            gens::vec_of(gens::byte_any(), 1..400),
+        )
+        .map(|(w, h, channels, bytes)| {
+            let pixels = bytes.iter().copied().cycle();
+            Image::new(w, h, channels, pixels.take(w * h * channels).collect())
+        })
+    }
+
+    #[test]
+    fn blur_and_sobel_match_the_per_tap_definition() {
+        check("image_rows_oracle", &image_gen(), |image: &Image| {
+            prop_assert_eq!(gaussian_blur(image), blur_per_tap(image));
+            prop_assert_eq!(sobel(image), sobel_per_tap(image));
+            Ok(())
+        });
+    }
+
+    /// What the accelerator relies on: a row function applied to three
+    /// rows is the centre row of filtering those rows as a 3-row image.
+    #[test]
+    fn row_functions_are_the_centre_row_of_a_three_row_image() {
+        let gen = image_gen().map(|image| {
+            let stride = image.width() * image.channels();
+            let pixels = image.data().iter().copied().cycle();
+            let rows = pixels.take(3 * stride).collect();
+            Image::new(image.width(), 3, image.channels(), rows)
+        });
+        check("image_row_entry_points", &gen, |image: &Image| {
+            let stride = image.width() * image.channels();
+            let rows: Vec<&[u8]> = image.data().chunks_exact(stride).collect();
+            let centre = |filtered: Image| filtered.data()[stride..2 * stride].to_vec();
+            let mut out = vec![0u8; stride];
+            blur_row(rows[0], rows[1], rows[2], image.channels(), &mut out);
+            prop_assert_eq!(out, centre(blur_per_tap(image)));
+            if image.channels() == 1 {
+                sobel_row(rows[0], rows[1], rows[2], &mut out);
+                prop_assert_eq!(out, centre(sobel_per_tap(image)));
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn empty_images_filter_to_empty_images() {
+        for (w, h) in [(0, 0), (0, 3), (3, 0)] {
+            let img = Image::zeroed(w, h, 1);
+            assert_eq!(gaussian_blur(&img), img);
+            assert_eq!(sobel(&img), img);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn row_functions_reject_ragged_rows() {
+        blur_row(&[0; 4], &[0; 4], &[0; 3], 1, &mut [0; 4]);
     }
 }

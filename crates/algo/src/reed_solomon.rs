@@ -27,6 +27,10 @@
 
 use crate::gf256::Gf256;
 
+/// Longest codeword over GF(2^8), and so the bound of every per-codeword
+/// working buffer (none of which is heap-allocated).
+const MAX_CODEWORD: usize = 255;
+
 /// Errors returned by [`ReedSolomon::decode`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
@@ -34,6 +38,8 @@ pub enum DecodeError {
     TooManyErrors,
     /// The codeword is shorter than the parity region.
     CodewordTooShort,
+    /// The codeword is longer than the 255-symbol block of GF(2^8).
+    CodewordTooLong,
 }
 
 impl core::fmt::Display for DecodeError {
@@ -41,6 +47,7 @@ impl core::fmt::Display for DecodeError {
         match self {
             DecodeError::TooManyErrors => write!(f, "too many symbol errors to correct"),
             DecodeError::CodewordTooShort => write!(f, "codeword shorter than parity length"),
+            DecodeError::CodewordTooLong => write!(f, "codeword longer than 255 symbols"),
         }
     }
 }
@@ -54,6 +61,9 @@ pub struct ReedSolomon {
     field: Gf256,
     parity: usize,
     generator: Vec<u8>,
+    /// `root_mul[i][y] = y · α^i`: the Horner step of syndrome `i` as one
+    /// lookup (a hardware decoder's constant multipliers).
+    root_mul: Vec<[u8; 256]>,
 }
 
 impl ReedSolomon {
@@ -71,10 +81,14 @@ impl ReedSolomon {
         for i in 0..parity {
             generator = field.poly_mul(&generator, &[1, field.alpha_pow(i as i32)]);
         }
+        let root_mul = (0..parity)
+            .map(|i| field.mul_table(field.alpha_pow(i as i32)))
+            .collect();
         Self {
             field,
             parity,
             generator,
+            root_mul,
         }
     }
 
@@ -96,7 +110,7 @@ impl ReedSolomon {
     /// over GF(2^8)).
     pub fn encode(&self, message: &[u8]) -> Vec<u8> {
         assert!(
-            message.len() + self.parity <= 255,
+            message.len() + self.parity <= MAX_CODEWORD,
             "RS block length over GF(256) is at most 255 symbols"
         );
         // Systematic encoding: remainder of msg·x^parity divided by g(x).
@@ -116,10 +130,17 @@ impl ReedSolomon {
         out
     }
 
-    fn syndromes(&self, codeword: &[u8]) -> Vec<u8> {
-        (0..self.parity)
-            .map(|i| self.field.poly_eval(codeword, self.field.alpha_pow(i as i32)))
-            .collect()
+    /// `synd[i] = codeword(α^i)`, all `parity` Horner chains advanced
+    /// together one symbol at a time: per symbol that is `parity`
+    /// independent table lookups, where evaluating one syndrome after the
+    /// other is `parity` serial chains of 255 dependent multiplies.
+    fn syndromes(&self, codeword: &[u8], synd: &mut [u8]) {
+        synd.fill(0);
+        for &c in codeword {
+            for (y, row) in synd.iter_mut().zip(&self.root_mul) {
+                *y = row[*y as usize] ^ c;
+            }
+        }
     }
 
     /// Decodes a codeword, correcting up to `parity/2` symbol errors.
@@ -128,134 +149,165 @@ impl ReedSolomon {
     /// # Errors
     ///
     /// Returns [`DecodeError::TooManyErrors`] if the error count exceeds the
-    /// correction capacity, and [`DecodeError::CodewordTooShort`] if the
-    /// input cannot even contain the parity symbols.
+    /// correction capacity, [`DecodeError::CodewordTooShort`] if the input
+    /// cannot even contain the parity symbols, and
+    /// [`DecodeError::CodewordTooLong`] if it exceeds 255 symbols.
     pub fn decode(&self, codeword: &[u8]) -> Result<Vec<u8>, DecodeError> {
-        if codeword.len() < self.parity || codeword.len() > 255 {
+        let mut word = codeword.to_vec();
+        let message_len = self.correct(&mut word)?;
+        word.truncate(message_len);
+        Ok(word)
+    }
+
+    /// Corrects up to `parity/2` symbol errors of `codeword` in place and
+    /// returns the length of its message portion (`codeword.len() −
+    /// parity`). [`decode`](Self::decode) without the copy: a streaming
+    /// caller decodes in its own staging buffer and allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode`](Self::decode). After `TooManyErrors` the buffer may
+    /// hold a partial miscorrection and must not be used.
+    pub fn correct(&self, codeword: &mut [u8]) -> Result<usize, DecodeError> {
+        let n_len = codeword.len();
+        if n_len < self.parity {
             return Err(DecodeError::CodewordTooShort);
         }
-        let synd = self.syndromes(codeword);
+        if n_len > MAX_CODEWORD {
+            return Err(DecodeError::CodewordTooLong);
+        }
+        let message_len = n_len - self.parity;
+        let mut synd = [0u8; MAX_CODEWORD];
+        let synd = &mut synd[..self.parity];
+        self.syndromes(codeword, synd);
         if synd.iter().all(|&s| s == 0) {
-            return Ok(codeword[..codeword.len() - self.parity].to_vec());
+            return Ok(message_len);
         }
 
         // Berlekamp–Massey: find the error locator polynomial sigma
-        // (lowest-degree LFSR generating the syndrome sequence).
+        // (lowest-degree LFSR generating the syndrome sequence). Both
+        // polynomials are lowest degree first and never longer than
+        // `parity + 1` (a locator's length is bounded by the LFSR length,
+        // and that by the number of syndromes consumed).
         let f = &self.field;
-        let mut sigma = vec![1u8]; // current locator, lowest degree first
-        let mut prev = vec![1u8];
+        let mut sigma = [0u8; MAX_CODEWORD + 1]; // current locator
+        let mut prev = [0u8; MAX_CODEWORD + 1]; // locator at the last length change
+        let (mut sigma_len, mut prev_len) = (1usize, 1usize);
+        sigma[0] = 1;
+        prev[0] = 1;
         let mut l = 0usize; // current LFSR length
         let mut m = 1usize; // steps since last update
         let mut b = 1u8; // discrepancy at last update
         for n in 0..self.parity {
             // discrepancy d = S_n + Σ sigma_i * S_{n-i}
             let mut d = synd[n];
-            for i in 1..=l {
-                if i < sigma.len() {
-                    d ^= f.mul(sigma[i], synd[n - i]);
-                }
+            for i in 1..=l.min(sigma_len - 1) {
+                d ^= f.mul(sigma[i], synd[n - i]);
             }
             if d == 0 {
                 m += 1;
-            } else if 2 * l <= n {
-                let temp = sigma.clone();
-                let coef = f.div(d, b);
-                // sigma -= (d/b) * x^m * prev
-                let mut shifted = vec![0u8; m];
-                shifted.extend_from_slice(&prev);
-                if shifted.len() > sigma.len() {
-                    sigma.resize(shifted.len(), 0);
-                }
-                for (s, &p) in sigma.iter_mut().zip(shifted.iter()) {
-                    *s ^= f.mul(coef, p);
-                }
+                continue;
+            }
+            let before = (sigma, sigma_len);
+            // sigma -= (d/b) * x^m * prev
+            let coef = f.div(d, b);
+            for (s, &p) in sigma[m..].iter_mut().zip(&prev[..prev_len]) {
+                *s ^= f.mul(coef, p);
+            }
+            sigma_len = sigma_len.max(m + prev_len);
+            if 2 * l <= n {
                 l = n + 1 - l;
-                prev = temp;
+                (prev, prev_len) = before;
                 b = d;
                 m = 1;
             } else {
-                let coef = f.div(d, b);
-                let mut shifted = vec![0u8; m];
-                shifted.extend_from_slice(&prev);
-                if shifted.len() > sigma.len() {
-                    sigma.resize(shifted.len(), 0);
-                }
-                for (s, &p) in sigma.iter_mut().zip(shifted.iter()) {
-                    *s ^= f.mul(coef, p);
-                }
                 m += 1;
             }
         }
-        while sigma.last() == Some(&0) {
-            sigma.pop();
+        while sigma[sigma_len - 1] == 0 {
+            sigma_len -= 1; // sigma[0] is 1: stops there at the latest
         }
-        let num_errors = sigma.len() - 1;
+        let sigma = &sigma[..sigma_len];
+        let num_errors = sigma_len - 1;
         if num_errors > self.correction_capacity() {
             return Err(DecodeError::TooManyErrors);
         }
 
         // Chien search: find roots of sigma. Position j (from the end of the
-        // codeword) is an error location if sigma(α^{-j}) == 0.
-        let n_len = codeword.len();
-        let mut error_positions = Vec::new();
-        for j in 0..n_len {
-            let x_inv = f.alpha_pow(-(j as i32));
-            // Evaluate sigma (lowest degree first) at x_inv.
-            let mut acc = 0u8;
-            for (i, &c) in sigma.iter().enumerate() {
-                acc ^= f.mul(c, f.pow(x_inv, i as u32));
-            }
-            if acc == 0 {
-                error_positions.push(n_len - 1 - j);
+        // codeword) is an error location if sigma(α^{-j}) == 0. As in the
+        // hardware, each non-zero term σ_i·x^i lives in a register — here
+        // its discrete log — that one step to the next position multiplies
+        // by α^{-i}; the locator's value is the XOR of the registers.
+        let mut terms = [(0u8, 0u8); MAX_CODEWORD + 1]; // (log of the term, log of α^{-i})
+        let mut num_terms = 0;
+        for (i, &c) in sigma.iter().enumerate() {
+            if c != 0 {
+                terms[num_terms] = (f.log(c), ((255 - i) % 255) as u8);
+                num_terms += 1;
             }
         }
-        if error_positions.len() != num_errors {
+        let terms = &mut terms[..num_terms];
+        let mut error_positions = [0u8; MAX_CODEWORD];
+        let mut num_roots = 0;
+        for j in 0..n_len {
+            let mut acc = 0u8;
+            for (log, step) in terms.iter_mut() {
+                acc ^= f.exp(*log as usize);
+                let next = *log as usize + *step as usize;
+                *log = if next >= 255 { next - 255 } else { next } as u8;
+            }
+            if acc == 0 {
+                error_positions[num_roots] = (n_len - 1 - j) as u8;
+                num_roots += 1;
+            }
+        }
+        if num_roots != num_errors {
             return Err(DecodeError::TooManyErrors);
         }
 
         // Forney: error magnitude at position p is
         //   e = X * omega(X^-1) / sigma'(X^-1),   X = α^{n-1-p}
         // where omega = (synd · sigma) mod x^parity.
-        let mut omega = vec![0u8; self.parity];
+        let mut omega = [0u8; MAX_CODEWORD];
+        let omega = &mut omega[..self.parity];
         for (i, om) in omega.iter_mut().enumerate() {
             let mut acc = 0u8;
-            for k in 0..=i {
-                if k < sigma.len() {
-                    acc ^= f.mul(sigma[k], synd[i - k]);
-                }
+            for k in 0..=i.min(num_errors) {
+                acc ^= f.mul(sigma[k], synd[i - k]);
             }
             *om = acc;
         }
 
-        let mut corrected = codeword.to_vec();
-        for &p in &error_positions {
+        for &p in &error_positions[..num_roots] {
+            let p = p as usize;
             let j = (n_len - 1 - p) as i32;
             let x_inv = f.alpha_pow(-j);
-            let mut omega_val = 0u8;
-            for (i, &c) in omega.iter().enumerate() {
-                omega_val ^= f.mul(c, f.pow(x_inv, i as u32));
-            }
-            // Formal derivative of sigma at x_inv: odd-power terms only.
-            let mut sigma_deriv = 0u8;
-            for (i, &c) in sigma.iter().enumerate() {
-                if i % 2 == 1 {
-                    sigma_deriv ^= f.mul(c, f.pow(x_inv, (i - 1) as u32));
-                }
-            }
+            // omega (lowest degree first) at x_inv, by Horner from the top.
+            let omega_val = omega.iter().rev().fold(0u8, |y, &c| f.mul(y, x_inv) ^ c);
+            // Formal derivative of sigma at x_inv: the odd-power terms, as
+            // a polynomial in x_inv².
+            let x_inv_sq = f.mul(x_inv, x_inv);
+            let sigma_deriv = sigma
+                .iter()
+                .skip(1)
+                .step_by(2)
+                .rev()
+                .fold(0u8, |y, &c| f.mul(y, x_inv_sq) ^ c);
             if sigma_deriv == 0 {
                 return Err(DecodeError::TooManyErrors);
             }
             // Forney with the b = 0 generator convention:
             //   e = X^(1-b) · Ω(X⁻¹) / Λ'(X⁻¹),  X = α^j.
             let magnitude = f.mul(f.alpha_pow(j), f.div(omega_val, sigma_deriv));
-            corrected[p] ^= magnitude;
+            codeword[p] ^= magnitude;
         }
 
         // Verify: all syndromes of the corrected word must vanish.
-        if self.syndromes(&corrected).iter().any(|&s| s != 0) {
+        self.syndromes(codeword, synd);
+        if synd.iter().any(|&s| s != 0) {
             return Err(DecodeError::TooManyErrors);
         }
-        Ok(corrected[..n_len - self.parity].to_vec())
+        Ok(message_len)
     }
 }
 
@@ -263,6 +315,8 @@ impl ReedSolomon {
 mod tests {
     use super::*;
     use optimus_sim::rng::Xoshiro256;
+    use optimus_testkit::runner::check;
+    use optimus_testkit::{gens, prop_assert, prop_assert_eq};
 
     #[test]
     fn clean_round_trip() {
@@ -351,6 +405,28 @@ mod tests {
     }
 
     #[test]
+    fn rejects_long_codeword() {
+        let rs = ReedSolomon::new(8);
+        assert_eq!(rs.decode(&[0; 256]), Err(DecodeError::CodewordTooLong));
+        assert_eq!(rs.correct(&mut [0; 256]), Err(DecodeError::CodewordTooLong));
+        assert_eq!(rs.decode(&[0; 255]), Ok(vec![0; 247]));
+        assert_eq!(
+            DecodeError::CodewordTooLong.to_string(),
+            "codeword longer than 255 symbols"
+        );
+    }
+
+    #[test]
+    fn all_zero_codeword_is_the_zero_message() {
+        for parity in [8, 16, 32] {
+            let rs = ReedSolomon::new(parity);
+            for len in [parity, parity + 1, 100, 255] {
+                assert_eq!(rs.decode(&vec![0; len]), Ok(vec![0; len - parity]));
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "at most 255")]
     fn encode_rejects_oversized_block() {
         let rs = ReedSolomon::new(8);
@@ -362,5 +438,212 @@ mod tests {
         let rs = ReedSolomon::new(12);
         assert_eq!(rs.correction_capacity(), 6);
         assert_eq!(rs.parity_len(), 12);
+    }
+
+    /// The decoder this module shipped before its syndromes became table
+    /// lookups and its Chien search log-domain registers: every step spelled
+    /// out with `poly_eval` / `pow` / `mul`. The oracle for `decode` on
+    /// every input, decodable or not.
+    fn decode_reference(rs: &ReedSolomon, codeword: &[u8]) -> Result<Vec<u8>, DecodeError> {
+        let f = &rs.field;
+        let syndromes = |word: &[u8]| -> Vec<u8> {
+            (0..rs.parity)
+                .map(|i| f.poly_eval(word, f.alpha_pow(i as i32)))
+                .collect()
+        };
+        if codeword.len() < rs.parity {
+            return Err(DecodeError::CodewordTooShort);
+        }
+        if codeword.len() > 255 {
+            return Err(DecodeError::CodewordTooLong);
+        }
+        let synd = syndromes(codeword);
+        if synd.iter().all(|&s| s == 0) {
+            return Ok(codeword[..codeword.len() - rs.parity].to_vec());
+        }
+        let mut sigma = vec![1u8];
+        let mut prev = vec![1u8];
+        let (mut l, mut m, mut b) = (0usize, 1usize, 1u8);
+        for n in 0..rs.parity {
+            let mut d = synd[n];
+            for i in 1..=l {
+                if i < sigma.len() {
+                    d ^= f.mul(sigma[i], synd[n - i]);
+                }
+            }
+            if d == 0 {
+                m += 1;
+                continue;
+            }
+            let temp = sigma.clone();
+            let coef = f.div(d, b);
+            let mut shifted = vec![0u8; m];
+            shifted.extend_from_slice(&prev);
+            if shifted.len() > sigma.len() {
+                sigma.resize(shifted.len(), 0);
+            }
+            for (s, &p) in sigma.iter_mut().zip(shifted.iter()) {
+                *s ^= f.mul(coef, p);
+            }
+            if 2 * l <= n {
+                l = n + 1 - l;
+                prev = temp;
+                b = d;
+                m = 1;
+            } else {
+                m += 1;
+            }
+        }
+        while sigma.last() == Some(&0) {
+            sigma.pop();
+        }
+        let num_errors = sigma.len() - 1;
+        if num_errors > rs.correction_capacity() {
+            return Err(DecodeError::TooManyErrors);
+        }
+        let n_len = codeword.len();
+        let mut error_positions = Vec::new();
+        for j in 0..n_len {
+            let x_inv = f.alpha_pow(-(j as i32));
+            let mut acc = 0u8;
+            for (i, &c) in sigma.iter().enumerate() {
+                acc ^= f.mul(c, f.pow(x_inv, i as u32));
+            }
+            if acc == 0 {
+                error_positions.push(n_len - 1 - j);
+            }
+        }
+        if error_positions.len() != num_errors {
+            return Err(DecodeError::TooManyErrors);
+        }
+        let mut omega = vec![0u8; rs.parity];
+        for (i, om) in omega.iter_mut().enumerate() {
+            for k in 0..=i {
+                if k < sigma.len() {
+                    *om ^= f.mul(sigma[k], synd[i - k]);
+                }
+            }
+        }
+        let mut corrected = codeword.to_vec();
+        for &p in &error_positions {
+            let j = (n_len - 1 - p) as i32;
+            let x_inv = f.alpha_pow(-j);
+            let mut omega_val = 0u8;
+            for (i, &c) in omega.iter().enumerate() {
+                omega_val ^= f.mul(c, f.pow(x_inv, i as u32));
+            }
+            let mut sigma_deriv = 0u8;
+            for (i, &c) in sigma.iter().enumerate() {
+                if i % 2 == 1 {
+                    sigma_deriv ^= f.mul(c, f.pow(x_inv, (i - 1) as u32));
+                }
+            }
+            if sigma_deriv == 0 {
+                return Err(DecodeError::TooManyErrors);
+            }
+            corrected[p] ^= f.mul(f.alpha_pow(j), f.div(omega_val, sigma_deriv));
+        }
+        if syndromes(&corrected).iter().any(|&s| s != 0) {
+            return Err(DecodeError::TooManyErrors);
+        }
+        Ok(corrected[..n_len - rs.parity].to_vec())
+    }
+
+    /// A corrupted codeword: parity, message, and `(position, flip)` draws
+    /// that [`corrupt`] folds onto distinct positions.
+    type Case = (usize, Vec<u8>, Vec<(usize, u8)>);
+
+    fn case_gen() -> gens::Gen<Case> {
+        gens::zip3(
+            gens::choose(vec![8usize, 16, 32]),
+            gens::vec_of(gens::byte_any(), 0..248),
+            gens::vec_of(
+                gens::zip2(
+                    gens::usize_in(0..255),
+                    gens::u64_in(1..256).map(|v| v as u8),
+                ),
+                0..33,
+            ),
+        )
+    }
+
+    /// Encodes the case's message (cut to fit the block) and flips up to
+    /// `parity` distinct symbols among the last `span` of the codeword.
+    /// Returns the codec, the message, the clean and the corrupted word and
+    /// the number of symbols that differ.
+    fn corrupt(
+        (parity, message, flips): &Case,
+        span: impl Fn(usize, usize) -> usize,
+    ) -> (ReedSolomon, Vec<u8>, Vec<u8>, Vec<u8>, usize) {
+        let rs = ReedSolomon::new(*parity);
+        let message = message[..message.len().min(255 - parity)].to_vec();
+        let clean = rs.encode(&message);
+        let mut word = clean.clone();
+        let span = span(clean.len(), *parity);
+        for &(pos, flip) in flips.iter().take(*parity) {
+            let p = clean.len() - 1 - pos % span;
+            if word[p] == clean[p] {
+                word[p] ^= flip;
+            }
+        }
+        let errors = word.iter().zip(&clean).filter(|(a, b)| a != b).count();
+        (rs, message, clean, word, errors)
+    }
+
+    fn hamming(a: &[u8], b: &[u8]) -> usize {
+        a.iter().zip(b).filter(|(x, y)| x != y).count()
+    }
+
+    /// Up to `t` errors anywhere decode to exactly the message; more either
+    /// fail or land on another codeword within `t` of the input — never a
+    /// silent wrong success — and the table-driven decoder agrees with the
+    /// reference on every input.
+    #[test]
+    fn decode_is_exact_within_capacity_and_never_silently_wrong() {
+        check("rs_decode_oracle", &case_gen(), |case: &Case| {
+            let (rs, message, _, word, errors) = corrupt(case, |len, _| len);
+            let got = rs.decode(&word);
+            prop_assert_eq!(got, decode_reference(&rs, &word));
+            let t = rs.correction_capacity();
+            match got {
+                Ok(decoded) if errors <= t => prop_assert_eq!(decoded, message),
+                Ok(decoded) => {
+                    prop_assert!(decoded != message, "{errors} errors decoded as if none");
+                    prop_assert!(hamming(&rs.encode(&decoded), &word) <= t);
+                }
+                Err(e) => {
+                    prop_assert!(errors > t, "{errors} <= {t} errors gave {e}");
+                    prop_assert_eq!(e, DecodeError::TooManyErrors);
+                }
+            }
+            Ok(())
+        });
+    }
+
+    /// Errors confined to the parity symbols leave the message as sent.
+    #[test]
+    fn parity_region_errors_never_touch_the_message() {
+        check("rs_parity_region", &case_gen(), |case: &Case| {
+            let (rs, message, _, word, errors) = corrupt(case, |_, parity| parity);
+            let got = rs.decode(&word);
+            prop_assert_eq!(got, decode_reference(&rs, &word));
+            if errors <= rs.correction_capacity() {
+                prop_assert_eq!(got, Ok(message));
+            }
+            Ok(())
+        });
+    }
+
+    /// In-place correction restores the whole codeword, parity included.
+    #[test]
+    fn correct_restores_the_clean_codeword_in_place() {
+        check("rs_correct_in_place", &case_gen(), |case: &Case| {
+            let (rs, message, clean, mut word, errors) = corrupt(case, |len, _| len);
+            if errors <= rs.correction_capacity() {
+                prop_assert_eq!(rs.correct(&mut word), Ok(message.len()));
+                prop_assert_eq!(word, clean);
+            }
+            Ok(())
+        });
     }
 }

@@ -217,7 +217,7 @@ def baseline(run1, run2):
     """Best-of-two sim_rate vs the committed baselines: fail on >20 % loss."""
     failed = False
     for bench, short in (("fig5_latency", "fig5"), ("fig8_temporal", "fig8"),
-                         ("cluster_scale", "cluster_scale")):
+                         ("cluster_scale", "cluster_scale"), ("fig7_realworld", "fig7")):
         base = load(f"benchmarks/BENCH_{short}.json")["sim_rate"]
         best = max(load(report(d, bench))["sim_rate"] for d in (run1, run2))
         ratio = best / base

@@ -22,7 +22,7 @@
 #     (freeze -> wire bytes -> thaw over the running device) must fingerprint
 #     identically to an uninterrupted run; (b) migrate_rebalance serial vs
 #     parallel likewise, and fairness must actually recover.
-#  8. Sim-rate regression gate: best-of-two sim_rate of the three tracked
+#  8. Sim-rate regression gate: best-of-two sim_rate of the four tracked
 #     benches vs benchmarks/BENCH_*.json; fail on >20 % regression.
 #  9. Isolation gate: WildDma containment with zero refinement violations
 #     (spec_prop) and the noninterference differential.
@@ -140,10 +140,11 @@ echo "== [8/10] sim-rate regression gate (best-of-two vs committed baseline) =="
 # host swings ~15 %; best-of-two is the gate statistic and the committed
 # baseline is the conservative min-of-two (see benchmarks/*.json "stat"),
 # so the 20 % margin holds against scheduler noise without masking a real
-# regression.
+# regression. fig7 (all twelve real-world kinds) is the compute-bound row:
+# the other three are LL/MB/MD5 and never run RSD, SW or the image filters.
 rm -rf target/simrate-gate-ci-{1,2}
 for pass in 1 2; do
-    for b in fig5_latency fig8_temporal cluster_scale; do
+    for b in fig5_latency fig8_temporal cluster_scale fig7_realworld; do
         OPTIMUS_BENCH_DIR="$PWD/target/simrate-gate-ci-$pass" \
             cargo bench -q -p optimus-bench --bench "$b" >/dev/null
     done
