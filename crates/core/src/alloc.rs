@@ -4,8 +4,9 @@
 //! to VMs in 2 MB huge-page frames (the paper's default page size for DMA
 //! memory, chosen to stretch the IOTLB's reach to 1 GB). A bump allocator
 //! is all a reproduction needs — frames are never freed individually, only
-//! when a VM is torn down, and the sparse [`HostMemory`]
-//! (../optimus_mem/host) model means unallocated space costs nothing.
+//! when a VM is torn down, and the sparse
+//! [`HostMemory`](optimus_mem::host::HostMemory) model means unallocated
+//! space costs nothing.
 
 use optimus_mem::addr::{Hpa, PAGE_2M};
 
@@ -67,16 +68,19 @@ impl FrameAllocator {
         self.next
     }
 
+    /// Whether `cursor` is a position [`restore`](Self::restore) accepts:
+    /// 2 MB-aligned and inside the standard arena (snapshot validation).
+    pub(crate) fn holds_cursor(cursor: u64) -> bool {
+        (ARENA_BASE..=ARENA_BASE + HOST_DRAM_BYTES).contains(&cursor) && cursor % PAGE_2M == 0
+    }
+
     /// Rebuilds an allocator whose next allocation starts at `cursor`.
     ///
     /// # Panics
     ///
-    /// Panics if `cursor` lies outside the standard arena.
+    /// Panics if `cursor` is misaligned or outside the standard arena.
     pub fn restore(cursor: u64) -> Self {
-        assert!(
-            (ARENA_BASE..=ARENA_BASE + HOST_DRAM_BYTES).contains(&cursor),
-            "allocator cursor {cursor:#x} outside the arena"
-        );
+        assert!(Self::holds_cursor(cursor), "allocator cursor {cursor:#x} outside the arena");
         Self {
             next: cursor,
             limit: ARENA_BASE + HOST_DRAM_BYTES,

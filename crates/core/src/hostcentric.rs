@@ -95,7 +95,7 @@ impl HcPlatform {
             engine: DmaEngine::new(AccelId(0)),
             now: 0,
             fastfwd: optimus_sim::simrate::fast_forward_enabled(),
-            batch: optimus_sim::simrate::batch_step_cycles(),
+            batch: optimus_sim::simrate::DEFAULT_BATCH_STEP,
         }
     }
 

@@ -29,9 +29,9 @@
 //! | [`slicing`] | the 64 GB + 128 MB slice layout |
 //! | [`vaccel`] | virtual accelerator (mdev) state |
 //! | [`scheduler`] | temporal multiplexing policies |
-//! | [`hypervisor`] | [`Optimus`](hypervisor::Optimus) itself + the guest API |
-//! | [`snapshot`] | [`HvSnapshot`](snapshot::HvSnapshot): the versioned live-update format |
-//! | [`node`] | [`OptimusNode`](node::OptimusNode): multi-FPGA placement + parallel stepping |
+//! | [`hypervisor`] | [`Optimus`] itself + the guest API ([`GuestCtx`]), one submodule per kind of state: `sched` (slot residency, Fig. 8 preemption), `iopt` (the one IO page table walker), `shares` (the FF-A handle table), `migrate` (`TenantState`), `live_update` (`freeze` / `thaw`), `guest` (the trap path) |
+//! | [`snapshot`] | [`HvSnapshot`](snapshot::HvSnapshot): the versioned live-update format — the `Wire` encoding of the model records, and `validate` |
+//! | [`node`] | [`OptimusNode`]: multi-FPGA placement + parallel stepping |
 //! | [`watchdog`] | isolation watchdogs: starvation / IOTLB-thrash / preemption-overrun alerts |
 //! | [`hostcentric`] | the host-centric DMA-engine baseline (Fig. 1) |
 //!

@@ -247,7 +247,7 @@ impl OptimusNode {
     }
 
     /// Overrides every device's batched-stepping burst length (1 disables
-    /// batching; see `PlatformClock::advance_toward_batched`).
+    /// batching; see `PlatformClock::advance_toward_adaptive`).
     pub fn set_batch_step(&mut self, k: Cycle) {
         for hv in &mut self.devices {
             hv.device_mut().set_batch_step(k);
@@ -525,16 +525,15 @@ impl OptimusNode {
         // Share records this tenant owns, captured pre-detach: handle,
         // old frames, whether a co-resident retriever holds a live
         // mapping into them, lifecycle state, and the permission mask.
-        let pre_owned: Vec<(u64, Vec<u64>, bool, ShareState, bool)> = src
-            .shares
-            .values()
-            .filter(|r| Some(r.owner_vm) == src_vm.map(|v| v.0))
+        let pre_owned: Vec<(u64, Vec<u64>, bool, ShareState, bool)> = src_vm
+            .iter()
+            .flat_map(|vm| src.shares_owned_by(vm.0))
             .map(|r| {
                 (r.handle, r.hpas.clone(), r.retriever_vm.is_some(), r.state, r.writable)
             })
             .collect();
         let t = src.detach_tenant(h.va)?;
-        let job = t.job;
+        let job = t.vaccel.job;
         let carried: Vec<CarriedRetrieval> = t.retrievals.clone();
         let (va, copies) = dst.attach_tenant(t)?;
         if spec::enabled() {

@@ -7,6 +7,7 @@
 //! on one physical accelerator and answers two questions: *who runs next*
 //! and *for how long*.
 
+use crate::snapshot::{wire_enum, Reader, SnapshotError, Wire};
 use optimus_sim::time::Cycle;
 
 /// The scheduling policy for one physical accelerator's run queue.
@@ -21,20 +22,13 @@ pub enum SchedPolicy {
     Priority,
 }
 
-/// A queue member.
-#[derive(Debug, Clone)]
-struct Member {
-    key: u64,
-    weight: u32,
-    priority: u32,
-    runnable: bool,
-    occupied: Cycle,
-}
+wire_enum!(SchedPolicy, "policy", 0 => SchedPolicy::RoundRobin, 1 => SchedPolicy::Weighted,
+    2 => SchedPolicy::Priority);
 
-/// The externally visible state of one queue member, as exported by
-/// [`SliceScheduler::export_members`] and re-imported by
-/// [`SliceScheduler::insert_member`] / [`SliceScheduler::restore`] during
-/// migration and hypervisor live-update.
+/// One queue member: the scheduler's own record, and what
+/// [`SliceScheduler::export_members`] hands out and
+/// [`SliceScheduler::insert_member`] / [`SliceScheduler::restore`] take
+/// back during migration and hypervisor live-update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemberState {
     /// The member's queue key (the vaccel id).
@@ -49,12 +43,31 @@ pub struct MemberState {
     pub occupied: Cycle,
 }
 
+impl Wire for MemberState {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.key.put(w);
+        self.weight.put(w);
+        self.priority.put(w);
+        self.runnable.put(w);
+        self.occupied.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            key: Wire::get(r)?,
+            weight: Wire::get(r)?,
+            priority: Wire::get(r)?,
+            runnable: Wire::get(r)?,
+            occupied: Wire::get(r)?,
+        })
+    }
+}
+
 /// Per-physical-accelerator slice scheduler.
 #[derive(Debug, Clone)]
 pub struct SliceScheduler {
     policy: SchedPolicy,
     base_slice: Cycle,
-    members: Vec<Member>,
+    members: Vec<MemberState>,
     cursor: usize,
 }
 
@@ -79,13 +92,7 @@ impl SliceScheduler {
     /// priority (priority policy).
     pub fn add(&mut self, key: u64, weight: u32, priority: u32) {
         assert!(weight > 0, "weights must be positive");
-        self.members.push(Member {
-            key,
-            weight,
-            priority,
-            runnable: true,
-            occupied: 0,
-        });
+        self.members.push(MemberState { key, weight, priority, runnable: true, occupied: 0 });
     }
 
     /// Marks a member runnable or idle (idle members are skipped).
@@ -107,42 +114,20 @@ impl SliceScheduler {
         if self.cursor >= self.members.len() {
             self.cursor = 0;
         }
-        Some(MemberState {
-            key: m.key,
-            weight: m.weight,
-            priority: m.priority,
-            runnable: m.runnable,
-            occupied: m.occupied,
-        })
+        Some(m)
     }
 
     /// Appends a member with explicit state (a migrated tenant keeps its
     /// occupancy account and runnability on the target queue).
     pub fn insert_member(&mut self, state: MemberState) {
         assert!(state.weight > 0, "weights must be positive");
-        self.members.push(Member {
-            key: state.key,
-            weight: state.weight,
-            priority: state.priority,
-            runnable: state.runnable,
-            occupied: state.occupied,
-        });
+        self.members.push(state);
     }
 
-    /// Exports all members in queue order (for [`HvSnapshot`]).
-    ///
-    /// [`HvSnapshot`]: ../snapshot/struct.HvSnapshot.html
+    /// Exports all members in queue order (for
+    /// [`HvSnapshot`](crate::snapshot::HvSnapshot)).
     pub fn export_members(&self) -> Vec<MemberState> {
-        self.members
-            .iter()
-            .map(|m| MemberState {
-                key: m.key,
-                weight: m.weight,
-                priority: m.priority,
-                runnable: m.runnable,
-                occupied: m.occupied,
-            })
-            .collect()
+        self.members.clone()
     }
 
     /// The rotation cursor (index of the next probe start).

@@ -20,19 +20,29 @@
 //! * fixed header fields in declaration order;
 //! * each `Vec` as a `u64` count followed by its elements;
 //! * strings as UTF-8 bytes with a `u64` length prefix;
-//! * `f64` as IEEE-754 bits; enums as documented `u8` discriminants.
+//! * `f64` as IEEE-754 bits; enums as documented `u8` discriminants;
+//! * `Option` of an integer as a `u64`, `u64::MAX` standing for `None`.
+//!
+//! Every type that appears on the wire implements `Wire` — its encode
+//! and its decode side by side, next to the type's definition — and the
+//! snapshot carries the model records themselves (`VirtualAccel`,
+//! `ShareRecord`, `RetrievalState`), so a new field is written three
+//! times: definition, `put`, `get`.
 //!
 //! Version rules: the version bumps whenever the layout or any
 //! discriminant changes meaning; decoders reject unknown versions rather
 //! than guessing (`SnapshotError::UnsupportedVersion`). Fields are never
 //! reordered or repurposed within a version.
 
+use crate::alloc::FrameAllocator;
+use crate::hypervisor::{HvStats, RetrievalState, ShareRecord, TrapCost};
 use crate::scheduler::{MemberState, SchedPolicy};
-use crate::vaccel::VaccelRun;
-use crate::watchdog::{AlertKind, IsolationAlert, WatchdogConfig};
-use crate::hypervisor::{HvStats, TrapCost};
+use crate::vaccel::VirtualAccel;
+use crate::watchdog::{IsolationAlert, WatchdogConfig};
 use optimus_fabric::accelerator::CtrlStatus;
 use optimus_fabric::platform::DeviceId;
+use optimus_mem::addr::PAGE_2M;
+use std::collections::BTreeMap;
 
 /// First eight bytes of every snapshot (`b"OPTMHVSN"`, little-endian).
 pub const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"OPTMHVSN");
@@ -49,7 +59,8 @@ pub enum SnapshotError {
     BadMagic,
     /// The snapshot was written by an unknown format version.
     UnsupportedVersion(u32),
-    /// A field decoded to an out-of-range value (names the field).
+    /// A value decoded out of range, or a cross-reference between records
+    /// does not resolve (names the field or wire type).
     BadValue(&'static str),
     /// Decoding finished with bytes left over.
     TrailingBytes,
@@ -84,6 +95,158 @@ impl core::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+/// The decode cursor over a snapshot's bytes.
+pub(crate) struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        if n > self.buf.len() - self.pos {
+            return Err(SnapshotError::Truncated);
+        }
+        let s = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+}
+
+/// A value's place in the wire format: its one encode and its one decode.
+pub(crate) trait Wire: Sized {
+    /// Appends the value's encoding.
+    fn put(&self, w: &mut Vec<u8>);
+    /// Decodes one value, validating every discriminant.
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError>;
+}
+
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut Vec<u8>) {
+                w.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+                let bytes = r.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("take returns the width asked for")))
+            }
+        }
+    )*};
+}
+wire_int!(u8, u32, u64);
+
+/// A `u8`-discriminant enum's [`Wire`] impl from one table, so the two
+/// directions cannot disagree; `$field` names it in `BadValue`.
+macro_rules! wire_enum {
+    ($ty:ty, $field:literal, $($n:literal => $v:path),+) => {
+        impl $crate::snapshot::Wire for $ty {
+            fn put(&self, w: &mut Vec<u8>) {
+                w.push(match self { $($v => $n),+ });
+            }
+            fn get(
+                r: &mut $crate::snapshot::Reader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                match <u8 as $crate::snapshot::Wire>::get(r)? {
+                    $($n => Ok($v),)+
+                    _ => Err($crate::snapshot::SnapshotError::BadValue($field)),
+                }
+            }
+        }
+    };
+}
+pub(crate) use wire_enum;
+
+wire_enum!(CtrlStatus, "shadow_status", 0 => CtrlStatus::Idle, 1 => CtrlStatus::Running,
+    2 => CtrlStatus::Saving, 3 => CtrlStatus::Saved, 4 => CtrlStatus::Done);
+
+impl Wire for bool {
+    fn put(&self, w: &mut Vec<u8>) {
+        w.push(*self as u8);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(SnapshotError::BadValue("bool")),
+        }
+    }
+}
+
+impl Wire for f64 {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.to_bits().put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(f64::from_bits(u64::get(r)?))
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut Vec<u8>) {
+        (self.len() as u64).put(w);
+        w.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        String::from_utf8(Vec::get(r)?).map_err(|_| SnapshotError::BadValue("string"))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Vec<u8>) {
+        (self.len() as u64).put(w);
+        self.iter().for_each(|x| x.put(w));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let n = u64::get(r)?;
+        // A length can never exceed the bytes that remain; this bounds
+        // allocations on corrupt input.
+        if n > (r.buf.len() - r.pos) as u64 {
+            return Err(SnapshotError::Truncated);
+        }
+        let mut v = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            v.push(T::get(r)?);
+        }
+        Ok(v)
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn put(&self, w: &mut Vec<u8>) {
+        (self.len() as u64).put(w);
+        for (k, v) in self {
+            k.put(w);
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Vec::<(K, V)>::get(r)?.into_iter().collect())
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// An optional integer is one `u64`, `u64::MAX` standing for `None`.
+impl<T: Copy + Into<u64> + TryFrom<u64>> Wire for Option<T> {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.map_or(u64::MAX, Into::into).put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        match u64::get(r)? {
+            u64::MAX => Ok(None),
+            v => T::try_from(v).map(Some).map_err(|_| SnapshotError::BadValue("option")),
+        }
+    }
+}
+
 /// One VM's address-space state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VmSnap {
@@ -97,34 +260,21 @@ pub struct VmSnap {
     pub pages: Vec<(u64, u64)>,
 }
 
-/// One virtual accelerator's record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VaccelSnap {
-    /// The vaccel id (monotonic, never recycled).
-    pub id: u32,
-    /// Owning VM id.
-    pub vm: u32,
-    /// Physical slot index.
-    pub slot: u32,
-    /// Page-table slice index.
-    pub slice: u64,
-    /// Guest DMA region base (BAR2 report), 0 if not yet allocated.
-    pub dma_base: u64,
-    /// Fig. 8 preemption state buffer GVA.
-    pub state_buffer: u64,
-    /// Cached BAR0 application registers, ascending by offset.
-    pub app_regs: Vec<(u64, u64)>,
-    /// CMD_START latched but not yet forwarded.
-    pub pending_start: bool,
-    /// Run state.
-    pub run: VaccelRun,
-    /// Status shadowed to the guest while descheduled.
-    pub shadow_status: CtrlStatus,
-    /// Forced resets suffered (preemption overruns).
-    pub forced_resets: u64,
-    /// In-flight (or most recently completed) job id, 0 if none; the
-    /// journal keys on it across the live-update.
-    pub job: u64,
+impl Wire for VmSnap {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.id.put(w);
+        self.name.put(w);
+        self.next_gva.put(w);
+        self.pages.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            id: Wire::get(r)?,
+            name: Wire::get(r)?,
+            next_gva: Wire::get(r)?,
+            pages: Wire::get(r)?,
+        })
+    }
 }
 
 /// One physical slot's scheduler and residency.
@@ -144,6 +294,27 @@ pub struct SlotSnap {
     pub slice_ends: u64,
 }
 
+impl Wire for SlotSnap {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.policy.put(w);
+        self.base_slice.put(w);
+        self.members.put(w);
+        self.cursor.put(w);
+        self.current.put(w);
+        self.slice_ends.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            policy: Wire::get(r)?,
+            base_slice: Wire::get(r)?,
+            members: Wire::get(r)?,
+            cursor: Wire::get(r)?,
+            current: Wire::get(r)?,
+            slice_ends: Wire::get(r)?,
+        })
+    }
+}
+
 /// Watchdog state: config, deadline, diff baselines, retained alerts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchdogSnap {
@@ -159,6 +330,25 @@ pub struct WatchdogSnap {
     pub alerts: Vec<IsolationAlert>,
 }
 
+impl Wire for WatchdogSnap {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.cfg.put(w);
+        self.next_eval.put(w);
+        self.last_forwarded.put(w);
+        self.last_iotlb.put(w);
+        self.alerts.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            cfg: Wire::get(r)?,
+            next_eval: Wire::get(r)?,
+            last_forwarded: Wire::get(r)?,
+            last_iotlb: Wire::get(r)?,
+            alerts: Wire::get(r)?,
+        })
+    }
+}
+
 /// One IO page table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoptEntry {
@@ -172,45 +362,21 @@ pub struct IoptEntry {
     pub write: bool,
 }
 
-/// One cross-tenant share-handle record (FF-A-style lifecycle).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShareSnap {
-    /// The handle (device-tagged, never recycled).
-    pub handle: u64,
-    /// Owning VM id.
-    pub owner_vm: u32,
-    /// Name of the tenant allowed to retrieve.
-    pub peer: String,
-    /// Owner-side base GVA of the shared span.
-    pub gva: u64,
-    /// Backing frames, one per 2 MB page.
-    pub hpas: Vec<u64>,
-    /// Permission ceiling granted to the retriever.
-    pub writable: bool,
-    /// Lifecycle state discriminant (0 Shared, 1 Retrieved,
-    /// 2 Relinquished, 3 Reclaimed).
-    pub state: u8,
-    /// Retriever VM id if retrieved *on this device*; `None` while merely
-    /// shared, after relinquish, or when the retriever is remote.
-    pub retriever_vm: Option<u32>,
-    /// Retriever-side base GVA (valid while retrieved).
-    pub retriever_gva: u64,
-}
-
-/// One *foreign* retrieval: a local mirror of a span whose share record
-/// lives on another device's hypervisor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetrievalSnap {
-    /// The share handle (minted by the owning device).
-    pub handle: u64,
-    /// Local retriever VM id.
-    pub vm: u32,
-    /// Local base GVA of the mirror span.
-    pub gva: u64,
-    /// Local mirror frames, one per 2 MB page.
-    pub hpas: Vec<u64>,
-    /// Writable mirror (sync direction is the node's concern).
-    pub writable: bool,
+impl Wire for IoptEntry {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.iova.put(w);
+        self.hpa.put(w);
+        self.small.put(w);
+        self.write.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            iova: Wire::get(r)?,
+            hpa: Wire::get(r)?,
+            small: Wire::get(r)?,
+            write: Wire::get(r)?,
+        })
+    }
 }
 
 /// A complete hypervisor software snapshot (see the module docs for what
@@ -248,7 +414,7 @@ pub struct HvSnapshot {
     /// All VMs, ascending by id.
     pub vms: Vec<VmSnap>,
     /// All virtual accelerators, ascending by id.
-    pub vaccels: Vec<VaccelSnap>,
+    pub vaccels: Vec<VirtualAccel>,
     /// All physical slots, in slot order.
     pub slots: Vec<SlotSnap>,
     /// Watchdog state.
@@ -261,560 +427,333 @@ pub struct HvSnapshot {
     pub next_share_handle: u64,
     /// Share records whose owner lives on this device, ascending by
     /// handle.
-    pub shares: Vec<ShareSnap>,
+    pub shares: Vec<ShareRecord>,
     /// Foreign retrievals (local mirrors of remote-owned shares), in
     /// registration order.
-    pub retrievals: Vec<RetrievalSnap>,
-}
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.pos + n > self.buf.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-    fn bool(&mut self, field: &'static str) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::BadValue(field)),
-        }
-    }
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn len(&mut self) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        // A length can never exceed the bytes that remain; this bounds
-        // allocations on corrupt input.
-        if n > (self.buf.len() - self.pos) as u64 {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(n as usize)
-    }
-    fn str(&mut self) -> Result<String, SnapshotError> {
-        let n = self.len()?;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| SnapshotError::BadValue("string"))
-    }
-}
-
-fn trap_to_u8(t: TrapCost) -> u8 {
-    match t {
-        TrapCost::Native => 0,
-        TrapCost::Virtualized => 1,
-    }
-}
-
-fn trap_from_u8(v: u8) -> Result<TrapCost, SnapshotError> {
-    match v {
-        0 => Ok(TrapCost::Native),
-        1 => Ok(TrapCost::Virtualized),
-        _ => Err(SnapshotError::BadValue("trap")),
-    }
-}
-
-fn policy_to_u8(p: &SchedPolicy) -> u8 {
-    match p {
-        SchedPolicy::RoundRobin => 0,
-        SchedPolicy::Weighted => 1,
-        SchedPolicy::Priority => 2,
-    }
-}
-
-fn policy_from_u8(v: u8) -> Result<SchedPolicy, SnapshotError> {
-    match v {
-        0 => Ok(SchedPolicy::RoundRobin),
-        1 => Ok(SchedPolicy::Weighted),
-        2 => Ok(SchedPolicy::Priority),
-        _ => Err(SnapshotError::BadValue("policy")),
-    }
-}
-
-fn run_to_u8(r: VaccelRun) -> u8 {
-    match r {
-        VaccelRun::Fresh => 0,
-        VaccelRun::Scheduled => 1,
-        VaccelRun::SavedInMemory => 2,
-        VaccelRun::Completed => 3,
-    }
-}
-
-fn run_from_u8(v: u8) -> Result<VaccelRun, SnapshotError> {
-    match v {
-        0 => Ok(VaccelRun::Fresh),
-        1 => Ok(VaccelRun::Scheduled),
-        2 => Ok(VaccelRun::SavedInMemory),
-        3 => Ok(VaccelRun::Completed),
-        _ => Err(SnapshotError::BadValue("run")),
-    }
-}
-
-fn status_from_u8(v: u8) -> Result<CtrlStatus, SnapshotError> {
-    match v {
-        0 => Ok(CtrlStatus::Idle),
-        1 => Ok(CtrlStatus::Running),
-        2 => Ok(CtrlStatus::Saving),
-        3 => Ok(CtrlStatus::Saved),
-        4 => Ok(CtrlStatus::Done),
-        _ => Err(SnapshotError::BadValue("shadow_status")),
-    }
-}
-
-fn kind_to_u8(k: AlertKind) -> u8 {
-    k.metric_label() as u8
-}
-
-fn kind_from_u8(v: u8) -> Result<AlertKind, SnapshotError> {
-    match v {
-        0 => Ok(AlertKind::Starvation),
-        1 => Ok(AlertKind::IotlbThrash),
-        2 => Ok(AlertKind::PreemptOverrun),
-        3 => Ok(AlertKind::SaveRefused),
-        _ => Err(SnapshotError::BadValue("alert kind")),
-    }
+    pub retrievals: Vec<RetrievalState>,
 }
 
 impl HvSnapshot {
     /// Serializes to the versioned wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer { buf: Vec::with_capacity(4096) };
-        w.u64(SNAPSHOT_MAGIC);
-        w.u32(SNAPSHOT_VERSION);
-        w.u32(self.device_id.0);
-        w.bool(self.passthrough);
-        w.u64(self.slice_bytes);
-        w.bool(self.iotlb_mitigation);
-        w.u64(self.time_slice);
-        w.u8(trap_to_u8(self.trap));
-        w.u64(self.preempt_timeout);
-        w.u64(self.next_slice);
-        w.u32(self.next_vm_id);
-        w.u32(self.next_vaccel_id);
-        w.u64(self.next_job_id);
-        w.u64(self.alloc_cursor);
-        for c in [
-            self.stats.traps,
-            self.stats.hypercalls,
-            self.stats.pinned_pages,
-            self.stats.context_switches,
-            self.stats.preemptions,
-            self.stats.forced_resets,
-            self.stats.dropped_packets,
-            self.stats.discarded_dma,
-            self.stats.discarded_mmio,
-            self.stats.alerts_starvation,
-            self.stats.alerts_iotlb_thrash,
-            self.stats.alerts_preempt_overrun,
-            self.stats.alerts_save_refused,
-        ] {
-            w.u64(c);
-        }
-        w.u64(self.vms.len() as u64);
-        for vm in &self.vms {
-            w.u32(vm.id);
-            w.str(&vm.name);
-            w.u64(vm.next_gva);
-            w.u64(vm.pages.len() as u64);
-            for &(gva, hpa) in &vm.pages {
-                w.u64(gva);
-                w.u64(hpa);
-            }
-        }
-        w.u64(self.vaccels.len() as u64);
-        for v in &self.vaccels {
-            w.u32(v.id);
-            w.u32(v.vm);
-            w.u32(v.slot);
-            w.u64(v.slice);
-            w.u64(v.dma_base);
-            w.u64(v.state_buffer);
-            w.u64(v.app_regs.len() as u64);
-            for &(off, val) in &v.app_regs {
-                w.u64(off);
-                w.u64(val);
-            }
-            w.bool(v.pending_start);
-            w.u8(run_to_u8(v.run));
-            w.u8(v.shadow_status as u8);
-            w.u64(v.forced_resets);
-            w.u64(v.job);
-        }
-        w.u64(self.slots.len() as u64);
-        for s in &self.slots {
-            w.u8(policy_to_u8(&s.policy));
-            w.u64(s.base_slice);
-            w.u64(s.members.len() as u64);
-            for m in &s.members {
-                w.u64(m.key);
-                w.u32(m.weight);
-                w.u32(m.priority);
-                w.bool(m.runnable);
-                w.u64(m.occupied);
-            }
-            w.u64(s.cursor);
-            w.u64(s.current.map_or(u64::MAX, |v| v as u64));
-            w.u64(s.slice_ends);
-        }
-        let wd = &self.watchdog;
-        w.u64(wd.cfg.window);
-        w.f64(wd.cfg.starvation_share);
-        w.u64(wd.cfg.min_grants);
-        w.f64(wd.cfg.thrash_rate);
-        w.u64(wd.cfg.min_lookups);
-        w.u64(wd.cfg.max_alerts as u64);
-        w.u64(wd.next_eval);
-        w.u64(wd.last_forwarded.len() as u64);
-        for &v in &wd.last_forwarded {
-            w.u64(v);
-        }
-        w.u64(wd.last_iotlb.0);
-        w.u64(wd.last_iotlb.1);
-        w.u64(wd.alerts.len() as u64);
-        for a in &wd.alerts {
-            w.u8(kind_to_u8(a.kind));
-            w.u32(a.device.0);
-            w.u64(a.slot.map_or(u64::MAX, |s| s as u64));
-            w.u64(a.at);
-            w.f64(a.observed);
-            w.f64(a.threshold);
-            w.u64(a.job.unwrap_or(u64::MAX));
-            w.u64(a.peer_job.unwrap_or(u64::MAX));
-        }
-        w.u64(self.iopt.len() as u64);
-        for e in &self.iopt {
-            w.u64(e.iova);
-            w.u64(e.hpa);
-            w.bool(e.small);
-            w.bool(e.write);
-        }
-        w.u64(self.next_share_handle);
-        w.u64(self.shares.len() as u64);
-        for s in &self.shares {
-            w.u64(s.handle);
-            w.u32(s.owner_vm);
-            w.str(&s.peer);
-            w.u64(s.gva);
-            w.u64(s.hpas.len() as u64);
-            for &h in &s.hpas {
-                w.u64(h);
-            }
-            w.bool(s.writable);
-            w.u8(s.state);
-            w.u64(s.retriever_vm.map_or(u64::MAX, |v| v as u64));
-            w.u64(s.retriever_gva);
-        }
-        w.u64(self.retrievals.len() as u64);
-        for rr in &self.retrievals {
-            w.u64(rr.handle);
-            w.u32(rr.vm);
-            w.u64(rr.gva);
-            w.u64(rr.hpas.len() as u64);
-            for &h in &rr.hpas {
-                w.u64(h);
-            }
-            w.bool(rr.writable);
-        }
-        w.buf
+        let w = &mut Vec::with_capacity(4096);
+        SNAPSHOT_MAGIC.put(w);
+        SNAPSHOT_VERSION.put(w);
+        self.device_id.0.put(w);
+        self.passthrough.put(w);
+        self.slice_bytes.put(w);
+        self.iotlb_mitigation.put(w);
+        self.time_slice.put(w);
+        self.trap.put(w);
+        self.preempt_timeout.put(w);
+        self.next_slice.put(w);
+        self.next_vm_id.put(w);
+        self.next_vaccel_id.put(w);
+        self.next_job_id.put(w);
+        self.alloc_cursor.put(w);
+        self.stats.put(w);
+        self.vms.put(w);
+        self.vaccels.put(w);
+        self.slots.put(w);
+        self.watchdog.put(w);
+        self.iopt.put(w);
+        self.next_share_handle.put(w);
+        self.shares.put(w);
+        self.retrievals.put(w);
+        std::mem::take(w)
     }
 
     /// Decodes a snapshot, validating magic, version, and every
-    /// discriminant.
+    /// discriminant. Cross-references between the decoded records are
+    /// [`validate`](Self::validate)'s job.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        if r.u64()? != SNAPSHOT_MAGIC {
+        let r = &mut Reader { buf: bytes, pos: 0 };
+        if u64::get(r)? != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = r.u32()?;
+        let version = u32::get(r)?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let device_id = DeviceId(r.u32()?);
-        let passthrough = r.bool("passthrough")?;
-        let slice_bytes = r.u64()?;
-        let iotlb_mitigation = r.bool("iotlb_mitigation")?;
-        let time_slice = r.u64()?;
-        let trap = trap_from_u8(r.u8()?)?;
-        let preempt_timeout = r.u64()?;
-        let next_slice = r.u64()?;
-        let next_vm_id = r.u32()?;
-        let next_vaccel_id = r.u32()?;
-        let next_job_id = r.u64()?;
-        let alloc_cursor = r.u64()?;
-        let stats = HvStats {
-            traps: r.u64()?,
-            hypercalls: r.u64()?,
-            pinned_pages: r.u64()?,
-            context_switches: r.u64()?,
-            preemptions: r.u64()?,
-            forced_resets: r.u64()?,
-            dropped_packets: r.u64()?,
-            discarded_dma: r.u64()?,
-            discarded_mmio: r.u64()?,
-            alerts_starvation: r.u64()?,
-            alerts_iotlb_thrash: r.u64()?,
-            alerts_preempt_overrun: r.u64()?,
-            alerts_save_refused: r.u64()?,
+        let snap = HvSnapshot {
+            device_id: DeviceId(Wire::get(r)?),
+            passthrough: Wire::get(r)?,
+            slice_bytes: Wire::get(r)?,
+            iotlb_mitigation: Wire::get(r)?,
+            time_slice: Wire::get(r)?,
+            trap: Wire::get(r)?,
+            preempt_timeout: Wire::get(r)?,
+            next_slice: Wire::get(r)?,
+            next_vm_id: Wire::get(r)?,
+            next_vaccel_id: Wire::get(r)?,
+            next_job_id: Wire::get(r)?,
+            alloc_cursor: Wire::get(r)?,
+            stats: Wire::get(r)?,
+            vms: Wire::get(r)?,
+            vaccels: Wire::get(r)?,
+            slots: Wire::get(r)?,
+            watchdog: Wire::get(r)?,
+            iopt: Wire::get(r)?,
+            next_share_handle: Wire::get(r)?,
+            shares: Wire::get(r)?,
+            retrievals: Wire::get(r)?,
         };
-        let n_vms = r.len()?;
-        let mut vms = Vec::with_capacity(n_vms);
-        for _ in 0..n_vms {
-            let id = r.u32()?;
-            let name = r.str()?;
-            let next_gva = r.u64()?;
-            let n_pages = r.len()?;
-            let mut pages = Vec::with_capacity(n_pages);
-            for _ in 0..n_pages {
-                pages.push((r.u64()?, r.u64()?));
-            }
-            vms.push(VmSnap { id, name, next_gva, pages });
-        }
-        let n_vaccels = r.len()?;
-        let mut vaccels = Vec::with_capacity(n_vaccels);
-        for _ in 0..n_vaccels {
-            let id = r.u32()?;
-            let vm = r.u32()?;
-            let slot = r.u32()?;
-            let slice = r.u64()?;
-            let dma_base = r.u64()?;
-            let state_buffer = r.u64()?;
-            let n_regs = r.len()?;
-            let mut app_regs = Vec::with_capacity(n_regs);
-            for _ in 0..n_regs {
-                app_regs.push((r.u64()?, r.u64()?));
-            }
-            let pending_start = r.bool("pending_start")?;
-            let run = run_from_u8(r.u8()?)?;
-            let shadow_status = status_from_u8(r.u8()?)?;
-            let forced_resets = r.u64()?;
-            let job = r.u64()?;
-            vaccels.push(VaccelSnap {
-                id,
-                vm,
-                slot,
-                slice,
-                dma_base,
-                state_buffer,
-                app_regs,
-                pending_start,
-                run,
-                shadow_status,
-                forced_resets,
-                job,
-            });
-        }
-        let n_slots = r.len()?;
-        let mut slots = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            let policy = policy_from_u8(r.u8()?)?;
-            let base_slice = r.u64()?;
-            let n_members = r.len()?;
-            let mut members = Vec::with_capacity(n_members);
-            for _ in 0..n_members {
-                members.push(MemberState {
-                    key: r.u64()?,
-                    weight: r.u32()?,
-                    priority: r.u32()?,
-                    runnable: r.bool("runnable")?,
-                    occupied: r.u64()?,
-                });
-            }
-            let cursor = r.u64()?;
-            let current = match r.u64()? {
-                u64::MAX => None,
-                v if v <= u32::MAX as u64 => Some(v as u32),
-                _ => return Err(SnapshotError::BadValue("current")),
-            };
-            let slice_ends = r.u64()?;
-            slots.push(SlotSnap {
-                policy,
-                base_slice,
-                members,
-                cursor,
-                current,
-                slice_ends,
-            });
-        }
-        let cfg = WatchdogConfig {
-            window: r.u64()?,
-            starvation_share: r.f64()?,
-            min_grants: r.u64()?,
-            thrash_rate: r.f64()?,
-            min_lookups: r.u64()?,
-            max_alerts: r.u64()? as usize,
-        };
-        let next_eval = r.u64()?;
-        let n_fw = r.len()?;
-        let mut last_forwarded = Vec::with_capacity(n_fw);
-        for _ in 0..n_fw {
-            last_forwarded.push(r.u64()?);
-        }
-        let last_iotlb = (r.u64()?, r.u64()?);
-        let n_alerts = r.len()?;
-        let mut alerts = Vec::with_capacity(n_alerts);
-        for _ in 0..n_alerts {
-            alerts.push(IsolationAlert {
-                kind: kind_from_u8(r.u8()?)?,
-                device: DeviceId(r.u32()?),
-                slot: match r.u64()? {
-                    u64::MAX => None,
-                    v => Some(v as usize),
-                },
-                at: r.u64()?,
-                observed: r.f64()?,
-                threshold: r.f64()?,
-                job: match r.u64()? {
-                    u64::MAX => None,
-                    v => Some(v),
-                },
-                peer_job: match r.u64()? {
-                    u64::MAX => None,
-                    v => Some(v),
-                },
-            });
-        }
-        let watchdog = WatchdogSnap {
-            cfg,
-            next_eval,
-            last_forwarded,
-            last_iotlb,
-            alerts,
-        };
-        let n_iopt = r.len()?;
-        let mut iopt = Vec::with_capacity(n_iopt);
-        for _ in 0..n_iopt {
-            iopt.push(IoptEntry {
-                iova: r.u64()?,
-                hpa: r.u64()?,
-                small: r.bool("small")?,
-                write: r.bool("write")?,
-            });
-        }
-        let next_share_handle = r.u64()?;
-        let n_shares = r.len()?;
-        let mut shares = Vec::with_capacity(n_shares);
-        for _ in 0..n_shares {
-            let handle = r.u64()?;
-            let owner_vm = r.u32()?;
-            let peer = r.str()?;
-            let gva = r.u64()?;
-            let n_hpas = r.len()?;
-            let mut hpas = Vec::with_capacity(n_hpas);
-            for _ in 0..n_hpas {
-                hpas.push(r.u64()?);
-            }
-            let writable = r.bool("share writable")?;
-            let state = r.u8()?;
-            if state > 3 {
-                return Err(SnapshotError::BadValue("share state"));
-            }
-            let retriever_vm = match r.u64()? {
-                u64::MAX => None,
-                v if v <= u32::MAX as u64 => Some(v as u32),
-                _ => return Err(SnapshotError::BadValue("retriever_vm")),
-            };
-            let retriever_gva = r.u64()?;
-            shares.push(ShareSnap {
-                handle,
-                owner_vm,
-                peer,
-                gva,
-                hpas,
-                writable,
-                state,
-                retriever_vm,
-                retriever_gva,
-            });
-        }
-        let n_retr = r.len()?;
-        let mut retrievals = Vec::with_capacity(n_retr);
-        for _ in 0..n_retr {
-            let handle = r.u64()?;
-            let vm = r.u32()?;
-            let gva = r.u64()?;
-            let n_hpas = r.len()?;
-            let mut hpas = Vec::with_capacity(n_hpas);
-            for _ in 0..n_hpas {
-                hpas.push(r.u64()?);
-            }
-            let writable = r.bool("retrieval writable")?;
-            retrievals.push(RetrievalSnap { handle, vm, gva, hpas, writable });
-        }
         if r.pos != bytes.len() {
             return Err(SnapshotError::TrailingBytes);
         }
-        Ok(HvSnapshot {
-            device_id,
-            passthrough,
-            slice_bytes,
-            iotlb_mitigation,
-            time_slice,
-            trap,
-            preempt_timeout,
-            next_slice,
-            next_vm_id,
-            next_vaccel_id,
-            next_job_id,
-            alloc_cursor,
-            stats,
-            vms,
-            vaccels,
-            slots,
-            watchdog,
-            iopt,
-            next_share_handle,
-            shares,
-            retrievals,
-        })
+        Ok(snap)
+    }
+
+    /// Every retrieved span that is mapped into a VM on this device:
+    /// same-device retrievals (held in the owner's record) and mirrors of
+    /// remote-owned shares alike.
+    pub(crate) fn retrieved_spans(&self) -> impl Iterator<Item = RetrievalState> + '_ {
+        let local = self.shares.iter().filter_map(ShareRecord::local_retrieval);
+        local.chain(self.retrievals.iter().cloned())
+    }
+
+    /// Checks every cross-reference `thaw` and the run loop after it index
+    /// by, for a device with `slots` physical slots: a snapshot that
+    /// decodes but does not hang together is a typed error here, not a
+    /// panic (or a one-cycle-per-iteration crawl) later.
+    pub fn validate(&self, slots: usize) -> Result<(), SnapshotError> {
+        let ensure = |ok: bool, field| ok.then_some(()).ok_or(SnapshotError::BadValue(field));
+        if self.slots.len() != slots {
+            return Err(SnapshotError::DeviceMismatch);
+        }
+        ensure(FrameAllocator::holds_cursor(self.alloc_cursor), "alloc_cursor")?;
+        ensure(self.watchdog.cfg.window != 0, "watchdog window")?;
+        ensure(self.watchdog.last_forwarded.len() == slots, "watchdog last_forwarded")?;
+        // The page tables take 2 MB-aligned 48-bit addresses, each once.
+        let page = |a: u64| a % PAGE_2M == 0 && a < 1 << 48;
+        ensure(self.vms.windows(2).all(|w| w[0].id < w[1].id), "vm id")?;
+        for vm in &self.vms {
+            let ascending = vm.pages.windows(2).all(|w| w[0].0 < w[1].0);
+            let aligned = vm.pages.iter().all(|&(gva, hpa)| page(gva) && page(hpa));
+            ensure(ascending && aligned, "vm pages")?;
+        }
+        let vm = |id: u32| self.vms.iter().find(|vm| vm.id == id);
+        ensure(self.vaccels.windows(2).all(|w| w[0].id < w[1].id), "vaccel id")?;
+        for v in &self.vaccels {
+            ensure(v.slot < slots, "vaccel slot")?;
+            ensure(vm(v.vm.0).is_some(), "vaccel vm")?;
+        }
+        let on_slot =
+            |key: u64, slot| self.vaccels.iter().any(|v| v.id.0 as u64 == key && v.slot == slot);
+        for (i, s) in self.slots.iter().enumerate() {
+            ensure(s.current.is_none_or(|va| on_slot(va as u64, i)), "slot current")?;
+            ensure(s.members.iter().all(|m| m.weight > 0 && on_slot(m.key, i)), "slot members")?;
+        }
+        // Retrieved spans are re-mapped into their VM at thaw and torn
+        // down through that VM's vaccel: both must exist, and no page of
+        // a span may collide with an owned page or another span.
+        let mut claimed: Vec<(u32, u64)> = Vec::new();
+        for span in self.retrieved_spans() {
+            let home = vm(span.vm).filter(|_| self.vaccels.iter().any(|v| v.vm.0 == span.vm));
+            let home = home.ok_or(SnapshotError::BadValue("retrieval vm"))?;
+            for (i, &hpa) in span.hpas.iter().enumerate() {
+                let gva = span.gva.wrapping_add(i as u64 * PAGE_2M);
+                let fresh = home.pages.binary_search_by_key(&gva, |p| p.0).is_err()
+                    && !claimed.contains(&(span.vm, gva));
+                ensure(fresh && page(gva) && page(hpa), "retrieval span")?;
+                claimed.push((span.vm, gva));
+            }
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hypervisor::ShareState;
+    use crate::vaccel::{VaccelId, VaccelRun};
+    use crate::vm::VmId;
+    use crate::watchdog::AlertKind;
+    use optimus_mem::addr::Gva;
+    use optimus_sim::rng::Xoshiro256;
+    use optimus_testkit::gens::Gen;
+    use optimus_testkit::runner::check;
+    use optimus_testkit::{prop_assert, prop_assert_eq};
+
+    /// A snapshot with random contents in every field of every record type
+    /// (0–3 elements per list). Not internally consistent — that is
+    /// `validate`'s concern, not the wire's.
+    fn arbitrary(rng: &mut Xoshiro256) -> HvSnapshot {
+        fn list<T>(rng: &mut Xoshiro256, mut f: impl FnMut(&mut Xoshiro256) -> T) -> Vec<T> {
+            (0..rng.gen_range(0..4)).map(|_| f(rng)).collect()
+        }
+        fn pick<T: Clone>(rng: &mut Xoshiro256, of: &[T]) -> T {
+            of[rng.gen_range(0..of.len() as u64) as usize].clone()
+        }
+        // `u64::MAX` is the wire's `None`, so it is not a `Some` payload.
+        fn opt(rng: &mut Xoshiro256) -> Option<u64> {
+            rng.gen_bool(0.5).then(|| rng.gen_range(0..u64::MAX))
+        }
+        let flag = |rng: &mut Xoshiro256| rng.gen_bool(0.5);
+        let word = |rng: &mut Xoshiro256| rng.next_u64();
+        let name = |rng: &mut Xoshiro256| format!("tenant-{}-µ", rng.next_u32());
+        HvSnapshot {
+            device_id: DeviceId(rng.next_u32()),
+            passthrough: flag(rng),
+            slice_bytes: word(rng),
+            iotlb_mitigation: flag(rng),
+            time_slice: word(rng),
+            trap: pick(rng, &[TrapCost::Native, TrapCost::Virtualized]),
+            preempt_timeout: word(rng),
+            next_slice: word(rng),
+            next_vm_id: rng.next_u32(),
+            next_vaccel_id: rng.next_u32(),
+            next_job_id: word(rng),
+            alloc_cursor: word(rng),
+            stats: HvStats {
+                traps: word(rng),
+                pinned_pages: word(rng),
+                discarded_mmio: word(rng),
+                alerts_save_refused: word(rng),
+                ..Default::default()
+            },
+            vms: list(rng, |rng| VmSnap {
+                id: rng.next_u32(),
+                name: name(rng),
+                next_gva: word(rng),
+                pages: list(rng, |rng| (word(rng), word(rng))),
+            }),
+            vaccels: list(rng, |rng| VirtualAccel {
+                id: VaccelId(rng.next_u32()),
+                vm: VmId(rng.next_u32()),
+                slot: rng.next_u32() as usize,
+                slice: word(rng),
+                dma_base: Gva::new(word(rng)),
+                state_buffer: Gva::new(word(rng)),
+                app_regs: list(rng, |rng| (word(rng), word(rng))).into_iter().collect(),
+                pending_start: flag(rng),
+                run: pick(
+                    rng,
+                    &[
+                        VaccelRun::Fresh,
+                        VaccelRun::Scheduled,
+                        VaccelRun::SavedInMemory,
+                        VaccelRun::Completed,
+                    ],
+                ),
+                shadow_status: CtrlStatus::from_u64(rng.gen_range(0..5)),
+                forced_resets: word(rng),
+                job: word(rng),
+            }),
+            slots: list(rng, |rng| SlotSnap {
+                policy: pick(
+                    rng,
+                    &[SchedPolicy::RoundRobin, SchedPolicy::Weighted, SchedPolicy::Priority],
+                ),
+                base_slice: word(rng),
+                members: list(rng, |rng| MemberState {
+                    key: word(rng),
+                    weight: rng.next_u32(),
+                    priority: rng.next_u32(),
+                    runnable: flag(rng),
+                    occupied: word(rng),
+                }),
+                cursor: word(rng),
+                current: flag(rng).then(|| rng.next_u32()),
+                slice_ends: word(rng),
+            }),
+            watchdog: WatchdogSnap {
+                cfg: WatchdogConfig {
+                    window: word(rng),
+                    starvation_share: rng.gen_f64(),
+                    min_grants: word(rng),
+                    thrash_rate: rng.gen_f64(),
+                    min_lookups: word(rng),
+                    max_alerts: rng.next_u32() as usize,
+                },
+                next_eval: word(rng),
+                last_forwarded: list(rng, word),
+                last_iotlb: (word(rng), word(rng)),
+                alerts: list(rng, |rng| IsolationAlert {
+                    kind: pick(
+                        rng,
+                        &[
+                            AlertKind::Starvation,
+                            AlertKind::IotlbThrash,
+                            AlertKind::PreemptOverrun,
+                            AlertKind::SaveRefused,
+                        ],
+                    ),
+                    device: DeviceId(rng.next_u32()),
+                    slot: flag(rng).then(|| rng.next_u32() as usize),
+                    at: word(rng),
+                    observed: rng.gen_f64() * 1e9,
+                    threshold: rng.gen_f64(),
+                    job: opt(rng),
+                    peer_job: opt(rng),
+                }),
+            },
+            iopt: list(rng, |rng| IoptEntry {
+                iova: word(rng),
+                hpa: word(rng),
+                small: flag(rng),
+                write: flag(rng),
+            }),
+            next_share_handle: word(rng),
+            shares: list(rng, |rng| ShareRecord {
+                handle: word(rng),
+                owner_vm: rng.next_u32(),
+                peer: name(rng),
+                gva: word(rng),
+                hpas: list(rng, word),
+                writable: flag(rng),
+                state: pick(
+                    rng,
+                    &[
+                        ShareState::Shared,
+                        ShareState::Retrieved,
+                        ShareState::Relinquished,
+                        ShareState::Reclaimed,
+                    ],
+                ),
+                retriever_vm: flag(rng).then(|| rng.next_u32()),
+                retriever_gva: word(rng),
+            }),
+            retrievals: list(rng, |rng| RetrievalState {
+                handle: word(rng),
+                vm: rng.next_u32(),
+                gva: word(rng),
+                hpas: list(rng, word),
+                writable: flag(rng),
+            }),
+        }
+    }
+
+    /// Every record type round-trips through the wire, whatever it holds,
+    /// and the encoding is canonical (decode → encode gives the bytes back).
+    #[test]
+    fn every_record_type_round_trips() {
+        check("every_record_type_round_trips", &Gen::no_shrink(arbitrary), |snap| {
+            let bytes = snap.to_bytes();
+            let back = HvSnapshot::from_bytes(&bytes);
+            prop_assert_eq!(back.as_ref(), Ok(snap));
+            prop_assert!(back.unwrap().to_bytes() == bytes);
+            Ok(())
+        });
+    }
+
+    /// Any prefix of any snapshot is `Truncated` (or, inside the magic,
+    /// `BadMagic`): lengths are checked against the bytes that remain.
+    #[test]
+    fn every_prefix_of_an_arbitrary_snapshot_is_truncated() {
+        check("every_prefix_is_truncated", &Gen::no_shrink(arbitrary), |snap| {
+            let bytes = snap.to_bytes();
+            for cut in 0..bytes.len() {
+                let err = HvSnapshot::from_bytes(&bytes[..cut]);
+                prop_assert!(
+                    matches!(err, Err(SnapshotError::Truncated | SnapshotError::BadMagic)),
+                    "cut at {cut}: {err:?}"
+                );
+            }
+            Ok(())
+        });
+    }
 
     fn sample() -> HvSnapshot {
         HvSnapshot {
@@ -837,14 +776,14 @@ mod tests {
                 next_gva: 0x7f00_0040_0000,
                 pages: vec![(0x7f00_0000_0000, 1 << 32), (0x7f00_0020_0000, (1 << 32) + (1 << 21))],
             }],
-            vaccels: vec![VaccelSnap {
-                id: 6,
-                vm: 4,
+            vaccels: vec![VirtualAccel {
+                id: VaccelId(6),
+                vm: VmId(4),
                 slot: 1,
                 slice: 2,
-                dma_base: 0x7f00_0000_0000,
-                state_buffer: 0x7f00_0020_0000,
-                app_regs: vec![(0, 0x7f00_0000_0000), (16, 64)],
+                dma_base: Gva::new(0x7f00_0000_0000),
+                state_buffer: Gva::new(0x7f00_0020_0000),
+                app_regs: BTreeMap::from([(0, 0x7f00_0000_0000), (16, 64)]),
                 pending_start: false,
                 run: VaccelRun::SavedInMemory,
                 shadow_status: CtrlStatus::Running,
@@ -896,18 +835,18 @@ mod tests {
                 IoptEntry { iova: (64 << 30) + 4096, hpa: (1 << 32) + 4096, small: true, write: true },
             ],
             next_share_handle: 4,
-            shares: vec![ShareSnap {
+            shares: vec![ShareRecord {
                 handle: (3 << 32) | 2,
                 owner_vm: 4,
                 peer: "tenant-b".into(),
                 gva: 0x7f00_0000_0000,
                 hpas: vec![1 << 32],
                 writable: true,
-                state: 1,
+                state: ShareState::Retrieved,
                 retriever_vm: Some(9),
                 retriever_gva: 0x7f00_0060_0000,
             }],
-            retrievals: vec![RetrievalSnap {
+            retrievals: vec![RetrievalState {
                 handle: (7 << 32) | 1,
                 vm: 4,
                 gva: 0x7f00_0080_0000,

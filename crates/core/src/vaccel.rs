@@ -7,6 +7,7 @@
 //! registers (§4.2: accesses to application registers are postponed until
 //! the virtual accelerator is scheduled), and its virtualized job status.
 
+use crate::snapshot::{wire_enum, Reader, SnapshotError, Wire};
 use crate::vm::VmId;
 use optimus_fabric::accelerator::CtrlStatus;
 use optimus_mem::addr::Gva;
@@ -29,8 +30,13 @@ pub enum VaccelRun {
     Completed,
 }
 
-/// A virtual accelerator (one vfio-mdev instance in the real system).
-#[derive(Debug)]
+wire_enum!(VaccelRun, "run", 0 => VaccelRun::Fresh, 1 => VaccelRun::Scheduled,
+    2 => VaccelRun::SavedInMemory, 3 => VaccelRun::Completed);
+
+/// A virtual accelerator (one vfio-mdev instance in the real system). The
+/// one record per vaccel: the hypervisor's table, a frozen `HvSnapshot`
+/// and a migrating `TenantState` all hold this type.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VirtualAccel {
     /// Identifier.
     pub id: VaccelId,
@@ -89,6 +95,39 @@ impl VirtualAccel {
     /// The cached value of an application register.
     pub fn cached_app_reg(&self, offset: u64) -> u64 {
         self.app_regs.get(&offset).copied().unwrap_or(0)
+    }
+}
+
+impl Wire for VirtualAccel {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.id.0.put(w);
+        self.vm.0.put(w);
+        (self.slot as u32).put(w);
+        self.slice.put(w);
+        self.dma_base.raw().put(w);
+        self.state_buffer.raw().put(w);
+        self.app_regs.put(w);
+        self.pending_start.put(w);
+        self.run.put(w);
+        self.shadow_status.put(w);
+        self.forced_resets.put(w);
+        self.job.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            id: VaccelId(Wire::get(r)?),
+            vm: VmId(Wire::get(r)?),
+            slot: u32::get(r)? as usize,
+            slice: Wire::get(r)?,
+            dma_base: Gva::new(Wire::get(r)?),
+            state_buffer: Gva::new(Wire::get(r)?),
+            app_regs: Wire::get(r)?,
+            pending_start: Wire::get(r)?,
+            run: Wire::get(r)?,
+            shadow_status: Wire::get(r)?,
+            forced_resets: Wire::get(r)?,
+            job: Wire::get(r)?,
+        })
     }
 }
 

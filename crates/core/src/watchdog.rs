@@ -23,6 +23,7 @@
 //!
 //! [`PlatformDevice::port_forwarded`]: optimus_fabric::platform::PlatformDevice::port_forwarded
 
+use crate::snapshot::{wire_enum, Reader, SnapshotError, Wire};
 use optimus_fabric::platform::DeviceId;
 use optimus_sim::time::Cycle;
 
@@ -63,6 +64,9 @@ impl AlertKind {
     }
 }
 
+wire_enum!(AlertKind, "alert kind", 0 => AlertKind::Starvation, 1 => AlertKind::IotlbThrash,
+    2 => AlertKind::PreemptOverrun, 3 => AlertKind::SaveRefused);
+
 /// One structured isolation alert.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IsolationAlert {
@@ -89,6 +93,31 @@ pub struct IsolationAlert {
     pub peer_job: Option<u64>,
 }
 
+impl Wire for IsolationAlert {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.kind.put(w);
+        self.device.0.put(w);
+        self.slot.map(|s| s as u64).put(w);
+        self.at.put(w);
+        self.observed.put(w);
+        self.threshold.put(w);
+        self.job.put(w);
+        self.peer_job.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            kind: Wire::get(r)?,
+            device: DeviceId(Wire::get(r)?),
+            slot: Option::<u64>::get(r)?.map(|s| s as usize),
+            at: Wire::get(r)?,
+            observed: Wire::get(r)?,
+            threshold: Wire::get(r)?,
+            job: Wire::get(r)?,
+            peer_job: Wire::get(r)?,
+        })
+    }
+}
+
 /// Watchdog thresholds. All detectors are always on; set a threshold to
 /// its degenerate value (share 0.0, rate > 1.0) to effectively disable
 /// one.
@@ -111,6 +140,27 @@ pub struct WatchdogConfig {
     /// Alerts retained per hypervisor (oldest kept; the counters keep
     /// counting past the cap).
     pub max_alerts: usize,
+}
+
+impl Wire for WatchdogConfig {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.window.put(w);
+        self.starvation_share.put(w);
+        self.min_grants.put(w);
+        self.thrash_rate.put(w);
+        self.min_lookups.put(w);
+        (self.max_alerts as u64).put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            window: Wire::get(r)?,
+            starvation_share: Wire::get(r)?,
+            min_grants: Wire::get(r)?,
+            thrash_rate: Wire::get(r)?,
+            min_lookups: Wire::get(r)?,
+            max_alerts: u64::get(r)? as usize,
+        })
+    }
 }
 
 impl Default for WatchdogConfig {

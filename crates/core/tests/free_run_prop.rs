@@ -5,8 +5,8 @@
 //! requested span in one dispatch; `NodeConfig::lockstep` selects the
 //! horizon-chunked schedule (what the node runs anyway while
 //! cross-device shares are live) as the reference, and
-//! `OPTIMUS_BATCH_STEP` / `OptimusNode::set_batch_step` controls how many
-//! busy cycles a device executes per horizon scan. All of these are
+//! `OptimusNode::set_batch_step` controls how many busy cycles a device
+//! executes per horizon scan. All of these are
 //! claimed bit-identical (see the `node` module docs for the
 //! run-splitting lemma and the `clock` module for the batching argument).
 //! This suite checks the claim: every point of the

@@ -143,7 +143,7 @@ impl FpgaDevice {
             shell_regs: vec![0; mmio::SHELL_SIZE as usize].into_boxed_slice(),
             dropped_packets: 0,
             fastfwd: optimus_sim::simrate::fast_forward_enabled(),
-            batch: optimus_sim::simrate::batch_step_cycles(),
+            batch: optimus_sim::simrate::DEFAULT_BATCH_STEP,
             trace_status,
         })
     }
@@ -172,7 +172,7 @@ impl FpgaDevice {
             shell_regs: vec![0; mmio::SHELL_SIZE as usize].into_boxed_slice(),
             dropped_packets: 0,
             fastfwd: optimus_sim::simrate::fast_forward_enabled(),
-            batch: optimus_sim::simrate::batch_step_cycles(),
+            batch: optimus_sim::simrate::DEFAULT_BATCH_STEP,
             trace_status,
         }
     }
@@ -384,8 +384,8 @@ impl FpgaDevice {
         self.batch
     }
 
-    /// Overrides the burst length sampled from `OPTIMUS_BATCH_STEP` at
-    /// construction (1 disables batching). Used by the differential
+    /// Overrides the burst-length cap set at construction
+    /// (`DEFAULT_BATCH_STEP`; 1 disables batching). Used by the differential
     /// equivalence tests to run identical devices batched and unbatched
     /// within one process.
     pub fn set_batch_step(&mut self, k: Cycle) {

@@ -56,54 +56,39 @@ pub trait PlatformClock {
     /// fast-forwarding is on and the machine is provably idle, otherwise
     /// executes one cycle. Never moves past `end`.
     fn advance_toward(&mut self, end: Cycle) {
-        self.advance_toward_batched(end, 1);
+        if self.fast_forward() {
+            match self.next_event() {
+                None => return self.skip_to(end),
+                Some(t) if t > self.now() => return self.skip_to(t.min(end)),
+                _ => {}
+            }
+        }
+        self.step_cycle();
     }
 
-    /// Batched [`advance_toward`](Self::advance_toward): identical
+    /// [`advance_toward`](Self::advance_toward) for callers with no
+    /// per-cycle observation (a plain `run(cycles)` loop): identical
     /// skip-to-horizon behavior, but when the machine is busy *right now*
-    /// it executes up to `batch` cycles in one dispatch instead of one.
+    /// it executes a burst of cycles in one dispatch instead of one. The
+    /// burst is *adaptive*, threaded by the caller through its run loop:
+    /// it doubles while the machine stays busy across consecutive
+    /// dispatches (up to `cap`) and collapses back to 1 whenever the
+    /// clock skips. Throughput-bound stretches amortize the horizon scan
+    /// over `cap` cycles; latency-bound workloads — short busy flurries
+    /// separated by long dead gaps — never over-step the flurry by more
+    /// than it was long, keeping the wasted no-op steps proportional to
+    /// the useful ones.
     ///
-    /// # Why batching is bit-exact
+    /// # Why bursts are bit-exact
     ///
     /// [`next_event`](Self::next_event)'s contract makes every skippable
     /// cycle a pure no-op when *stepped*; its corollary is that stepping a
     /// cycle fast-forward could have skipped changes nothing. A burst
     /// therefore executes exactly the state transitions the per-cycle
     /// schedule would — event cycles do their work, dead cycles in between
-    /// are no-ops — and only the number of horizon scans changes. Only
-    /// callers with no per-cycle observation (a plain `run(cycles)` loop)
-    /// may pass `batch > 1`: a caller polling state between calls (e.g. a
-    /// blocking MMIO read) would observe mid-burst cycles late.
-    fn advance_toward_batched(&mut self, end: Cycle, batch: Cycle) {
-        if self.fast_forward() {
-            match self.next_event() {
-                None => {
-                    self.skip_to(end);
-                    return;
-                }
-                Some(t) if t > self.now() => {
-                    self.skip_to(t.min(end));
-                    return;
-                }
-                _ => {}
-            }
-            self.step_many(batch.min(end - self.now()).max(1));
-        } else {
-            self.step_cycle();
-        }
-    }
-
-    /// [`advance_toward_batched`](Self::advance_toward_batched) with an
-    /// *adaptive* burst the caller threads through its run loop: the
-    /// burst doubles while the machine stays busy across consecutive
-    /// dispatches (up to `cap`) and collapses back to 1 whenever the
-    /// clock skips. Throughput-bound stretches amortize the horizon scan
-    /// over `cap` cycles; latency-bound workloads — short busy flurries
-    /// separated by long dead gaps — never over-step the flurry by more
-    /// than it was long, keeping the wasted no-op steps proportional to
-    /// the useful ones. Bit-exactness is inherited: only the burst
-    /// length differs, and every burst cycle is either an event cycle or
-    /// a no-op (see `advance_toward_batched`).
+    /// are no-ops — and only the number of horizon scans changes. A caller
+    /// polling state between calls (e.g. a blocking MMIO read) would
+    /// observe mid-burst cycles late, and must use `advance_toward`.
     fn advance_toward_adaptive(&mut self, end: Cycle, burst: &mut Cycle, cap: Cycle) {
         if self.fast_forward() {
             match self.next_event() {

@@ -42,23 +42,12 @@ pub fn fast_forward_enabled() -> bool {
     }
 }
 
-/// Default burst length for batched stepping (cycles executed per
-/// dispatch when a machine is busy at the horizon; see
-/// `PlatformClock::advance_toward_batched`).
+/// Burst-length cap for batched stepping (cycles executed per dispatch
+/// when a machine stays busy at the horizon; see
+/// `PlatformClock::advance_toward_adaptive`). Batching is bit-exact at
+/// any cap; platforms start from this one and tests override it per
+/// instance through their `set_batch_step` methods (1 disables batching).
 pub const DEFAULT_BATCH_STEP: Cycle = 64;
-
-/// The batched-stepping burst length: `OPTIMUS_BATCH_STEP=<k>` overrides
-/// the default; `0` or `1` disables batching (one horizon scan per stepped
-/// cycle, the pre-batching behavior). Batching is bit-exact either way —
-/// the knob exists for differential testing and for profiling the horizon
-/// scan itself. Kernels sample this at construction; tests can override
-/// per instance via their `set_batch_step` methods.
-pub fn batch_step_cycles() -> Cycle {
-    match std::env::var("OPTIMUS_BATCH_STEP") {
-        Ok(v) if !v.trim().is_empty() => v.trim().parse::<Cycle>().unwrap_or(DEFAULT_BATCH_STEP).max(1),
-        _ => DEFAULT_BATCH_STEP,
-    }
-}
 
 #[cfg(test)]
 mod tests {

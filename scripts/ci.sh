@@ -4,8 +4,9 @@
 #
 #  1. Hermetic-build check: no Cargo.toml may declare a registry dependency.
 #  2. Tier-1: cargo build --release && cargo test -q, the full workspace
-#     suite, and (2b) the fabric + hypervisor suites again per-cycle
-#     (OPTIMUS_NO_FASTFWD=1).
+#     suite, the optimus crate's rustdoc with warnings denied (its intra-doc
+#     links name ~40 items across the hypervisor/ modules), and (2b) the
+#     fabric + hypervisor suites again per-cycle (OPTIMUS_NO_FASTFWD=1).
 #  3. Bench smoke: every bench target once at tiny scales; each must emit its
 #     BENCH_<target>.json report.
 #  4. Recording planes: one fig5 sweep point with each plane on and off. The
@@ -16,8 +17,8 @@
 #  5. Node smoke: cluster_scale with parallel (OPTIMUS_NODE_THREADS=4) and
 #     serial device stepping must fingerprint identically.
 #  6. Performance-ledger selftest: the frozen benchmarks/perf harness must
-#     still build against the crates' public surface and pass its own
-#     schema/liveness checks (< 30 s).
+#     still build against the crates' public surface, pass its own unit
+#     tests, and pass its schema/liveness checks (< 30 s).
 #  7. Migration smoke: (a) a fig5 point with a mid-run hypervisor live-update
 #     (freeze -> wire bytes -> thaw over the running device) must fingerprint
 #     identically to an uninterrupted run; (b) migrate_rebalance serial vs
@@ -51,6 +52,7 @@ echo "== [2/10] tier-1: build + tests =="
 cargo build --release
 cargo test -q
 cargo test --workspace -q
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q -p optimus
 
 echo "== [2b/10] fast-forward differential equivalence (per-cycle mode) =="
 # Re-run the fabric and hypervisor suites with fast-forwarding disabled:
@@ -124,6 +126,9 @@ bench node-ci-ser cluster_scale OPTIMUS_NODE_THREADS=1
 check same target/node-ci-{par,ser}/BENCH_cluster_scale.json "parallel device stepping (cluster_scale)"
 
 echo "== [6/10] performance-ledger selftest (frozen harness vs the crates' public surface) =="
+# The harness's own tests first: a slip in the public surface it imports
+# fails here, before the benchmark pipeline ever sees it.
+cargo test -q --offline --locked --manifest-path benchmarks/perf/Cargo.toml
 benchmarks/perf/run.sh --selftest
 
 echo "== [7/10] migration smoke (live-update + cross-device rebalance) =="
