@@ -128,18 +128,18 @@ impl Kernel for AesKernel {
         w.finish()
     }
 
-    fn restore(&mut self, bytes: &[u8]) {
+    fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.src = r.u64();
-        self.dst = r.u64();
-        self.lines = r.u64();
-        let cursor = r.u64();
-        let key = r.bytes();
-        self.key.copy_from_slice(&key);
+        self.src = r.u64()?;
+        self.dst = r.u64()?;
+        self.lines = r.u64()?;
+        let cursor = r.u64()?;
+        self.key = r.bytes()?.try_into().ok()?;
         self.cipher = Some(Aes128::new(&self.key));
         self.engine = StreamEngine::new(self.src, self.lines);
         self.engine.resume_at(cursor);
         self.pacer.reset();
+        Some(())
     }
 
     fn reset(&mut self) {

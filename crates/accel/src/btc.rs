@@ -186,16 +186,15 @@ impl Kernel for BtcKernel {
         w.finish()
     }
 
-    fn restore(&mut self, bytes: &[u8]) {
+    fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.src = r.u64();
-        self.target_prefix = r.u64() as u32;
-        self.start_nonce = r.u64();
-        self.count = r.u64();
-        self.cursor = r.u64();
-        self.found = r.u64();
-        let header = r.bytes();
-        self.header_bytes.copy_from_slice(&header);
+        self.src = r.u64()?;
+        self.target_prefix = r.u64()? as u32;
+        self.start_nonce = r.u64()?;
+        self.count = r.u64()?;
+        self.cursor = r.u64()?;
+        self.found = r.u64()?;
+        self.header_bytes = r.bytes()?.try_into().ok()?;
         self.header_lines = 2;
         self.phase = if self.found != u64::MAX || self.cursor >= self.count {
             Phase::Finished
@@ -203,6 +202,7 @@ impl Kernel for BtcKernel {
             Phase::Mining
         };
         self.pacer.reset();
+        Some(())
     }
 
     fn reset(&mut self) {

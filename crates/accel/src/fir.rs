@@ -140,13 +140,16 @@ impl Kernel for FirKernel {
         w.finish()
     }
 
-    fn restore(&mut self, bytes: &[u8]) {
+    fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.src = r.u64();
-        self.dst = r.u64();
-        self.lines = r.u64();
-        let cursor = r.u64();
-        let hist = r.bytes();
+        self.src = r.u64()?;
+        self.dst = r.u64()?;
+        self.lines = r.u64()?;
+        let cursor = r.u64()?;
+        let hist = r.bytes()?;
+        if hist.len() > 2 * (TAPS - 1) {
+            return None; // longer than the shift register
+        }
         self.history = hist
             .chunks_exact(2)
             .map(|c| i16::from_le_bytes([c[0], c[1]]))
@@ -154,6 +157,7 @@ impl Kernel for FirKernel {
         self.engine = StreamEngine::new(self.src, self.lines);
         self.engine.resume_at(cursor);
         self.pacer.reset();
+        Some(())
     }
 
     fn reset(&mut self) {

@@ -115,20 +115,21 @@ impl Kernel for GrnKernel {
         w.finish()
     }
 
-    fn restore(&mut self, bytes: &[u8]) {
+    fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.dst = r.u64();
-        self.lines = r.u64();
-        self.produced = r.u64();
-        self.default_seed = r.u64();
+        self.dst = r.u64()?;
+        self.lines = r.u64()?;
+        self.produced = r.u64()?;
+        self.default_seed = r.u64()?;
         let mut state = [0u64; 4];
         for word in &mut state {
-            *word = r.u64();
+            *word = r.u64()?;
         }
         self.generator = CltGaussian::new(0);
         self.generator.restore(Xoshiro256::from_state(state));
         self.acked = self.produced; // drained before save
         self.pacer.reset();
+        Some(())
     }
 
     fn reset(&mut self) {

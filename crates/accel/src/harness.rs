@@ -50,8 +50,9 @@ pub trait Kernel: Send {
     /// Serializes the architectural state to save on preemption.
     fn serialize(&self) -> Vec<u8>;
 
-    /// Restores state saved by [`serialize`](Self::serialize).
-    fn restore(&mut self, bytes: &[u8]);
+    /// Restores state saved by [`serialize`](Self::serialize); `None` if
+    /// the blob does not decode (the guest may rewrite its saved state).
+    fn restore(&mut self, bytes: &[u8]) -> Option<()>;
 
     /// Returns all state to power-on values.
     fn reset(&mut self);
@@ -189,16 +190,22 @@ impl<K: Kernel> Accelerator for Harnessed<K> {
                     self.phase = Phase::Saved;
                 }
             }
-            Phase::Restoring => {
-                if let PreemptProgress::RestoreDone(bytes) = self.engine.step(now, port) {
-                    self.kernel.restore(&bytes);
+            Phase::Restoring => match self.engine.step(now, port) {
+                PreemptProgress::RestoreDone(bytes) if self.kernel.restore(&bytes).is_some() => {
                     self.phase = if self.kernel.done() {
                         Phase::Done
                     } else {
                         Phase::Running
                     };
                 }
-            }
+                PreemptProgress::RestoreDone(_) | PreemptProgress::RestoreFailed => {
+                    // An unreadable or undecodable blob: the job is lost
+                    // and the slot comes back empty.
+                    self.kernel.reset();
+                    self.phase = Phase::Idle;
+                }
+                _ => {}
+            },
         }
     }
 
@@ -304,9 +311,11 @@ mod tests {
             v.extend_from_slice(&self.count.to_le_bytes());
             v
         }
-        fn restore(&mut self, bytes: &[u8]) {
-            self.target = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
-            self.count = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+        fn restore(&mut self, bytes: &[u8]) -> Option<()> {
+            let mut r = crate::ser::Reader::new(bytes);
+            self.target = r.u64()?;
+            self.count = r.u64()?;
+            Some(())
         }
         fn reset(&mut self) {
             self.target = 0;
@@ -382,6 +391,32 @@ mod tests {
         }
         assert_eq!(acc.kernel().target, 100);
         assert_eq!(acc.kernel().count, 100);
+    }
+
+    #[test]
+    fn undecodable_blob_ends_the_restore_idle_and_restartable() {
+        let mut acc = Harnessed::new(Counter::new());
+        let mut port = AccelPort::new();
+        // A header naming 8 payload bytes where the counter needs 16.
+        let mut store = vec![0u8; 0x1040];
+        store[0x1000..0x1008].copy_from_slice(&8u64.to_le_bytes());
+        acc.mmio_write(accel_reg::CTRL_STATE_ADDR, 0x1000);
+        acc.mmio_write(accel_reg::APP_BASE, 7);
+        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_RESUME);
+        let mut now = 0;
+        while acc.status() != CtrlStatus::Idle {
+            acc.step(now, &mut port);
+            service_port(&mut port, &mut store, now);
+            now += 1;
+            assert!(now < 100, "restore never ended");
+        }
+        assert_eq!(acc.mmio_read(accel_reg::APP_BASE), 0, "kernel reset");
+        acc.mmio_write(accel_reg::APP_BASE, 3);
+        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+        for t in now..now + 10 {
+            acc.step(t, &mut port);
+        }
+        assert!(acc.is_done());
     }
 
     #[test]

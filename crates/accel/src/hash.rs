@@ -161,24 +161,29 @@ impl Kernel for Md5Kernel {
         w.finish()
     }
 
-    fn restore(&mut self, bytes: &[u8]) {
+    fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.src = r.u64();
-        self.dst = r.u64();
-        self.lines = r.u64();
-        let cursor = r.u64();
+        self.src = r.u64()?;
+        self.dst = r.u64()?;
+        self.lines = r.u64()?;
+        let cursor = r.u64()?;
         let mut state = [0u32; 4];
         for word in &mut state {
-            *word = r.u64() as u32;
+            *word = r.u64()? as u32;
         }
-        let len = r.u64();
-        self.state_pad = r.u64();
-        let _pad = r.bytes();
+        let len = r.u64()?;
+        self.state_pad = r.u64()?;
+        // The pad must be as long as it claims: the next save allocates it.
+        let pad_ok = r.bytes()?.len() as u64 == self.state_pad;
+        if !pad_ok || len % 64 != 0 {
+            return None;
+        }
         self.hasher = Md5::resume(state, len);
         self.digest.clear();
         self.digest_written = false;
         self.engine = StreamEngine::new(self.src, self.lines);
         self.engine.resume_at(cursor);
+        Some(())
     }
 
     fn reset(&mut self) {
@@ -294,28 +299,32 @@ impl Kernel for Sha512Kernel {
         w.finish()
     }
 
-    fn restore(&mut self, bytes: &[u8]) {
+    fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.src = r.u64();
-        self.dst = r.u64();
-        self.lines = r.u64();
-        let cursor = r.u64();
+        self.src = r.u64()?;
+        self.dst = r.u64()?;
+        self.lines = r.u64()?;
+        let cursor = r.u64()?;
         let mut state = [0u64; 8];
         for word in &mut state {
-            *word = r.u64();
+            *word = r.u64()?;
         }
-        let length_bytes = r.u64() as u128;
-        let buffer = r.bytes();
+        let length_bytes = r.u64()? as u128;
+        let buffer = r.bytes()?;
+        if buffer.len() >= 128 {
+            return None; // more than the partial block a save can hold
+        }
         self.hasher = Sha512::from_snapshot(&Sha512Snapshot {
             state,
             length_bytes,
-            buffer,
+            buffer: buffer.to_vec(),
         });
         self.digest.clear();
         self.digest_written = false;
         self.engine = StreamEngine::new(self.src, self.lines);
         self.engine.resume_at(cursor);
         self.pacer.reset();
+        Some(())
     }
 
     fn reset(&mut self) {

@@ -207,13 +207,13 @@ impl Kernel for ConvKernel {
         w.finish()
     }
 
-    fn restore(&mut self, bytes: &[u8]) {
+    fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.src = r.u64();
-        self.dst = r.u64();
-        self.lines = r.u64();
-        let emitted = r.u64();
-        let _op = r.u64();
+        self.src = r.u64()?;
+        self.dst = r.u64()?;
+        self.lines = r.u64()?;
+        let emitted = r.u64()?;
+        let _op = r.u64()?;
         // Resume by re-reading from the emitted row's window start: rows
         // ≥ emitted were never written, and rewriting an output row is
         // idempotent.
@@ -222,6 +222,7 @@ impl Kernel for ConvKernel {
         self.engine = StreamEngine::new(self.src, self.lines);
         self.engine.resume_at(emitted.saturating_sub(1));
         self.pacer.reset();
+        Some(())
     }
 
     fn reset(&mut self) {
@@ -354,17 +355,18 @@ impl Kernel for GrsKernel {
         w.finish()
     }
 
-    fn restore(&mut self, bytes: &[u8]) {
+    fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.src = r.u64();
-        self.dst = r.u64();
-        self.lines = r.u64();
-        let cursor = r.u64();
-        self.out_lines = r.u64();
-        self.staging = r.bytes();
+        self.src = r.u64()?;
+        self.dst = r.u64()?;
+        self.lines = r.u64()?;
+        let cursor = r.u64()?;
+        self.out_lines = r.u64()?;
+        self.staging = r.bytes()?.to_vec();
         self.engine = StreamEngine::new(self.src, self.lines);
         self.engine.resume_at(cursor);
         self.pacer.reset();
+        Some(())
     }
 
     fn reset(&mut self) {

@@ -123,13 +123,14 @@ impl Kernel for LlKernel {
         w.finish()
     }
 
-    fn restore(&mut self, bytes: &[u8]) {
+    fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.start_node = r.u64();
-        self.steps_target = r.u64();
-        self.current = r.u64();
-        self.steps = r.u64();
+        self.start_node = r.u64()?;
+        self.steps_target = r.u64()?;
+        self.current = r.u64()?;
+        self.steps = r.u64()?;
         self.outstanding = false;
+        Some(())
     }
 
     fn reset(&mut self) {

@@ -178,20 +178,21 @@ impl Kernel for MbKernel {
         w.finish()
     }
 
-    fn restore(&mut self, bytes: &[u8]) {
+    fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.region = r.u64();
-        self.bytes = r.u64();
-        self.mode = MbMode::from_u64(r.u64());
-        self.ops_target = r.u64();
-        self.completed = r.u64();
-        self.seed = r.u64();
+        self.region = r.u64()?;
+        self.bytes = r.u64()?;
+        self.mode = MbMode::from_u64(r.u64()?);
+        self.ops_target = r.u64()?;
+        self.completed = r.u64()?;
+        self.seed = r.u64()?;
         let mut state = [0u64; 4];
         for word in &mut state {
-            *word = r.u64();
+            *word = r.u64()?;
         }
         self.rng = Xoshiro256::from_state(state);
         self.issued = self.completed;
+        Some(())
     }
 
     fn reset(&mut self) {

@@ -186,18 +186,20 @@ impl Kernel for RsdKernel {
         w.finish()
     }
 
-    fn restore(&mut self, bytes: &[u8]) {
+    fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.src = r.u64();
-        self.dst = r.u64();
-        self.lines = r.u64();
-        self.decoded_codewords = r.u64();
-        self.failures = r.u64();
+        self.src = r.u64()?;
+        self.dst = r.u64()?;
+        self.lines = r.u64()?;
+        self.decoded_codewords = r.u64()?;
+        self.failures = r.u64()?;
+        let cursor = self.decoded_codewords.checked_mul(CODEWORD_LINES)?;
         self.staging.clear();
         self.out_queue.clear();
         self.engine = StreamEngine::new(self.src, self.lines);
-        self.engine.resume_at(self.decoded_codewords * CODEWORD_LINES);
+        self.engine.resume_at(cursor);
         self.pacer.reset();
+        Some(())
     }
 
     fn reset(&mut self) {

@@ -3,8 +3,10 @@
 //! Preemption state is streamed over DMA as raw bytes; kernels lay their
 //! state out as a sequence of little-endian `u64` words followed by
 //! variable-length byte runs. [`Writer`] and [`Reader`] keep that layout
-//! code short and panic loudly on layout mismatches (a corrupted state blob
-//! is a hypervisor bug, not a recoverable condition).
+//! code short. The blob comes back from guest memory, which the guest may
+//! rewrite while its job is saved (§4.2), so every [`Reader`] call is
+//! fallible: a short or inconsistent blob decodes to `None`, never to a
+//! panic, and no length read from it sizes an allocation.
 
 /// Appends fields to a state blob.
 #[derive(Debug, Default)]
@@ -37,40 +39,38 @@ impl Writer {
     }
 }
 
-/// Reads fields back out of a state blob.
+/// Reads fields back out of a state blob; `None` once the blob runs short.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
-    at: usize,
 }
 
 impl<'a> Reader<'a> {
     /// Wraps a blob for reading.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, at: 0 }
+        Self { buf }
     }
 
     /// Reads a little-endian `u64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on truncated blobs.
-    pub fn u64(&mut self) -> u64 {
-        let v = u64::from_le_bytes(self.buf[self.at..self.at + 8].try_into().unwrap());
-        self.at += 8;
-        v
+    pub fn u64(&mut self) -> Option<u64> {
+        let (word, rest) = self.buf.split_first_chunk::<8>()?;
+        self.buf = rest;
+        Some(u64::from_le_bytes(*word))
     }
 
-    /// Reads a length-prefixed byte run.
-    ///
-    /// # Panics
-    ///
-    /// Panics on truncated blobs.
-    pub fn bytes(&mut self) -> Vec<u8> {
-        let len = self.u64() as usize;
-        let v = self.buf[self.at..self.at + len].to_vec();
-        self.at += len;
-        v
+    /// Reads a length-prefixed byte run, borrowed from the blob.
+    pub fn bytes(&mut self) -> Option<&'a [u8]> {
+        let len = usize::try_from(self.u64()?).ok()?;
+        let (run, rest) = self.buf.split_at_checked(len)?;
+        self.buf = rest;
+        Some(run)
+    }
+
+    /// Reads a record count, accepted only if that many `size`-byte
+    /// records still fit in the blob.
+    pub fn count(&mut self, size: usize) -> Option<usize> {
+        let n = usize::try_from(self.u64()?).ok()?;
+        (n <= self.buf.len() / size).then_some(n)
     }
 }
 
@@ -84,9 +84,10 @@ mod tests {
         w.u64(7).u64(u64::MAX).bytes(b"hello");
         let blob = w.finish();
         let mut r = Reader::new(&blob);
-        assert_eq!(r.u64(), 7);
-        assert_eq!(r.u64(), u64::MAX);
-        assert_eq!(r.bytes(), b"hello");
+        assert_eq!(r.u64(), Some(7));
+        assert_eq!(r.u64(), Some(u64::MAX));
+        assert_eq!(r.bytes(), Some(&b"hello"[..]));
+        assert_eq!(r.u64(), None);
     }
 
     #[test]
@@ -95,12 +96,22 @@ mod tests {
         w.bytes(b"");
         let blob = w.finish();
         let mut r = Reader::new(&blob);
-        assert!(r.bytes().is_empty());
+        assert_eq!(r.bytes(), Some(&[][..]));
     }
 
     #[test]
-    #[should_panic]
-    fn truncated_blob_panics() {
-        Reader::new(&[1, 2, 3]).u64();
+    fn short_or_lying_blobs_decode_to_none() {
+        assert_eq!(Reader::new(&[1, 2, 3]).u64(), None);
+        // A run or a count longer than what is left, up to 2^64 - 1.
+        for len in [9, 1 << 40, u64::MAX] {
+            let mut w = Writer::new();
+            w.u64(len).u64(0);
+            let blob = w.finish();
+            assert_eq!(Reader::new(&blob).bytes(), None, "len {len}");
+            assert_eq!(Reader::new(&blob).count(16), None, "len {len}");
+        }
+        let mut w = Writer::new();
+        w.u64(2).u64(1).u64(2);
+        assert_eq!(Reader::new(&w.finish()).count(8), Some(2));
     }
 }

@@ -735,35 +735,40 @@ impl Kernel for SsspKernel {
         w.finish()
     }
 
-    fn restore(&mut self, bytes: &[u8]) {
+    fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.graph = r.u64();
-        self.dist = r.u64();
-        self.source = r.u64();
-        self.vertices = r.u64() as u32;
-        self.edges = r.u64() as u32;
-        self.rounds = r.u64();
-        self.relaxations = r.u64();
-        let done = r.u64() == 1;
-        self.onchip = r.u64() == 1;
-        let dist_bytes = r.bytes();
-        self.dist_vec = dist_bytes
+        self.graph = r.u64()?;
+        self.dist = r.u64()?;
+        self.source = r.u64()?;
+        self.vertices = r.u64()? as u32;
+        self.edges = r.u64()? as u32;
+        self.rounds = r.u64()?;
+        self.relaxations = r.u64()?;
+        let done = r.u64()? == 1;
+        self.onchip = r.u64()? == 1;
+        self.dist_vec = r
+            .bytes()?
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        let flen = r.u64();
-        self.frontier = (0..flen)
-            .map(|_| (r.u64() as u32, r.u64() as u32))
-            .collect();
-        let nlen = r.u64();
-        self.next = (0..nlen)
-            .map(|_| (r.u64() as u32, r.u64() as u32))
-            .collect();
+        let entries = |r: &mut Reader| -> Option<Vec<(u32, u32)>> {
+            (0..r.count(16)?)
+                .map(|_| Some((r.u64()? as u32, r.u64()? as u32)))
+                .collect()
+        };
+        self.frontier = entries(&mut r)?.into();
+        self.next = entries(&mut r)?;
+        // On-chip relaxation indexes the distance array by these vertices.
+        let fits = |&(v, _): &(u32, u32)| (v as usize) < self.dist_vec.len();
+        if self.onchip && !(self.frontier.iter().all(fits) && self.next.iter().all(fits)) {
+            return None;
+        }
         self.in_next = self.next.iter().map(|&(v, _)| v).collect();
         self.current = None;
         self.edge_list.clear();
         self.edge_idx = 0;
         self.phase = if done { Phase::Done } else { Phase::NextVertex };
+        Some(())
     }
 
     fn reset(&mut self) {

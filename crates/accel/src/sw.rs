@@ -140,18 +140,27 @@ impl Kernel for SwKernel {
         w.finish()
     }
 
-    fn restore(&mut self, bytes: &[u8]) {
+    fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.src = r.u64();
-        self.lines = r.u64();
-        self.ref_lines = r.u64();
-        let cursor = r.u64();
-        self.best_score = r.u64();
-        self.best_block = r.u64();
-        self.reference = r.bytes();
+        self.src = r.u64()?;
+        self.lines = r.u64()?;
+        self.ref_lines = r.u64()?;
+        let cursor = r.u64()?;
+        self.best_score = r.u64()?;
+        self.best_block = r.u64()?;
+        let reference = r.bytes()?;
+        // The register clamps the reference to on-chip RAM; so does this.
+        if !(1..=MAX_REF_LINES).contains(&self.ref_lines)
+            || reference.len() as u64 > MAX_REF_LINES * 64
+        {
+            return None;
+        }
+        self.reference.clear();
+        self.reference.extend_from_slice(reference);
         self.engine = StreamEngine::new(self.src, self.lines);
         self.engine.resume_at(cursor);
         self.pacer.reset();
+        Some(())
     }
 
     fn reset(&mut self) {

@@ -314,23 +314,24 @@ impl Kernel for WildKernel {
         w.finish()
     }
 
-    fn restore(&mut self, bytes: &[u8]) {
+    fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.region = r.u64();
-        self.bytes = r.u64();
-        self.ops_target = r.u64();
-        self.wild_base = r.u64();
-        self.wild_bytes = r.u64();
-        self.wild_every = r.u64();
-        self.seed = r.u64();
-        self.completed = r.u64();
-        self.wild_done = r.u64();
-        self.checksum = r.u64();
-        self.wild_leaked = r.u64();
-        self.legit_aborted = r.u64();
+        self.region = r.u64()?;
+        self.bytes = r.u64()?;
+        self.ops_target = r.u64()?;
+        self.wild_base = r.u64()?;
+        self.wild_bytes = r.u64()?;
+        self.wild_every = r.u64()?;
+        self.seed = r.u64()?;
+        self.completed = r.u64()?;
+        self.wild_done = r.u64()?;
+        self.checksum = r.u64()?;
+        self.wild_leaked = r.u64()?;
+        self.legit_aborted = r.u64()?;
         self.legit_issued = self.completed;
         self.wild_issued = self.wild_done;
         self.in_flight = FastMap::default();
+        Some(())
     }
 
     fn reset(&mut self) {

@@ -1,17 +1,14 @@
-//! Cluster scaling: aggregate throughput and wall-clock simulation rate
-//! as devices are added to an [`OptimusNode`].
+//! Cluster scaling: aggregate throughput as devices are added to an
+//! [`OptimusNode`].
 //!
 //! Sweeps 1 → 4 FPGAs, each carrying the same MemBench mix with two
 //! tenants per device. Simulated aggregate throughput should scale
-//! linearly with devices (they share nothing), and — on a multi-core
-//! host — wall-clock `sim_rate` should improve too, since independent
-//! devices step on worker threads between synchronization horizons.
+//! linearly with devices (they share nothing).
 //!
-//! Wall-clock numbers are printed and also recorded in the report's
-//! volatile `wall_points` section (one point per sweep step):
-//! `BENCH_cluster_scale.json` must stay byte-identical (minus the
-//! volatile fields, `wall_points` included) between parallel and
-//! `OPTIMUS_NODE_THREADS=1` runs — ci.sh stage 5 asserts exactly that.
+//! `BENCH_cluster_scale.json` must stay byte-identical between parallel
+//! and `OPTIMUS_NODE_THREADS=1` runs — ci.sh stage 5 asserts exactly
+//! that. (What parallel stepping buys in host time is the ledger's
+//! `core.node.thread_speedup`, `benchmarks/perf`.)
 
 use optimus::hypervisor::HvStats;
 use optimus::node::{NodeConfig, NodeVaccel, OptimusNode};
@@ -29,7 +26,7 @@ const LINK_GBPS: f64 = 12.8;
 const TENANTS_PER_DEVICE: usize = 2;
 const SLOTS_PER_DEVICE: usize = 4;
 
-fn run_node(devices: usize, integrity: &mut HvStats) -> (Vec<f64>, f64, f64) {
+fn run_node(devices: usize, integrity: &mut HvStats) -> Vec<f64> {
     let window = scale::window_cycles();
     let cfg = NodeConfig::new(vec![AccelKind::Mb; SLOTS_PER_DEVICE], devices);
     let mut node = OptimusNode::new(cfg).expect("node boots");
@@ -47,9 +44,7 @@ fn run_node(devices: usize, integrity: &mut HvStats) -> (Vec<f64>, f64, f64) {
     }
     node.run(scale::warmup_cycles());
     node.open_windows();
-    let wall = std::time::Instant::now();
     node.run(window);
-    let wall_secs = wall.elapsed().as_secs_f64();
     node.close_windows();
 
     let per_device: Vec<f64> = (0..devices)
@@ -60,16 +55,7 @@ fn run_node(devices: usize, integrity: &mut HvStats) -> (Vec<f64>, f64, f64) {
         })
         .collect();
     integrity.accumulate(&node.stats());
-    // Wall-clock telemetry: printed here, recorded by the caller into
-    // the report's volatile `wall_points` section.
-    let sim_rate = window as f64 / wall_secs;
-    println!(
-        "cluster_scale: {devices} device(s) x {TENANTS_PER_DEVICE} tenants, {} thread(s): \
-         measured window in {wall_secs:.3}s wall ({:.2} Mcycles/s)",
-        node.threads(),
-        sim_rate / 1e6,
-    );
-    (per_device, wall_secs, sim_rate)
+    per_device
 }
 
 fn main() {
@@ -77,8 +63,7 @@ fn main() {
     let mut integrity = HvStats::default();
     let mut rows = Vec::new();
     for devices in [1usize, 2, 4] {
-        let (per_device, wall_secs, sim_rate) = run_node(devices, &mut integrity);
-        rep.wall_point(&format!("devices={devices}"), wall_secs, sim_rate);
+        let per_device = run_node(devices, &mut integrity);
         let agg: f64 = per_device.iter().sum();
         let util =
             per_device.iter().map(|g| g / LINK_GBPS).sum::<f64>() / per_device.len() as f64;

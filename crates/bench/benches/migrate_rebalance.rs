@@ -11,11 +11,8 @@
 //! fairness recovery: the victim's throughput rises and the Jain index
 //! across all eight tenants improves.
 //!
-//! Wall-clock is printed and recorded in the report's volatile
-//! `wall_points` section (one point per measurement window):
-//! `BENCH_migrate_rebalance.json` must stay byte-identical (minus the
-//! volatile fields, `wall_points` included) between
-//! `OPTIMUS_NODE_THREADS=1` and parallel runs — ci.sh stage 7 asserts
+//! `BENCH_migrate_rebalance.json` must stay byte-identical between
+//! `OPTIMUS_NODE_THREADS=1` and parallel runs — ci.sh stage 6 asserts
 //! exactly that.
 
 use optimus::node::{NodeConfig, NodeVaccel, OptimusNode};
@@ -32,22 +29,11 @@ use optimus_sim::time::gbps;
 
 const HOGS: usize = 7;
 
-/// Measured window: per-tenant DMA bytes (victim first) plus the
-/// window's wall seconds and sim rate (cycles/s) for the report's
-/// volatile `wall_points` section.
-fn measure(node: &mut OptimusNode, victim: NodeVaccel, window: u64) -> (Vec<u64>, f64, f64) {
+/// Measured window: per-tenant DMA bytes, victim first.
+fn measure(node: &mut OptimusNode, victim: NodeVaccel, window: u64) -> Vec<u64> {
     node.open_windows();
-    let wall = std::time::Instant::now();
     node.run(window);
-    let wall_secs = wall.elapsed().as_secs_f64();
     node.close_windows();
-    let sim_rate = window as f64 / wall_secs;
-    println!(
-        "migrate_rebalance: window on {} thread(s) in {wall_secs:.3}s wall \
-         ({:.2} Mcycles/s)",
-        node.threads(),
-        sim_rate / 1e6,
-    );
     // The LinkedList victim is the only tenant on its device's slot 0;
     // the hogs stay on device 0 slots 1..8 throughout.
     let mut bytes =
@@ -55,7 +41,7 @@ fn measure(node: &mut OptimusNode, victim: NodeVaccel, window: u64) -> (Vec<u64>
     for slot in 1..=HOGS {
         bytes.push(node.device(DeviceId(0)).device().port(slot).window_bytes());
     }
-    (bytes, wall_secs, sim_rate)
+    bytes
 }
 
 fn main() {
@@ -110,7 +96,7 @@ fn main() {
     }
 
     node.run(scale::warmup_cycles());
-    let (before, wall_before, rate_before) = measure(&mut node, victim, window);
+    let before = measure(&mut node, victim, window);
     // The watchdog's own fairness signal: Jain over the hot device's
     // per-slot root-grant shares, last evaluated window.
     let jain_before = metrics::gauge_value(metrics::FABRIC_FAIRNESS_JAIN, 0, 0);
@@ -124,13 +110,11 @@ fn main() {
             victim = new;
         }
     }
-    let (after, wall_after, rate_after) = measure(&mut node, victim, window);
+    let after = measure(&mut node, victim, window);
     let jain_after = metrics::gauge_value(metrics::FABRIC_FAIRNESS_JAIN, 0, 0);
     let alerts_after = node.stats().alerts_starvation;
 
     let mut rep = report::Report::new("migrate_rebalance");
-    rep.wall_point("before", wall_before, rate_before);
-    rep.wall_point("after", wall_after, rate_after);
     let mut rows = Vec::new();
     for (phase, bytes, jain, alerts) in [
         ("before", &before, jain_before, alerts_before),

@@ -162,15 +162,8 @@ fn run_variant(zero_copy: bool) -> VariantResult {
 }
 
 fn main() {
-    let wall = std::time::Instant::now();
     let zero = run_variant(true);
     let copy = run_variant(false);
-    println!(
-        "pipeline_handoff: {} frames x {} KiB twice in {:.3}s wall",
-        ROUNDS,
-        FRAME_BYTES / 1024,
-        wall.elapsed().as_secs_f64(),
-    );
 
     // Vacuity guard: every digest matches a host-side replay of the
     // filter + hash pipeline, and the two variants agree bit-for-bit.

@@ -1,16 +1,16 @@
 //! Uniform table printing for the experiment reports.
 //!
 //! The table format (and the JSON report sessions the bench binaries use)
-//! lives in [`optimus_testkit::bench`]; this module keeps the printing
+//! lives in [`optimus_testkit::report`]; this module keeps the printing
 //! entry point plus the small formatting helpers the binaries share.
 
-pub use optimus_testkit::bench::Report;
+pub use optimus_testkit::report::Report;
 
 /// Prints a titled table with aligned columns (no JSON recording; bench
 /// binaries use a [`Report`] session instead so the table also lands in
 /// `BENCH_*.json`).
 pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    optimus_testkit::bench::print_table(title, headers, rows);
+    optimus_testkit::report::print_table(title, headers, rows);
 }
 
 /// Formats a float with the given precision.

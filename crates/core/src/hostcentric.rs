@@ -123,7 +123,6 @@ impl HcPlatform {
                 self.engine.deliver(&pkt);
             }
         }
-        optimus_sim::simrate::add_cycles(cycles);
     }
 
     /// Runs a configured transfer to completion, draining the FIFO.

@@ -421,10 +421,15 @@ impl<D: PlatformDevice> Optimus<D> {
     /// whatever the device reports through the `next_event` protocol
     /// (`None` = fully quiescent, free to run ahead).
     ///
-    /// The node layer uses this to size lock-step chunks: devices never
+    /// The node layer uses this to size lock-step chunks (one cycle past
+    /// the horizon, so the boundary fires inside the chunk): devices never
     /// interact *during* `run` (only through guest ops between runs), so
     /// any chunking is state-identical — the horizon just bounds clock
-    /// skew and keeps scheduling decisions inside their own chunk.
+    /// skew and keeps scheduling decisions inside their own chunk. A
+    /// deadline already due but unfired (a span ended exactly on it) is
+    /// reported as `now + 1`, the cycle `run` fires it at; reporting `now`
+    /// would size 1-cycle chunks that end before the boundary check, and
+    /// the slot would never rotate again.
     pub fn next_sync_horizon(&self) -> Option<Cycle> {
         let slice = self
             .slots
@@ -433,7 +438,7 @@ impl<D: PlatformDevice> Optimus<D> {
             .map(|s| s.slice_ends)
             .min();
         match slice {
-            Some(t) => Some(t.max(self.device.now())),
+            Some(t) => Some(t.max(self.device.now() + 1)),
             None => self.device.next_event(),
         }
     }

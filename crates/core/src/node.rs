@@ -18,25 +18,28 @@
 //! chunks is pure overhead. Formally, the **run-splitting lemma**:
 //! `hv.run(c1); hv.run(c2)` leaves a hypervisor in exactly the state of
 //! `hv.run(c1 + c2)` — slice boundaries and watchdog ticks fire at the
-//! same absolute cycles either way (a deadline landing exactly on `c1`
-//! is handled at the loop top of the second run, i.e. at the same cycle,
-//! and the tick itself does not advance the clock), and the skipped
-//! cycles between events are no-ops by the `next_event` contract. Free-
-//! running therefore executes the identical per-device step sequence the
-//! chunked schedule did, one `Optimus::run` dispatch per device instead
-//! of one per horizon chunk.
+//! same absolute cycles either way (the tick itself does not advance the
+//! clock), and the skipped cycles between events are no-ops by the
+//! `next_event` contract — *unless a slice deadline lands exactly on
+//! `c1`*: `Optimus::run` leaves its loop at `c1` before the boundary
+//! check, so the second run fires that boundary one cycle late, at
+//! `c1 + 1`. The horizon chunks never end on a deadline (each is sized
+//! one cycle past it), so the late boundary happens only where the
+//! caller ends a span — and both schedules end spans at the same cycles,
+//! so they fire it equally late. Free-running therefore executes the
+//! identical per-device step sequence the chunked schedule did, one
+//! `Optimus::run` dispatch per device instead of one per horizon chunk.
 //!
 //! # Why parallel stepping is bit-identical to serial
 //!
 //! Because each device's trajectory over a span is a pure function of
 //! its own state, any schedule that executes the same per-device spans —
 //! serially in index order or concurrently on worker threads — produces
-//! the same per-device state. The two process-global side effects are
-//! made order-independent or explicitly ordered: `simrate` cycle
-//! accounting is a commutative atomic sum, and what the recording planes
-//! captured is drained per device and merged into the main thread's
-//! planes in device-index order (see `optimus_sim::plane`), so even the
-//! exported trace JSON is byte-identical. `OPTIMUS_NODE_THREADS=1` forces
+//! the same per-device state. The one process-global side effect is
+//! explicitly ordered: what the recording planes captured is drained per
+//! device and merged into the main thread's planes in device-index order
+//! (see `optimus_sim::plane`), so even the exported trace JSON is
+//! byte-identical. `OPTIMUS_NODE_THREADS=1` forces
 //! the serial schedule; `NodeConfig::lockstep` forces horizon-chunked
 //! stepping, the reference schedule of the differential suites.
 

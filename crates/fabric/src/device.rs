@@ -453,7 +453,6 @@ impl FpgaDevice {
         while self.now < end {
             self.advance_toward_adaptive(end, &mut burst, cap);
         }
-        optimus_sim::simrate::add_cycles(cycles);
     }
 
     /// Runs until `predicate` returns true, up to `max_cycles`.
@@ -463,19 +462,14 @@ impl FpgaDevice {
     /// cycles (device state is constant across skipped gaps, so any
     /// state-derived predicate fires at the same cycle either way).
     pub fn run_until(&mut self, max_cycles: Cycle, mut predicate: impl FnMut(&Self) -> bool) -> bool {
-        let start = self.now;
         let end = self.now + max_cycles;
-        let mut fired = false;
         while self.now < end {
             if predicate(self) {
-                fired = true;
-                break;
+                return true;
             }
             self.advance_toward(end);
         }
-        let hit = fired || predicate(self);
-        optimus_sim::simrate::add_cycles(self.now - start);
-        hit
+        predicate(self)
     }
 
     /// Retires a request the auditor's outbound window screened off: the
@@ -645,7 +639,6 @@ impl FpgaDevice {
     /// wiring bug, since even discarded reads master-abort).
     pub fn mmio_read(&mut self, addr: u64) -> u64 {
         self.host.inject_mmio_read(addr, self.now);
-        let start = self.now;
         let end = self.now + 1_000_000;
         while self.now < end {
             // Poll before stepping: the response surfaces at the cycle it
@@ -654,7 +647,6 @@ impl FpgaDevice {
             // either, since the old loop checked after incrementing).
             if let Some((raddr, value)) = self.host.take_mmio_response(self.now) {
                 debug_assert_eq!(raddr, addr, "interleaved MMIO reads are not supported");
-                optimus_sim::simrate::add_cycles(self.now - start);
                 return value;
             }
             self.advance_toward(end);

@@ -24,6 +24,11 @@ pub enum PreemptProgress {
     SaveDone,
     /// All state lines read back; the payload is the serialized state.
     RestoreDone(Vec<u8>),
+    /// The blob could not be read back: a line master-aborted (the buffer
+    /// address lies outside the tenant's window) or the header names a
+    /// length no save could have written. The guest owns the buffer, so
+    /// this is its job's loss, not an engine fault; the engine is idle.
+    RestoreFailed,
     /// Engine idle.
     Idle,
 }
@@ -41,9 +46,14 @@ enum Mode {
         issued: bool,
     },
     Restoring {
+        /// The lines issued so far. It grows as lines issue and is never
+        /// sized from the guest-written header, so a lying header costs
+        /// only what the port really streams before the hypervisor's
+        /// preempt timeout resets the slot.
         buffer: Vec<u8>,
         payload_len: usize,
-        issued: usize,
+        /// Lines the blob spans, header line included.
+        lines: usize,
         received: usize,
         /// Tag → line index of each outstanding line read, so responses
         /// that the channel fabric reorders still land in their own line
@@ -51,7 +61,18 @@ enum Mode {
         /// thousands of lines, and a per-response linear search turns the
         /// restore quadratic.
         tags: FastMap<u32, usize>,
+        /// A line master-aborted: issue nothing more, and report the
+        /// failure once the reads already in flight have returned.
+        failed: bool,
     },
+}
+
+/// The payload length a blob's header names and the lines its frame
+/// spans (header included), or `None` for a length no save could have
+/// written.
+fn framing(header: u64) -> Option<(usize, usize)> {
+    let payload_len = usize::try_from(header).ok()?;
+    Some((payload_len, payload_len.checked_add(8)?.div_ceil(64)))
 }
 
 /// Streams serialized accelerator state to/from the state buffer.
@@ -102,7 +123,12 @@ impl PreemptEngine {
             Mode::Idle => false,
             Mode::Saving { buffer, issued, .. } => *issued < buffer.len() / 64,
             Mode::RestoringHeader { issued } => !*issued,
-            Mode::Restoring { buffer, issued, .. } => *issued < buffer.len() / 64,
+            Mode::Restoring {
+                buffer,
+                lines,
+                failed,
+                ..
+            } => !*failed && buffer.len() / 64 < *lines,
         }
     }
 
@@ -138,6 +164,11 @@ impl PreemptEngine {
     pub fn begin_restore(&mut self) {
         assert!(!self.is_active(), "preempt engine already active");
         self.mode = Mode::RestoringHeader { issued: false };
+    }
+
+    fn restore_failed(&mut self) -> PreemptProgress {
+        self.mode = Mode::Idle;
+        PreemptProgress::RestoreFailed
     }
 
     /// Advances the streaming by one accelerator cycle.
@@ -179,23 +210,26 @@ impl PreemptEngine {
             }
             Mode::RestoringHeader { issued } => {
                 if let Some(resp) = port.pop_response() {
-                    let data = resp.data.expect("restore expects read data");
-                    let payload_len =
-                        u64::from_le_bytes(data[0..8].try_into().unwrap()) as usize;
-                    let total = (8 + payload_len).div_ceil(64) * 64;
-                    let mut buffer = vec![0u8; total];
-                    buffer[..64].copy_from_slice(&data[..]);
-                    if total == 64 {
-                        let out = buffer[8..8 + payload_len].to_vec();
+                    // The header read was the only one in flight, so a
+                    // failure here leaves the port drained.
+                    let Some(data) = resp.data else {
+                        return self.restore_failed();
+                    };
+                    let header = u64::from_le_bytes(data[0..8].try_into().unwrap());
+                    let Some((payload_len, lines)) = framing(header) else {
+                        return self.restore_failed();
+                    };
+                    if lines == 1 {
                         self.mode = Mode::Idle;
-                        return PreemptProgress::RestoreDone(out);
+                        return PreemptProgress::RestoreDone(data[8..8 + payload_len].to_vec());
                     }
                     self.mode = Mode::Restoring {
-                        buffer,
+                        buffer: data.to_vec(),
                         payload_len,
-                        issued: 1,
+                        lines,
                         received: 1,
                         tags: FastMap::default(),
+                        failed: false,
                     };
                     return PreemptProgress::InProgress;
                 }
@@ -208,31 +242,40 @@ impl PreemptEngine {
             Mode::Restoring {
                 buffer,
                 payload_len,
-                issued,
+                lines,
                 received,
                 tags,
+                failed,
             } => {
-                let total_lines = buffer.len() / 64;
                 while let Some(resp) = port.pop_response() {
-                    let data = resp.data.expect("restore expects read data");
                     // Lines issue in order, but reads striped across
                     // channels can complete out of order — place each
                     // response by its tag, not by arrival order.
                     let line_idx = tags
                         .remove(&resp.tag.0)
                         .expect("restore response tag matches an issued line read");
-                    buffer[line_idx * 64..line_idx * 64 + 64].copy_from_slice(&data[..]);
+                    match resp.data {
+                        Some(data) => {
+                            buffer[line_idx * 64..line_idx * 64 + 64].copy_from_slice(&data[..])
+                        }
+                        None => *failed = true,
+                    }
                     *received += 1;
                 }
-                while *issued < total_lines && port.can_issue() {
-                    let tag = port.read(
-                        Gva::new(self.state_addr.raw() + (*issued as u64) * 64),
-                        now,
-                    );
-                    tags.insert(tag.0, *issued);
-                    *issued += 1;
+                if *failed {
+                    if port.is_drained() {
+                        return self.restore_failed();
+                    }
+                    return PreemptProgress::InProgress;
                 }
-                if *received == total_lines {
+                while buffer.len() / 64 < *lines && port.can_issue() {
+                    let issued = buffer.len() / 64;
+                    let tag =
+                        port.read(Gva::new(self.state_addr.raw() + (issued as u64) * 64), now);
+                    tags.insert(tag.0, issued);
+                    buffer.extend_from_slice(&[0; 64]);
+                }
+                if *received == *lines {
                     let payload_len = *payload_len;
                     let out = buffer[8..8 + payload_len].to_vec();
                     self.mode = Mode::Idle;
@@ -318,6 +361,53 @@ mod tests {
         match loopback(&mut engine, &mut port, &mut store) {
             PreemptProgress::RestoreDone(v) => assert!(v.is_empty()),
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Restores from a buffer whose line 0 holds `header` and whose other
+    /// lines read as zeros, except `abort`, which master-aborts; returns
+    /// the outcome after `cycles` cycles (or on completion).
+    fn restore_from(
+        engine: &mut PreemptEngine,
+        header: u64,
+        abort: u64,
+        cycles: u64,
+    ) -> PreemptProgress {
+        let mut port = AccelPort::new();
+        engine.begin_restore();
+        for now in 0..cycles {
+            match engine.step(now, &mut port) {
+                PreemptProgress::InProgress => {}
+                done => return done,
+            }
+            while let Some(req) = port.take_pending() {
+                let line = req.gva.raw() / 64;
+                let mut data = [0u8; 64];
+                data[..8].copy_from_slice(&header.to_le_bytes());
+                let data =
+                    (line != abort).then(|| Box::new(if line == 0 { data } else { [0; 64] }));
+                port.deliver(req.tag, data, now);
+            }
+        }
+        PreemptProgress::InProgress
+    }
+
+    #[test]
+    fn unreadable_or_impossible_blobs_fail_the_restore() {
+        let mut engine = PreemptEngine::new();
+        // The header line master-aborts; a header whose frame overflows; a
+        // line past the header master-aborts.
+        for (header, abort) in [(64, 0), (u64::MAX, u64::MAX), (1000, 3)] {
+            let got = restore_from(&mut engine, header, abort, 1000);
+            assert_eq!(got, PreemptProgress::RestoreFailed, "header {header}");
+            assert!(!engine.is_active());
+        }
+        // A length no save wrote streams on (until the hypervisor's
+        // preempt timeout), but holds only the lines actually issued.
+        assert_eq!(restore_from(&mut engine, 1 << 40, u64::MAX, 1000), PreemptProgress::InProgress);
+        match &engine.mode {
+            Mode::Restoring { buffer, .. } => assert!(buffer.len() <= 1000 * 64 * 4),
+            _ => panic!("restore should still be streaming"),
         }
     }
 

@@ -104,15 +104,18 @@ impl StreamCopier {
         out
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) {
-        let word = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap());
-        self.src = word(0);
-        self.dst = word(1);
-        self.lines = word(2);
-        self.write_cursor = word(3);
-        self.xor = word(4) as u8;
+    /// Restores [`serialize_state`](Self::serialize_state)'s layout;
+    /// `None` if the blob is too short to hold it.
+    fn restore_state(&mut self, bytes: &[u8]) -> Option<()> {
+        let word = |i: usize| Some(u64::from_le_bytes(*bytes.get(8 * i..)?.first_chunk()?));
+        self.src = word(0)?;
+        self.dst = word(1)?;
+        self.lines = word(2)?;
+        self.write_cursor = word(3)?;
+        self.xor = word(4)? as u8;
         self.read_cursor = self.write_cursor;
         self.written = self.write_cursor;
+        Some(())
     }
 }
 
@@ -236,9 +239,8 @@ impl Accelerator for StreamCopier {
                     self.phase = Phase::Saved;
                 }
             }
-            Phase::Restoring => {
-                if let PreemptProgress::RestoreDone(bytes) = self.engine.step(now, port) {
-                    self.restore_state(&bytes);
+            Phase::Restoring => match self.engine.step(now, port) {
+                PreemptProgress::RestoreDone(bytes) if self.restore_state(&bytes).is_some() => {
                     self.inflight_reads.clear();
                     self.reorder.clear();
                     self.phase = if self.written == self.lines {
@@ -247,7 +249,11 @@ impl Accelerator for StreamCopier {
                         Phase::Running
                     };
                 }
-            }
+                PreemptProgress::RestoreDone(_) | PreemptProgress::RestoreFailed => {
+                    *self = StreamCopier::new();
+                }
+                _ => {}
+            },
         }
     }
 
@@ -327,9 +333,10 @@ mod tests {
         c.xor = 0xAB;
         let bytes = c.serialize_state();
         let mut d = StreamCopier::new();
-        d.restore_state(&bytes);
+        assert_eq!(d.restore_state(&bytes), Some(()));
         assert_eq!((d.src, d.dst, d.lines, d.write_cursor, d.read_cursor, d.xor),
                    (0x111, 0x222, 33, 7, 7, 0xAB));
+        assert_eq!(d.restore_state(&bytes[..39]), None);
     }
 
     #[test]

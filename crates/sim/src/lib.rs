@@ -17,8 +17,8 @@
 //! * [`clock`] — the [`clock::PlatformClock`] protocol every steppable
 //!   platform implements (`now`/`next_event`/`step_cycle`/`skip_to`),
 //!   with the event-horizon fast-forward kernel as a provided method.
-//! * [`simrate`] — process-wide simulated-cycle accounting and the
-//!   `OPTIMUS_NO_FASTFWD` fast-forward toggle.
+//! * [`simrate`] — the `OPTIMUS_NO_FASTFWD` fast-forward toggle and the
+//!   batched-stepping burst cap.
 //! * [`trace`] — the flight recorder: cycle-stamped events from every
 //!   layer into a bounded ring buffer, exported as Chrome `trace_event`
 //!   JSON for Perfetto, gated behind `OPTIMUS_TRACE`.

@@ -1,20 +1,19 @@
-//! In-tree property-testing and benchmark harness for the OPTIMUS workspace.
+//! In-tree property-testing and report harness for the OPTIMUS workspace.
 //!
 //! The workspace builds with **zero registry dependencies** (see the
-//! "Hermetic build policy" in `DESIGN.md`), so the roles usually played by
-//! `proptest` and `criterion` are filled here, on top of the deterministic
-//! primitives the simulator already ships:
+//! "Hermetic build policy" in `DESIGN.md`), so the role usually played by
+//! `proptest` is filled here, on top of the deterministic primitives the
+//! simulator already ships:
 //!
 //! * [`gens`] — generator combinators with value-based greedy shrinking,
 //!   driven by [`optimus_sim::rng::Xoshiro256`];
 //! * [`runner`] — the property-test case runner: every case derives its RNG
 //!   from a printed 64-bit seed, so any failure replays exactly with
 //!   `OPTIMUS_PROP_SEED=<seed>`;
-//! * [`bench`] — a criterion-like bench runner (`bench_function` /
-//!   `Bencher::iter`) with warm-up exclusion built on
-//!   [`optimus_sim::stats::LatencyStats`], plus [`bench::Report`] sessions
-//!   that print the paper-vs-measured tables and emit per-figure
-//!   `BENCH_<name>.json` reports;
+//! * [`report`] — [`report::Report`] sessions that print the paper's
+//!   tables as the bench binaries regenerate them and emit per-figure
+//!   `BENCH_<name>.json` reports (no timing: simulator speed is measured
+//!   by the performance ledger in `benchmarks/perf`);
 //! * [`json`] — the minimal JSON document model those reports serialize
 //!   through.
 //!
@@ -32,9 +31,9 @@
 //! OPTIMUS_PROP_SEED=0x8c5a0f3e9b2d4e61 cargo test -p optimus-sim --test prop permutation_round_trips
 //! ```
 
-pub mod bench;
 pub mod gens;
 pub mod json;
+pub mod report;
 pub mod runner;
 
 /// Asserts a condition inside a property, returning `Err` (not panicking)

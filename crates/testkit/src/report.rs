@@ -1,37 +1,19 @@
-//! Criterion-like bench runner and per-figure report sessions.
+//! Per-figure report sessions.
 //!
-//! Two layers:
-//!
-//! * [`Bench`] / [`Bencher`] — wall-clock micro-benchmarking with the
-//!   familiar `bench_function(name, |b| b.iter(..))` shape. Samples are
-//!   collected into [`LatencyStats`] (in picoseconds, so sub-nanosecond
-//!   per-iteration costs keep precision) and the configured number of
-//!   warm-up samples is excluded via [`LatencyStats::discard_prefix`]
-//!   before statistics are computed.
-//! * [`Report`] — a figure/table session used by the paper-reproduction
-//!   bench binaries: prints the aligned paper-vs-measured tables exactly as
-//!   before, records everything, and writes a `BENCH_<name>.json` document
-//!   on [`finish`](Report::finish).
+//! A [`Report`] is what each paper-reproduction bench binary writes: it
+//! prints the aligned paper-vs-measured tables, records them with the
+//! notes and whatever the recording planes captured, and writes a
+//! `BENCH_<name>.json` document on [`finish`](Report::finish). Nothing in
+//! it reads a wall clock, so a report is a pure function of the bench's
+//! seed and environment: two runs of one configuration write the same
+//! bytes. (Simulator speed is measured by the performance ledger,
+//! `benchmarks/perf`, not here.)
 //!
 //! Reports land in `$OPTIMUS_BENCH_DIR`, defaulting to
 //! `<workspace>/target/bench-reports`.
-//!
-//! Environment knobs for the micro-runner: `OPTIMUS_TESTKIT_WARMUP`
-//! (warm-up samples to discard, default 10), `OPTIMUS_TESTKIT_SAMPLES`
-//! (measured samples, default 50), `OPTIMUS_TESTKIT_ITERS` (iterations per
-//! sample; default auto-calibrated to ~200 µs per sample).
 
 use crate::json::Json;
-use optimus_sim::stats::LatencyStats;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Where `BENCH_*.json` reports are written.
 pub fn report_dir() -> PathBuf {
@@ -40,161 +22,6 @@ pub fn report_dir() -> PathBuf {
         _ => Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
             .join("target/bench-reports"),
-    }
-}
-
-/// Micro-runner configuration.
-#[derive(Debug, Clone)]
-pub struct BenchConfig {
-    /// Leading samples discarded as warm-up.
-    pub warmup_samples: usize,
-    /// Samples kept after warm-up exclusion.
-    pub measured_samples: usize,
-    /// Iterations per sample; `None` auto-calibrates.
-    pub iters_per_sample: Option<u64>,
-}
-
-impl Default for BenchConfig {
-    fn default() -> Self {
-        Self {
-            warmup_samples: env_usize("OPTIMUS_TESTKIT_WARMUP", 10),
-            measured_samples: env_usize("OPTIMUS_TESTKIT_SAMPLES", 50),
-            iters_per_sample: std::env::var("OPTIMUS_TESTKIT_ITERS")
-                .ok()
-                .and_then(|v| v.parse().ok()),
-        }
-    }
-}
-
-/// Statistics for one benched function, in nanoseconds per iteration.
-#[derive(Debug, Clone)]
-pub struct FnStats {
-    pub name: String,
-    /// Samples that survived warm-up exclusion.
-    pub samples: usize,
-    /// Samples discarded as warm-up.
-    pub warmup_discarded: usize,
-    pub iters_per_sample: u64,
-    pub mean_ns: f64,
-    pub min_ns: f64,
-    pub p50_ns: f64,
-    pub p95_ns: f64,
-    pub max_ns: f64,
-}
-
-impl FnStats {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::s(&self.name)),
-            ("samples", Json::Num(self.samples as f64)),
-            ("warmup_discarded", Json::Num(self.warmup_discarded as f64)),
-            ("iters_per_sample", Json::Num(self.iters_per_sample as f64)),
-            ("mean_ns", Json::Num(self.mean_ns)),
-            ("min_ns", Json::Num(self.min_ns)),
-            ("p50_ns", Json::Num(self.p50_ns)),
-            ("p95_ns", Json::Num(self.p95_ns)),
-            ("max_ns", Json::Num(self.max_ns)),
-        ])
-    }
-}
-
-/// Per-iteration timing collector handed to the bench closure.
-pub struct Bencher {
-    iters: u64,
-    /// Picoseconds per iteration, one entry per sample (warm-up included
-    /// until [`Bench`] strips it).
-    sample_ps: LatencyStats,
-    total_samples: usize,
-}
-
-impl Bencher {
-    /// Runs `f` for one sample batch per configured sample, timing each
-    /// batch. Mirrors criterion's `Bencher::iter`.
-    pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
-        for _ in 0..self.total_samples {
-            let start = Instant::now();
-            for _ in 0..self.iters {
-                std::hint::black_box(f());
-            }
-            let elapsed = start.elapsed();
-            let ps = (elapsed.as_nanos() as u64).saturating_mul(1000) / self.iters.max(1);
-            self.sample_ps.record(ps);
-        }
-    }
-}
-
-/// The micro-benchmark session: owns a [`Report`] and appends one
-/// [`FnStats`] per `bench_function` call.
-pub struct Bench {
-    report: Report,
-    config: BenchConfig,
-}
-
-impl Bench {
-    /// Creates a session writing `BENCH_<name>.json` on finish.
-    pub fn new(name: &str) -> Self {
-        Self::with_config(name, BenchConfig::default())
-    }
-
-    /// Creates a session with an explicit configuration (self-tests).
-    pub fn with_config(name: &str, config: BenchConfig) -> Self {
-        Self {
-            report: Report::new(name),
-            config,
-        }
-    }
-
-    /// Benchmarks one function; criterion-compatible call shape.
-    pub fn bench_function(&mut self, id: &str, mut f: impl FnMut(&mut Bencher)) -> &FnStats {
-        // Calibrate with a probe Bencher running a single sample of one
-        // iteration, unless the iteration count is pinned.
-        let iters = match self.config.iters_per_sample {
-            Some(n) => n.max(1),
-            None => {
-                let mut probe = Bencher {
-                    iters: 256,
-                    sample_ps: LatencyStats::new(),
-                    total_samples: 1,
-                };
-                f(&mut probe);
-                // Scale the probe's per-iteration cost to ~200 µs samples.
-                let probe_ns = (probe.sample_ps.max_cycles() / 1000).max(1);
-                (200_000 / probe_ns).clamp(1, 1 << 22)
-            }
-        };
-        let total = self.config.warmup_samples + self.config.measured_samples;
-        let mut bencher = Bencher {
-            iters,
-            sample_ps: LatencyStats::new(),
-            total_samples: total,
-        };
-        f(&mut bencher);
-        let mut stats = bencher.sample_ps;
-        // Warm-up exclusion: drop exactly the configured leading samples.
-        stats.discard_prefix(self.config.warmup_samples);
-        let ps = |v: u64| v as f64 / 1000.0;
-        let fs = FnStats {
-            name: id.to_string(),
-            samples: stats.count(),
-            warmup_discarded: total - stats.count(),
-            iters_per_sample: iters,
-            mean_ns: stats.mean_cycles() / 1000.0,
-            min_ns: ps(stats.min_cycles()),
-            p50_ns: ps(stats.percentile_cycles(0.5)),
-            p95_ns: ps(stats.percentile_cycles(0.95)),
-            max_ns: ps(stats.max_cycles()),
-        };
-        println!(
-            "{:<32} mean {:>12.1} ns   p50 {:>12.1} ns   p95 {:>12.1} ns   ({} samples x {} iters, {} warm-up discarded)",
-            fs.name, fs.mean_ns, fs.p50_ns, fs.p95_ns, fs.samples, fs.iters_per_sample, fs.warmup_discarded
-        );
-        self.report.functions.push(fs);
-        self.report.functions.last().unwrap()
-    }
-
-    /// Writes the JSON report; returns its path.
-    pub fn finish(self) -> std::io::Result<PathBuf> {
-        self.report.finish()
     }
 }
 
@@ -212,18 +39,6 @@ pub struct Report {
     name: String,
     tables: Vec<TableData>,
     notes: Vec<String>,
-    functions: Vec<FnStats>,
-    /// Labelled `(wall_secs, sim_rate)` sweep points recorded with
-    /// [`wall_point`](Report::wall_point). Wall-clock measurements the
-    /// bench used to print to stdout only; serialized under the volatile
-    /// `wall_points` key so fingerprints can exclude them.
-    wall_points: Vec<(String, f64, f64)>,
-    /// Session start, for the wall-clock half of `sim_rate`.
-    started: Instant,
-    /// Global simulated-cycle counter at session start, so concurrent or
-    /// sequential reports in one process each attribute only their own
-    /// fabric cycles.
-    start_cycles: u64,
 }
 
 /// Prints a titled table with right-aligned columns (the workspace's
@@ -361,26 +176,6 @@ impl Report {
             name: name.to_string(),
             tables: Vec::new(),
             notes: Vec::new(),
-            functions: Vec::new(),
-            wall_points: Vec::new(),
-            started: Instant::now(),
-            start_cycles: optimus_sim::simrate::cycles(),
-        }
-    }
-
-    /// Simulated fabric cycles attributed to this session so far.
-    fn sim_cycles(&self) -> u64 {
-        optimus_sim::simrate::cycles().saturating_sub(self.start_cycles)
-    }
-
-    /// Simulated fabric cycles per wall-clock second (the sim-rate figure
-    /// every report carries; 0 when nothing was simulated).
-    fn sim_rate(&self) -> f64 {
-        let secs = self.started.elapsed().as_secs_f64();
-        if secs > 0.0 {
-            self.sim_cycles() as f64 / secs
-        } else {
-            0.0
         }
     }
 
@@ -401,22 +196,10 @@ impl Report {
         self.notes.push(text);
     }
 
-    /// Records one labelled wall-clock measurement point (a sweep step's
-    /// wall seconds and sim rate in cycles/s). Benches that print per-step
-    /// rates to stdout record them here too so the JSON report carries
-    /// them; the key is volatile and excluded from determinism
-    /// fingerprints like `wall_secs`/`sim_rate`.
-    pub fn wall_point(&mut self, label: &str, wall_secs: f64, sim_rate: f64) {
-        self.wall_points.push((label.to_string(), wall_secs, sim_rate));
-    }
-
     fn to_json(&self) -> Json {
         let mut fields = vec![
             ("schema", Json::s("optimus-testkit/bench-report/v1")),
             ("bench", Json::s(&self.name)),
-            ("sim_cycles", Json::Num(self.sim_cycles() as f64)),
-            ("wall_secs", Json::Num(self.started.elapsed().as_secs_f64())),
-            ("sim_rate", Json::Num(self.sim_rate())),
             (
                 "tables",
                 Json::Arr(
@@ -446,31 +229,10 @@ impl Report {
                 ),
             ),
             (
-                "functions",
-                Json::Arr(self.functions.iter().map(FnStats::to_json).collect()),
-            ),
-            (
                 "notes",
                 Json::Arr(self.notes.iter().map(Json::s).collect()),
             ),
         ];
-        if !self.wall_points.is_empty() {
-            fields.push((
-                "wall_points",
-                Json::Arr(
-                    self.wall_points
-                        .iter()
-                        .map(|(label, secs, rate)| {
-                            Json::obj(vec![
-                                ("label", Json::s(label)),
-                                ("wall_secs", Json::Num(*secs)),
-                                ("sim_rate", Json::Num(*rate)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
         if optimus_sim::journal::enabled() {
             fields.push(("slo", slo_json()));
         }
@@ -528,12 +290,6 @@ impl Report {
                 optimus_sim::trace::dropped()
             );
         }
-        println!(
-            "\nsim rate: {:.2} Mcycles/s ({} simulated cycles in {:.2} s)",
-            self.sim_rate() / 1e6,
-            self.sim_cycles(),
-            self.started.elapsed().as_secs_f64()
-        );
         println!("report: {}", path.display());
         Ok(path)
     }
@@ -544,37 +300,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn warmup_exclusion_drops_exactly_the_configured_samples() {
-        let cfg = BenchConfig {
-            warmup_samples: 7,
-            measured_samples: 5,
-            iters_per_sample: Some(1),
-        };
-        let mut bench = Bench::with_config("selftest_warmup", cfg);
-        let calls = std::cell::Cell::new(0u64);
-        let stats = bench.bench_function("noop", |b| {
-            b.iter(|| calls.set(calls.get() + 1))
-        });
-        assert_eq!(stats.samples, 5);
-        assert_eq!(stats.warmup_discarded, 7);
-        // With iters pinned to 1, the closure ran once per sample and the
-        // calibration probe never ran.
-        assert_eq!(calls.get(), 12);
-    }
-
-    #[test]
-    fn report_carries_wall_points_and_slo_section() {
+    fn report_carries_slo_section() {
         use optimus_sim::journal;
         journal::reset();
         journal::set_enabled(true);
         journal::submit(7, "tenant0", 0, 0, 4096, 100);
         journal::phase(7, journal::Phase::Executing, 200);
         journal::phase(7, journal::Phase::Complete, 500);
-        let mut r = Report::new("unit_slo");
-        r.wall_point("nodes=2", 0.25, 1.5e6);
+        let r = Report::new("unit_slo");
         let doc = r.to_json().render();
-        assert!(doc.contains(r#""wall_points""#));
-        assert!(doc.contains(r#""label":"nodes=2""#));
         assert!(doc.contains(r#""slo""#));
         assert!(doc.contains(r#""tenant":"tenant0""#));
         assert!(doc.contains(r#""completed":1"#));
@@ -583,13 +317,19 @@ mod tests {
 
     #[test]
     fn report_json_round_trips_table_shape() {
-        let mut r = Report::new("unit");
-        r.table("t", &["a", "b"], &[vec!["1".into(), "2".into()]]);
-        r.note("hello");
-        let doc = r.to_json().render();
+        let render = || {
+            let mut r = Report::new("unit");
+            r.table("t", &["a", "b"], &[vec!["1".into(), "2".into()]]);
+            r.note("hello");
+            r.to_json().render()
+        };
+        let doc = render();
         assert!(doc.contains(r#""bench":"unit""#));
         assert!(doc.contains(r#""headers":["a","b"]"#));
         assert!(doc.contains(r#""rows":[["1","2"]]"#));
         assert!(doc.contains(r#""notes":["hello"]"#));
+        // No wall clock: the same session renders the same bytes.
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert_eq!(render(), doc);
     }
 }

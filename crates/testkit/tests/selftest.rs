@@ -1,8 +1,8 @@
 //! Self-tests of the harness: shrinking convergence, seed determinism,
-//! replay fidelity, and bench warm-up exclusion.
+//! replay fidelity, and where reports land.
 
-use optimus_testkit::bench::{Bench, BenchConfig};
 use optimus_testkit::gens;
+use optimus_testkit::report::Report;
 use optimus_testkit::runner::{check_with, sample_cases, Config};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -127,39 +127,17 @@ fn replay_seed_reproduces_the_failing_case() {
 }
 
 #[test]
-fn bench_warmup_exclusion_drops_exactly_configured_samples() {
-    for (warmup, measured) in [(0usize, 3usize), (4, 9), (25, 1)] {
-        let cfg = BenchConfig {
-            warmup_samples: warmup,
-            measured_samples: measured,
-            iters_per_sample: Some(2),
-        };
-        let mut bench = Bench::with_config("selftest", cfg);
-        let calls = std::cell::Cell::new(0u64);
-        let stats = bench.bench_function("spin", |b| b.iter(|| calls.set(calls.get() + 1)));
-        assert_eq!(stats.samples, measured, "warmup={warmup}");
-        assert_eq!(stats.warmup_discarded, warmup, "warmup={warmup}");
-        assert_eq!(calls.get(), 2 * (warmup + measured) as u64);
-    }
-}
-
-#[test]
 fn bench_report_lands_in_bench_dir() {
     let dir = std::env::temp_dir().join("optimus-testkit-selftest");
     // Env var is process-global: restrict this test to its own directory
     // check by pointing OPTIMUS_BENCH_DIR at a temp dir just for this write.
     std::env::set_var("OPTIMUS_BENCH_DIR", &dir);
-    let cfg = BenchConfig {
-        warmup_samples: 1,
-        measured_samples: 2,
-        iters_per_sample: Some(1),
-    };
-    let mut bench = Bench::with_config("selftest_report", cfg);
-    bench.bench_function("noop", |b| b.iter(|| 1 + 1));
-    let path = bench.finish().expect("report written");
+    let mut report = Report::new("selftest_report");
+    report.note("noted");
+    let path = report.finish().expect("report written");
     std::env::remove_var("OPTIMUS_BENCH_DIR");
     assert_eq!(path.file_name().unwrap(), "BENCH_selftest_report.json");
     let body = std::fs::read_to_string(&path).unwrap();
     assert!(body.contains(r#""bench":"selftest_report""#));
-    assert!(body.contains(r#""warmup_discarded":1"#));
+    assert!(body.contains(r#""notes":["noted"]"#));
 }

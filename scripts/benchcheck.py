@@ -3,12 +3,11 @@
 
 Every check prints `ok: ...` lines and exits non-zero with `FAIL: ...` on
 the first violation. Reports are the BENCH_<bench>.json files (and their
-TRACE_/PROM_/SLO_ siblings) the bench targets write into a directory.
+TRACE_/PROM_/SLO_ siblings) the bench targets write into a directory; a
+report is a pure function of its bench's seed and environment. `ledger`
+reads the performance ledger's driver output instead (benchmarks/perf).
 """
 import glob, json, os, re, sys
-
-# Wall-clock-dependent report fields: never part of a fingerprint.
-VOLATILE = ("wall_secs", "sim_rate", "wall_points")
 
 
 def fail(msg):
@@ -24,17 +23,13 @@ def load(path):
         return json.load(f)
 
 
-def fingerprint(report, extra_volatile=()):
-    """Everything a run measured, minus wall-clock fields and the sections
-    in `extra_volatile` (a recording plane's own output)."""
-    skip = VOLATILE + tuple(extra_volatile)
-    return json.dumps({k: v for k, v in report.items() if k not in skip}, sort_keys=True)
-
-
-def same(a, b, what, extra_volatile=()):
-    if fingerprint(load(a), extra_volatile) != fingerprint(load(b), extra_volatile):
-        fail(f"{what} changed the bench fingerprint ({a} vs {b})")
-    print(f"ok: fingerprint byte-identical: {what}")
+def same(a, b, what, own=()):
+    """Two reports are equal, apart from the sections in `own` (a recording
+    plane's own output)."""
+    strip = lambda path: {k: v for k, v in load(path).items() if k not in own}
+    if strip(a) != strip(b):
+        fail(f"{what} changed the bench report ({a} vs {b})")
+    print(f"ok: report identical: {what}")
 
 
 def deps():
@@ -177,56 +172,55 @@ def slo(directory):
     print(f"ok: SLO report valid ({body['jobs']} jobs, {len(body['tenants'])} tenants)")
 
 
-def rate_bound(what, on_dirs, off_dirs, bound=0.95):
-    """A default-on plane is cheap: best-of-two sim_rate with it on stays
-    within 5 % of best-of-two with it off."""
-    best = lambda dirs: max(load(report(d))["sim_rate"] for d in dirs)
-    ratio = best(on_dirs) / best(off_dirs)
-    if ratio < bound:
-        fail(f"{what}-on sim_rate is {ratio:.1%} of {what}-off (bound: {bound:.0%})")
-    print(f"ok: {what} overhead within bound (on/off sim_rate ratio {ratio:.1%})")
-
-
 VALIDATORS = {"chrome-trace": chrome_trace, "prometheus": prometheus, "slo": slo}
 
 
 def plane(name, prefix, validator, *own):
-    """One recording plane's CI contract over the runs `<prefix>-{on,off}`
-    (plus `-warm`, `-on2`, `-off2` for a default-on plane): its own report
+    """One recording plane's CI contract over the runs `<prefix>-{on,on2,off}`
+    (plus `-short`, a shorter window, for the metrics plane): its own report
     sections appear when it is on and its first one vanishes when off, it is
-    invisible to every other figure, its output is deterministic and
-    validates, and (default-on planes) it costs at most 5 %."""
+    invisible to every other figure, and its output is deterministic and
+    validates."""
     on, off = load(report(f"{prefix}-on")), load(report(f"{prefix}-off"))
     missing = [s for s in own if on.get(s) in (None, [], {})]
     if missing or (own and own[0] in off):
         fail(f"{name}: own sections {own} missing when on ({missing}) or {own[0]} present when off")
     same(report(f"{prefix}-on"), report(f"{prefix}-off"), f"{name} plane on vs off", own)
+    same(report(f"{prefix}-on"), report(f"{prefix}-on2"), f"{name} plane, run to run")
     if validator in VALIDATORS:
         VALIDATORS[validator](f"{prefix}-on")
-    if os.path.isdir(f"{prefix}-on2"):
-        on2 = load(report(f"{prefix}-on2"))
-        if any(on[s] != on2[s] for s in own):
-            fail(f"{name}: own sections differ between identical runs")
-        print(f"ok: {name} sections deterministic run to run")
-        if validator == "prometheus":
-            monotone(f"{prefix}-warm", f"{prefix}-on")
-        rate_bound(name, (f"{prefix}-on", f"{prefix}-on2"), (f"{prefix}-off", f"{prefix}-off2"))
+    if os.path.isdir(f"{prefix}-short"):
+        monotone(f"{prefix}-short", f"{prefix}-on")
 
 
-def baseline(run1, run2):
-    """Best-of-two sim_rate vs the committed baselines: fail on >20 % loss."""
-    failed = False
-    for bench, short in (("fig5_latency", "fig5"), ("fig8_temporal", "fig8"),
-                         ("cluster_scale", "cluster_scale"), ("fig7_realworld", "fig7")):
-        base = load(f"benchmarks/BENCH_{short}.json")["sim_rate"]
-        best = max(load(report(d, bench))["sim_rate"] for d in (run1, run2))
-        ratio = best / base
-        verdict = "FAIL" if ratio < 0.8 else "ok"
-        failed |= ratio < 0.8
-        print(f"{verdict}: {bench}: best-of-two {best/1e6:.2f} Mc/s vs baseline "
-              f"{base/1e6:.2f} Mc/s ({ratio:.2f}x; bound 0.80x)")
-    if failed:
-        sys.exit(1)
+def ledger(directory):
+    """One traced driver run per ledger workload, its standard output in
+    `<directory>/<workload>.out`: the model did not move (sim_fingerprint as
+    baseline/BASELINE.json records it), no output check failed, and metrics
+    and journal each cost at most 5 % (ratios of interleaved chunks of one
+    pass, so the host's drift between runs cancels out of them)."""
+    recorded = load("benchmarks/perf/baseline/BASELINE.json")["workloads"]
+    problems, bound = [], 5.0
+    for w in [w["name"] for w in load("BENCHMARK.json")["workloads"]]:
+        path = f"{directory}/{w}.out"
+        lines = open(path).read().splitlines() if os.path.exists(path) else [""]
+        fp = next((l.split()[2] for l in lines if l.startswith(f"{w} sim_fingerprint ")), None)
+        if fp is None or not lines[-1].startswith("{"):
+            problems.append(f"{w}: no driver report in {path}")
+            continue
+        result, want, found = json.loads(lines[-1]), recorded[w]["sim_fingerprint"], []
+        pct = {p: result["metrics"][f"sim.{p}_overhead_pct"]["value"] for p in ("metrics", "journal")}
+        if fp != want:
+            found.append(f"{w}: sim_fingerprint {fp} != recorded {want} (the model moved)")
+        if result["failed"]:
+            found.append(f"{w}: failed = {result['failed']} of {result['attempted']}")
+        found += [f"{w}: sim.{p}_overhead_pct = {v:.2f} > {bound}" for p, v in pct.items() if v > bound]
+        problems += found
+        if not found:
+            print(f"ok: {w}: sim_fingerprint {fp}, {result['attempted']} checks passed, "
+                  f"metrics / journal overhead {pct['metrics']:.2f} / {pct['journal']:.2f} %")
+    if problems:
+        fail("ledger:\n  " + "\n  ".join(problems))
 
 
 def rebalance(directory):
@@ -253,8 +247,7 @@ def pipeline(directory):
 
 
 CHECKS = {f.__name__.replace("_", "-"): f for f in (
-    deps, same, chrome_trace, prometheus, monotone, slo, plane, baseline, rebalance, pipeline)}
-CHECKS["rate-bound"] = lambda what, on, on2, off, off2: rate_bound(what, (on, on2), (off, off2))
+    deps, same, chrome_trace, prometheus, monotone, slo, plane, rebalance, pipeline, ledger)}
 
 if __name__ == "__main__":
     if len(sys.argv) < 2 or sys.argv[1] not in CHECKS:

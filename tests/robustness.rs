@@ -1,15 +1,22 @@
-//! Robustness and failure-injection tests: misbehaving accelerators,
-//! demand-profile validation, and 4 KB-page configurations.
+//! Robustness and failure-injection tests: misbehaving accelerators and
+//! guests, demand-profile validation, 4 KB-page configurations, and node
+//! scheduling under live cross-device shares.
 
 use optimus::hypervisor::{Optimus, OptimusConfig};
+use optimus::node::{NodeConfig, OptimusNode};
 use optimus::scheduler::SchedPolicy;
+use optimus::vaccel::{VaccelId, VaccelRun};
+use optimus_accel::hash::reg as hash_reg;
 use optimus_accel::registry::AccelKind;
-use optimus_accel::{btc::BtcKernel, grn::GrnKernel, membench::MbKernel};
+use optimus_accel::{aes::AesKernel, btc::BtcKernel, grn::GrnKernel, membench::MbKernel};
 use optimus_algo::bitcoin::BlockHeader;
 use optimus_bench::jobs::{self, JobParams};
+use optimus_fabric::accelerator::CtrlStatus;
 use optimus_fabric::mmio::accel_reg;
-use optimus_mem::addr::Gva;
+use optimus_fabric::platform::DeviceId;
+use optimus_mem::addr::{Gva, PAGE_2M};
 use optimus_sim::time::{gbps, ms_to_cycles};
+use optimus_workloads::streams::random_bytes;
 
 const APP: u64 = accel_reg::APP_BASE;
 
@@ -250,4 +257,155 @@ fn tree_placement_shapes_bandwidth_shares() {
         (1.7..2.3).contains(&ratio),
         "lone-node accelerator should get ~2x: {bw:?}"
     );
+}
+
+/// One AES tenant with its own VM, source, destination and state buffer.
+struct AesTenant {
+    va: VaccelId,
+    src: Gva,
+    dst: Gva,
+    state: Gva,
+    key0: u64,
+    plain: Vec<u8>,
+}
+
+impl AesTenant {
+    fn new(hv: &mut Optimus, name: &str, seed: u64) -> Self {
+        let vm = hv.create_vm(name);
+        let va = hv.create_vaccel(vm, 0);
+        let plain = random_bytes(128 << 10, seed);
+        let mut g = hv.guest(va);
+        let src = g.alloc_dma(1 << 17);
+        let dst = g.alloc_dma(1 << 17);
+        let state = g.alloc_dma(PAGE_2M);
+        g.write_mem(src, &plain);
+        g.set_state_buffer(state);
+        let t = Self { va, src, dst, state, key0: seed, plain };
+        t.submit(hv);
+        t
+    }
+
+    /// Programs the job's registers and starts it.
+    fn submit(&self, hv: &mut Optimus) {
+        let mut g = hv.guest(self.va);
+        g.mmio_write(APP + AesKernel::REG_SRC, self.src.raw());
+        g.mmio_write(APP + AesKernel::REG_DST, self.dst.raw());
+        g.mmio_write(APP + AesKernel::REG_LINES, self.plain.len() as u64 / 64);
+        g.mmio_write(APP + AesKernel::REG_KEY0, self.key0);
+        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+    }
+
+    /// Whether the destination holds exactly the software ciphertext.
+    fn output_is_exact(&self, hv: &mut Optimus) -> bool {
+        let mut out = vec![0u8; self.plain.len()];
+        hv.guest(self.va).read_mem(self.dst, &mut out);
+        let mut key = [0u8; 16];
+        key[..8].copy_from_slice(&self.key0.to_le_bytes());
+        let mut expect = self.plain.clone();
+        optimus_algo::aes::Aes128::new(&key).encrypt_ecb(&mut expect);
+        out == expect
+    }
+}
+
+/// §4.2 puts the save buffer in guest memory, so a tenant may rewrite its
+/// saved state (or repoint `CTRL_STATE_ADDR`) while its job is off the
+/// hardware. Each way of doing so must end as a failed restore of that
+/// tenant's job — never a panic or an allocation sized by what the guest
+/// wrote — while the tenant time-sharing its slot finishes bit-exactly and
+/// the at-fault tenant can submit again.
+#[test]
+fn corrupted_saved_state_fails_the_restore_not_the_simulator() {
+    type Corrupt = fn(&mut Optimus, &AesTenant);
+    let corruptions: [(&str, Corrupt); 4] = [
+        ("buffer repointed out of the window", |hv, t| {
+            hv.guest(t.va).set_state_buffer(Gva::new(t.state.raw() + (1 << 40)))
+        }),
+        ("header whose frame overflows", |hv, t| {
+            hv.guest(t.va).write_mem(t.state, &u64::MAX.to_le_bytes())
+        }),
+        ("header naming a terabyte", |hv, t| {
+            hv.guest(t.va).write_mem(t.state, &(1u64 << 40).to_le_bytes())
+        }),
+        ("body too short for its kernel", |hv, t| {
+            hv.guest(t.va).write_mem(t.state, &8u64.to_le_bytes())
+        }),
+    ];
+    for (what, corrupt) in corruptions {
+        let mut cfg = OptimusConfig::new(vec![AccelKind::Aes]);
+        cfg.time_slice = 8_000;
+        cfg.preempt_timeout = 20_000;
+        let mut hv = Optimus::new(cfg);
+        let bad = AesTenant::new(&mut hv, "bad", 1);
+        let good = AesTenant::new(&mut hv, "good", 2);
+        while hv.vaccel_run(bad.va) != Some(VaccelRun::SavedInMemory) {
+            hv.run(1_000);
+        }
+        corrupt(&mut hv, &bad);
+        // The next install resumes from the corrupted state; once it has
+        // played out, the guest points its buffer back at real memory.
+        while hv.vaccel_run(bad.va) != Some(VaccelRun::Scheduled) {
+            hv.run(1_000);
+        }
+        hv.run(2_000);
+        hv.guest(bad.va).set_state_buffer(bad.state);
+        // A polling guest resubmits whenever its slot reports the job gone.
+        let (mut resubmits, deadline) = (0, hv.now() + 20_000_000);
+        loop {
+            hv.run(1_000);
+            match CtrlStatus::from_u64(hv.guest(bad.va).mmio_read(accel_reg::CTRL_STATUS)) {
+                CtrlStatus::Done => break,
+                CtrlStatus::Idle => {
+                    bad.submit(&mut hv);
+                    resubmits += 1;
+                }
+                _ => {}
+            }
+            assert!(hv.now() < deadline, "{what}: the at-fault job never finished");
+        }
+        assert!(hv.run_until_done(good.va, 20_000_000), "{what}: co-tenant starved");
+        assert!(good.output_is_exact(&mut hv), "{what}: co-tenant output corrupted");
+        assert!(bad.output_is_exact(&mut hv), "{what}: resubmitted job output wrong");
+        let forced = hv.stats().forced_resets;
+        assert!(resubmits + forced > 0, "{what}: the corrupted restore never failed");
+    }
+}
+
+/// A slice deadline that a span ends exactly on must still fire while a
+/// live cross-device share keeps the node in horizon-chunked stepping.
+/// The horizon of a due-but-unfired deadline used to be `now`, sizing
+/// 1-cycle chunks that end before `Optimus::run`'s boundary check: the
+/// slot never rotated again and the node crawled at one cycle per chunk.
+#[test]
+fn due_slice_deadline_fires_under_a_live_cross_device_share() {
+    let mut cfg = NodeConfig::new(vec![AccelKind::Md5], 2);
+    cfg.time_slice = 20_000;
+    let mut node = OptimusNode::new(cfg).expect("node boots");
+    let owner = node.create_tenant_on(DeviceId(1), "owner");
+    let tenants = [
+        node.create_tenant_on(DeviceId(0), "peer"),
+        node.create_tenant_on(DeviceId(0), "other"),
+    ];
+    let span = node.guest(owner).alloc_dma(PAGE_2M);
+    let handle = node.guest(owner).mem_share(span, PAGE_2M, "peer", false).expect("share");
+    node.retrieve_shared(handle, tenants[0]).expect("cross-device retrieve");
+    for h in tenants {
+        let mut g = node.guest(h);
+        let state = g.alloc_dma(PAGE_2M);
+        g.set_state_buffer(state);
+        let (src, dst) = (g.alloc_dma(8 << 20), g.alloc_dma(4096));
+        g.mmio_write(APP + hash_reg::SRC, src.raw());
+        g.mmio_write(APP + hash_reg::DST, dst.raw());
+        g.mmio_write(APP + hash_reg::LINES, (8 << 20) / 64);
+        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+    }
+    node.run(1_000);
+    // End a span exactly on device 0's slice deadline.
+    let hv = node.device(DeviceId(0));
+    let deadline = hv.next_sync_horizon().expect("a tenant holds the slot");
+    let span = deadline - hv.now();
+    node.run(span);
+    let before = node.device(DeviceId(0)).stats().context_switches;
+    node.run(200_000);
+    let switches = node.device(DeviceId(0)).stats().context_switches - before;
+    assert!(switches >= 9, "slot stopped rotating: {switches} slice boundaries in 200k cycles");
 }
