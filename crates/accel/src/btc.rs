@@ -41,6 +41,8 @@ pub struct BtcKernel {
     pacer: Pacer,
     /// Tags of the two header-line reads (arrival order may differ).
     fetch_tags: [Option<u32>; 2],
+    /// A header read came back master-aborted: the job ends unmined.
+    fetch_aborted: bool,
 }
 
 impl Default for BtcKernel {
@@ -78,6 +80,7 @@ impl BtcKernel {
             phase: Phase::Finished,
             pacer: Pacer::new(),
             fetch_tags: [None, None],
+            fetch_aborted: false,
         }
     }
 }
@@ -114,6 +117,7 @@ impl Kernel for BtcKernel {
         self.found = u64::MAX;
         self.header_lines = 0;
         self.fetch_tags = [None, None];
+        self.fetch_aborted = false;
         self.phase = if self.count == 0 {
             Phase::Finished
         } else {
@@ -130,7 +134,6 @@ impl Kernel for BtcKernel {
         match self.phase {
             Phase::FetchHeader => {
                 while let Some(resp) = port.pop_response() {
-                    let data = resp.data.expect("header fetch is a read");
                     // Match the response to its header line by tag: the two
                     // reads may return out of order across channels.
                     let idx = self
@@ -138,12 +141,21 @@ impl Kernel for BtcKernel {
                         .iter()
                         .position(|t| *t == Some(resp.tag.0))
                         .expect("header fetch tag tracked");
-                    let take = if idx == 0 { 64 } else { 16 };
-                    self.header_bytes[idx * 64..idx * 64 + take]
-                        .copy_from_slice(&data[..take]);
+                    match resp.data {
+                        Some(data) => {
+                            let take = if idx == 0 { 64 } else { 16 };
+                            self.header_bytes[idx * 64..idx * 64 + take]
+                                .copy_from_slice(&data[..take]);
+                        }
+                        None => self.fetch_aborted = true,
+                    }
                     self.header_lines += 1;
                     if self.header_lines == 2 {
-                        self.phase = Phase::Mining;
+                        self.phase = if self.fetch_aborted {
+                            Phase::Finished
+                        } else {
+                            Phase::Mining
+                        };
                     }
                 }
                 for idx in 0..2u64 {

@@ -100,14 +100,17 @@ impl Md5Kernel {
         }
     }
 
-    /// Register: worst-case state padding in bytes (see `state_pad`).
+    /// Register: worst-case state padding in bytes (see `state_pad`),
+    /// clamped to the device's on-chip RAM.
     pub const REG_STATE_PAD: u64 = 56;
 }
 
 impl Md5Kernel {
     fn write_extra_reg(&mut self, offset: u64, value: u64) {
         if offset == Self::REG_STATE_PAD {
-            self.state_pad = value;
+            // Every save allocates the pad: at most all of on-chip RAM,
+            // above Fig 8's 3 MiB worst case.
+            self.state_pad = value.min(crate::ONCHIP_RAM_BYTES);
         }
     }
 }
@@ -173,8 +176,10 @@ impl Kernel for Md5Kernel {
         }
         let len = r.u64()?;
         self.state_pad = r.u64()?;
-        // The pad must be as long as it claims: the next save allocates it.
-        let pad_ok = r.bytes()?.len() as u64 == self.state_pad;
+        // The pad must be as long as it claims and fit on chip: the next
+        // save allocates it.
+        let pad_ok =
+            self.state_pad <= crate::ONCHIP_RAM_BYTES && r.bytes()?.len() as u64 == self.state_pad;
         if !pad_ok || len % 64 != 0 {
             return None;
         }

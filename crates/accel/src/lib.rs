@@ -49,3 +49,8 @@ pub mod wild;
 
 pub use harness::{Harnessed, Kernel};
 pub use registry::{build_accelerator, AccelKind};
+
+/// The device's on-chip RAM: every M20K block, 2,560 bytes each (≈ 6.9 MB).
+/// What a kernel keeps on chip is bounded by it, so a guest-written size
+/// can never size a host allocation beyond it.
+const ONCHIP_RAM_BYTES: u64 = optimus_fabric::resources::TOTAL_BRAMS * 2_560;

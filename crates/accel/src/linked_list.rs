@@ -26,6 +26,8 @@ pub struct LlKernel {
     current: u64,
     steps: u64,
     outstanding: bool,
+    /// A hop's read came back master-aborted: the walk is over.
+    aborted: bool,
 }
 
 impl Default for LlKernel {
@@ -53,13 +55,18 @@ impl LlKernel {
             current: 0,
             steps: 0,
             outstanding: false,
+            aborted: false,
         }
     }
 
     fn absorb(&mut self, resp: AccelResponse) {
-        let data = resp.data.expect("LL only issues reads");
-        self.current = u64::from_le_bytes(data[0..8].try_into().unwrap());
-        self.steps += 1;
+        match resp.data {
+            Some(data) => {
+                self.current = u64::from_le_bytes(data[0..8].try_into().unwrap());
+                self.steps += 1;
+            }
+            None => self.aborted = true,
+        }
         self.outstanding = false;
     }
 }
@@ -91,10 +98,12 @@ impl Kernel for LlKernel {
         self.current = self.start_node;
         self.steps = 0;
         self.outstanding = false;
+        self.aborted = false;
     }
 
     fn done(&self) -> bool {
-        self.steps_target > 0 && self.steps >= self.steps_target && !self.outstanding
+        let walked = self.steps_target > 0 && self.steps >= self.steps_target;
+        self.aborted || (walked && !self.outstanding)
     }
 
     fn step(&mut self, now: Cycle, port: &mut AccelPort) {
@@ -130,6 +139,7 @@ impl Kernel for LlKernel {
         self.current = r.u64()?;
         self.steps = r.u64()?;
         self.outstanding = false;
+        self.aborted = false;
         Some(())
     }
 

@@ -26,52 +26,124 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// "Unreachable" distance (matches [`optimus_algo::graph::INF`]).
 pub const INF: u32 = u32::MAX;
 
-/// A pending multi-line fetch: tag → slot, plus the collected lines.
+/// A pending multi-line fetch over runs of consecutive lines: tag → slot,
+/// plus the lines collected so far (slots number the lines in run order).
+/// Nothing is sized from a run's length, so a guest-read edge range costs
+/// memory only as its lines arrive.
 #[derive(Debug, Default)]
 struct Fetch {
     expect: HashMap<u32, usize>,
     lines: Vec<Option<Box<[u8; 64]>>>,
-    /// Line-aligned GVAs still to issue.
-    to_issue: VecDeque<u64>,
+    /// Runs still to issue: (next line GVA, lines left).
+    to_issue: VecDeque<(u64, u64)>,
     issued: usize,
+    /// A read came back master-aborted: nothing more is issued and the
+    /// fetch ends once its reads in flight have returned.
+    aborted: bool,
+}
+
+/// Where a [`Fetch`] stands after [`Fetch::poll`].
+enum Got {
+    Pending,
+    Lines,
+    Aborted,
 }
 
 impl Fetch {
-    fn begin(gvas: Vec<u64>) -> Self {
+    /// A fetch of `(first line GVA, line count)` runs, issued in order.
+    fn begin(runs: impl IntoIterator<Item = (u64, u64)>) -> Self {
         Fetch {
-            expect: HashMap::new(),
-            lines: vec![None; gvas.len()],
-            to_issue: gvas.into(),
-            issued: 0,
+            to_issue: runs.into_iter().filter(|&(_, n)| n > 0).collect(),
+            ..Fetch::default()
         }
     }
 
-    fn pump(&mut self, port: &mut AccelPort, now: Cycle, window: usize) {
-        while !self.to_issue.is_empty()
-            && self.expect.len() < window
-            && port.can_issue()
-        {
-            let gva = self.to_issue.pop_front().expect("nonempty");
+    /// A fetch of single lines, issued in order.
+    fn of_lines(gvas: &[u64]) -> Self {
+        Self::begin(gvas.iter().map(|&g| (g, 1)))
+    }
+
+    /// Absorbs delivered responses, keeps up to `window` reads in flight,
+    /// and reports whether every line has arrived.
+    fn poll(&mut self, port: &mut AccelPort, now: Cycle, window: usize) -> Got {
+        while let Some(resp) = port.pop_response() {
+            if let Some(slot) = self.expect.remove(&resp.tag.0) {
+                match resp.data {
+                    Some(line) => {
+                        if slot >= self.lines.len() {
+                            self.lines.resize_with(slot + 1, || None);
+                        }
+                        self.lines[slot] = Some(line);
+                    }
+                    None => self.aborted = true,
+                }
+            }
+        }
+        while !self.aborted && self.expect.len() < window && port.can_issue() {
+            let Some(run) = self.to_issue.front_mut() else { break };
+            let gva = run.0;
+            run.0 += 64;
+            run.1 -= 1;
+            if run.1 == 0 {
+                self.to_issue.pop_front();
+            }
             let tag = port.read(Gva::new(gva), now);
             self.expect.insert(tag.0, self.issued);
             self.issued += 1;
         }
-    }
-
-    fn absorb(&mut self, port: &mut AccelPort) {
-        while let Some(resp) = port.pop_response() {
-            if let Some(slot) = self.expect.remove(&resp.tag.0) {
-                self.lines[slot] = resp.data;
-            }
+        match (self.expect.is_empty(), self.aborted) {
+            (true, true) => Got::Aborted,
+            (true, false) if self.to_issue.is_empty() => Got::Lines,
+            _ => Got::Pending,
         }
-    }
-
-    fn complete(&self) -> bool {
-        self.to_issue.is_empty() && self.expect.is_empty()
     }
 
     fn line(&self, slot: usize) -> &[u8; 64] {
         self.lines[slot].as_deref().expect("fetch complete")
+    }
+}
+
+/// A sorted set of line GVAs stored as disjoint runs
+/// `(first line GVA, lines, slot of the first line)`, so a round's edge
+/// ranges cost a few words each rather than a word per line.
+#[derive(Debug)]
+struct LineRuns(Vec<(u64, u64, usize)>);
+
+impl LineRuns {
+    /// Merges `(first line GVA, lines)` runs into ascending disjoint runs.
+    fn new(mut runs: Vec<(u64, u64)>) -> Self {
+        runs.sort_unstable();
+        let mut merged: Vec<(u64, u64, usize)> = Vec::with_capacity(runs.len());
+        let mut slots = 0;
+        for (first, n) in runs {
+            match merged.last_mut() {
+                Some(last) if first <= last.0 + 64 * last.1 => {
+                    let end = (first + 64 * n).max(last.0 + 64 * last.1);
+                    let grown = (end - last.0) / 64 - last.1;
+                    last.1 += grown;
+                    slots += grown as usize;
+                }
+                _ => {
+                    merged.push((first, n, slots));
+                    slots += n as usize;
+                }
+            }
+        }
+        LineRuns(merged)
+    }
+
+    fn fetch(&self) -> Fetch {
+        Fetch::begin(self.0.iter().map(|&(first, n, _)| (first, n)))
+    }
+
+    /// Reads a little-endian u32 at `byte_addr` out of a completed fetch
+    /// of these runs.
+    fn u32_at(&self, fetch: &Fetch, byte_addr: u64) -> u32 {
+        let line = byte_addr & !63;
+        let (first, _, slot) = self.0[self.0.partition_point(|r| r.0 <= line) - 1];
+        let off = (byte_addr - line) as usize;
+        let bytes = &fetch.line(slot + ((line - first) / 64) as usize)[off..off + 4];
+        u32::from_le_bytes(bytes.try_into().unwrap())
     }
 }
 
@@ -93,19 +165,23 @@ enum Phase {
     /// (pipelined — the frontier's vertices are all known up front).
     RoundOffsets {
         fetch: Fetch,
-        line_gvas: Vec<u64>,
+        runs: LineRuns,
     },
     /// On-chip mode: fetch every edge line the round touches (bulk,
     /// bandwidth-bound streaming).
     RoundEdges {
         fetch: Fetch,
-        line_gvas: Vec<u64>,
+        runs: LineRuns,
         ranges: Vec<(u32, u32, u32)>,
     },
-    /// On-chip mode: relax the gathered edges against BRAM.
+    /// On-chip mode: relax the gathered edges against BRAM, edge `k` of
+    /// `ranges[range]` next.
     RoundRelax {
-        edges: Vec<(u32, u32, u32)>,
-        cursor: usize,
+        fetch: Fetch,
+        runs: LineRuns,
+        ranges: Vec<(u32, u32, u32)>,
+        range: usize,
+        k: u32,
     },
     NextVertex,
     FetchOffsets {
@@ -184,7 +260,8 @@ impl SsspKernel {
     /// Register (read-only): successful relaxations.
     pub const REG_RELAXATIONS: u64 = 32;
     /// Register: 1 = on-chip vertex data (stream dist in/out, relax in
-    /// BRAM), 0 = per-edge DRAM read-modify-write.
+    /// BRAM; a distance array larger than on-chip RAM ends the job),
+    /// 0 = per-edge DRAM read-modify-write.
     pub const REG_ONCHIP: u64 = 40;
 
     /// Creates an idle kernel.
@@ -211,6 +288,7 @@ impl SsspKernel {
         }
     }
 
+    /// Byte address of `row_offsets[u]`; `row_offsets[u + 1]` follows it.
     fn row_offset_addr(&self, u: u32) -> u64 {
         self.graph + 8 + 4 * u as u64
     }
@@ -227,22 +305,18 @@ impl SsspKernel {
         self.dist + 4 * v as u64
     }
 
-    /// Reads a little-endian u32 at `byte_addr` out of a completed fetch
-    /// whose slots correspond to the sorted `line_gvas`.
-    fn fetch_u32(fetch: &Fetch, line_gvas: &[u64], byte_addr: u64) -> u32 {
-        let line = byte_addr & !63;
-        let slot = line_gvas.binary_search(&line).expect("line fetched");
-        let off = (byte_addr - line) as usize;
-        u32::from_le_bytes(fetch.line(slot)[off..off + 4].try_into().unwrap())
+    /// Whether `[lo, hi)` is a well-formed (possibly empty) edge range. A
+    /// malformed graph in guest memory ends the job instead.
+    fn edge_range_ok(&self, lo: u32, hi: u32) -> bool {
+        lo <= hi && hi <= self.edges
     }
 
-    /// Lines covering the byte range `[lo, hi)`.
-    fn lines_covering(lo: u64, hi: u64) -> Vec<u64> {
-        let first = lo & !63;
-        let last = (hi - 1) & !63;
-        (first..=last).step_by(64).collect()
+    /// The line runs `(first line GVA, lines)` holding the targets and the
+    /// weights of the non-empty edge range `[lo, hi)`.
+    fn edge_runs(&self, lo: u32, hi: u32) -> [(u64, u64); 2] {
+        [(self.target_addr(lo), self.target_addr(hi)), (self.weight_addr(lo), self.weight_addr(hi))]
+            .map(|(from, to)| (from & !63, (to - 1) / 64 - from / 64 + 1))
     }
-
 }
 
 impl Kernel for SsspKernel {
@@ -281,7 +355,7 @@ impl Kernel for SsspKernel {
         self.edge_idx = 0;
         self.rounds = 0;
         self.relaxations = 0;
-        self.phase = Phase::FetchHeader(Fetch::begin(vec![self.graph]));
+        self.phase = Phase::FetchHeader(Fetch::of_lines(&[self.graph]));
     }
 
     fn done(&self) -> bool {
@@ -292,33 +366,37 @@ impl Kernel for SsspKernel {
         // One phase transition per call keeps the dependent-access timing
         // honest: every hop costs at least one accelerator cycle plus the
         // memory round trip. The phase is moved out so the arms can call
-        // address helpers on `self`.
+        // address helpers on `self`. A master-aborted read or a malformed
+        // graph ends the job (`Phase::Done`).
         let phase = std::mem::replace(&mut self.phase, Phase::Idle);
         self.phase = match phase {
             Phase::Idle => Phase::Idle,
             Phase::Done => Phase::Done,
-            Phase::FetchHeader(mut fetch) => {
-                fetch.absorb(port);
-                fetch.pump(port, now, 2);
-                if fetch.complete() {
+            Phase::FetchHeader(mut fetch) => match fetch.poll(port, now, 2) {
+                Got::Pending => Phase::FetchHeader(fetch),
+                Got::Aborted => Phase::Done,
+                Got::Lines => {
                     let line = fetch.line(0);
                     self.vertices = u32::from_le_bytes(line[0..4].try_into().unwrap());
                     self.edges = u32::from_le_bytes(line[4..8].try_into().unwrap());
                     self.frontier.push_back((self.source as u32, 0));
                     self.rounds = 1;
-                    if self.onchip {
-                        let lines = (self.vertices as u64 * 4).div_ceil(64);
-                        self.dist_vec = Vec::with_capacity(self.vertices as usize);
+                    let dist_bytes = self.vertices as u64 * 4;
+                    if self.source >= self.vertices as u64
+                        || (self.onchip && dist_bytes > crate::ONCHIP_RAM_BYTES)
+                    {
+                        Phase::Done
+                    } else if self.onchip {
+                        let lines = dist_bytes.div_ceil(64);
+                        self.dist_vec.clear();
                         Phase::LoadDist {
                             engine: crate::stream::StreamEngine::new(self.dist, lines),
                         }
                     } else {
                         Phase::NextVertex
                     }
-                } else {
-                    Phase::FetchHeader(fetch)
                 }
-            }
+            },
             Phase::LoadDist { mut engine } => {
                 engine.absorb(port);
                 engine.issue_reads(port, now);
@@ -368,83 +446,104 @@ impl Kernel for SsspKernel {
                     }
                 }
             }
-            Phase::RoundOffsets { mut fetch, line_gvas } => {
-                fetch.absorb(port);
-                fetch.pump(port, now, 16);
-                if !fetch.complete() {
-                    Phase::RoundOffsets { fetch, line_gvas }
-                } else {
+            Phase::RoundOffsets { mut fetch, runs } => match fetch.poll(port, now, 16) {
+                Got::Pending => Phase::RoundOffsets { fetch, runs },
+                Got::Aborted => Phase::Done,
+                Got::Lines => {
                     // Decode (lo, hi) per frontier vertex, then gather every
                     // edge line the round touches.
-                    let mut ranges = Vec::with_capacity(self.round_vertices.len());
-                    let mut edge_lines = Vec::new();
-                    for &u in &self.round_vertices {
-                        let lo = Self::fetch_u32(&fetch, &line_gvas, self.row_offset_addr(u));
-                        let hi =
-                            Self::fetch_u32(&fetch, &line_gvas, self.row_offset_addr(u + 1));
-                        if lo != hi {
-                            ranges.push((u, lo, hi));
-                            edge_lines
-                                .extend(Self::lines_covering(self.target_addr(lo), self.target_addr(hi)));
-                            edge_lines
-                                .extend(Self::lines_covering(self.weight_addr(lo), self.weight_addr(hi)));
-                        }
-                    }
-                    edge_lines.sort_unstable();
-                    edge_lines.dedup();
-                    if ranges.is_empty() {
-                        Phase::NextVertex
-                    } else {
-                        Phase::RoundEdges {
-                            fetch: Fetch::begin(edge_lines.clone()),
-                            line_gvas: edge_lines,
-                            ranges,
+                    let ranges: Option<Vec<(u32, u32, u32)>> = (self.round_vertices.iter())
+                        .map(|&u| {
+                            let lo_addr = self.row_offset_addr(u);
+                            let lo = runs.u32_at(&fetch, lo_addr);
+                            let hi = runs.u32_at(&fetch, lo_addr + 4);
+                            self.edge_range_ok(lo, hi).then_some((u, lo, hi))
+                        })
+                        .collect();
+                    match ranges {
+                        None => Phase::Done,
+                        Some(mut ranges) => {
+                            ranges.retain(|&(_, lo, hi)| lo < hi);
+                            if ranges.is_empty() {
+                                Phase::NextVertex
+                            } else {
+                                let runs = (ranges.iter())
+                                    .flat_map(|&(_, lo, hi)| self.edge_runs(lo, hi))
+                                    .collect();
+                                let runs = LineRuns::new(runs);
+                                Phase::RoundEdges {
+                                    fetch: runs.fetch(),
+                                    runs,
+                                    ranges,
+                                }
+                            }
                         }
                     }
                 }
-            }
+            },
             Phase::RoundEdges {
                 mut fetch,
-                line_gvas,
+                runs,
                 ranges,
+            } => match fetch.poll(port, now, 32) {
+                Got::Pending => Phase::RoundEdges {
+                    fetch,
+                    runs,
+                    ranges,
+                },
+                Got::Aborted => Phase::Done,
+                Got::Lines => Phase::RoundRelax {
+                    k: ranges[0].1,
+                    fetch,
+                    runs,
+                    ranges,
+                    range: 0,
+                },
+            },
+            Phase::RoundRelax {
+                fetch,
+                runs,
+                ranges,
+                mut range,
+                mut k,
             } => {
-                fetch.absorb(port);
-                fetch.pump(port, now, 32);
-                if !fetch.complete() {
-                    Phase::RoundEdges {
-                        fetch,
-                        line_gvas,
-                        ranges,
-                    }
-                } else {
-                    let mut edges = Vec::new();
-                    for &(u, lo, hi) in &ranges {
-                        for k in lo..hi {
-                            let v = Self::fetch_u32(&fetch, &line_gvas, self.target_addr(k));
-                            let w = Self::fetch_u32(&fetch, &line_gvas, self.weight_addr(k));
-                            edges.push((u, v, w));
-                        }
-                    }
-                    Phase::RoundRelax { edges, cursor: 0 }
-                }
-            }
-            Phase::RoundRelax { edges, mut cursor } => {
                 let mut budget = 4;
-                while budget > 0 && cursor < edges.len() {
-                    let (u, v, w) = edges[cursor];
-                    let cand = self.dist_vec[u as usize].saturating_add(w);
-                    if cand < self.dist_vec[v as usize] {
+                let mut malformed = false;
+                while budget > 0 && range < ranges.len() {
+                    let (u, _, hi) = ranges[range];
+                    let v = runs.u32_at(&fetch, self.target_addr(k));
+                    let w = runs.u32_at(&fetch, self.weight_addr(k));
+                    let (Some(&du), Some(&dv)) =
+                        (self.dist_vec.get(u as usize), self.dist_vec.get(v as usize))
+                    else {
+                        malformed = true;
+                        break;
+                    };
+                    let cand = du.saturating_add(w);
+                    if cand < dv {
                         self.dist_vec[v as usize] = cand;
                         self.relaxations += 1;
                         if self.in_next.insert(v) {
                             self.next.push((v, cand));
                         }
                     }
-                    cursor += 1;
+                    k += 1;
+                    if k == hi {
+                        range += 1;
+                        k = ranges.get(range).map_or(0, |r| r.1);
+                    }
                     budget -= 1;
                 }
-                if cursor < edges.len() {
-                    Phase::RoundRelax { edges, cursor }
+                if malformed {
+                    Phase::Done
+                } else if range < ranges.len() {
+                    Phase::RoundRelax {
+                        fetch,
+                        runs,
+                        ranges,
+                        range,
+                        k,
+                    }
                 } else {
                     Phase::NextVertex
                 }
@@ -452,16 +551,18 @@ impl Kernel for SsspKernel {
             Phase::NextVertex if self.onchip => {
                 if !self.frontier.is_empty() {
                     self.round_vertices = self.frontier.drain(..).map(|(u, _)| u).collect();
-                    let mut line_gvas = Vec::new();
-                    for &u in &self.round_vertices {
-                        line_gvas.push(self.row_offset_addr(u) & !63);
-                        line_gvas.push(self.row_offset_addr(u + 1) & !63);
-                    }
-                    line_gvas.sort_unstable();
-                    line_gvas.dedup();
+                    let lines = self
+                        .round_vertices
+                        .iter()
+                        .flat_map(|&u| {
+                            let lo_addr = self.row_offset_addr(u);
+                            [(lo_addr & !63, 1), ((lo_addr + 4) & !63, 1)]
+                        })
+                        .collect();
+                    let runs = LineRuns::new(lines);
                     Phase::RoundOffsets {
-                        fetch: Fetch::begin(line_gvas.clone()),
-                        line_gvas,
+                        fetch: runs.fetch(),
+                        runs,
                     }
                 } else if !self.next.is_empty() {
                     self.frontier = std::mem::take(&mut self.next).into();
@@ -480,7 +581,7 @@ impl Kernel for SsspKernel {
             Phase::NextVertex => {
                 if let Some((u, _)) = self.frontier.pop_front() {
                     let lo_addr = self.row_offset_addr(u);
-                    let hi_addr = self.row_offset_addr(u + 1);
+                    let hi_addr = lo_addr + 4;
                     let two_lines = (lo_addr & !63) != (hi_addr & !63);
                     let mut gvas = vec![lo_addr & !63];
                     if two_lines {
@@ -494,7 +595,7 @@ impl Kernel for SsspKernel {
                         gvas.push(self.dist_addr(u) & !63);
                     }
                     Phase::FetchOffsets {
-                        fetch: Fetch::begin(gvas),
+                        fetch: Fetch::of_lines(&gvas),
                         lo_addr,
                         two_lines,
                         u,
@@ -514,17 +615,15 @@ impl Kernel for SsspKernel {
                 lo_addr,
                 two_lines,
                 u,
-            } => {
-                fetch.absorb(port);
-                fetch.pump(port, now, 3);
-                if !fetch.complete() {
-                    Phase::FetchOffsets {
-                        fetch,
-                        lo_addr,
-                        two_lines,
-                        u,
-                    }
-                } else {
+            } => match fetch.poll(port, now, 3) {
+                Got::Pending => Phase::FetchOffsets {
+                    fetch,
+                    lo_addr,
+                    two_lines,
+                    u,
+                },
+                Got::Aborted => Phase::Done,
+                Got::Lines => {
                     let lo_off = (lo_addr & 63) as usize;
                     let lo =
                         u32::from_le_bytes(fetch.line(0)[lo_off..lo_off + 4].try_into().unwrap());
@@ -536,39 +635,35 @@ impl Kernel for SsspKernel {
                         )
                     };
                     let du = if self.onchip {
-                        self.dist_vec[u as usize]
+                        self.dist_vec.get(u as usize).copied()
                     } else {
                         let dist_slot = if two_lines { 2 } else { 1 };
                         let d_off = (self.dist_addr(u) & 63) as usize;
-                        u32::from_le_bytes(
+                        Some(u32::from_le_bytes(
                             fetch.line(dist_slot)[d_off..d_off + 4].try_into().unwrap(),
-                        )
+                        ))
                     };
-                    self.current = Some((u, du));
-                    if lo == hi {
-                        self.current = None;
-                        Phase::NextVertex
-                    } else {
-                        let t_lines =
-                            Self::lines_covering(self.target_addr(lo), self.target_addr(hi));
-                        let w_lines =
-                            Self::lines_covering(self.weight_addr(lo), self.weight_addr(hi));
-                        let target_line_count = t_lines.len();
-                        let target_base_addr = self.target_addr(lo) & !63;
-                        let weight_base_addr = self.weight_addr(lo) & !63;
-                        let mut gvas = t_lines;
-                        gvas.extend(w_lines);
-                        Phase::FetchEdges {
-                            fetch: Fetch::begin(gvas),
-                            target_base_addr,
-                            weight_base_addr,
-                            lo,
-                            hi,
-                            target_line_count,
+                    match du {
+                        Some(_) if lo == hi && self.edge_range_ok(lo, hi) => {
+                            self.current = None;
+                            Phase::NextVertex
                         }
+                        Some(du) if self.edge_range_ok(lo, hi) => {
+                            self.current = Some((u, du));
+                            let [t_run, w_run] = self.edge_runs(lo, hi);
+                            Phase::FetchEdges {
+                                fetch: Fetch::begin([t_run, w_run]),
+                                target_base_addr: t_run.0,
+                                weight_base_addr: w_run.0,
+                                lo,
+                                hi,
+                                target_line_count: t_run.1 as usize,
+                            }
+                        }
+                        _ => Phase::Done,
                     }
                 }
-            }
+            },
             Phase::FetchEdges {
                 mut fetch,
                 target_base_addr,
@@ -576,19 +671,17 @@ impl Kernel for SsspKernel {
                 lo,
                 hi,
                 target_line_count,
-            } => {
-                fetch.absorb(port);
-                fetch.pump(port, now, 8);
-                if !fetch.complete() {
-                    Phase::FetchEdges {
-                        fetch,
-                        target_base_addr,
-                        weight_base_addr,
-                        lo,
-                        hi,
-                        target_line_count,
-                    }
-                } else {
+            } => match fetch.poll(port, now, 8) {
+                Got::Pending => Phase::FetchEdges {
+                    fetch,
+                    target_base_addr,
+                    weight_base_addr,
+                    lo,
+                    hi,
+                    target_line_count,
+                },
+                Got::Aborted => Phase::Done,
+                Got::Lines => {
                     let mut edge_list = Vec::with_capacity((hi - lo) as usize);
                     for k in lo..hi {
                         let t_addr = self.target_addr(k);
@@ -606,21 +699,30 @@ impl Kernel for SsspKernel {
                         );
                         edge_list.push((v, w));
                     }
-                    self.edge_list = edge_list;
                     self.edge_idx = 0;
-                    Phase::ProcessEdges
+                    if edge_list.iter().any(|&(v, _)| v >= self.vertices) {
+                        Phase::Done
+                    } else {
+                        self.edge_list = edge_list;
+                        Phase::ProcessEdges
+                    }
                 }
-            }
+            },
             Phase::ProcessEdges => {
                 if self.onchip {
                     // BRAM relaxations: up to a few edges per cycle.
                     let mut budget = 4;
+                    let mut malformed = false;
                     while budget > 0 && self.edge_idx < self.edge_list.len() {
                         let (v, w) = self.edge_list[self.edge_idx];
                         let (_, du) = self.current.expect("processing a vertex");
                         let cand = du.saturating_add(w);
-                        if cand < self.dist_vec[v as usize] {
-                            self.dist_vec[v as usize] = cand;
+                        let Some(dv) = self.dist_vec.get_mut(v as usize) else {
+                            malformed = true;
+                            break;
+                        };
+                        if cand < *dv {
+                            *dv = cand;
                             self.relaxations += 1;
                             if self.in_next.insert(v) {
                                 self.next.push((v, cand));
@@ -629,7 +731,9 @@ impl Kernel for SsspKernel {
                         self.edge_idx += 1;
                         budget -= 1;
                     }
-                    if self.edge_idx >= self.edge_list.len() {
+                    if malformed {
+                        Phase::Done
+                    } else if self.edge_idx >= self.edge_list.len() {
                         self.current = None;
                         Phase::NextVertex
                     } else {
@@ -644,7 +748,7 @@ impl Kernel for SsspKernel {
                     let cand = du.saturating_add(w);
                     let line_gva = self.dist_addr(v) & !63;
                     Phase::FetchDist {
-                        fetch: Fetch::begin(vec![line_gva]),
+                        fetch: Fetch::of_lines(&[line_gva]),
                         v,
                         cand,
                         line_gva,
@@ -656,17 +760,15 @@ impl Kernel for SsspKernel {
                 v,
                 cand,
                 line_gva,
-            } => {
-                fetch.absorb(port);
-                fetch.pump(port, now, 1);
-                if !fetch.complete() {
-                    Phase::FetchDist {
-                        fetch,
-                        v,
-                        cand,
-                        line_gva,
-                    }
-                } else {
+            } => match fetch.poll(port, now, 1) {
+                Got::Pending => Phase::FetchDist {
+                    fetch,
+                    v,
+                    cand,
+                    line_gva,
+                },
+                Got::Aborted => Phase::Done,
+                Got::Lines => {
                     let off = (self.dist_addr(v) - line_gva) as usize;
                     let mut line = *fetch.line(0);
                     let old = u32::from_le_bytes(line[off..off + 4].try_into().unwrap());
@@ -696,7 +798,7 @@ impl Kernel for SsspKernel {
                         Phase::ProcessEdges
                     }
                 }
-            }
+            },
         };
     }
 

@@ -99,9 +99,10 @@ fn launch_and_measure(mut hv: Optimus, exp: &SpatialExp) -> (Vec<SlotResult>, Op
     let progress_at_open: Vec<u64> = (0..n)
         .map(|s| jobs::progress(hv.device_mut(), exp.slots[s], s))
         .collect();
-    let latency_counts: Vec<usize> = (0..n)
-        .map(|s| hv.device_mut().port_mut(s).latency_stats().count())
-        .collect();
+    // Warm-up latencies leave with the taken accumulators.
+    for s in 0..n {
+        std::mem::take(hv.device_mut().port_mut(s).latency_stats());
+    }
     hv.device_mut().open_windows();
     hv.run(exp.window);
     hv.device_mut().close_windows();
@@ -109,9 +110,7 @@ fn launch_and_measure(mut hv: Optimus, exp: &SpatialExp) -> (Vec<SlotResult>, Op
         .map(|s| {
             let progress =
                 jobs::progress(hv.device_mut(), exp.slots[s], s) - progress_at_open[s];
-            let stats = hv.device_mut().port_mut(s).latency_stats();
-            stats.discard_prefix(latency_counts[s]);
-            let mean_latency_ns = stats.mean_ns();
+            let mean_latency_ns = hv.device_mut().port_mut(s).latency_stats().mean_ns();
             SlotResult {
                 kind: exp.slots[s],
                 progress,

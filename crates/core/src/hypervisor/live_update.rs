@@ -112,13 +112,25 @@ impl<D: PlatformDevice> Optimus<D> {
     ///
     /// [`SnapshotError::DeviceMismatch`] if the device's slot count differs
     /// from the snapshot's; [`SnapshotError::BadValue`] if the snapshot's
-    /// records do not hang together ([`HvSnapshot::validate`]);
+    /// records do not hang together ([`HvSnapshot::validate`]) or its
+    /// watchdog baselines are ahead of the device's counters;
     /// [`SnapshotError::IoptMismatch`] if the device's IO page table
     /// differs from the snapshot's — the snapshot belongs to another run.
     pub fn thaw(snap: &HvSnapshot, device: D) -> Result<Self, SnapshotError> {
         snap.validate(device.num_accels())?;
         if iopt::entries_of(&device) != snap.iopt {
             return Err(SnapshotError::IoptMismatch);
+        }
+        // The watchdog diffs the device's counters against these baselines
+        // at every tick; one ahead of its counter would underflow there.
+        let (hits, spec_hits, misses, conflicts) = device.host().iommu().tlb().stats();
+        let (lookups_seen, conflicts_seen) = snap.watchdog.last_iotlb;
+        if lookups_seen > hits + spec_hits + misses
+            || conflicts_seen > conflicts
+            || (snap.watchdog.last_forwarded.iter().enumerate())
+                .any(|(s, &seen)| seen > device.port_forwarded(s))
+        {
+            return Err(SnapshotError::BadValue("watchdog baselines"));
         }
         if spec::enabled() {
             // The model persisted across the freeze (it is thread state,

@@ -421,11 +421,11 @@ impl<D: PlatformDevice> Optimus<D> {
     /// whatever the device reports through the `next_event` protocol
     /// (`None` = fully quiescent, free to run ahead).
     ///
-    /// The node layer uses this to size lock-step chunks (one cycle past
-    /// the horizon, so the boundary fires inside the chunk): devices never
-    /// interact *during* `run` (only through guest ops between runs), so
-    /// any chunking is state-identical — the horizon just bounds clock
-    /// skew and keeps scheduling decisions inside their own chunk. A
+    /// The node layer uses this to size its chunks while a cross-device
+    /// share is live (one cycle past the horizon, so the boundary fires
+    /// inside the chunk): the chunk ends are where the share's mirror
+    /// syncs, and the horizon keeps scheduling decisions inside their own
+    /// chunk. A
     /// deadline already due but unfired (a span ended exactly on it) is
     /// reported as `now + 1`, the cycle `run` fires it at; reporting `now`
     /// would size 1-cycle chunks that end before the boundary check, and

@@ -4,18 +4,21 @@
 //! presents a single facade: tenants are placed onto devices by a
 //! [`Placement`] policy, guest operations are routed to the owning device
 //! via [`NodeVaccel`] handles, and [`run`](OptimusNode::run) advances
-//! every device across the requested span — *free-running* each device
-//! to the end of the span in one dispatch, or in horizon chunks with a
-//! span sync at every boundary while cross-device shares are live.
+//! every device across the requested span under one schedule: the span
+//! is cut into chunks, and a chunk ends at a device's sync horizon only
+//! while a cross-device share is live (its two sides are synchronized at
+//! every chunk boundary); otherwise the whole span is one chunk.
 //!
-//! # Why free-running is bit-identical to horizon chunking
+//! # Why one chunk per span is bit-identical to horizon chunking
 //!
-//! Devices never interact *during* a `run`: the only cross-device
-//! channels are guest operations (`guest`, `create_tenant`, `migrate`,
-//! `rebalance`, …), which happen strictly between runs on the caller's
-//! thread. So the true dependency horizon of every device inside one
-//! `run(cycles)` is the *end of the span*, and splitting the span into
-//! chunks is pure overhead. Formally, the **run-splitting lemma**:
+//! Without a live cross-device share, devices never interact *during* a
+//! `run`: the only cross-device channels are guest operations (`guest`,
+//! `create_tenant`, `migrate`, `rebalance`, …), which happen strictly
+//! between runs on the caller's thread. So the true dependency horizon of
+//! every device inside one `run(cycles)` is the *end of the span*, and
+//! splitting the span into chunks is pure overhead. A live share is one
+//! more horizon source: its mirror syncs at chunk ends, which makes them
+//! observable. Formally, the **run-splitting lemma**:
 //! `hv.run(c1); hv.run(c2)` leaves a hypervisor in exactly the state of
 //! `hv.run(c1 + c2)` — slice boundaries and watchdog ticks fire at the
 //! same absolute cycles either way (the tick itself does not advance the
@@ -25,10 +28,10 @@
 //! check, so the second run fires that boundary one cycle late, at
 //! `c1 + 1`. The horizon chunks never end on a deadline (each is sized
 //! one cycle past it), so the late boundary happens only where the
-//! caller ends a span — and both schedules end spans at the same cycles,
-//! so they fire it equally late. Free-running therefore executes the
-//! identical per-device step sequence the chunked schedule did, one
-//! `Optimus::run` dispatch per device instead of one per horizon chunk.
+//! caller ends a span — and chunking never moves a span end, so one chunk
+//! and many fire it equally late. A span run as one chunk therefore
+//! executes the identical per-device step sequence horizon chunking does,
+//! one `Optimus::run` dispatch per device instead of one per chunk.
 //!
 //! # Why parallel stepping is bit-identical to serial
 //!
@@ -39,9 +42,7 @@
 //! explicitly ordered: what the recording planes captured is drained per
 //! device and merged into the main thread's planes in device-index order
 //! (see `optimus_sim::plane`), so even the exported trace JSON is
-//! byte-identical. `OPTIMUS_NODE_THREADS=1` forces
-//! the serial schedule; `NodeConfig::lockstep` forces horizon-chunked
-//! stepping, the reference schedule of the differential suites.
+//! byte-identical. `OPTIMUS_NODE_THREADS=1` forces serial stepping.
 
 use crate::hypervisor::{
     CarriedRetrieval, GuestCtx, HvStats, MigrateError, Optimus, OptimusConfig, ShareError,
@@ -89,11 +90,6 @@ pub struct NodeConfig {
     /// Worker threads for [`OptimusNode::run`]. `None` consults
     /// `OPTIMUS_NODE_THREADS`, then the host's available parallelism.
     pub threads: Option<usize>,
-    /// Always step in horizon chunks ([`OptimusNode::run`] otherwise
-    /// does so only while cross-device shares are live). Both schedules
-    /// are bit-identical (see the module docs); the differential suites
-    /// set this to get their reference schedule.
-    pub lockstep: bool,
 }
 
 impl NodeConfig {
@@ -107,7 +103,6 @@ impl NodeConfig {
             time_slice: ms_to_cycles(10.0),
             sched_policy: SchedPolicy::RoundRobin,
             threads: None,
-            lockstep: false,
         }
     }
 }
@@ -174,21 +169,14 @@ pub struct OptimusNode {
     placement: Placement,
     rr_next: usize,
     threads: usize,
-    /// Horizon chunking even with no cross-device share live (the
-    /// differential suites' reference schedule).
-    lockstep: bool,
-    /// Per-device cached sync horizons for the lock-step path, reused
-    /// across `run` calls (`None` = recompute; `Some(None)` = device has
-    /// no horizon this run).
-    horizon_cache: Vec<Option<Option<Cycle>>>,
     /// Reusable log of chunk sizes for the hoisted per-run metrics flush.
     chunk_scratch: Vec<Cycle>,
     /// Per-device count of alerts already consumed by
     /// [`rebalance`](Self::rebalance), so each alert triggers at most one
     /// migration decision.
     alerts_seen: Vec<usize>,
-    /// Cross-device shares currently live. Non-empty forces horizon-
-    /// chunked stepping with a span sync at every chunk boundary.
+    /// Cross-device shares currently live. Non-empty ends chunks at sync
+    /// horizons, with a span sync at every chunk boundary.
     cross_shares: Vec<CrossShare>,
 }
 
@@ -225,28 +213,15 @@ impl OptimusNode {
             })
             .clamp(1, devices.len());
         let alerts_seen = vec![0; devices.len()];
-        let horizon_cache = vec![None; devices.len()];
         Ok(Self {
             devices,
             placement: cfg.placement,
             rr_next: 0,
             threads,
-            lockstep: cfg.lockstep,
-            horizon_cache,
             chunk_scratch: Vec::new(),
             alerts_seen,
             cross_shares: Vec::new(),
         })
-    }
-
-    /// Whether [`run`](Self::run) always steps in horizon chunks.
-    pub fn lockstep(&self) -> bool {
-        self.lockstep
-    }
-
-    /// Overrides [`NodeConfig::lockstep`] (differential testing).
-    pub fn set_lockstep(&mut self, on: bool) {
-        self.lockstep = on;
     }
 
     /// Overrides every device's batched-stepping burst length (1 disables
@@ -763,57 +738,17 @@ impl OptimusNode {
 
     /// Runs every device for `cycles` fabric cycles.
     ///
-    /// Default schedule: **free-running** — devices never interact during
-    /// a run (see the module docs), so every device's dependency horizon
-    /// is the end of the span and each one is advanced in a single
-    /// `Optimus::run(cycles)` dispatch. While cross-device shares are
-    /// live (or under [`lockstep`](Self::lockstep)) the node instead
-    /// re-synchronizes every horizon chunk. With more than one worker
-    /// thread, devices step concurrently; state, stats, and traces are
-    /// bit-identical across all four schedules.
+    /// Each pass of the loop syncs the cross-device shares, sizes a
+    /// chunk, steps every device by it and logs it. With no cross-device
+    /// share live the chunk is the whole remaining span (see the module
+    /// docs); a live share's two sides must observe each other's writes,
+    /// so its chunks end one cycle past the nearest device sync horizon.
+    /// With more than one worker thread, devices step concurrently; state,
+    /// stats, and traces are bit-identical to serial stepping.
     pub fn run(&mut self, cycles: Cycle) {
         if cycles == 0 {
             return;
         }
-        // Live cross-device shares shrink the dependency horizon from
-        // "end of span" to the next chunk boundary: the owner and
-        // retriever sides must observe each other's writes, so the node
-        // falls back to horizon-chunked stepping with a sync per chunk.
-        if self.lockstep || !self.cross_shares.is_empty() {
-            self.run_lockstep(cycles);
-            return;
-        }
-        if self.threads <= 1 || self.devices.len() == 1 {
-            for hv in &mut self.devices {
-                hv.run(cycles);
-            }
-        } else {
-            self.run_span_parallel(cycles);
-        }
-        // One free-running span = one node-level chunk per device.
-        for d in 0..self.devices.len() as u32 {
-            metrics::inc_at(metrics::NODE_CHUNKS, d, 0, 1);
-            metrics::observe_at(metrics::NODE_CHUNK_CYCLES, d, 0, cycles);
-        }
-    }
-
-    /// The horizon-chunked schedule: advance all devices together one
-    /// sync horizon at a time, propagating cross-device shared spans at
-    /// every chunk boundary. This is what the node runs while such shares
-    /// are live — their two sides must observe each other's writes — and,
-    /// via [`NodeConfig::lockstep`], the reference schedule `free_run_prop`,
-    /// `noninterference_prop` and `spec_prop` compare free-running against.
-    fn run_lockstep(&mut self, cycles: Cycle) {
-        let n = self.devices.len();
-        // Cached per-device horizons: recompute a device's entry only
-        // when it has reached its cached horizon (slice deadlines move
-        // only when a boundary fires, which requires reaching them), not
-        // O(devices) every chunk. Chunk sizing affects neither device
-        // state nor traces (run-splitting lemma, module docs), so a
-        // conservatively stale horizon is harmless.
-        let mut horizons = std::mem::take(&mut self.horizon_cache);
-        horizons.clear();
-        horizons.resize(n, None);
         let mut chunk_log = std::mem::take(&mut self.chunk_scratch);
         chunk_log.clear();
         let mut remaining = cycles;
@@ -821,26 +756,19 @@ impl OptimusNode {
             // Propagate cross-device shared spans before every chunk (and
             // once more after the loop): on the main thread, in
             // registration order, so the result is independent of worker
-            // count and chunk sizing.
+            // count.
             self.sync_cross_shares();
             let mut chunk = remaining;
-            for (cached, hv) in horizons.iter_mut().zip(&self.devices) {
-                let stale = match *cached {
-                    None => true,
-                    Some(Some(h)) => hv.now() >= h,
-                    Some(None) => false,
-                };
-                if stale {
-                    *cached = Some(hv.next_sync_horizon());
-                }
-                if let Some(Some(h)) = *cached {
-                    // Plus one so the horizon's scheduling decision
-                    // executes inside the chunk that reaches it.
-                    chunk = chunk.min(h.saturating_sub(hv.now()) + 1);
+            if !self.cross_shares.is_empty() {
+                for hv in &self.devices {
+                    if let Some(h) = hv.next_sync_horizon() {
+                        // Plus one so the horizon's scheduling decision
+                        // executes inside the chunk that reaches it.
+                        chunk = chunk.min(h.saturating_sub(hv.now()) + 1);
+                    }
                 }
             }
-            let chunk = chunk.min(remaining).max(1);
-            if self.threads <= 1 || n == 1 {
+            if self.threads <= 1 || self.devices.len() == 1 {
                 for hv in &mut self.devices {
                     hv.run(chunk);
                 }
@@ -853,15 +781,14 @@ impl OptimusNode {
         self.sync_cross_shares();
         // Node-level chunk accounting, hoisted out of the chunk loop:
         // the flush performs the same counter increments and histogram
-        // observations the per-chunk path recorded, so the final metric
-        // state is identical while the hot loop makes no metrics calls.
-        for d in 0..n as u32 {
+        // observations a per-chunk path would, so the final metric state
+        // is identical while the hot loop makes no metrics calls.
+        for d in 0..self.devices.len() as u32 {
             metrics::inc_at(metrics::NODE_CHUNKS, d, 0, chunk_log.len() as u64);
             for &c in &chunk_log {
                 metrics::observe_at(metrics::NODE_CHUNK_CYCLES, d, 0, c);
             }
         }
-        self.horizon_cache = horizons;
         self.chunk_scratch = chunk_log;
     }
 
@@ -1048,7 +975,7 @@ mod tests {
             node.device(DeviceId(0)).share_state(handle),
             Some(ShareState::Relinquished)
         );
-        // With no live cross shares the node free-runs again.
+        // With no live cross shares each span is one chunk again.
         node.run(ms_to_cycles(0.1));
     }
 
@@ -1094,8 +1021,8 @@ mod tests {
             .mem_share(span, PAGE_2M, "peer", false)
             .expect("share");
         let got = node.retrieve_shared(handle, peer).expect("local retrieve");
-        // Same device: true zero-copy, no registry entry, free-running
-        // stepping is preserved.
+        // Same device: true zero-copy, no registry entry, spans stay
+        // one chunk.
         assert_eq!(
             node.guest(owner).gva_to_hpa(span).unwrap(),
             node.guest(peer).gva_to_hpa(got).unwrap()

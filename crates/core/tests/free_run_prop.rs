@@ -1,18 +1,18 @@
-//! Differential fingerprints for the free-running node schedule and
-//! batched device stepping.
+//! Differential fingerprints for the node schedule and batched device
+//! stepping.
 //!
-//! The node's default schedule free-runs every device to the end of the
-//! requested span in one dispatch; `NodeConfig::lockstep` selects the
-//! horizon-chunked schedule (what the node runs anyway while
-//! cross-device shares are live) as the reference, and
+//! `OptimusNode::run` advances every device across a whole span in one
+//! dispatch while no cross-device share is live, and in horizon chunks
+//! (shares synced at every chunk end) while one is;
 //! `OptimusNode::set_batch_step` controls how many busy cycles a device
-//! executes per horizon scan. All of these are
-//! claimed bit-identical (see the `node` module docs for the
-//! run-splitting lemma and the `clock` module for the batching argument).
-//! This suite checks the claim: every point of the
-//! threads × schedule × batch grid — with a mid-run `migrate()` and a
-//! mid-run `live_update()` thrown in — must reproduce the serial
-//! lock-step unbatched baseline's fingerprint exactly.
+//! executes per horizon scan. All of these are claimed bit-identical to
+//! stepping every device serially, one cycle at a time (see the `node`
+//! module docs for the run-splitting lemma and the `clock` module for the
+//! batching argument). This suite checks the claim: every point of the
+//! threads × batch grid — with a mid-run `migrate()` and a mid-run
+//! `live_update()` thrown in — must reproduce the serial per-cycle
+//! baseline's fingerprint exactly, and so must a driver that cuts every
+//! span into horizon chunks from outside the node.
 
 use optimus::hypervisor::ShareState;
 use optimus::node::{NodeConfig, NodeVaccel, OptimusNode};
@@ -38,32 +38,75 @@ fn start_mb_job(node: &mut OptimusNode, h: NodeVaccel, ops: u64, seed: u64) {
     g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
 }
 
-/// Runs the scenario under one (threads, lockstep, batch) configuration
+/// How a fingerprint run steps its node.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Sched {
+    /// Fast-forward off on every device, so each steps one cycle at a
+    /// time: the reference (run serially with batch 1).
+    PerCycle,
+    /// `OptimusNode::run` as it is.
+    Run,
+    /// Every span cut into horizon chunks by [`advance`].
+    Chunked,
+}
+
+/// Boots a node from `cfg` on `threads` workers with burst length `batch`.
+fn boot(mut cfg: NodeConfig, threads: usize, batch: u64, sched: Sched) -> OptimusNode {
+    cfg.threads = Some(threads);
+    let mut node = OptimusNode::new(cfg).expect("node boots");
+    node.set_batch_step(batch);
+    if sched == Sched::PerCycle {
+        for d in 0..node.num_devices() {
+            node.device_mut(DeviceId(d as u32)).device_mut().set_fast_forward(false);
+        }
+    }
+    node
+}
+
+/// Advances `node` by `cycles`. Under [`Sched::Chunked`] every chunk ends
+/// one cycle past the nearest device sync horizon, so each horizon's
+/// scheduling decision executes inside the chunk that reaches it.
+fn advance(node: &mut OptimusNode, cycles: u64, sched: Sched) {
+    if sched != Sched::Chunked {
+        node.run(cycles);
+        return;
+    }
+    let mut remaining = cycles;
+    while remaining > 0 {
+        let chunk = (0..node.num_devices())
+            .filter_map(|d| {
+                let hv = node.device(DeviceId(d as u32));
+                hv.next_sync_horizon().map(|h| h.saturating_sub(hv.now()) + 1)
+            })
+            .fold(remaining, u64::min);
+        node.run(chunk);
+        remaining -= chunk;
+    }
+}
+
+/// Runs the scenario under one (threads, batch, schedule) configuration
 /// and returns an exhaustive state fingerprint: clocks, hypervisor
 /// statistics, host/port counters, and guest-visible progress. Node-level
 /// chunk metrics are deliberately excluded — chunk *counts* differ across
 /// schedules by design; device state must not.
-fn fingerprint(threads: usize, lockstep: bool, batch: u64) -> Vec<u64> {
+fn fingerprint(threads: usize, batch: u64, sched: Sched) -> Vec<u64> {
     let mut cfg = NodeConfig::new(vec![AccelKind::Mb; SLOTS_PER_DEVICE], DEVICES);
     cfg.seed = 7;
     cfg.time_slice = 6_000;
-    cfg.threads = Some(threads);
-    cfg.lockstep = lockstep;
-    let mut node = OptimusNode::new(cfg).expect("node boots");
-    node.set_batch_step(batch);
+    let mut node = boot(cfg, threads, batch, sched);
     let mut handles: Vec<NodeVaccel> =
         (0..TENANTS).map(|t| node.create_tenant(&format!("t{t}"))).collect();
     for (t, &h) in handles.iter().enumerate() {
         start_mb_job(&mut node, h, 200 + 97 * t as u64, 11 + t as u64);
     }
-    node.run(120_000);
+    advance(&mut node, 120_000, sched);
     // Mid-run cross-device migration (round-robin placed tenant 0 on
     // device 0) and a hypervisor live-update on a bystander device.
     handles[0] = node
         .migrate(handles[0], DeviceId((DEVICES - 1) as u32))
         .expect("migration succeeds");
     node.live_update(DeviceId(1));
-    node.run(130_000);
+    advance(&mut node, 130_000, sched);
     let mut fp = vec![node.now()];
     for d in 0..DEVICES {
         let hv = node.device(DeviceId(d as u32));
@@ -98,26 +141,23 @@ fn fingerprint(threads: usize, lockstep: bool, batch: u64) -> Vec<u64> {
     fp
 }
 
-/// Every (threads, schedule, batch) combination reproduces the serial
-/// lock-step unbatched baseline bit for bit, through a mid-run migration
-/// and live-update.
+/// Every (threads, batch) combination reproduces the serial per-cycle
+/// baseline bit for bit, through a mid-run migration and live-update —
+/// both as `run` schedules it and cut into horizon chunks.
 #[test]
-fn free_running_and_batching_match_lockstep_baseline() {
-    let baseline = fingerprint(1, true, 1);
+fn node_schedule_and_batching_match_per_cycle_baseline() {
+    let baseline = fingerprint(1, 1, Sched::PerCycle);
     // Guard against vacuity: the scenario must trap MMIO, move DMA
     // bytes, and hit the IOTLB before the comparison means anything.
     assert!(baseline[2] > 0, "no traps recorded: {baseline:?}");
     assert!(baseline[12] > 0, "no DMA bytes moved: {baseline:?}");
     for &threads in &[1usize, 2, 4] {
-        for &lockstep in &[false, true] {
+        for &sched in &[Sched::Run, Sched::Chunked] {
             for &batch in &[1u64, 64] {
-                if threads == 1 && lockstep && batch == 1 {
-                    continue; // the baseline itself
-                }
-                let fp = fingerprint(threads, lockstep, batch);
+                let fp = fingerprint(threads, batch, sched);
                 assert_eq!(
                     fp, baseline,
-                    "fingerprint diverges at threads={threads} lockstep={lockstep} batch={batch}"
+                    "fingerprint diverges at threads={threads} {sched:?} batch={batch}"
                 );
             }
         }
@@ -136,18 +176,15 @@ fn fold_bytes(bytes: &[u8]) -> u64 {
 /// SHA-512 consumer on another device, so every chunk boundary's
 /// owner→mirror sync moves fresh bytes. Mid-run the owner migrates with
 /// the handle live and the consumer's device live-updates with the mirror
-/// mapped. A cross-device share bounds the dependency horizon (the node
-/// drops to chunked stepping while any is live), and that schedule is
-/// claimed bit-identical across threads, lock-step, and batching — this
-/// fingerprint is the check.
-fn share_fingerprint(threads: usize, lockstep: bool, batch: u64) -> Vec<u64> {
+/// mapped. A cross-device share bounds the dependency horizon (chunks end
+/// at sync horizons while any is live), and that schedule is claimed
+/// bit-identical across threads and batching — this fingerprint is the
+/// check.
+fn share_fingerprint(threads: usize, batch: u64, sched: Sched) -> Vec<u64> {
     let mut cfg = NodeConfig::new(vec![AccelKind::Sha, AccelKind::Mb], DEVICES);
     cfg.seed = 9;
     cfg.time_slice = 6_000;
-    cfg.threads = Some(threads);
-    cfg.lockstep = lockstep;
-    let mut node = OptimusNode::new(cfg).expect("node boots");
-    node.set_batch_step(batch);
+    let mut node = boot(cfg, threads, batch, sched);
     // Slot layout per device is [Sha, Mb]; least-populated-slot assignment
     // gives the first tenant slot 0. `aux` soaks up device 0's Sha slot so
     // the owner lands on the Mb slot (and keeps it across the migration:
@@ -229,13 +266,13 @@ fn share_fingerprint(threads: usize, lockstep: bool, batch: u64) -> Vec<u64> {
     fp
 }
 
-/// Every grid point reproduces the baseline while a cross-device share is
-/// live: owner→mirror syncs land at the same chunk boundaries no matter
-/// the thread count, schedule, or batching — through an owner migration
-/// and a live-update of the device holding the mirror.
+/// Every grid point reproduces the per-cycle baseline while a
+/// cross-device share is live: owner→mirror syncs land at the same chunk
+/// boundaries no matter the thread count or batching — through an owner
+/// migration and a live-update of the device holding the mirror.
 #[test]
-fn cross_device_share_grid_matches_lockstep_baseline() {
-    let baseline = share_fingerprint(1, true, 1);
+fn cross_device_share_grid_matches_per_cycle_baseline() {
+    let baseline = share_fingerprint(1, 1, Sched::PerCycle);
     assert!(baseline[2] > 0, "no traps recorded: {baseline:?}");
     assert!(baseline[9] > 0, "no DMA bytes moved: {baseline:?}");
     // The span actually churned: the owner-side fold differs from the
@@ -251,18 +288,12 @@ fn cross_device_share_grid_matches_lockstep_baseline() {
     let mirror_fold = baseline[baseline.len() - 4];
     assert_eq!(mirror_fold, owner_fold, "mirror diverged from the owner span");
     for &threads in &[1usize, 2, 4] {
-        for &lockstep in &[false, true] {
-            for &batch in &[1u64, 64] {
-                if threads == 1 && lockstep && batch == 1 {
-                    continue; // the baseline itself
-                }
-                let fp = share_fingerprint(threads, lockstep, batch);
-                assert_eq!(
-                    fp, baseline,
-                    "share fingerprint diverges at threads={threads} lockstep={lockstep} \
-                     batch={batch}"
-                );
-            }
+        for &batch in &[1u64, 64] {
+            let fp = share_fingerprint(threads, batch, Sched::Run);
+            assert_eq!(
+                fp, baseline,
+                "share fingerprint diverges at threads={threads} batch={batch}"
+            );
         }
     }
 }

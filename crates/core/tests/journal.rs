@@ -48,7 +48,7 @@ fn journal_export_with_threads(threads: usize) -> Vec<journal::JobRecord> {
     for (i, &h) in tenants.iter().enumerate() {
         start_job(&mut node, h, 3_000 + 700 * i as u64, i as u64 + 1);
     }
-    // A free-running span first (workers journal into their own chunks),
+    // One whole span first (workers journal into their own chunks),
     // then drive every job home.
     node.run(ms_to_cycles(0.5));
     for &h in &tenants {

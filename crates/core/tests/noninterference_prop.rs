@@ -1,6 +1,6 @@
 //! Noninterference: a tenant's *data observables* are bit-identical with
 //! and without a WildDma adversary sharing its device — across serial and
-//! parallel node stepping, lock-step and free-running schedules, batched
+//! parallel node stepping, per-cycle and fast-forwarded devices, batched
 //! device bursts, and through a mid-run migration + hypervisor
 //! live-update with the adversary's wild DMA still in flight.
 //!
@@ -59,25 +59,37 @@ fn start_job(node: &mut OptimusNode, h: NodeVaccel, ops: u64, seed: u64, wild_ev
     region
 }
 
-/// Runs the victim under one (threads, lockstep, batch) node configuration,
+/// Boots a node from `cfg` on `threads` workers with burst length `batch`.
+/// `per_cycle` turns fast-forward off on every device, so each steps one
+/// cycle at a time: the reference stepping (serial, batch 1).
+fn boot(mut cfg: NodeConfig, threads: usize, batch: u64, per_cycle: bool) -> OptimusNode {
+    cfg.threads = Some(threads);
+    let mut node = OptimusNode::new(cfg).expect("node boots");
+    node.set_batch_step(batch);
+    if per_cycle {
+        for d in 0..node.num_devices() {
+            node.device_mut(DeviceId(d as u32)).device_mut().set_fast_forward(false);
+        }
+    }
+    node
+}
+
+/// Runs the victim under one (threads, batch, per-cycle) node configuration,
 /// optionally sharing its device with a cross-slice WildDma adversary and
 /// optionally migrating mid-run (plus a live-update of the attacked
 /// device, with wild probes still in flight). Returns the victim's data
 /// fingerprint: registers + completion + its read-only memory half.
 fn victim_fingerprint(
     threads: usize,
-    lockstep: bool,
     batch: u64,
+    per_cycle: bool,
     adversary: bool,
     interrupted: bool,
 ) -> (Vec<u64>, Vec<u8>) {
     let mut cfg = NodeConfig::new(vec![AccelKind::Wild; 2], 2);
     cfg.seed = 7;
     cfg.time_slice = 6_000;
-    cfg.threads = Some(threads);
-    cfg.lockstep = lockstep;
-    let mut node = OptimusNode::new(cfg).expect("node boots");
-    node.set_batch_step(batch);
+    let mut node = boot(cfg, threads, batch, per_cycle);
     let mut victim = node.create_tenant_on(DeviceId(0), "victim");
     let region = start_job(&mut node, victim, VICTIM_OPS, 21, 0);
     if adversary {
@@ -108,12 +120,12 @@ fn victim_fingerprint(
 }
 
 /// The victim's data observables are identical across the full grid —
-/// ± adversary, ± mid-run migrate/live-update, threads {1,4},
-/// {lock-step, free-run}, device batching — and equal to the serial
-/// undisturbed baseline bit for bit.
+/// ± adversary, ± mid-run migrate/live-update, threads {1,4}, per-cycle
+/// or fast-forwarded devices, device batching — and equal to the serial
+/// per-cycle undisturbed baseline bit for bit.
 #[test]
 fn adversary_and_interruption_leave_victim_data_untouched() {
-    let baseline = victim_fingerprint(1, true, 1, false, false);
+    let baseline = victim_fingerprint(1, 1, true, false, false);
     // Vacuity guards: the job ran, fingerprinted real bytes, and nothing
     // in the baseline was aborted.
     assert_eq!(baseline.0[0], 1, "baseline victim incomplete");
@@ -122,25 +134,20 @@ fn adversary_and_interruption_leave_victim_data_untouched() {
     assert_eq!(baseline.0[3], 0);
     assert_eq!(baseline.0[4], 0);
     assert_eq!(baseline.1, fill_pattern(21), "baseline read half diverges from guest fill");
-    for &(threads, lockstep, batch) in &[
-        (1usize, true, 1u64),
-        (1, false, 1),
-        (4, true, 1),
-        (4, false, 1),
-        (1, false, 64),
-        (4, false, 64),
-    ] {
+    for &(threads, batch, per_cycle) in
+        &[(1usize, 1u64, true), (1, 1, false), (4, 1, false), (1, 64, false), (4, 64, false)]
+    {
         for &adversary in &[false, true] {
             for &interrupted in &[false, true] {
-                if (threads, lockstep, batch, adversary, interrupted) == (1, true, 1, false, false)
+                if (threads, batch, per_cycle, adversary, interrupted) == (1, 1, true, false, false)
                 {
                     continue; // the baseline itself
                 }
-                let fp = victim_fingerprint(threads, lockstep, batch, adversary, interrupted);
+                let fp = victim_fingerprint(threads, batch, per_cycle, adversary, interrupted);
                 assert_eq!(
                     fp, baseline,
-                    "victim data diverges at threads={threads} lockstep={lockstep} \
-                     batch={batch} adversary={adversary} interrupted={interrupted}"
+                    "victim data diverges at threads={threads} batch={batch} \
+                     per_cycle={per_cycle} adversary={adversary} interrupted={interrupted}"
                 );
             }
         }
@@ -166,18 +173,15 @@ fn pipe_pattern() -> Vec<u8> {
 /// span.
 fn pipeline_fingerprint(
     threads: usize,
-    lockstep: bool,
     batch: u64,
+    per_cycle: bool,
     adversary: bool,
     interrupted: bool,
 ) -> Vec<u8> {
     let mut cfg = NodeConfig::new(vec![AccelKind::Sha, AccelKind::Wild], 3);
     cfg.seed = 11;
     cfg.time_slice = 6_000;
-    cfg.threads = Some(threads);
-    cfg.lockstep = lockstep;
-    let mut node = OptimusNode::new(cfg).expect("node boots");
-    node.set_batch_step(batch);
+    let mut node = boot(cfg, threads, batch, per_cycle);
     let mut owner = node.create_tenant_on(DeviceId(0), "owner");
     let consumer = node.create_tenant_on(DeviceId(1), "peer");
 
@@ -228,12 +232,12 @@ fn pipeline_fingerprint(
 /// The shared-memory pipeline's data observables — digest registers, the
 /// DMA'd digest line, the consumer's mirror view, and the producer's span
 /// — are bit-identical with and without a co-resident WildDma adversary
-/// aimed at the mirror's window, across schedules, threads, batching, and
+/// aimed at the mirror's window, across stepping modes, threads, batching, and
 /// a mid-run producer migration; and equal to the real SHA-512 of the
 /// shared prefix.
 #[test]
 fn adversary_cannot_perturb_shared_pipeline_observables() {
-    let baseline = pipeline_fingerprint(1, true, 1, false, false);
+    let baseline = pipeline_fingerprint(1, 1, true, false, false);
     // Vacuity guards: both digest copies are the true hash, and both
     // sides of the channel hold the pattern.
     let expect = optimus_algo::sha2::sha512(&pipe_pattern()[..(PIPE_LINES * 64) as usize]);
@@ -241,18 +245,20 @@ fn adversary_cannot_perturb_shared_pipeline_observables() {
     assert_eq!(&baseline[64..128], &expect[..], "DMA digest line wrong");
     assert_eq!(&baseline[128..4224], &pipe_pattern()[..4096], "mirror diverges");
     assert_eq!(&baseline[4224..], &pipe_pattern()[..4096], "owner span diverges");
-    for &(threads, lockstep, batch) in &[(1usize, true, 1u64), (1, false, 1), (4, false, 1), (1, false, 64)] {
+    for &(threads, batch, per_cycle) in
+        &[(1usize, 1u64, true), (1, 1, false), (4, 1, false), (1, 64, false)]
+    {
         for &adversary in &[false, true] {
             for &interrupted in &[false, true] {
-                if (threads, lockstep, batch, adversary, interrupted) == (1, true, 1, false, false)
+                if (threads, batch, per_cycle, adversary, interrupted) == (1, 1, true, false, false)
                 {
                     continue;
                 }
-                let fp = pipeline_fingerprint(threads, lockstep, batch, adversary, interrupted);
+                let fp = pipeline_fingerprint(threads, batch, per_cycle, adversary, interrupted);
                 assert_eq!(
                     fp, baseline,
-                    "pipeline observables diverge at threads={threads} lockstep={lockstep} \
-                     batch={batch} adversary={adversary} interrupted={interrupted}"
+                    "pipeline observables diverge at threads={threads} batch={batch} \
+                     per_cycle={per_cycle} adversary={adversary} interrupted={interrupted}"
                 );
             }
         }

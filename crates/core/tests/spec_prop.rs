@@ -109,8 +109,9 @@ fn reg(node: &mut OptimusNode, h: NodeVaccel, r: u64) -> u64 {
 /// Runs a two-device WildDma scenario (one adversary among well-behaved
 /// tenants, mid-run migrate + live-update) and returns the full state
 /// fingerprint, free_run_prop-style. `spec_on` flips the refinement
-/// checker for the whole run.
-fn scenario_fingerprint(threads: usize, lockstep: bool, spec_on: bool) -> Vec<u64> {
+/// checker for the whole run; `per_cycle` turns fast-forward off on every
+/// device, so each steps one cycle at a time.
+fn scenario_fingerprint(threads: usize, batch: u64, per_cycle: bool, spec_on: bool) -> Vec<u64> {
     spec::set_enabled(spec_on);
     spec::reset();
     const DEVICES: usize = 2;
@@ -119,8 +120,13 @@ fn scenario_fingerprint(threads: usize, lockstep: bool, spec_on: bool) -> Vec<u6
     cfg.seed = 7;
     cfg.time_slice = 6_000;
     cfg.threads = Some(threads);
-    cfg.lockstep = lockstep;
     let mut node = OptimusNode::new(cfg).expect("node boots");
+    node.set_batch_step(batch);
+    if per_cycle {
+        for d in 0..DEVICES {
+            node.device_mut(DeviceId(d as u32)).device_mut().set_fast_forward(false);
+        }
+    }
     let mut handles: Vec<NodeVaccel> = (0..4)
         .map(|t| node.create_tenant_on(DeviceId((t % DEVICES) as u32), &format!("t{t}")))
         .collect();
@@ -188,17 +194,26 @@ fn scenario_fingerprint(threads: usize, lockstep: bool, spec_on: bool) -> Vec<u6
 
 /// Claim 1: the spec plane is invisible. Byte-identical fingerprints with
 /// the refinement checker on vs off, serial and with worker threads (the
-/// chunk import/export path).
+/// chunk import/export path), batched or not — all equal to the serial
+/// per-cycle baseline.
 #[test]
 fn spec_plane_is_invisible() {
-    for &(threads, lockstep) in &[(1usize, true), (1, false), (2, false)] {
-        let off = scenario_fingerprint(threads, lockstep, false);
-        let on = scenario_fingerprint(threads, lockstep, true);
-        assert!(off[2] > 0, "no traps recorded: {off:?}");
-        assert_eq!(
-            off, on,
-            "spec plane perturbed the simulation at threads={threads} lockstep={lockstep}"
-        );
+    let baseline = scenario_fingerprint(1, 1, true, false);
+    assert!(baseline[2] > 0, "no traps recorded: {baseline:?}");
+    for &(threads, batch, per_cycle) in
+        &[(1usize, 1u64, true), (1, 1, false), (2, 1, false), (2, 64, false)]
+    {
+        for spec_on in [false, true] {
+            if (threads, batch, per_cycle, spec_on) == (1, 1, true, false) {
+                continue; // the baseline itself
+            }
+            let fp = scenario_fingerprint(threads, batch, per_cycle, spec_on);
+            assert_eq!(
+                fp, baseline,
+                "fingerprint diverges at threads={threads} batch={batch} per_cycle={per_cycle} \
+                 spec={spec_on}"
+            );
+        }
     }
 }
 

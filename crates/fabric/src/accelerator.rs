@@ -270,7 +270,8 @@ impl AccelPort {
         self.meter.bytes()
     }
 
-    /// Per-request latency statistics (mutable: percentiles sort lazily).
+    /// Per-request latency statistics (mutable: the harness takes them at
+    /// window open to exclude warm-up).
     pub fn latency_stats(&mut self) -> &mut LatencyStats {
         &mut self.latency
     }

@@ -2,21 +2,24 @@
 //!
 //! Every figure in the paper reports either a latency distribution
 //! ([`LatencyStats`]) or an aggregate bandwidth over a measurement window
-//! ([`ThroughputMeter`]). Both support *warm-up exclusion*: the paper's
-//! numbers are steady-state, so the harness discards samples collected
-//! before caches, IOTLBs, and arbitration pipelines settle.
+//! ([`ThroughputMeter`]). The paper's numbers are steady-state, so the
+//! harness excludes warm-up: it takes the latency accumulators and opens
+//! the throughput window once caches, IOTLBs, and arbitration pipelines
+//! have settled.
 
 use crate::time::{cycles_to_ns, gbps, Cycle};
-use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
+
+/// Samples below this many cycles are counted in a dense array.
+const DENSE_LIMIT: Cycle = 1 << 16;
 
 /// Online latency accumulator (count / mean / min / max / percentiles).
 ///
-/// Stores raw samples so exact percentiles can be computed; experiment
-/// windows in this workspace collect at most a few hundred thousand samples,
-/// so this stays cheap. `samples` is always kept in insertion
-/// (chronological) order — percentile queries sort a lazily rebuilt
-/// scratch copy instead, so [`discard_prefix`](Self::discard_prefix)
-/// removes the *earliest* samples no matter what was queried before.
+/// An exact counting histogram: latencies are small integers, so a dense
+/// array of counts for values below 2^16 cycles (grown only to the largest
+/// such sample seen) plus a sorted map for rarer larger values gives the
+/// same nearest-rank percentiles a sorted copy of every sample would, in
+/// kilobytes. A running sum keeps the mean exact.
 ///
 /// # Examples
 ///
@@ -32,12 +35,13 @@ use std::cell::{Cell, RefCell};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LatencyStats {
-    samples: Vec<Cycle>,
-    /// Lazily sorted copy of `samples`, behind interior mutability so
-    /// read-only consumers (reports, watchdogs) can query percentiles
-    /// through a shared reference.
-    scratch: RefCell<Vec<Cycle>>,
-    scratch_valid: Cell<bool>,
+    /// `dense[v]` = samples equal to `v`, for `v < DENSE_LIMIT`.
+    dense: Vec<u64>,
+    /// Sample counts by value, for values of at least `DENSE_LIMIT`.
+    sparse: BTreeMap<Cycle, u64>,
+    count: u64,
+    sum: u64,
+    max: Cycle,
 }
 
 impl LatencyStats {
@@ -48,26 +52,40 @@ impl LatencyStats {
 
     /// Records one latency sample, in fabric cycles.
     pub fn record(&mut self, cycles: Cycle) {
-        self.samples.push(cycles);
-        self.scratch_valid.set(false);
+        self.add(cycles, 1);
+    }
+
+    fn add(&mut self, cycles: Cycle, n: u64) {
+        if cycles < DENSE_LIMIT {
+            let v = cycles as usize;
+            if v >= self.dense.len() {
+                self.dense.resize(v + 1, 0);
+            }
+            self.dense[v] += n;
+        } else {
+            *self.sparse.entry(cycles).or_default() += n;
+        }
+        self.count += n;
+        self.sum += cycles * n;
+        self.max = self.max.max(cycles);
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> usize {
-        self.samples.len()
+        self.count as usize
     }
 
     /// Returns `true` if no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.count == 0
     }
 
     /// Mean latency in fabric cycles (0 if empty).
     pub fn mean_cycles(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             return 0.0;
         }
-        self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64
+        self.sum as f64 / self.count as f64
     }
 
     /// Mean latency in nanoseconds (0 if empty).
@@ -75,14 +93,20 @@ impl LatencyStats {
         self.mean_cycles() * cycles_to_ns(1)
     }
 
+    /// `(value, count)` for every recorded value, ascending.
+    fn counts(&self) -> impl Iterator<Item = (Cycle, u64)> + '_ {
+        let dense = self.dense.iter().enumerate().map(|(v, &n)| (v as Cycle, n));
+        dense.filter(|&(_, n)| n > 0).chain(self.sparse.iter().map(|(&v, &n)| (v, n)))
+    }
+
     /// Minimum sample in cycles (0 if empty).
     pub fn min_cycles(&self) -> Cycle {
-        self.samples.iter().copied().min().unwrap_or(0)
+        self.counts().next().map_or(0, |(v, _)| v)
     }
 
     /// Maximum sample in cycles (0 if empty).
     pub fn max_cycles(&self) -> Cycle {
-        self.samples.iter().copied().max().unwrap_or(0)
+        self.max
     }
 
     /// Exact percentile (`q` in `[0, 1]`) in cycles; 0 if empty.
@@ -92,11 +116,6 @@ impl LatencyStats {
     /// (rank `⌈q·N⌉`, with `q = 0` mapping to the minimum). For an
     /// even-count sample the median is therefore the *lower* middle
     /// element, never an interpolated or upper value.
-    ///
-    /// Sorting happens in a scratch copy behind interior mutability, so
-    /// the query takes `&self` and the chronological order of the
-    /// recorded samples is preserved for
-    /// [`discard_prefix`](Self::discard_prefix).
     ///
     /// ```
     /// use optimus_sim::stats::LatencyStats;
@@ -113,33 +132,22 @@ impl LatencyStats {
     /// Panics if `q` is outside `[0, 1]`.
     pub fn percentile_cycles(&self, q: f64) -> Cycle {
         assert!((0.0..=1.0).contains(&q), "percentile must be in [0, 1]");
-        if self.samples.is_empty() {
-            return 0;
+        let rank = ((self.count as f64 * q).ceil() as u64).max(1);
+        let mut seen = 0;
+        for (v, n) in self.counts() {
+            seen += n;
+            if seen >= rank {
+                return v;
+            }
         }
-        let mut scratch = self.scratch.borrow_mut();
-        if !self.scratch_valid.get() {
-            scratch.clear();
-            scratch.extend_from_slice(&self.samples);
-            scratch.sort_unstable();
-            self.scratch_valid.set(true);
-        }
-        let rank = ((scratch.len() as f64 * q).ceil() as usize).max(1);
-        scratch[rank - 1]
+        0
     }
 
-    /// Discards the first `n` samples *in recording order* (warm-up
-    /// exclusion). Chronological even if a percentile was queried first.
-    pub fn discard_prefix(&mut self, n: usize) {
-        let n = n.min(self.samples.len());
-        self.samples.drain(..n);
-        self.scratch_valid.set(false);
-    }
-
-    /// Merges another accumulator into this one; `other`'s samples are
-    /// appended after this accumulator's in chronological position.
+    /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
-        self.samples.extend_from_slice(&other.samples);
-        self.scratch_valid.set(false);
+        for (v, n) in other.counts() {
+            self.add(v, n);
+        }
     }
 }
 
@@ -295,36 +303,6 @@ mod tests {
         assert!(s.is_empty());
     }
 
-    #[test]
-    fn latency_discard_prefix() {
-        let mut s = LatencyStats::new();
-        for v in [100u64, 100, 1, 1] {
-            s.record(v);
-        }
-        s.discard_prefix(2);
-        assert_eq!(s.mean_cycles(), 1.0);
-        s.discard_prefix(10); // more than remaining: empties, no panic
-        assert!(s.is_empty());
-    }
-
-    /// Regression: `percentile_cycles` used to sort `samples` in place,
-    /// so a percentile query followed by `discard_prefix` dropped the
-    /// *smallest* n samples instead of the *earliest* n.
-    #[test]
-    fn latency_discard_prefix_is_chronological_after_percentile() {
-        let mut s = LatencyStats::new();
-        for v in [100u64, 100, 1, 1] {
-            s.record(v);
-        }
-        let _ = s.percentile_cycles(0.5); // must not reorder the samples
-        s.discard_prefix(2); // warm-up exclusion: drop the two 100s
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.mean_cycles(), 1.0, "discard dropped smallest, not earliest");
-        assert_eq!(s.max_cycles(), 1);
-        // And the percentiles of what's left are consistent.
-        assert_eq!(s.percentile_cycles(1.0), 1);
-    }
-
     /// Regression: the fractional-rank `round()` made the median of an
     /// even-count sample resolve to the upper middle; nearest-rank says
     /// the median of `[1,2,3,4]` is 2.
@@ -339,23 +317,6 @@ mod tests {
         assert_eq!(s.percentile_cycles(0.75), 3);
         assert_eq!(s.percentile_cycles(0.0), 1);
         assert_eq!(s.percentile_cycles(1.0), 4);
-    }
-
-    /// Regression: `percentile_cycles` used to take `&mut self`, so
-    /// read-only consumers (reports, watchdogs) couldn't query through
-    /// a shared reference.
-    #[test]
-    fn latency_percentiles_through_shared_reference() {
-        let mut s = LatencyStats::new();
-        for v in [100u64, 100, 1, 1] {
-            s.record(v);
-        }
-        let shared: &LatencyStats = &s;
-        assert_eq!(shared.percentile_cycles(1.0), 100);
-        assert_eq!(shared.percentile_cycles(0.0), 1);
-        // The chronological guarantee still holds afterwards.
-        s.discard_prefix(2);
-        assert_eq!(s.mean_cycles(), 1.0);
     }
 
     #[test]

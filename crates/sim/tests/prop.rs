@@ -82,8 +82,7 @@ fn timed_queue_is_fifo() {
 }
 
 /// Merging two accumulators is equivalent to recording the concatenated
-/// sample stream into one, for every statistic (including percentiles
-/// and subsequent chronological discards).
+/// sample stream into one, for every statistic (including percentiles).
 #[test]
 fn latency_merge_equals_concatenation() {
     let gen = gens::zip2(
@@ -108,12 +107,6 @@ fn latency_merge_equals_concatenation() {
             for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
                 prop_assert_eq!(left.percentile_cycles(q), concat.percentile_cycles(q));
             }
-            // Merge must also preserve chronology: discarding a prefix
-            // afterwards removes `a`'s samples first.
-            let n = a.len().min(left.count());
-            left.discard_prefix(n);
-            concat.discard_prefix(n);
-            prop_assert_eq!(left.mean_cycles(), concat.mean_cycles());
             Ok(())
         },
     );
@@ -149,34 +142,35 @@ fn latency_percentile_monotone_in_q() {
     );
 }
 
-/// `discard_prefix` removes the *earliest* samples under any
-/// interleaving of percentile queries with records and discards
-/// (regression property for the in-place-sort bug).
+/// The counting histogram answers exactly what the sorted sample list it
+/// replaced did: count, mean, min, max and every nearest-rank percentile,
+/// under any interleaving of records and queries, for values on both sides
+/// of the dense range (including far above it).
 #[test]
-fn latency_discard_prefix_chronological_under_queries() {
-    // Ops: (op % 4): 0/1 = record, 2 = percentile query, 3 = discard.
+fn latency_histogram_matches_sorted_oracle() {
+    // (kind, value): kind 0 folds the value into a small, duplicate-rich
+    // range; kind 1 keeps it (mostly above the dense range); kind 2 is a
+    // percentile query at `value % 101` percent.
     let gen = gens::vec_of(
-        gens::zip2(gens::u64_in(0..4), gens::u64_in(0..1_000_000)),
-        1..80,
+        gens::zip2(gens::u64_in(0..3), gens::u64_in(0..1 << 40)),
+        1..120,
     );
     check(
-        "latency_discard_prefix_chronological_under_queries",
+        "latency_histogram_matches_sorted_oracle",
         &gen,
         |ops: &Vec<(u64, u64)>| {
             let mut s = LatencyStats::new();
-            // Model: the plain chronological sample list.
-            let mut model: Vec<u64> = Vec::new();
-            for &(op, v) in ops {
-                match op {
+            let mut oracle: Vec<u64> = Vec::new();
+            for &(kind, v) in ops {
+                match kind {
                     0 | 1 => {
+                        let v = if kind == 0 { v % 300 } else { v };
                         s.record(v);
-                        model.push(v);
+                        oracle.push(v);
                     }
-                    2 => {
+                    _ => {
                         let q = (v % 101) as f64 / 100.0;
-                        let got = s.percentile_cycles(q);
-                        // Nearest-rank against the model.
-                        let mut sorted = model.clone();
+                        let mut sorted = oracle.clone();
                         sorted.sort_unstable();
                         let expect = if sorted.is_empty() {
                             0
@@ -184,21 +178,18 @@ fn latency_discard_prefix_chronological_under_queries() {
                             let rank = ((sorted.len() as f64 * q).ceil() as usize).max(1);
                             sorted[rank - 1]
                         };
-                        prop_assert_eq!(got, expect);
-                    }
-                    _ => {
-                        let n = (v as usize) % (model.len() + 1);
-                        s.discard_prefix(n);
-                        model.drain(..n);
+                        prop_assert_eq!(s.percentile_cycles(q), expect);
                     }
                 }
-                prop_assert_eq!(s.count(), model.len());
-                let mean = if model.is_empty() {
+                prop_assert_eq!(s.count(), oracle.len());
+                let mean = if oracle.is_empty() {
                     0.0
                 } else {
-                    model.iter().sum::<u64>() as f64 / model.len() as f64
+                    oracle.iter().sum::<u64>() as f64 / oracle.len() as f64
                 };
                 prop_assert_eq!(s.mean_cycles(), mean);
+                prop_assert_eq!(s.min_cycles(), oracle.iter().copied().min().unwrap_or(0));
+                prop_assert_eq!(s.max_cycles(), oracle.iter().copied().max().unwrap_or(0));
             }
             Ok(())
         },

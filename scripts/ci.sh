@@ -123,8 +123,8 @@ check rebalance target/migrate-ci-reb-ser
 echo "== [7/9] isolation gate (WildDma containment + noninterference) =="
 # Probes outside the slice master-abort, nothing leaks, the refinement
 # checker records zero violations; victim data observables bit-identical
-# with and without the adversary across threads/schedules/batching and
-# through mid-run migrate + live-update.
+# with and without the adversary across threads, per-cycle or fast-forwarded
+# stepping and batching, and through mid-run migrate + live-update.
 cargo test -q -p optimus --test spec_prop
 cargo test -q -p optimus --test noninterference_prop
 
@@ -141,7 +141,7 @@ check pipeline target/pipe-ci-ser
 cargo test -q -p optimus --test noninterference_prop \
     adversary_cannot_perturb_shared_pipeline_observables
 cargo test -q -p optimus --test share_migrate
-cargo test -q -p optimus --test free_run_prop cross_device_share_grid_matches_lockstep_baseline
+cargo test -q -p optimus --test free_run_prop cross_device_share_grid_matches_per_cycle_baseline
 
 echo "== [9/9] performance ledger (frozen harness: fingerprints, checks, plane cost) =="
 # The harness's own tests first: a slip in the public surface it imports

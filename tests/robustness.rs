@@ -2,12 +2,15 @@
 //! guests, demand-profile validation, 4 KB-page configurations, and node
 //! scheduling under live cross-device shares.
 
-use optimus::hypervisor::{Optimus, OptimusConfig};
+use optimus::hypervisor::{GuestCtx, Optimus, OptimusConfig};
 use optimus::node::{NodeConfig, OptimusNode};
 use optimus::scheduler::SchedPolicy;
 use optimus::vaccel::{VaccelId, VaccelRun};
 use optimus_accel::hash::reg as hash_reg;
 use optimus_accel::registry::AccelKind;
+use optimus_accel::hash::Md5Kernel;
+use optimus_accel::linked_list::LlKernel;
+use optimus_accel::sssp::SsspKernel;
 use optimus_accel::{aes::AesKernel, btc::BtcKernel, grn::GrnKernel, membench::MbKernel};
 use optimus_algo::bitcoin::BlockHeader;
 use optimus_bench::jobs::{self, JobParams};
@@ -270,6 +273,7 @@ struct AesTenant {
 }
 
 impl AesTenant {
+    /// A tenant on slot 0 with its job submitted.
     fn new(hv: &mut Optimus, name: &str, seed: u64) -> Self {
         let vm = hv.create_vm(name);
         let va = hv.create_vaccel(vm, 0);
@@ -408,4 +412,126 @@ fn due_slice_deadline_fires_under_a_live_cross_device_share() {
     node.run(200_000);
     let switches = node.device(DeviceId(0)).stats().context_switches - before;
     assert!(switches >= 9, "slot stopped rotating: {switches} slice boundaries in 200k cycles");
+}
+
+/// A GVA one terabyte past a fresh page of `g`'s: outside its auditor
+/// window, so every access there is master-aborted.
+fn out_of_window(g: &mut GuestCtx<'_>) -> u64 {
+    g.alloc_dma(4096).raw() + (1 << 40)
+}
+
+/// A CSR graph in `CsrGraph::to_dram_layout` form, malformed at will.
+fn csr(vertices: u32, offsets: &[u32], targets: &[u32], weights: &[u32]) -> Vec<u8> {
+    let words = [vertices, targets.len() as u32].into_iter().chain(offsets.iter().copied());
+    let words = words.chain(targets.iter().copied()).chain(weights.iter().copied());
+    words.flat_map(u32::to_le_bytes).collect()
+}
+
+/// Programs an SSSP job from source 0 over `graph` (or over a pointer out
+/// of the window) with a zeroed distance array.
+fn program_sssp(g: &mut GuestCtx<'_>, graph: Option<Vec<u8>>, onchip: bool) {
+    let at = match graph {
+        Some(blob) => {
+            let gva = g.alloc_dma(4096);
+            g.write_mem(gva, &blob);
+            gva.raw()
+        }
+        None => out_of_window(g),
+    };
+    let dist = g.alloc_dma(4096);
+    g.mmio_write(APP + SsspKernel::REG_GRAPH, at);
+    g.mmio_write(APP + SsspKernel::REG_DIST, dist.raw());
+    g.mmio_write(APP + SsspKernel::REG_ONCHIP, onchip as u64);
+}
+
+/// One MMIO write that points a kernel outside its window, or at a graph
+/// that does not hang together, must end that tenant's job as `Done` — not
+/// panic the simulator or allocate by a size read from guest memory —
+/// while the AES tenant on the device's other slot finishes bit-exactly.
+/// Aborted reads show up in `HvStats.discarded_dma`.
+#[test]
+fn wild_pointers_and_malformed_graphs_end_the_job_not_the_simulator() {
+    type Program = fn(&mut GuestCtx<'_>);
+    let vectors: [(&str, AccelKind, bool, Program); 8] = [
+        ("LinkedList start node out of the window", AccelKind::Ll, true, |g| {
+            let start = out_of_window(g);
+            g.mmio_write(APP + LlKernel::REG_START, start);
+            g.mmio_write(APP + LlKernel::REG_STEPS, 100);
+        }),
+        ("BTC header out of the window", AccelKind::Btc, true, |g| {
+            let src = out_of_window(g);
+            g.mmio_write(APP + BtcKernel::REG_SRC, src);
+            g.mmio_write(APP + BtcKernel::REG_COUNT, 1_000);
+        }),
+        ("SSSP graph out of the window", AccelKind::Sssp, true, |g| program_sssp(g, None, false)),
+        ("SSSP graph out of the window, on chip", AccelKind::Sssp, true, |g| {
+            program_sssp(g, None, true)
+        }),
+        ("SSSP vertex count past on-chip RAM", AccelKind::Sssp, false, |g| {
+            program_sssp(g, Some(csr(u32::MAX, &[], &[], &[])), true)
+        }),
+        ("SSSP edge target past the distance array", AccelKind::Sssp, false, |g| {
+            program_sssp(g, Some(csr(2, &[0, 1, 1], &[5], &[1])), true)
+        }),
+        ("SSSP edge range ending before it starts", AccelKind::Sssp, false, |g| {
+            program_sssp(g, Some(csr(2, &[1, 0, 1], &[1], &[1])), false)
+        }),
+        ("SSSP source past the vertex count", AccelKind::Sssp, false, |g| {
+            // Vertex 3's row offsets would be the words after the array.
+            program_sssp(g, Some(csr(2, &[0, 1, 1], &[0], &[1])), true);
+            g.mmio_write(APP + SsspKernel::REG_SOURCE, 3);
+        }),
+    ];
+    for (what, kind, aborts, program) in vectors {
+        let mut hv = Optimus::new(OptimusConfig::new(vec![AccelKind::Aes, kind]));
+        let good = AesTenant::new(&mut hv, "good", 3);
+        let vm = hv.create_vm("bad");
+        let bad = hv.create_vaccel(vm, 1);
+        {
+            let mut g = hv.guest(bad);
+            program(&mut g);
+            g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+        }
+        assert!(hv.run_until_done(bad, 2_000_000), "{what}: the at-fault job never ended");
+        assert!(hv.run_until_done(good.va, 20_000_000), "{what}: co-tenant starved");
+        assert!(good.output_is_exact(&mut hv), "{what}: co-tenant output corrupted");
+        assert_eq!(hv.stats().discarded_dma > 0, aborts, "{what}: discarded DMA");
+    }
+}
+
+/// MD5's `REG_STATE_PAD` sizes the zero padding every save writes, and the
+/// save buffer is built on the host: a guest writing 2^40 used to abort the
+/// process at the first preemption ("memory allocation of 1099511627776
+/// bytes failed"). The register clamps to on-chip RAM instead, and the
+/// tenant time-sharing the slot finishes bit-exactly.
+#[test]
+fn a_terabyte_md5_state_pad_is_clamped_to_on_chip_ram() {
+    let mut cfg = OptimusConfig::new(vec![AccelKind::Md5]);
+    cfg.time_slice = 8_000;
+    let mut hv = Optimus::new(cfg);
+    let data = random_bytes(1 << 20, 5);
+    let [bad, good] = ["bad", "good"].map(|name| {
+        let vm = hv.create_vm(name);
+        let va = hv.create_vaccel(vm, 0);
+        let mut g = hv.guest(va);
+        let (src, dst, state) = (g.alloc_dma(1 << 20), g.alloc_dma(4096), g.alloc_dma(16 << 20));
+        g.write_mem(src, &data);
+        g.set_state_buffer(state);
+        g.mmio_write(APP + hash_reg::SRC, src.raw());
+        g.mmio_write(APP + hash_reg::DST, dst.raw());
+        g.mmio_write(APP + hash_reg::LINES, data.len() as u64 / 64);
+        va
+    });
+    hv.guest(bad).mmio_write(APP + Md5Kernel::REG_STATE_PAD, 1 << 40);
+    for va in [bad, good] {
+        hv.guest(va).mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+    }
+    assert!(hv.run_until_done(good, 200_000_000), "co-tenant starved");
+    let stats = hv.stats();
+    assert!(stats.preemptions > 0, "no save ever happened: {stats:?}");
+    let want = optimus_algo::md5::md5(&data);
+    let digest: Vec<u8> = (0..2)
+        .flat_map(|i| hv.guest(good).mmio_read(APP + hash_reg::DIGEST0 + 8 * i).to_le_bytes())
+        .collect();
+    assert_eq!(digest, want, "co-tenant digest wrong");
 }

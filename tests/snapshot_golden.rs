@@ -22,7 +22,9 @@ use optimus::snapshot::{HvSnapshot, SnapshotError};
 use optimus::vaccel::{VaccelId, VaccelRun};
 use optimus_accel::hash::reg;
 use optimus_accel::registry::AccelKind;
+use optimus_fabric::device::FpgaDevice;
 use optimus_fabric::mmio::accel_reg;
+use optimus_fabric::platform::PlatformDevice;
 use optimus_mem::addr::{Hpa, PAGE_2M};
 use optimus_sim::hashing::FastHasher;
 use optimus_sim::time::ms_to_cycles;
@@ -200,6 +202,35 @@ fn thaw_refuses_snapshots_whose_cross_references_are_broken() {
     let (mut snap, device) = tenants().0.freeze();
     snap.slots.pop();
     assert!(matches!(Optimus::thaw(&snap, device), Err(SnapshotError::DeviceMismatch)));
+}
+
+/// The watchdog diffs the device's counters against the snapshot's
+/// baselines at every tick, so a baseline ahead of its counter must be
+/// refused by `thaw` — it used to thaw and underflow at the first tick.
+#[test]
+fn thaw_refuses_watchdog_baselines_ahead_of_the_device() {
+    type Skew = fn(&mut HvSnapshot, &FpgaDevice);
+    let cases: [(&str, Skew); 3] = [
+        ("port grants", |s, d| s.watchdog.last_forwarded[0] = d.port_forwarded(0) + 1_000_000),
+        ("IOTLB lookups", |s, d| {
+            let (hits, spec, misses, _) = d.host().iommu().tlb().stats();
+            s.watchdog.last_iotlb.0 = hits + spec + misses + 1;
+        }),
+        ("IOTLB conflicts", |s, d| s.watchdog.last_iotlb.1 = d.host().iommu().tlb().stats().3 + 1),
+    ];
+    for (what, skew) in cases {
+        let (mut snap, device) = populated().0.freeze();
+        skew(&mut snap, &device);
+        match Optimus::thaw(&snap, device) {
+            Err(SnapshotError::BadValue("watchdog baselines")) => {}
+            other => panic!("{what}: thaw returned {:?}", other.map(|_| "a hypervisor")),
+        }
+    }
+    // Baselines level with the counters thaw and tick as usual.
+    let (mut snap, device) = populated().0.freeze();
+    snap.watchdog.last_forwarded[0] = device.port_forwarded(0);
+    let mut hv = Optimus::thaw(&snap, device).expect("level baselines thaw");
+    hv.run(ms_to_cycles(1.0));
 }
 
 /// Flipping any one byte of a real snapshot yields a decode error, a
