@@ -226,46 +226,29 @@ impl Kernel for BtcKernel {
 mod tests {
     use super::*;
     use crate::harness::Harnessed;
+    use crate::rig::{self, Rig};
     use optimus_fabric::accelerator::Accelerator;
     use optimus_fabric::mmio::accel_reg;
 
-    fn service(port: &mut AccelPort, store: &[u8], now: Cycle) {
-        while let Some(req) = port.take_pending() {
-            match req.write {
-                Some(_) => {
-                    port.deliver(req.tag, None, now);
-                }
-                None => {
-                    let base = req.gva.raw() as usize;
-                    let mut line = [0u8; 64];
-                    line.copy_from_slice(&store[base..base + 64]);
-                    port.deliver(req.tag, Some(Box::new(line)), now);
-                }
-            }
-        }
-    }
-
-    fn mine(target: u32, count: u64) -> (u64, u64) {
+    /// Mines `count` nonces against `target` over the example header;
+    /// returns (found, attempts, the cycle the job finished in).
+    fn mine(target: u32, count: u64) -> (u64, u64, Cycle) {
         let mut acc = Harnessed::new(BtcKernel::new());
-        let mut port = AccelPort::new();
-        let mut store = vec![0u8; 0x1000];
-        let header = BlockHeader::example();
-        store[0x100..0x150].copy_from_slice(&header.to_bytes());
-        acc.mmio_write(accel_reg::APP_BASE + BtcKernel::REG_SRC, 0x100);
-        acc.mmio_write(accel_reg::APP_BASE + BtcKernel::REG_TARGET, target as u64);
-        acc.mmio_write(accel_reg::APP_BASE + BtcKernel::REG_COUNT, count);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        for now in 0..1_000_000 {
-            acc.step(now, &mut port);
-            service(&mut port, &store, now);
-            if acc.is_done() {
-                break;
-            }
-        }
-        assert!(acc.is_done());
+        let mut mem = vec![0u8; 0x100];
+        mem.extend_from_slice(&BlockHeader::example().to_bytes());
+        rig::start(
+            &mut acc,
+            &[
+                (BtcKernel::REG_SRC, 0x100),
+                (BtcKernel::REG_TARGET, target as u64),
+                (BtcKernel::REG_COUNT, count),
+            ],
+        );
+        let finished = Rig::new(mem).finish(&mut acc, 1_000_000);
         (
             acc.mmio_read(accel_reg::APP_BASE + BtcKernel::REG_FOUND),
             acc.mmio_read(accel_reg::APP_BASE + BtcKernel::REG_ATTEMPTS),
+            finished,
         )
     }
 
@@ -278,35 +261,22 @@ mod tests {
             0,
             10_000,
         );
-        let (found, attempts) = mine(target, 10_000);
+        let (found, attempts, _) = mine(target, 10_000);
         assert_eq!(found, expect.unwrap() as u64);
         assert_eq!(attempts, found + 1);
     }
 
     #[test]
     fn exhausted_range_reports_no_nonce() {
-        let (found, attempts) = mine(0, 200);
+        let (found, attempts, _) = mine(0, 200);
         assert_eq!(found, u64::MAX);
         assert_eq!(attempts, 200);
     }
 
     #[test]
     fn paces_four_cycles_per_hash() {
-        let mut acc = Harnessed::new(BtcKernel::new());
-        let mut port = AccelPort::new();
-        let store = vec![0u8; 0x1000];
-        acc.mmio_write(accel_reg::APP_BASE + BtcKernel::REG_COUNT, 100);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        let mut finished = 0;
-        for now in 0..100_000 {
-            acc.step(now, &mut port);
-            service(&mut port, &store, now);
-            if acc.is_done() {
-                finished = now;
-                break;
-            }
-        }
         // 100 hashes × 4 cycles + header fetch.
+        let (.., finished) = mine(0, 100);
         assert!((390..500).contains(&finished), "took {finished}");
     }
 }

@@ -141,57 +141,36 @@ impl Kernel for GrnKernel {
 mod tests {
     use super::*;
     use crate::harness::Harnessed;
-    use optimus_fabric::accelerator::{Accelerator, CtrlStatus};
+    use crate::rig::{self, Rig};
+    use optimus_fabric::accelerator::Accelerator;
     use optimus_fabric::mmio::accel_reg;
 
-    fn service(port: &mut AccelPort, store: &mut Vec<u8>, now: Cycle) {
-        while let Some(req) = port.take_pending() {
-            let base = req.gva.raw() as usize;
-            if store.len() < base + 64 {
-                store.resize(base + 64, 0);
-            }
-            match req.write {
-                Some(data) => {
-                    store[base..base + 64].copy_from_slice(&data[..]);
-                    port.deliver(req.tag, None, now);
-                }
-                None => {
-                    let mut line = [0u8; 64];
-                    line.copy_from_slice(&store[base..base + 64]);
-                    port.deliver(req.tag, Some(Box::new(line)), now);
-                }
-            }
+    /// Runs a `lines`-line job of a generator seeded `seed`, preempted after
+    /// `preempt_at` cycles if given; returns the rig and the finish cycle.
+    fn generate(seed: u64, lines: u64, preempt_at: Option<Cycle>) -> (Rig, Cycle) {
+        let mut acc = Harnessed::new(GrnKernel::new(seed));
+        let mut rig = Rig::new(Vec::new());
+        acc.mmio_write(accel_reg::CTRL_STATE_ADDR, 0x20000);
+        rig::start(
+            &mut acc,
+            &[(GrnKernel::REG_DST, 0), (GrnKernel::REG_LINES, lines)],
+        );
+        if let Some(cycles) = preempt_at {
+            rig.run(&mut acc, cycles);
+            rig.preempt_resume(&mut acc, GrnKernel::new(999));
         }
-    }
-
-    fn samples_from(store: &[u8], base: usize, n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| {
-                i32::from_le_bytes(store[base + 4 * i..base + 4 * i + 4].try_into().unwrap())
-                    as f64
-                    / 65536.0
-            })
-            .collect()
+        let finished = rig.finish(&mut acc, 1_000_000);
+        (rig, finished)
     }
 
     #[test]
     fn produces_unit_normals() {
-        let mut acc = Harnessed::new(GrnKernel::new(9));
-        let mut port = AccelPort::new();
-        let mut store = Vec::new();
         let lines = 2000u64;
-        acc.mmio_write(accel_reg::APP_BASE + GrnKernel::REG_DST, 0x0);
-        acc.mmio_write(accel_reg::APP_BASE + GrnKernel::REG_LINES, lines);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        for now in 0..1_000_000 {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            if acc.is_done() {
-                break;
-            }
-        }
-        assert!(acc.is_done());
-        let samples = samples_from(&store, 0, (lines * 16) as usize);
+        let (rig, _) = generate(9, lines, None);
+        let samples: Vec<f64> = rig.mem[..(lines * 64) as usize]
+            .chunks_exact(4)
+            .map(|c| i32::from_le_bytes(c.try_into().unwrap()) as f64 / 65536.0)
+            .collect();
         let (mean, var) = optimus_algo::gaussian::moments(&samples);
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.04, "variance {var}");
@@ -201,59 +180,14 @@ mod tests {
     fn preempt_resume_continues_the_stream() {
         // The resumed stream must equal an uninterrupted run bit-for-bit
         // (the RNG state is the architectural state).
-        let run = |preempt: bool| -> Vec<u8> {
-            let mut acc = Harnessed::new(GrnKernel::new(33));
-            let mut port = AccelPort::new();
-            let mut store = vec![0u8; 0x40000];
-            acc.mmio_write(accel_reg::CTRL_STATE_ADDR, 0x20000);
-            acc.mmio_write(accel_reg::APP_BASE + GrnKernel::REG_DST, 0);
-            acc.mmio_write(accel_reg::APP_BASE + GrnKernel::REG_LINES, 64);
-            acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-            let mut now = 0;
-            if preempt {
-                for _ in 0..800 {
-                    acc.step(now, &mut port);
-                    service(&mut port, &mut store, now);
-                    now += 1;
-                }
-                acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_PREEMPT);
-                while acc.status() != CtrlStatus::Saved {
-                    acc.step(now, &mut port);
-                    service(&mut port, &mut store, now);
-                    now += 1;
-                }
-                *acc.kernel_mut() = GrnKernel::new(999); // clobber
-                acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_RESUME);
-            }
-            while !acc.is_done() {
-                acc.step(now, &mut port);
-                service(&mut port, &mut store, now);
-                now += 1;
-                assert!(now < 1_000_000);
-            }
-            store[..64 * 64].to_vec()
-        };
-        assert_eq!(run(false), run(true));
+        let out = |preempt_at| generate(33, 64, preempt_at).0.mem[..64 * 64].to_vec();
+        assert_eq!(out(None), out(Some(800)));
     }
 
     #[test]
     fn demand_is_low() {
         // ~1 write per 50 cycles: a 2 % share of the monitor's slots.
-        let mut acc = Harnessed::new(GrnKernel::new(1));
-        let mut port = AccelPort::new();
-        let mut store = Vec::new();
-        acc.mmio_write(accel_reg::APP_BASE + GrnKernel::REG_LINES, 100);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        let mut finished = 0;
-        for now in 0..100_000 {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            if acc.is_done() {
-                finished = now;
-                break;
-            }
-        }
-        let per_line = finished as f64 / 100.0;
+        let per_line = generate(1, 100, None).1 as f64 / 100.0;
         assert!((48.0..55.0).contains(&per_line), "paced at {per_line}");
     }
 }

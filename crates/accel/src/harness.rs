@@ -252,6 +252,7 @@ impl<K: Kernel> Accelerator for Harnessed<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rig::{self, Rig};
 
     /// A kernel that counts steps up to a programmed target.
     struct Counter {
@@ -323,36 +324,12 @@ mod tests {
         }
     }
 
-    fn service_port(port: &mut AccelPort, store: &mut Vec<u8>, now: Cycle) {
-        while let Some(req) = port.take_pending() {
-            let base = req.gva.raw() as usize;
-            match req.write {
-                Some(data) => {
-                    if store.len() < base + 64 {
-                        store.resize(base + 64, 0);
-                    }
-                    store[base..base + 64].copy_from_slice(&data[..]);
-                    port.deliver(req.tag, None, now);
-                }
-                None => {
-                    let mut line = [0u8; 64];
-                    line.copy_from_slice(&store[base..base + 64]);
-                    port.deliver(req.tag, Some(Box::new(line)), now);
-                }
-            }
-        }
-    }
-
     #[test]
     fn start_run_done() {
         let mut acc = Harnessed::new(Counter::new());
-        let mut port = AccelPort::new();
-        acc.mmio_write(accel_reg::APP_BASE, 5);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+        rig::start(&mut acc, &[(0, 5)]);
         assert_eq!(acc.status(), CtrlStatus::Running);
-        for now in 0..10 {
-            acc.step(now, &mut port);
-        }
+        Rig::new(Vec::new()).run(&mut acc, 10);
         assert!(acc.is_done());
         assert_eq!(acc.mmio_read(accel_reg::APP_BASE + 8), 5);
     }
@@ -360,62 +337,33 @@ mod tests {
     #[test]
     fn preempt_resume_round_trip_preserves_progress() {
         let mut acc = Harnessed::new(Counter::new());
-        let mut port = AccelPort::new();
-        let mut store = Vec::new();
+        let mut rig = Rig::new(Vec::new());
         acc.mmio_write(accel_reg::CTRL_STATE_ADDR, 0x1000);
-        acc.mmio_write(accel_reg::APP_BASE, 100);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        for now in 0..30 {
-            acc.step(now, &mut port);
-            service_port(&mut port, &mut store, now);
-        }
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_PREEMPT);
-        let mut now = 30;
-        while acc.status() != CtrlStatus::Saved {
-            acc.step(now, &mut port);
-            service_port(&mut port, &mut store, now);
-            now += 1;
-            assert!(now < 1000, "never saved");
-        }
-        let paused_count = acc.kernel().count;
-        assert_eq!(paused_count, 30);
+        rig::start(&mut acc, &[(0, 100)]);
+        rig.run(&mut acc, 30);
         // Clobber the kernel (as if another vaccel ran) and resume.
-        acc.kernel_mut().count = 0;
-        acc.kernel_mut().target = 0;
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_RESUME);
-        while !acc.is_done() {
-            acc.step(now, &mut port);
-            service_port(&mut port, &mut store, now);
-            now += 1;
-            assert!(now < 2000, "never finished");
-        }
+        rig.preempt_resume(&mut acc, Counter::new());
+        rig.finish(&mut acc, 2000);
         assert_eq!(acc.kernel().target, 100);
         assert_eq!(acc.kernel().count, 100);
+        // The save landed after exactly the 30 steps run before it.
+        let saved = &rig.mem[0x1000 + 8..0x1000 + 24];
+        assert_eq!(saved, [100u64.to_le_bytes(), 30u64.to_le_bytes()].concat());
     }
 
     #[test]
     fn undecodable_blob_ends_the_restore_idle_and_restartable() {
         let mut acc = Harnessed::new(Counter::new());
-        let mut port = AccelPort::new();
         // A header naming 8 payload bytes where the counter needs 16.
-        let mut store = vec![0u8; 0x1040];
-        store[0x1000..0x1008].copy_from_slice(&8u64.to_le_bytes());
+        let mut rig = Rig::new(vec![0u8; 0x1040]);
+        rig.mem[0x1000..0x1008].copy_from_slice(&8u64.to_le_bytes());
         acc.mmio_write(accel_reg::CTRL_STATE_ADDR, 0x1000);
         acc.mmio_write(accel_reg::APP_BASE, 7);
         acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_RESUME);
-        let mut now = 0;
-        while acc.status() != CtrlStatus::Idle {
-            acc.step(now, &mut port);
-            service_port(&mut port, &mut store, now);
-            now += 1;
-            assert!(now < 100, "restore never ended");
-        }
+        rig.run_until(&mut acc, 100, |a| a.status() == CtrlStatus::Idle);
         assert_eq!(acc.mmio_read(accel_reg::APP_BASE), 0, "kernel reset");
-        acc.mmio_write(accel_reg::APP_BASE, 3);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        for t in now..now + 10 {
-            acc.step(t, &mut port);
-        }
+        rig::start(&mut acc, &[(0, 3)]);
+        rig.run(&mut acc, 10);
         assert!(acc.is_done());
     }
 
@@ -435,10 +383,52 @@ mod tests {
     #[test]
     fn reset_returns_to_idle() {
         let mut acc = Harnessed::new(Counter::new());
-        acc.mmio_write(accel_reg::APP_BASE, 5);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+        rig::start(&mut acc, &[(0, 5)]);
         acc.reset();
         assert_eq!(acc.status(), CtrlStatus::Idle);
         assert_eq!(acc.mmio_read(accel_reg::APP_BASE), 0);
+    }
+
+    /// Drives a bare engine against the rig until it leaves `InProgress`.
+    fn stream(engine: &mut PreemptEngine, rig: &mut Rig) -> PreemptProgress {
+        for _ in 0..10_000 {
+            match engine.step(rig.now, &mut rig.port) {
+                PreemptProgress::InProgress => rig.serve(),
+                done => return done,
+            }
+            rig.now += 1;
+        }
+        panic!("engine never completed");
+    }
+
+    #[test]
+    fn save_then_restore_round_trips() {
+        let mut engine = PreemptEngine::new();
+        engine.set_state_addr(Gva::new(0x100 * 64));
+        let state: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
+        let mut rig = Rig::new(Vec::new());
+        engine.begin_save(state.clone());
+        assert!(engine.is_active());
+        assert_eq!(stream(&mut engine, &mut rig), PreemptProgress::SaveDone);
+        assert!(!engine.is_active());
+        engine.begin_restore();
+        assert_eq!(
+            stream(&mut engine, &mut rig),
+            PreemptProgress::RestoreDone(state)
+        );
+    }
+
+    #[test]
+    fn empty_state_still_writes_the_header_line() {
+        let mut engine = PreemptEngine::new();
+        let mut rig = Rig::new(Vec::new());
+        engine.begin_save(Vec::new());
+        assert_eq!(stream(&mut engine, &mut rig), PreemptProgress::SaveDone);
+        assert_eq!(rig.mem.len(), 64);
+        engine.begin_restore();
+        assert_eq!(
+            stream(&mut engine, &mut rig),
+            PreemptProgress::RestoreDone(Vec::new())
+        );
     }
 }

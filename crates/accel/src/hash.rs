@@ -12,65 +12,97 @@
 
 use crate::harness::Kernel;
 use crate::ser::{Reader, Writer};
-use crate::stream::{Pacer, StreamEngine};
+use crate::stream::StreamShell;
 use optimus_algo::md5::Md5;
 use optimus_algo::sha2::{Sha512, Sha512Snapshot};
 use optimus_fabric::accelerator::{AccelMeta, AccelPort};
-use optimus_mem::addr::Gva;
 use optimus_sim::time::Cycle;
 
 /// Common registers for both hash kernels.
 pub mod reg {
+    use crate::stream::StreamShell;
+
     /// Source GVA.
-    pub const SRC: u64 = 0;
+    pub const SRC: u64 = StreamShell::REG_SRC;
     /// Destination GVA for the final digest line.
-    pub const DST: u64 = 8;
+    pub const DST: u64 = StreamShell::REG_DST;
     /// Input length in lines.
-    pub const LINES: u64 = 16;
+    pub const LINES: u64 = StreamShell::REG_LINES;
     /// First digest result register (read-only; digest bytes 0..8).
     pub const DIGEST0: u64 = 24;
 }
 
-macro_rules! common_regs {
-    () => {
-        fn write_reg(&mut self, offset: u64, value: u64) {
-            match offset {
-                reg::SRC => self.src = value,
-                reg::DST => self.dst = value,
-                reg::LINES => self.lines = value,
-                other => self.write_extra_reg(other, value),
-            }
-        }
-
-        fn read_reg(&self, offset: u64) -> u64 {
-            match offset {
-                reg::SRC => self.src,
-                reg::DST => self.dst,
-                reg::LINES => self.lines,
-                off if off >= reg::DIGEST0 => {
-                    let idx = ((off - reg::DIGEST0) / 8) as usize;
-                    self.digest
-                        .get(idx * 8..idx * 8 + 8)
-                        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-                        .unwrap_or(0)
-                }
-                _ => 0,
-            }
-        }
-    };
+/// What both hashers share: the stream shell, and the digest they write
+/// to `dst` once the input is exhausted and mirror in the result
+/// registers (empty until then).
+#[derive(Debug)]
+struct Hashing {
+    shell: StreamShell,
+    digest: Vec<u8>,
 }
+
+impl Hashing {
+    fn new() -> Self {
+        Self {
+            shell: StreamShell::new(),
+            digest: Vec::new(),
+        }
+    }
+
+    fn start_at(&mut self, cursor: u64) {
+        self.digest.clear();
+        self.shell.start_at(cursor);
+    }
+
+    fn read_reg(&self, offset: u64) -> u64 {
+        if offset < reg::DIGEST0 {
+            return self.shell.read_reg(offset);
+        }
+        let idx = ((offset - reg::DIGEST0) / 8) as usize;
+        self.digest
+            .get(idx * 8..idx * 8 + 8)
+            .map_or(0, |b| u64::from_le_bytes(b.try_into().unwrap()))
+    }
+
+    fn done(&self) -> bool {
+        !self.digest.is_empty() && self.shell.engine.writes_settled()
+    }
+
+    /// Writes the digest `finalize` computes as the destination's first
+    /// line, once the input is exhausted and the port takes a write.
+    fn finish(&mut self, finalize: impl FnOnce() -> Vec<u8>, now: Cycle, port: &mut AccelPort) {
+        if self.shell.engine.input_exhausted() && self.digest.is_empty() && port.can_issue() {
+            self.digest = finalize();
+            let mut out = [0u8; 64];
+            out[..self.digest.len()].copy_from_slice(&self.digest);
+            self.shell.write_line(0, out, now, port);
+        }
+    }
+
+    /// Quiescence hint: with an empty response queue (the harness checks),
+    /// a step does something only while the pacer's bank (capped at
+    /// `max_bank`) is filling, or if it can issue read-ahead, consume an
+    /// arrived line, or write the digest.
+    fn next_event(&self, max_bank: f64, now: Cycle, port: &AccelPort) -> Option<Cycle> {
+        if !self.shell.pacer.saturated(max_bank) {
+            return Some(now);
+        }
+        let engine = &self.shell.engine;
+        let can_read = engine.wants_reads() && port.can_issue();
+        let can_finish = engine.input_exhausted() && self.digest.is_empty() && port.can_issue();
+        (can_read || engine.has_next() || can_finish).then_some(now)
+    }
+}
+
+/// MD5 absorbs one line per 100 MHz cycle, banking no more than that.
+const MD5_LINE_COST: f64 = 1.0;
 
 /// The MD5 streaming hasher (100 MHz, one line per cycle).
 #[derive(Debug)]
 pub struct Md5Kernel {
     meta: AccelMeta,
-    src: u64,
-    dst: u64,
-    lines: u64,
+    hashing: Hashing,
     hasher: Md5,
-    digest: Vec<u8>,
-    digest_written: bool,
-    engine: StreamEngine,
     /// Extra zero bytes appended to the preemption state, modelling a
     /// Cascade-style conservative save of *all* occupied resources (the
     /// paper's Fig. 8 worst-case estimate uses MD5, the largest real-world
@@ -89,13 +121,8 @@ impl Md5Kernel {
     pub fn new() -> Self {
         Self {
             meta: crate::registry::AccelKind::Md5.meta(),
-            src: 0,
-            dst: 0,
-            lines: 0,
+            hashing: Hashing::new(),
             hasher: Md5::new(),
-            digest: Vec::new(),
-            digest_written: false,
-            engine: StreamEngine::new(0, 0),
             state_pad: 0,
         }
     }
@@ -105,56 +132,48 @@ impl Md5Kernel {
     pub const REG_STATE_PAD: u64 = 56;
 }
 
-impl Md5Kernel {
-    fn write_extra_reg(&mut self, offset: u64, value: u64) {
-        if offset == Self::REG_STATE_PAD {
-            // Every save allocates the pad: at most all of on-chip RAM,
-            // above Fig 8's 3 MiB worst case.
-            self.state_pad = value.min(crate::ONCHIP_RAM_BYTES);
-        }
-    }
-}
-
 impl Kernel for Md5Kernel {
     fn meta(&self) -> &AccelMeta {
         &self.meta
     }
 
-    common_regs!();
+    fn write_reg(&mut self, offset: u64, value: u64) {
+        match offset {
+            // Every save allocates the pad: at most all of on-chip RAM,
+            // above Fig 8's 3 MiB worst case.
+            Self::REG_STATE_PAD => self.state_pad = value.min(crate::ONCHIP_RAM_BYTES),
+            _ => self.hashing.shell.write_reg(offset, value),
+        }
+    }
+
+    fn read_reg(&self, offset: u64) -> u64 {
+        self.hashing.read_reg(offset)
+    }
 
     fn start(&mut self) {
         self.hasher = Md5::new();
-        self.digest.clear();
-        self.digest_written = false;
-        self.engine = StreamEngine::new(self.src, self.lines);
+        self.hashing.start_at(0);
     }
 
     fn done(&self) -> bool {
-        self.digest_written && self.engine.writes_settled()
+        self.hashing.done()
     }
 
     fn step(&mut self, now: Cycle, port: &mut AccelPort) {
-        self.engine.absorb(port);
-        self.engine.issue_reads(port, now);
-        // One line per 100 MHz cycle: no pacer needed, consume at most one
-        // in-order line per step.
-        if let Some((_, line)) = self.engine.next_line() {
+        let shell = &mut self.hashing.shell;
+        shell.pump(MD5_LINE_COST, now, port);
+        while shell.engine.has_next() && shell.pacer.try_spend(MD5_LINE_COST) {
+            let (_, line) = shell.engine.next_line().expect("has_next checked");
             self.hasher.update(&line[..]);
         }
-        if self.engine.input_exhausted() && !self.digest_written && port.can_issue() {
-            let digest = self.hasher.clone().finalize();
-            self.digest = digest.to_vec();
-            let mut out = [0u8; 64];
-            out[..16].copy_from_slice(&digest);
-            port.write(Gva::new(self.dst), Box::new(out), now);
-            self.engine.note_write();
-            self.digest_written = true;
-        }
+        self.hashing
+            .finish(|| self.hasher.clone().finalize().to_vec(), now, port);
     }
 
     fn serialize(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.u64(self.src).u64(self.dst).u64(self.lines).u64(self.engine.consumed());
+        self.hashing.shell.save(&mut w);
+        w.u64(self.hashing.shell.engine.consumed());
         for word in self.hasher.state() {
             w.u64(word as u64);
         }
@@ -166,9 +185,7 @@ impl Kernel for Md5Kernel {
 
     fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.src = r.u64()?;
-        self.dst = r.u64()?;
-        self.lines = r.u64()?;
+        self.hashing.shell.load(&mut r)?;
         let cursor = r.u64()?;
         let mut state = [0u32; 4];
         for word in &mut state {
@@ -184,10 +201,7 @@ impl Kernel for Md5Kernel {
             return None;
         }
         self.hasher = Md5::resume(state, len);
-        self.digest.clear();
-        self.digest_written = false;
-        self.engine = StreamEngine::new(self.src, self.lines);
-        self.engine.resume_at(cursor);
+        self.hashing.start_at(cursor);
         Some(())
     }
 
@@ -196,17 +210,7 @@ impl Kernel for Md5Kernel {
     }
 
     fn next_event(&self, now: Cycle, port: &AccelPort) -> Option<Cycle> {
-        // With an empty response queue (the harness checks), a step only
-        // does something if it can issue read-ahead, consume an arrived
-        // line, or write the final digest.
-        let can_read = self.engine.wants_reads() && port.can_issue();
-        let can_finish =
-            self.engine.input_exhausted() && !self.digest_written && port.can_issue();
-        if can_read || self.engine.has_next() || can_finish {
-            Some(now)
-        } else {
-            None
-        }
+        self.hashing.next_event(MD5_LINE_COST, now, port)
     }
 }
 
@@ -217,14 +221,8 @@ const SHA_LINE_COST: f64 = 4.5;
 #[derive(Debug)]
 pub struct Sha512Kernel {
     meta: AccelMeta,
-    src: u64,
-    dst: u64,
-    lines: u64,
+    hashing: Hashing,
     hasher: Sha512,
-    digest: Vec<u8>,
-    digest_written: bool,
-    engine: StreamEngine,
-    pacer: Pacer,
 }
 
 impl Default for Sha512Kernel {
@@ -238,20 +236,10 @@ impl Sha512Kernel {
     pub fn new() -> Self {
         Self {
             meta: crate::registry::AccelKind::Sha.meta(),
-            src: 0,
-            dst: 0,
-            lines: 0,
+            hashing: Hashing::new(),
             hasher: Sha512::new(),
-            digest: Vec::new(),
-            digest_written: false,
-            engine: StreamEngine::new(0, 0),
-            pacer: Pacer::new(),
         }
     }
-}
-
-impl Sha512Kernel {
-    fn write_extra_reg(&mut self, _offset: u64, _value: u64) {}
 }
 
 impl Kernel for Sha512Kernel {
@@ -259,43 +247,39 @@ impl Kernel for Sha512Kernel {
         &self.meta
     }
 
-    common_regs!();
+    fn write_reg(&mut self, offset: u64, value: u64) {
+        self.hashing.shell.write_reg(offset, value);
+    }
+
+    fn read_reg(&self, offset: u64) -> u64 {
+        self.hashing.read_reg(offset)
+    }
 
     fn start(&mut self) {
         self.hasher = Sha512::new();
-        self.digest.clear();
-        self.digest_written = false;
-        self.engine = StreamEngine::new(self.src, self.lines);
-        self.pacer.reset();
+        self.hashing.start_at(0);
     }
 
     fn done(&self) -> bool {
-        self.digest_written && self.engine.writes_settled()
+        self.hashing.done()
     }
 
     fn step(&mut self, now: Cycle, port: &mut AccelPort) {
-        self.pacer.tick(2.0 * SHA_LINE_COST);
-        self.engine.absorb(port);
-        self.engine.issue_reads(port, now);
-        while self.engine.has_next() && self.pacer.try_spend(SHA_LINE_COST) {
-            let (_, line) = self.engine.next_line().expect("has_next checked");
+        let shell = &mut self.hashing.shell;
+        shell.pump(2.0 * SHA_LINE_COST, now, port);
+        while shell.engine.has_next() && shell.pacer.try_spend(SHA_LINE_COST) {
+            let (_, line) = shell.engine.next_line().expect("has_next checked");
             self.hasher.update(&line[..]);
         }
-        if self.engine.input_exhausted() && !self.digest_written && port.can_issue() {
-            let digest = self.hasher.clone().finalize();
-            self.digest = digest.to_vec();
-            let mut out = [0u8; 64];
-            out.copy_from_slice(&digest);
-            port.write(Gva::new(self.dst), Box::new(out), now);
-            self.engine.note_write();
-            self.digest_written = true;
-        }
+        self.hashing
+            .finish(|| self.hasher.clone().finalize().to_vec(), now, port);
     }
 
     fn serialize(&self) -> Vec<u8> {
         let snap = self.hasher.snapshot();
         let mut w = Writer::new();
-        w.u64(self.src).u64(self.dst).u64(self.lines).u64(self.engine.consumed());
+        self.hashing.shell.save(&mut w);
+        w.u64(self.hashing.shell.engine.consumed());
         for word in snap.state {
             w.u64(word);
         }
@@ -306,9 +290,7 @@ impl Kernel for Sha512Kernel {
 
     fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.src = r.u64()?;
-        self.dst = r.u64()?;
-        self.lines = r.u64()?;
+        self.hashing.shell.load(&mut r)?;
         let cursor = r.u64()?;
         let mut state = [0u64; 8];
         for word in &mut state {
@@ -324,11 +306,7 @@ impl Kernel for Sha512Kernel {
             length_bytes,
             buffer: buffer.to_vec(),
         });
-        self.digest.clear();
-        self.digest_written = false;
-        self.engine = StreamEngine::new(self.src, self.lines);
-        self.engine.resume_at(cursor);
-        self.pacer.reset();
+        self.hashing.start_at(cursor);
         Some(())
     }
 
@@ -337,20 +315,7 @@ impl Kernel for Sha512Kernel {
     }
 
     fn next_event(&self, now: Cycle, port: &AccelPort) -> Option<Cycle> {
-        // Same conditions as MD5, plus the pacer: a tick below the credit
-        // cap mutates state, so the kernel is only quiescent once the bank
-        // is saturated (the min-clamp then re-assigns exactly the cap).
-        if !self.pacer.saturated(2.0 * SHA_LINE_COST) {
-            return Some(now);
-        }
-        let can_read = self.engine.wants_reads() && port.can_issue();
-        let can_finish =
-            self.engine.input_exhausted() && !self.digest_written && port.can_issue();
-        if can_read || self.engine.has_next() || can_finish {
-            Some(now)
-        } else {
-            None
-        }
+        self.hashing.next_event(2.0 * SHA_LINE_COST, now, port)
     }
 }
 
@@ -358,54 +323,29 @@ impl Kernel for Sha512Kernel {
 mod tests {
     use super::*;
     use crate::harness::Harnessed;
-    use optimus_fabric::accelerator::{Accelerator, CtrlStatus};
+    use crate::rig::{self, Rig};
+    use optimus_fabric::accelerator::Accelerator;
     use optimus_fabric::mmio::accel_reg;
 
-    fn service(port: &mut AccelPort, store: &mut Vec<u8>, now: Cycle) {
-        while let Some(req) = port.take_pending() {
-            let base = req.gva.raw() as usize;
-            if store.len() < base + 64 {
-                store.resize(base + 64, 0);
-            }
-            match req.write {
-                Some(data) => {
-                    store[base..base + 64].copy_from_slice(&data[..]);
-                    port.deliver(req.tag, None, now);
-                }
-                None => {
-                    let mut line = [0u8; 64];
-                    line.copy_from_slice(&store[base..base + 64]);
-                    port.deliver(req.tag, Some(Box::new(line)), now);
-                }
-            }
-        }
-    }
-
-    fn run_to_done(acc: &mut dyn Accelerator, store: &mut Vec<u8>, limit: Cycle) {
-        let mut port = AccelPort::new();
-        for now in 0..limit {
-            acc.step(now, &mut port);
-            service(&mut port, store, now);
-            if acc.is_done() {
-                return;
-            }
-        }
-        panic!("kernel never finished");
+    /// A rig holding `data` at `src`.
+    fn rig_with(src: usize, data: &[u8]) -> Rig {
+        let mut mem = vec![0u8; src];
+        mem.extend_from_slice(data);
+        Rig::new(mem)
     }
 
     #[test]
     fn md5_matches_reference() {
         let mut acc = Harnessed::new(Md5Kernel::new());
-        let mut store = vec![0u8; 0x4000];
         let data: Vec<u8> = (0..1024u32).map(|i| (i * 3) as u8).collect();
-        store[0x400..0x800].copy_from_slice(&data);
-        acc.mmio_write(accel_reg::APP_BASE + reg::SRC, 0x400);
-        acc.mmio_write(accel_reg::APP_BASE + reg::DST, 0x1000);
-        acc.mmio_write(accel_reg::APP_BASE + reg::LINES, 16);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        run_to_done(&mut acc, &mut store, 10_000);
+        let mut rig = rig_with(0x400, &data);
+        rig::start(
+            &mut acc,
+            &[(reg::SRC, 0x400), (reg::DST, 0x1000), (reg::LINES, 16)],
+        );
+        rig.finish(&mut acc, 10_000);
         let expect = optimus_algo::md5::md5(&data);
-        assert_eq!(&store[0x1000..0x1010], &expect[..]);
+        assert_eq!(&rig.mem[0x1000..0x1010], &expect[..]);
         // Digest registers mirror the result.
         assert_eq!(
             acc.mmio_read(accel_reg::APP_BASE + reg::DIGEST0),
@@ -416,82 +356,49 @@ mod tests {
     #[test]
     fn sha512_matches_reference() {
         let mut acc = Harnessed::new(Sha512Kernel::new());
-        let mut store = vec![0u8; 0x4000];
         let data: Vec<u8> = (0..2048u32).map(|i| (i ^ 0x5A) as u8).collect();
-        store[0x800..0x1000].copy_from_slice(&data);
-        acc.mmio_write(accel_reg::APP_BASE + reg::SRC, 0x800);
-        acc.mmio_write(accel_reg::APP_BASE + reg::DST, 0x2000);
-        acc.mmio_write(accel_reg::APP_BASE + reg::LINES, 32);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        run_to_done(&mut acc, &mut store, 10_000);
+        let mut rig = rig_with(0x800, &data);
+        rig::start(
+            &mut acc,
+            &[(reg::SRC, 0x800), (reg::DST, 0x2000), (reg::LINES, 32)],
+        );
+        rig.finish(&mut acc, 10_000);
         let expect = optimus_algo::sha2::sha512(&data);
-        assert_eq!(&store[0x2000..0x2040], &expect[..]);
+        assert_eq!(&rig.mem[0x2000..0x2040], &expect[..]);
     }
 
     #[test]
     fn md5_preempt_resume_digest_intact() {
         let mut acc = Harnessed::new(Md5Kernel::new());
-        let mut port = AccelPort::new();
-        let mut store = vec![0u8; 0x20000];
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 253) as u8).collect();
-        store[0x1000..0x3000].copy_from_slice(&data);
+        let mut rig = rig_with(0x1000, &data);
         acc.mmio_write(accel_reg::CTRL_STATE_ADDR, 0x10000);
-        acc.mmio_write(accel_reg::APP_BASE + reg::SRC, 0x1000);
-        acc.mmio_write(accel_reg::APP_BASE + reg::DST, 0x8000);
-        acc.mmio_write(accel_reg::APP_BASE + reg::LINES, 128);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        let mut now = 0;
-        for _ in 0..40 {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            now += 1;
-        }
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_PREEMPT);
-        while acc.status() != CtrlStatus::Saved {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            now += 1;
-        }
-        *acc.kernel_mut() = Md5Kernel::new();
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_RESUME);
-        while !acc.is_done() {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            now += 1;
-            assert!(now < 100_000);
-        }
-        assert_eq!(&store[0x8000..0x8010], &optimus_algo::md5::md5(&data)[..]);
+        rig::start(
+            &mut acc,
+            &[(reg::SRC, 0x1000), (reg::DST, 0x8000), (reg::LINES, 128)],
+        );
+        rig.run(&mut acc, 40);
+        rig.preempt_resume(&mut acc, Md5Kernel::new());
+        rig.finish(&mut acc, 100_000);
+        assert_eq!(&rig.mem[0x8000..0x8010], &optimus_algo::md5::md5(&data)[..]);
     }
 
     #[test]
     fn md5_consumes_one_line_per_cycle() {
         // 100 lines should take ≈ 100 kernel cycles once the pipeline fills.
         let mut acc = Harnessed::new(Md5Kernel::new());
-        let mut port = AccelPort::new();
-        let mut store = vec![0u8; 0x4000];
-        acc.mmio_write(accel_reg::APP_BASE + reg::LINES, 100);
-        acc.mmio_write(accel_reg::APP_BASE + reg::DST, 0x3000);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        let mut finished = 0;
-        for now in 0..10_000 {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            if acc.is_done() {
-                finished = now;
-                break;
-            }
-        }
+        let mut rig = Rig::new(Vec::new());
+        rig::start(&mut acc, &[(reg::LINES, 100), (reg::DST, 0x3000)]);
+        let finished = rig.finish(&mut acc, 10_000);
         assert!(finished > 0 && finished < 140, "took {finished} cycles");
     }
 
     #[test]
     fn empty_input_hashes_empty_string() {
         let mut acc = Harnessed::new(Md5Kernel::new());
-        let mut store = vec![0u8; 0x1000];
-        acc.mmio_write(accel_reg::APP_BASE + reg::DST, 0x800);
-        acc.mmio_write(accel_reg::APP_BASE + reg::LINES, 0);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        run_to_done(&mut acc, &mut store, 1000);
-        assert_eq!(&store[0x800..0x810], &optimus_algo::md5::md5(b"")[..]);
+        let mut rig = Rig::new(Vec::new());
+        rig::start(&mut acc, &[(reg::DST, 0x800), (reg::LINES, 0)]);
+        rig.finish(&mut acc, 1000);
+        assert_eq!(&rig.mem[0x800..0x810], &optimus_algo::md5::md5(b"")[..]);
     }
 }

@@ -10,10 +10,9 @@
 
 use crate::harness::Kernel;
 use crate::ser::{Reader, Writer};
-use crate::stream::{Pacer, StreamEngine};
+use crate::stream::StreamShell;
 use optimus_algo::image::{blur_row, sobel_row};
 use optimus_fabric::accelerator::{AccelMeta, AccelPort};
-use optimus_mem::addr::Gva;
 use optimus_sim::time::Cycle;
 
 /// Which 3×3 filter a [`ConvKernel`] applies.
@@ -34,23 +33,19 @@ pub struct ConvKernel {
     meta: AccelMeta,
     op: ConvOp,
     line_cost: f64,
-    src: u64,
-    dst: u64,
-    lines: u64,
+    shell: StreamShell,
     /// The last two consumed rows (line buffers).
     rows: Vec<[u8; 64]>,
     emitted: u64,
-    engine: StreamEngine,
-    pacer: Pacer,
 }
 
 impl ConvKernel {
     /// Register: source GVA.
-    pub const REG_SRC: u64 = 0;
+    pub const REG_SRC: u64 = StreamShell::REG_SRC;
     /// Register: destination GVA.
-    pub const REG_DST: u64 = 8;
+    pub const REG_DST: u64 = StreamShell::REG_DST;
     /// Register: row (line) count.
-    pub const REG_LINES: u64 = 16;
+    pub const REG_LINES: u64 = StreamShell::REG_LINES;
 
     /// Creates the GAU benchmark kernel.
     pub fn gaussian() -> Self {
@@ -71,13 +66,9 @@ impl ConvKernel {
             meta,
             op,
             line_cost,
-            src: 0,
-            dst: 0,
-            lines: 0,
+            shell: StreamShell::new(),
             rows: Vec::new(),
             emitted: 0,
-            engine: StreamEngine::new(0, 0),
-            pacer: Pacer::new(),
         }
     }
 
@@ -94,14 +85,14 @@ impl ConvKernel {
 
     /// Emits output row `r` if its window is available.
     fn try_emit(&mut self, now: Cycle, port: &mut AccelPort) -> bool {
-        let consumed = self.engine.consumed();
+        let consumed = self.shell.engine.consumed();
         // Row r can be emitted when row r+1 has been consumed, or when the
         // input is exhausted (bottom edge clamps).
         let r = self.emitted;
-        if r >= self.lines {
+        if r >= self.shell.lines {
             return false;
         }
-        let have_below = consumed > r + 1 || self.engine.input_exhausted();
+        let have_below = consumed > r + 1 || self.shell.engine.input_exhausted();
         if !have_below || consumed <= r {
             return false;
         }
@@ -133,8 +124,7 @@ impl ConvKernel {
             None => center, // bottom edge clamp
         };
         let out = self.window_output(&above, &center, &below);
-        port.write(Gva::new(self.dst + r * 64), Box::new(out), now);
-        self.engine.note_write();
+        self.shell.write_line(r, out, now, port);
         self.emitted += 1;
         true
     }
@@ -146,45 +136,34 @@ impl Kernel for ConvKernel {
     }
 
     fn write_reg(&mut self, offset: u64, value: u64) {
-        match offset {
-            Self::REG_SRC => self.src = value,
-            Self::REG_DST => self.dst = value,
-            Self::REG_LINES => self.lines = value,
-            _ => {}
-        }
+        self.shell.write_reg(offset, value);
     }
 
     fn read_reg(&self, offset: u64) -> u64 {
-        match offset {
-            Self::REG_SRC => self.src,
-            Self::REG_DST => self.dst,
-            Self::REG_LINES => self.lines,
-            _ => 0,
-        }
+        self.shell.read_reg(offset)
     }
 
     fn start(&mut self) {
         self.rows.clear();
         self.emitted = 0;
-        self.engine = StreamEngine::new(self.src, self.lines);
-        self.pacer.reset();
+        self.shell.start_at(0);
     }
 
     fn done(&self) -> bool {
-        self.emitted >= self.lines && self.engine.writes_settled()
+        // A stream that aborted short never reaches its last row.
+        (self.emitted >= self.shell.lines || self.shell.engine.aborted())
+            && self.shell.engine.writes_settled()
     }
 
     fn step(&mut self, now: Cycle, port: &mut AccelPort) {
-        self.pacer.tick(2.0 * self.line_cost);
-        self.engine.absorb(port);
-        self.engine.issue_reads(port, now);
+        self.shell.pump(2.0 * self.line_cost, now, port);
         // Consume only while the emit cursor keeps up: the line buffers
         // hold four rows, and output row r needs rows r−1..r+1 on hand.
-        while self.engine.has_next()
-            && self.engine.consumed() < self.emitted + 3
-            && self.pacer.try_spend(self.line_cost)
+        while self.shell.engine.has_next()
+            && self.shell.engine.consumed() < self.emitted + 3
+            && self.shell.pacer.try_spend(self.line_cost)
         {
-            let (_, line) = self.engine.next_line().expect("has_next checked");
+            let (_, line) = self.shell.engine.next_line().expect("has_next checked");
             self.rows.push(*line);
             if self.rows.len() > 4 {
                 self.rows.remove(0);
@@ -199,19 +178,14 @@ impl Kernel for ConvKernel {
         // Progress is the emitted cursor; the two line buffers above it are
         // the architectural state (re-derivable rows r−1 and r).
         let mut w = Writer::new();
-        w.u64(self.src)
-            .u64(self.dst)
-            .u64(self.lines)
-            .u64(self.emitted)
-            .u64(self.op as u64);
+        self.shell.save(&mut w);
+        w.u64(self.emitted).u64(self.op as u64);
         w.finish()
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.src = r.u64()?;
-        self.dst = r.u64()?;
-        self.lines = r.u64()?;
+        self.shell.load(&mut r)?;
         let emitted = r.u64()?;
         let _op = r.u64()?;
         // Resume by re-reading from the emitted row's window start: rows
@@ -219,15 +193,13 @@ impl Kernel for ConvKernel {
         // idempotent.
         self.emitted = emitted;
         self.rows.clear();
-        self.engine = StreamEngine::new(self.src, self.lines);
-        self.engine.resume_at(emitted.saturating_sub(1));
-        self.pacer.reset();
+        self.shell.start_at(emitted.saturating_sub(1));
         Some(())
     }
 
     fn reset(&mut self) {
         // A fresh kernel that keeps its line buffers' allocation.
-        (self.src, self.dst, self.lines) = (0, 0, 0);
+        self.shell = StreamShell::new();
         self.start();
     }
 }
@@ -237,13 +209,9 @@ impl Kernel for ConvKernel {
 #[derive(Debug)]
 pub struct GrsKernel {
     meta: AccelMeta,
-    src: u64,
-    dst: u64,
-    lines: u64,
+    shell: StreamShell,
     staging: Vec<u8>,
     out_lines: u64,
-    engine: StreamEngine,
-    pacer: Pacer,
 }
 
 /// Cycles per input line at 200 MHz (1.25 packets/line ⇒ 0.20 share).
@@ -257,23 +225,19 @@ impl Default for GrsKernel {
 
 impl GrsKernel {
     /// Register: source GVA.
-    pub const REG_SRC: u64 = 0;
+    pub const REG_SRC: u64 = StreamShell::REG_SRC;
     /// Register: destination GVA.
-    pub const REG_DST: u64 = 8;
+    pub const REG_DST: u64 = StreamShell::REG_DST;
     /// Register: input line count (16 RGBA pixels per line).
-    pub const REG_LINES: u64 = 16;
+    pub const REG_LINES: u64 = StreamShell::REG_LINES;
 
     /// Creates an idle kernel.
     pub fn new() -> Self {
         Self {
             meta: crate::registry::AccelKind::Grs.meta(),
-            src: 0,
-            dst: 0,
-            lines: 0,
+            shell: StreamShell::new(),
             staging: Vec::new(),
             out_lines: 0,
-            engine: StreamEngine::new(0, 0),
-            pacer: Pacer::new(),
         }
     }
 
@@ -293,63 +257,50 @@ impl Kernel for GrsKernel {
     }
 
     fn write_reg(&mut self, offset: u64, value: u64) {
-        match offset {
-            Self::REG_SRC => self.src = value,
-            Self::REG_DST => self.dst = value,
-            Self::REG_LINES => self.lines = value,
-            _ => {}
-        }
+        self.shell.write_reg(offset, value);
     }
 
     fn read_reg(&self, offset: u64) -> u64 {
-        match offset {
-            Self::REG_SRC => self.src,
-            Self::REG_DST => self.dst,
-            Self::REG_LINES => self.lines,
-            _ => 0,
-        }
+        self.shell.read_reg(offset)
     }
 
     fn start(&mut self) {
         self.staging.clear();
         self.out_lines = 0;
-        self.engine = StreamEngine::new(self.src, self.lines);
-        self.pacer.reset();
+        self.shell.start_at(0);
     }
 
     fn done(&self) -> bool {
-        self.engine.input_exhausted() && self.staging.is_empty() && self.engine.writes_settled()
+        self.shell.engine.input_exhausted()
+            && self.staging.is_empty()
+            && self.shell.engine.writes_settled()
     }
 
     fn step(&mut self, now: Cycle, port: &mut AccelPort) {
-        self.pacer.tick(2.0 * GRS_LINE_COST);
-        self.engine.absorb(port);
-        self.engine.issue_reads(port, now);
-        while self.engine.has_next() && self.pacer.try_spend(GRS_LINE_COST) {
-            let (_, line) = self.engine.next_line().expect("has_next checked");
+        let shell = &mut self.shell;
+        shell.pump(2.0 * GRS_LINE_COST, now, port);
+        while shell.engine.has_next() && shell.pacer.try_spend(GRS_LINE_COST) {
+            let (_, line) = shell.engine.next_line().expect("has_next checked");
             self.staging.extend_from_slice(&Self::luma_line(&line));
         }
         // Emit full output lines, and the padded tail once input ends.
         while port.can_issue()
             && (self.staging.len() >= 64
-                || (self.engine.input_exhausted() && !self.staging.is_empty()))
+                || (shell.engine.input_exhausted() && !self.staging.is_empty()))
         {
             let mut out = [0u8; 64];
             let take = self.staging.len().min(64);
             out[..take].copy_from_slice(&self.staging[..take]);
             self.staging.drain(..take);
-            port.write(Gva::new(self.dst + self.out_lines * 64), Box::new(out), now);
-            self.engine.note_write();
+            shell.write_line(self.out_lines, out, now, port);
             self.out_lines += 1;
         }
     }
 
     fn serialize(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.u64(self.src)
-            .u64(self.dst)
-            .u64(self.lines)
-            .u64(self.engine.consumed())
+        self.shell.save(&mut w);
+        w.u64(self.shell.engine.consumed())
             .u64(self.out_lines)
             .bytes(&self.staging);
         w.finish()
@@ -357,15 +308,11 @@ impl Kernel for GrsKernel {
 
     fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.src = r.u64()?;
-        self.dst = r.u64()?;
-        self.lines = r.u64()?;
+        self.shell.load(&mut r)?;
         let cursor = r.u64()?;
         self.out_lines = r.u64()?;
         self.staging = r.bytes()?.to_vec();
-        self.engine = StreamEngine::new(self.src, self.lines);
-        self.engine.resume_at(cursor);
-        self.pacer.reset();
+        self.shell.start_at(cursor);
         Some(())
     }
 
@@ -378,41 +325,9 @@ impl Kernel for GrsKernel {
 mod tests {
     use super::*;
     use crate::harness::Harnessed;
+    use crate::rig::{self, Rig};
     use optimus_algo::image::{gaussian_blur, sobel, Image};
     use optimus_fabric::accelerator::Accelerator;
-    use optimus_fabric::mmio::accel_reg;
-
-    fn service(port: &mut AccelPort, store: &mut Vec<u8>, now: Cycle) {
-        while let Some(req) = port.take_pending() {
-            let base = req.gva.raw() as usize;
-            if store.len() < base + 64 {
-                store.resize(base + 64, 0);
-            }
-            match req.write {
-                Some(data) => {
-                    store[base..base + 64].copy_from_slice(&data[..]);
-                    port.deliver(req.tag, None, now);
-                }
-                None => {
-                    let mut line = [0u8; 64];
-                    line.copy_from_slice(&store[base..base + 64]);
-                    port.deliver(req.tag, Some(Box::new(line)), now);
-                }
-            }
-        }
-    }
-
-    fn run(acc: &mut dyn Accelerator, store: &mut Vec<u8>, limit: Cycle) {
-        let mut port = AccelPort::new();
-        for now in 0..limit {
-            acc.step(now, &mut port);
-            service(&mut port, store, now);
-            if acc.is_done() {
-                return;
-            }
-        }
-        panic!("kernel never finished");
-    }
 
     fn test_image(rows: usize) -> (Image, Vec<u8>) {
         let mut data = vec![0u8; rows * 64];
@@ -422,36 +337,45 @@ mod tests {
         (Image::new(64, rows, 1, data.clone()), data)
     }
 
+    /// Starts `acc` on `lines` lines of `raw` at 0x1000 into 0x4000; the
+    /// rig to run it with.
+    fn start(acc: &mut dyn Accelerator, raw: &[u8], lines: u64) -> Rig {
+        let mut mem = vec![0u8; 0x1000];
+        mem.extend_from_slice(raw);
+        rig::start(
+            acc,
+            &[
+                (ConvKernel::REG_SRC, 0x1000),
+                (ConvKernel::REG_DST, 0x4000),
+                (ConvKernel::REG_LINES, lines),
+            ],
+        );
+        Rig::new(mem)
+    }
+
+    /// Filters `rows` rows with a fresh `kernel`; returns the output.
+    fn filter(kernel: ConvKernel, rows: usize) -> Vec<u8> {
+        let (_, raw) = test_image(rows);
+        let mut acc = Harnessed::new(kernel);
+        let mut rig = start(&mut acc, &raw, rows as u64);
+        rig.finish(&mut acc, 100_000);
+        rig.mem[0x4000..0x4000 + rows * 64].to_vec()
+    }
+
     #[test]
     fn gaussian_matches_reference() {
-        let rows = 16;
-        let (img, raw) = test_image(rows);
-        let mut acc = Harnessed::new(ConvKernel::gaussian());
-        let mut store = vec![0u8; 0x8000];
-        store[0x1000..0x1000 + raw.len()].copy_from_slice(&raw);
-        acc.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_SRC, 0x1000);
-        acc.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_DST, 0x4000);
-        acc.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_LINES, rows as u64);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        run(&mut acc, &mut store, 100_000);
-        let expect = gaussian_blur(&img);
-        assert_eq!(&store[0x4000..0x4000 + rows * 64], expect.data());
+        assert_eq!(
+            filter(ConvKernel::gaussian(), 16),
+            gaussian_blur(&test_image(16).0).data()
+        );
     }
 
     #[test]
     fn sobel_matches_reference() {
-        let rows = 12;
-        let (img, raw) = test_image(rows);
-        let mut acc = Harnessed::new(ConvKernel::sobel());
-        let mut store = vec![0u8; 0x8000];
-        store[0x1000..0x1000 + raw.len()].copy_from_slice(&raw);
-        acc.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_SRC, 0x1000);
-        acc.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_DST, 0x4000);
-        acc.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_LINES, rows as u64);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        run(&mut acc, &mut store, 100_000);
-        let expect = sobel(&img);
-        assert_eq!(&store[0x4000..0x4000 + rows * 64], expect.data());
+        assert_eq!(
+            filter(ConvKernel::sobel(), 12),
+            sobel(&test_image(12).0).data()
+        );
     }
 
     #[test]
@@ -462,73 +386,44 @@ mod tests {
             *b = ((i * 7) % 256) as u8;
         }
         let mut acc = Harnessed::new(GrsKernel::new());
-        let mut store = vec![0u8; 0x8000];
-        store[0x1000..0x1000 + raw.len()].copy_from_slice(&raw);
-        acc.mmio_write(accel_reg::APP_BASE + GrsKernel::REG_SRC, 0x1000);
-        acc.mmio_write(accel_reg::APP_BASE + GrsKernel::REG_DST, 0x4000);
-        acc.mmio_write(accel_reg::APP_BASE + GrsKernel::REG_LINES, lines);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        run(&mut acc, &mut store, 100_000);
+        let mut rig = start(&mut acc, &raw, lines);
+        rig.finish(&mut acc, 100_000);
         // Reference: luma of each RGBA quadruple.
         let mut expect = Vec::new();
         for px in raw.chunks_exact(4) {
             let (r, g, b) = (px[0] as u32, px[1] as u32, px[2] as u32);
             expect.push(((77 * r + 150 * g + 29 * b + 128) >> 8).min(255) as u8);
         }
-        assert_eq!(&store[0x4000..0x4000 + expect.len()], &expect[..]);
+        assert_eq!(&rig.mem[0x4000..0x4000 + expect.len()], &expect[..]);
     }
 
     #[test]
     fn single_row_image_clamps_both_edges() {
-        let (img, raw) = test_image(1);
-        let mut acc = Harnessed::new(ConvKernel::gaussian());
-        let mut store = vec![0u8; 0x8000];
-        store[0x1000..0x1040].copy_from_slice(&raw);
-        acc.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_SRC, 0x1000);
-        acc.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_DST, 0x4000);
-        acc.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_LINES, 1);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        run(&mut acc, &mut store, 10_000);
-        let expect = gaussian_blur(&img);
-        assert_eq!(&store[0x4000..0x4040], expect.data());
+        assert_eq!(
+            filter(ConvKernel::gaussian(), 1),
+            gaussian_blur(&test_image(1).0).data()
+        );
     }
 
     #[test]
     fn reset_kernel_filters_like_a_fresh_one() {
         let (_, raw) = test_image(10);
         for make in [ConvKernel::gaussian, ConvKernel::sobel] {
-            let program = |acc: &mut Harnessed<ConvKernel>, rows: u64| {
-                acc.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_SRC, 0x1000);
-                acc.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_DST, 0x4000);
-                acc.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_LINES, rows);
-                acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-            };
-            let fresh_store = {
+            let fresh_mem = {
                 let mut acc = Harnessed::new(make());
-                let mut store = vec![0u8; 0x8000];
-                store[0x1000..0x1000 + raw.len()].copy_from_slice(&raw);
-                program(&mut acc, 10);
-                run(&mut acc, &mut store, 100_000);
-                store
+                let mut rig = start(&mut acc, &raw, 10);
+                rig.finish(&mut acc, 100_000);
+                rig.mem
             };
             // The same job after a reset in the middle of a shorter one.
             let mut acc = Harnessed::new(make());
-            let mut store = vec![0u8; 0x8000];
-            store[0x1000..0x1000 + raw.len()].copy_from_slice(&raw);
-            program(&mut acc, 6);
-            let mut port = AccelPort::new();
-            for now in 0..35 {
-                acc.step(now, &mut port);
-                service(&mut port, &mut store, now);
-            }
+            start(&mut acc, &raw, 6).run(&mut acc, 35);
             assert!(!acc.is_done());
             acc.reset();
             assert_eq!(acc.kernel().serialize(), make().serialize());
-            let mut store = vec![0u8; 0x8000];
-            store[0x1000..0x1000 + raw.len()].copy_from_slice(&raw);
-            program(&mut acc, 10);
-            run(&mut acc, &mut store, 100_000);
-            assert_eq!(store, fresh_store);
+            let mut rig = start(&mut acc, &raw, 10);
+            rig.finish(&mut acc, 100_000);
+            assert_eq!(rig.mem, fresh_mem);
         }
     }
 }

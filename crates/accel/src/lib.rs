@@ -8,12 +8,17 @@
 //! Two pieces of shared machinery keep the kernels small:
 //!
 //! * [`harness`] — the control-register state machine of the preemption
-//!   interface (§4.2), generic over a [`Kernel`](harness::Kernel): start,
-//!   drain, save state via DMA writes, resume via DMA reads;
-//! * [`stream`] — a read-ahead engine with in-order retirement, the
-//!   structure every streaming benchmark (AES, MD5, SHA, FIR, the image
-//!   filters, Reed–Solomon, Smith–Waterman) shares. In-order retirement is
-//!   what makes preemption sound: saved progress is always a prefix.
+//!   interface (§4.2), generic over a [`Kernel`]: start, drain, save
+//!   state via DMA writes, resume via DMA reads. It is the only decoder of
+//!   the `CMD_*` commands;
+//! * [`stream`] — a read-ahead engine with in-order retirement, and the
+//!   [`StreamShell`](stream::StreamShell) around it (SRC/DST/LINES
+//!   registers, pacer, blob prefix) that every streaming benchmark (AES,
+//!   MD5, SHA, FIR, the image filters, Reed–Solomon, Smith–Waterman)
+//!   is built from. In-order retirement is what makes preemption sound:
+//!   saved progress is always a prefix. A master-aborted read ends a
+//!   stream short, so a wild source pointer ends its job instead of
+//!   stalling it.
 //!
 //! | Module | Benchmarks |
 //! |---|---|
@@ -54,3 +59,111 @@ pub use registry::{build_accelerator, AccelKind};
 /// What a kernel keeps on chip is bounded by it, so a guest-written size
 /// can never size a host allocation beyond it.
 const ONCHIP_RAM_BYTES: u64 = optimus_fabric::resources::TOTAL_BRAMS * 2_560;
+
+/// The one memory every unit test serves a kernel's port from.
+#[cfg(test)]
+mod rig {
+    use crate::harness::{Harnessed, Kernel};
+    use optimus_fabric::accelerator::{AccelPort, Accelerator, CtrlStatus};
+    use optimus_fabric::mmio::accel_reg;
+    use optimus_sim::time::Cycle;
+
+    /// A port wired to a memory that answers every request in the cycle
+    /// it was issued.
+    pub struct Rig {
+        pub port: AccelPort,
+        /// Backing store indexed by GVA: it grows as writes land, and
+        /// reads past its end return zeros.
+        pub mem: Vec<u8>,
+        /// The next cycle to step.
+        pub now: Cycle,
+        /// Requests at or above this GVA master-abort, as outside an
+        /// auditor window.
+        pub window: u64,
+    }
+
+    impl Rig {
+        pub fn new(mem: Vec<u8>) -> Self {
+            Self {
+                port: AccelPort::new(),
+                mem,
+                now: 0,
+                window: u64::MAX,
+            }
+        }
+
+        /// Answers every request the port holds.
+        pub fn serve(&mut self) {
+            while let Some(req) = self.port.take_pending() {
+                let base = req.gva.raw();
+                let data = if base >= self.window {
+                    None
+                } else {
+                    let base = base as usize;
+                    if self.mem.len() < base + 64 {
+                        self.mem.resize(base + 64, 0);
+                    }
+                    let line = &mut self.mem[base..base + 64];
+                    match req.write {
+                        Some(data) => {
+                            line.copy_from_slice(&data[..]);
+                            None
+                        }
+                        None => Some(Box::new(<[u8; 64]>::try_from(&*line).unwrap())),
+                    }
+                };
+                self.port.deliver(req.tag, data, self.now);
+            }
+        }
+
+        /// Steps `acc` for `cycles` cycles, serving its port after each.
+        pub fn run(&mut self, acc: &mut dyn Accelerator, cycles: Cycle) {
+            for _ in 0..cycles {
+                acc.step(self.now, &mut self.port);
+                self.serve();
+                self.now += 1;
+            }
+        }
+
+        /// Steps `acc` until `stop` holds after a cycle, and returns that
+        /// cycle; panics once `limit` cycles have passed.
+        pub fn run_until<A: Accelerator>(
+            &mut self,
+            acc: &mut A,
+            limit: Cycle,
+            stop: impl Fn(&A) -> bool,
+        ) -> Cycle {
+            let end = self.now + limit;
+            while self.now < end {
+                self.run(acc, 1);
+                if stop(acc) {
+                    return self.now - 1;
+                }
+            }
+            panic!("{} never got there in {limit} cycles", acc.meta().name);
+        }
+
+        /// Runs the job until it is done; returns the cycle it finished in.
+        pub fn finish<A: Accelerator>(&mut self, acc: &mut A, limit: Cycle) -> Cycle {
+            self.run_until(acc, limit, |a| a.is_done())
+        }
+
+        /// Preempts the job, waits for its state to be saved, puts `other`
+        /// in its place (as if another tenant had used the slot) and
+        /// resumes.
+        pub fn preempt_resume<K: Kernel>(&mut self, acc: &mut Harnessed<K>, other: K) {
+            acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_PREEMPT);
+            self.run_until(acc, 100_000, |a| a.status() == CtrlStatus::Saved);
+            *acc.kernel_mut() = other;
+            acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_RESUME);
+        }
+    }
+
+    /// Programs `acc`'s application registers and starts its job.
+    pub fn start(acc: &mut dyn Accelerator, regs: &[(u64, u64)]) {
+        for &(reg, value) in regs {
+            acc.mmio_write(accel_reg::APP_BASE + reg, value);
+        }
+        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+    }
+}

@@ -165,45 +165,35 @@ impl Kernel for LlKernel {
 mod tests {
     use super::*;
     use crate::harness::Harnessed;
-    use optimus_fabric::accelerator::{Accelerator, CtrlStatus};
+    use crate::rig::{self, Rig};
+    use optimus_fabric::accelerator::Accelerator;
     use optimus_fabric::mmio::accel_reg;
 
-    /// Services reads from a synthetic ring: node at line i points to
-    /// line (i * 7 + 1) mod 1024.
-    fn service(port: &mut AccelPort, now: Cycle) {
-        while let Some(req) = port.take_pending() {
-            assert!(req.write.is_none());
-            let line_idx = req.gva.raw() / 64;
-            let next = (line_idx * 7 + 1) % 1024;
-            let mut line = [0u8; 64];
-            line[0..8].copy_from_slice(&(next * 64).to_le_bytes());
-            port.deliver(req.tag, Some(Box::new(line)), now);
+    /// A ring of 1024 nodes at GVA 0: node i points to node (7i + 1) mod 1024.
+    fn ring() -> Rig {
+        let mut mem = vec![0u8; 1024 * 64];
+        for (i, node) in mem.chunks_exact_mut(64).enumerate() {
+            node[..8].copy_from_slice(&((i as u64 * 7 + 1) % 1024 * 64).to_le_bytes());
         }
+        Rig::new(mem)
+    }
+
+    /// The node `hops` hops from node 0.
+    fn after(hops: usize) -> u64 {
+        (0..hops).fold(0, |node, _| (node * 7 + 1) % 1024) * 64
     }
 
     #[test]
     fn walks_the_chain() {
         let mut acc = Harnessed::new(LlKernel::new());
-        let mut port = AccelPort::new();
-        acc.mmio_write(accel_reg::APP_BASE + LlKernel::REG_START, 0);
-        acc.mmio_write(accel_reg::APP_BASE + LlKernel::REG_STEPS, 10);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        for now in 0..1000 {
-            acc.step(now, &mut port);
-            service(&mut port, now);
-            if acc.is_done() {
-                break;
-            }
-        }
-        assert!(acc.is_done());
-        // Follow the same recurrence in software.
-        let mut expect = 0u64;
-        for _ in 0..10 {
-            expect = (expect * 7 + 1) % 1024;
-        }
+        rig::start(
+            &mut acc,
+            &[(LlKernel::REG_START, 0), (LlKernel::REG_STEPS, 10)],
+        );
+        ring().finish(&mut acc, 1000);
         assert_eq!(
             acc.mmio_read(accel_reg::APP_BASE + LlKernel::REG_CURRENT),
-            expect * 64
+            after(10)
         );
     }
 
@@ -212,14 +202,14 @@ mod tests {
         let mut k = LlKernel::new();
         k.write_reg(LlKernel::REG_STEPS, 0);
         k.start();
-        let mut port = AccelPort::new();
+        let mut rig = ring();
         for now in 0..50 {
-            k.step(now, &mut port);
+            k.step(now, &mut rig.port);
             // Never more than one pending + in-flight.
-            assert!(port.outstanding() <= 1);
+            assert!(rig.port.outstanding() <= 1);
             // Delay service by a few cycles to prove it does not pipeline.
             if now % 5 == 0 {
-                service(&mut port, now);
+                rig.serve();
             }
         }
     }
@@ -227,80 +217,18 @@ mod tests {
     #[test]
     fn preempt_saves_next_node_address() {
         let mut acc = Harnessed::new(LlKernel::new());
-        let mut port = AccelPort::new();
-        // State buffer far above the 0..0x10000 node space so the test's
-        // service loop can discriminate by address.
-        let mut state_store = vec![0u8; 0x21000];
+        // State buffer above the 0..0x10000 node space.
+        let mut rig = ring();
         acc.mmio_write(accel_reg::CTRL_STATE_ADDR, 0x20000);
-        acc.mmio_write(accel_reg::APP_BASE + LlKernel::REG_STEPS, 100);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        let mut now = 0;
-        for _ in 0..37 {
-            acc.step(now, &mut port);
-            service(&mut port, now);
-            now += 1;
-        }
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_PREEMPT);
-        while acc.status() != CtrlStatus::Saved {
-            acc.step(now, &mut port);
-            // Serve both the drained read and the state-save writes.
-            while let Some(req) = port.take_pending() {
-                match req.write {
-                    Some(data) => {
-                        let base = req.gva.raw() as usize;
-                        state_store[base..base + 64].copy_from_slice(&data[..]);
-                        port.deliver(req.tag, None, now);
-                    }
-                    None => {
-                        let line_idx = req.gva.raw() / 64;
-                        let next = (line_idx * 7 + 1) % 1024;
-                        let mut line = [0u8; 64];
-                        line[0..8].copy_from_slice(&(next * 64).to_le_bytes());
-                        port.deliver(req.tag, Some(Box::new(line)), now);
-                    }
-                }
-            }
-            now += 1;
-        }
-        let steps_at_save = acc.kernel().steps;
+        rig::start(&mut acc, &[(LlKernel::REG_STEPS, 100)]);
+        rig.run(&mut acc, 37);
+        assert!(acc.kernel().steps < 100, "preempted mid-walk");
         // Resume on a "different physical accelerator" (fresh kernel).
-        *acc.kernel_mut() = LlKernel::new();
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_RESUME);
-        while !acc.is_done() {
-            acc.step(now, &mut port);
-            while let Some(req) = port.take_pending() {
-                match req.write {
-                    Some(_) => {
-                        port.deliver(req.tag, None, now);
-                    }
-                    None => {
-                        let base = req.gva.raw() as usize;
-                        if base >= 0x20000 {
-                            // state restore read
-                            let mut line = [0u8; 64];
-                            line.copy_from_slice(&state_store[base..base + 64]);
-                            port.deliver(req.tag, Some(Box::new(line)), now);
-                        } else {
-                            let line_idx = req.gva.raw() / 64;
-                            let next = (line_idx * 7 + 1) % 1024;
-                            let mut line = [0u8; 64];
-                            line[0..8].copy_from_slice(&(next * 64).to_le_bytes());
-                            port.deliver(req.tag, Some(Box::new(line)), now);
-                        }
-                    }
-                }
-            }
-            now += 1;
-            assert!(now < 100_000);
-        }
-        assert!(steps_at_save < 100);
+        rig.preempt_resume(&mut acc, LlKernel::new());
+        rig.finish(&mut acc, 100_000);
         assert_eq!(acc.kernel().steps, 100);
         // The walk end point equals an uninterrupted walk's end point.
-        let mut expect = 0u64;
-        for _ in 0..100 {
-            expect = (expect * 7 + 1) % 1024;
-        }
-        assert_eq!(acc.kernel().current, expect * 64);
+        assert_eq!(acc.kernel().current, after(100));
     }
 
     #[test]

@@ -219,51 +219,26 @@ impl Kernel for MbKernel {
 mod tests {
     use super::*;
     use crate::harness::Harnessed;
-    use optimus_fabric::accelerator::{Accelerator, CtrlStatus};
+    use crate::rig::{self, Rig};
+    use optimus_fabric::accelerator::Accelerator;
     use optimus_fabric::mmio::accel_reg;
-
-    fn service(port: &mut AccelPort, now: Cycle) {
-        while let Some(req) = port.take_pending() {
-            match req.write {
-                Some(_) => {
-                    port.deliver(req.tag, None, now);
-                }
-                None => {
-                    port.deliver(req.tag, Some(Box::new([0; 64])), now);
-                }
-            }
-        }
-    }
 
     #[test]
     fn issues_one_request_per_cycle() {
         let mut acc = Harnessed::new(MbKernel::new(1));
-        let mut port = AccelPort::new();
-        acc.mmio_write(accel_reg::APP_BASE + MbKernel::REG_BYTES, 1 << 20);
-        acc.mmio_write(accel_reg::APP_BASE + MbKernel::REG_OPS, 500);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        let mut finished = 0;
-        for now in 0..5_000 {
-            acc.step(now, &mut port);
-            service(&mut port, now);
-            if acc.is_done() {
-                finished = now;
-                break;
-            }
-        }
+        rig::start(
+            &mut acc,
+            &[(MbKernel::REG_BYTES, 1 << 20), (MbKernel::REG_OPS, 500)],
+        );
+        let finished = Rig::new(Vec::new()).finish(&mut acc, 5_000);
         assert!(finished > 0 && finished < 600, "took {finished} cycles");
     }
 
     #[test]
     fn unbounded_mode_never_finishes() {
         let mut acc = Harnessed::new(MbKernel::new(2));
-        let mut port = AccelPort::new();
-        acc.mmio_write(accel_reg::APP_BASE + MbKernel::REG_BYTES, 1 << 16);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        for now in 0..1000 {
-            acc.step(now, &mut port);
-            service(&mut port, now);
-        }
+        rig::start(&mut acc, &[(MbKernel::REG_BYTES, 1 << 16)]);
+        Rig::new(Vec::new()).run(&mut acc, 1000);
         assert!(!acc.is_done());
         assert!(acc.mmio_read(accel_reg::APP_BASE + MbKernel::REG_COMPLETED) > 500);
     }
@@ -313,53 +288,16 @@ mod tests {
     #[test]
     fn preempt_resume_preserves_counters() {
         let mut acc = Harnessed::new(MbKernel::new(5));
-        let mut port = AccelPort::new();
-        let mut store = vec![0u8; 0x20000];
-        let service_store = |port: &mut AccelPort, store: &mut Vec<u8>, now: Cycle| {
-            while let Some(req) = port.take_pending() {
-                let base = req.gva.raw() as usize;
-                if store.len() < base + 64 {
-                    store.resize(base + 64, 0);
-                }
-                match req.write {
-                    Some(data) => {
-                        store[base..base + 64].copy_from_slice(&data[..]);
-                        port.deliver(req.tag, None, now);
-                    }
-                    None => {
-                        let mut line = [0u8; 64];
-                        line.copy_from_slice(&store[base..base + 64]);
-                        port.deliver(req.tag, Some(Box::new(line)), now);
-                    }
-                }
-            }
-        };
+        let mut rig = Rig::new(Vec::new());
         acc.mmio_write(accel_reg::CTRL_STATE_ADDR, 0x10000);
-        acc.mmio_write(accel_reg::APP_BASE + MbKernel::REG_BYTES, 0x8000);
-        acc.mmio_write(accel_reg::APP_BASE + MbKernel::REG_OPS, 1000);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        let mut now = 0;
-        for _ in 0..300 {
-            acc.step(now, &mut port);
-            service_store(&mut port, &mut store, now);
-            now += 1;
-        }
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_PREEMPT);
-        while acc.status() != CtrlStatus::Saved {
-            acc.step(now, &mut port);
-            service_store(&mut port, &mut store, now);
-            now += 1;
-        }
-        let at_preempt = acc.kernel().completed;
-        assert!(at_preempt > 100);
-        *acc.kernel_mut() = MbKernel::new(0);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_RESUME);
-        while !acc.is_done() {
-            acc.step(now, &mut port);
-            service_store(&mut port, &mut store, now);
-            now += 1;
-            assert!(now < 100_000);
-        }
+        rig::start(
+            &mut acc,
+            &[(MbKernel::REG_BYTES, 0x8000), (MbKernel::REG_OPS, 1000)],
+        );
+        rig.run(&mut acc, 300);
+        assert!(acc.kernel().completed > 100);
+        rig.preempt_resume(&mut acc, MbKernel::new(0));
+        rig.finish(&mut acc, 100_000);
         assert_eq!(acc.kernel().completed, 1000);
     }
 }

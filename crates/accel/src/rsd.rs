@@ -11,10 +11,9 @@
 
 use crate::harness::Kernel;
 use crate::ser::{Reader, Writer};
-use crate::stream::{Pacer, StreamEngine};
+use crate::stream::StreamShell;
 use optimus_algo::reed_solomon::ReedSolomon;
 use optimus_fabric::accelerator::{AccelMeta, AccelPort};
-use optimus_mem::addr::Gva;
 use optimus_sim::time::Cycle;
 
 /// Parity symbols (RS(255, 223): corrects 16 errors).
@@ -33,17 +32,14 @@ const LINE_COST: f64 = 9.0;
 #[derive(Debug)]
 pub struct RsdKernel {
     meta: AccelMeta,
-    src: u64,
-    dst: u64,
-    lines: u64,
+    shell: StreamShell,
     codec: ReedSolomon,
     staging: Vec<u8>,
-    /// Output lines decoded but not yet issued (drains via the port).
+    /// Output lines (index past `dst`, data) decoded but not yet issued
+    /// (drains via the port).
     out_queue: std::collections::VecDeque<(u64, [u8; 64])>,
     decoded_codewords: u64,
     failures: u64,
-    engine: StreamEngine,
-    pacer: Pacer,
 }
 
 impl Default for RsdKernel {
@@ -54,11 +50,11 @@ impl Default for RsdKernel {
 
 impl RsdKernel {
     /// Register: source GVA.
-    pub const REG_SRC: u64 = 0;
+    pub const REG_SRC: u64 = StreamShell::REG_SRC;
     /// Register: destination GVA.
-    pub const REG_DST: u64 = 8;
+    pub const REG_DST: u64 = StreamShell::REG_DST;
     /// Register: input line count (multiple of 4).
-    pub const REG_LINES: u64 = 16;
+    pub const REG_LINES: u64 = StreamShell::REG_LINES;
     /// Register (read-only): codewords decoded.
     pub const REG_DECODED: u64 = 24;
     /// Register (read-only): uncorrectable codewords.
@@ -68,16 +64,12 @@ impl RsdKernel {
     pub fn new() -> Self {
         Self {
             meta: crate::registry::AccelKind::Rsd.meta(),
-            src: 0,
-            dst: 0,
-            lines: 0,
+            shell: StreamShell::new(),
             codec: ReedSolomon::new(PARITY),
             staging: Vec::new(),
             out_queue: std::collections::VecDeque::new(),
             decoded_codewords: 0,
             failures: 0,
-            engine: StreamEngine::new(0, 0),
-            pacer: Pacer::new(),
         }
     }
 
@@ -89,7 +81,7 @@ impl RsdKernel {
         if !decoded {
             self.failures += 1;
         }
-        let out_base = self.dst + self.decoded_codewords * CODEWORD_LINES * 64;
+        let first_line = self.decoded_codewords * CODEWORD_LINES;
         for i in 0..CODEWORD_LINES as usize {
             let mut line = [0u8; 64];
             let lo = i * 64;
@@ -97,7 +89,7 @@ impl RsdKernel {
             if decoded && lo < MESSAGE_LEN {
                 line[..hi - lo].copy_from_slice(&self.staging[lo..hi]);
             }
-            self.out_queue.push_back((out_base + i as u64 * 64, line));
+            self.out_queue.push_back((first_line + i as u64, line));
         }
         self.staging.clear();
         self.decoded_codewords += 1;
@@ -110,22 +102,14 @@ impl Kernel for RsdKernel {
     }
 
     fn write_reg(&mut self, offset: u64, value: u64) {
-        match offset {
-            Self::REG_SRC => self.src = value,
-            Self::REG_DST => self.dst = value,
-            Self::REG_LINES => self.lines = value,
-            _ => {}
-        }
+        self.shell.write_reg(offset, value);
     }
 
     fn read_reg(&self, offset: u64) -> u64 {
         match offset {
-            Self::REG_SRC => self.src,
-            Self::REG_DST => self.dst,
-            Self::REG_LINES => self.lines,
             Self::REG_DECODED => self.decoded_codewords,
             Self::REG_FAILURES => self.failures,
-            _ => 0,
+            _ => self.shell.read_reg(offset),
         }
     }
 
@@ -134,35 +118,32 @@ impl Kernel for RsdKernel {
         self.out_queue.clear();
         self.decoded_codewords = 0;
         self.failures = 0;
-        self.engine = StreamEngine::new(self.src, self.lines);
-        self.pacer.reset();
+        self.shell.start_at(0);
     }
 
     fn done(&self) -> bool {
-        self.engine.input_exhausted()
+        self.shell.engine.input_exhausted()
             && self.out_queue.is_empty()
-            && self.engine.writes_settled()
+            && self.shell.engine.writes_settled()
     }
 
     fn step(&mut self, now: Cycle, port: &mut AccelPort) {
-        self.pacer.tick(2.0 * CODEWORD_LINES as f64 * LINE_COST);
-        self.engine.absorb(port);
-        self.engine.issue_reads(port, now);
+        self.shell
+            .pump(2.0 * CODEWORD_LINES as f64 * LINE_COST, now, port);
         // Drain previously decoded output lines first.
         while port.can_issue() {
-            let Some((gva, line)) = self.out_queue.pop_front() else {
+            let Some((idx, line)) = self.out_queue.pop_front() else {
                 break;
             };
-            port.write(Gva::new(gva), Box::new(line), now);
-            self.engine.note_write();
+            self.shell.write_line(idx, line, now, port);
         }
         // Consume input only while no decoded output is waiting, so a
         // preemption point is always at most one codeword deep.
         while self.out_queue.is_empty()
-            && self.engine.has_next()
-            && self.pacer.try_spend(LINE_COST)
+            && self.shell.engine.has_next()
+            && self.shell.pacer.try_spend(LINE_COST)
         {
-            let (_, line) = self.engine.next_line().expect("has_next checked");
+            let (_, line) = self.shell.engine.next_line().expect("has_next checked");
             self.staging.extend_from_slice(&line[..]);
             if self.staging.len() == 4 * 64 {
                 self.emit_decoded();
@@ -178,34 +159,27 @@ impl Kernel for RsdKernel {
         let resume_codewords = self.decoded_codewords
             - if self.out_queue.is_empty() { 0 } else { 1 };
         let mut w = Writer::new();
-        w.u64(self.src)
-            .u64(self.dst)
-            .u64(self.lines)
-            .u64(resume_codewords)
-            .u64(self.failures);
+        self.shell.save(&mut w);
+        w.u64(resume_codewords).u64(self.failures);
         w.finish()
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Option<()> {
         let mut r = Reader::new(bytes);
-        self.src = r.u64()?;
-        self.dst = r.u64()?;
-        self.lines = r.u64()?;
+        self.shell.load(&mut r)?;
         self.decoded_codewords = r.u64()?;
         self.failures = r.u64()?;
         let cursor = self.decoded_codewords.checked_mul(CODEWORD_LINES)?;
         self.staging.clear();
         self.out_queue.clear();
-        self.engine = StreamEngine::new(self.src, self.lines);
-        self.engine.resume_at(cursor);
-        self.pacer.reset();
+        self.shell.start_at(cursor);
         Some(())
     }
 
     fn reset(&mut self) {
         // A fresh kernel but for the codec, whose field and syndrome tables
         // depend on nothing a job can change.
-        (self.src, self.dst, self.lines) = (0, 0, 0);
+        self.shell = StreamShell::new();
         self.start();
     }
 }
@@ -214,29 +188,10 @@ impl Kernel for RsdKernel {
 mod tests {
     use super::*;
     use crate::harness::Harnessed;
-    use optimus_fabric::accelerator::{Accelerator, CtrlStatus};
+    use crate::rig::{self, Rig};
+    use optimus_fabric::accelerator::Accelerator;
     use optimus_fabric::mmio::accel_reg;
     use optimus_sim::rng::Xoshiro256;
-
-    fn service(port: &mut AccelPort, store: &mut Vec<u8>, now: Cycle) {
-        while let Some(req) = port.take_pending() {
-            let base = req.gva.raw() as usize;
-            if store.len() < base + 64 {
-                store.resize(base + 64, 0);
-            }
-            match req.write {
-                Some(data) => {
-                    store[base..base + 64].copy_from_slice(&data[..]);
-                    port.deliver(req.tag, None, now);
-                }
-                None => {
-                    let mut line = [0u8; 64];
-                    line.copy_from_slice(&store[base..base + 64]);
-                    port.deliver(req.tag, Some(Box::new(line)), now);
-                }
-            }
-        }
-    }
 
     /// Builds `n` corrupted codewords and the expected decoded messages.
     fn build_stream(n: usize, errors_per_cw: usize, seed: u64) -> (Vec<u8>, Vec<Vec<u8>>) {
@@ -258,31 +213,42 @@ mod tests {
         (packed, messages)
     }
 
+    /// A rig holding `stream` at 0x1000.
+    fn rig_with(stream: &[u8]) -> Rig {
+        let mut mem = vec![0u8; 0x1000];
+        mem.extend_from_slice(stream);
+        Rig::new(mem)
+    }
+
+    /// Starts a job decoding `lines` lines from 0x1000 into `dst`.
+    fn start(acc: &mut Harnessed<RsdKernel>, dst: u64, lines: u64) {
+        rig::start(
+            acc,
+            &[
+                (RsdKernel::REG_SRC, 0x1000),
+                (RsdKernel::REG_DST, dst),
+                (RsdKernel::REG_LINES, lines),
+            ],
+        );
+    }
+
+    fn assert_decoded(mem: &[u8], dst: usize, messages: &[Vec<u8>]) {
+        for (c, msg) in messages.iter().enumerate() {
+            let base = dst + c * 256;
+            assert_eq!(&mem[base..base + MESSAGE_LEN], &msg[..], "codeword {c}");
+        }
+    }
+
     #[test]
     fn decodes_corrupted_codewords() {
         let (stream, messages) = build_stream(4, 10, 1);
         let mut acc = Harnessed::new(RsdKernel::new());
-        let mut store = vec![0u8; 0x8000];
-        store[0x1000..0x1000 + stream.len()].copy_from_slice(&stream);
-        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_SRC, 0x1000);
-        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_DST, 0x4000);
-        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_LINES, 16);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        let mut port = AccelPort::new();
-        for now in 0..100_000 {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            if acc.is_done() {
-                break;
-            }
-        }
-        assert!(acc.is_done());
+        let mut rig = rig_with(&stream);
+        start(&mut acc, 0x4000, 16);
+        rig.finish(&mut acc, 100_000);
         assert_eq!(acc.mmio_read(accel_reg::APP_BASE + RsdKernel::REG_DECODED), 4);
         assert_eq!(acc.mmio_read(accel_reg::APP_BASE + RsdKernel::REG_FAILURES), 0);
-        for (c, msg) in messages.iter().enumerate() {
-            let base = 0x4000 + c * 256;
-            assert_eq!(&store[base..base + MESSAGE_LEN], &msg[..], "codeword {c}");
-        }
+        assert_decoded(&rig.mem, 0x4000, &messages);
     }
 
     #[test]
@@ -294,28 +260,16 @@ mod tests {
         for (i, item) in cw.iter_mut().enumerate().take(40) {
             *item ^= (i + 1) as u8;
         }
-        let mut stream = cw;
-        stream.push(0);
+        cw.push(0);
         let mut acc = Harnessed::new(RsdKernel::new());
-        let mut store = vec![0u8; 0x8000];
-        store[0x1000..0x1000 + stream.len()].copy_from_slice(&stream);
-        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_SRC, 0x1000);
-        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_DST, 0x4000);
-        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_LINES, 4);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        let mut port = AccelPort::new();
-        for now in 0..100_000 {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            if acc.is_done() {
-                break;
-            }
-        }
+        let mut rig = rig_with(&cw);
+        start(&mut acc, 0x4000, 4);
+        rig.finish(&mut acc, 100_000);
         // Either flagged as failure, or miscorrected to a different message;
         // the decoder must never silently "succeed" with the right message.
         let failures = acc.mmio_read(accel_reg::APP_BASE + RsdKernel::REG_FAILURES);
         if failures == 0 {
-            assert_ne!(&store[0x4000..0x4000 + MESSAGE_LEN], &msg[..]);
+            assert_ne!(&rig.mem[0x4000..0x4000 + MESSAGE_LEN], &msg[..]);
         } else {
             assert_eq!(failures, 1);
         }
@@ -325,55 +279,13 @@ mod tests {
     fn preempt_resume_mid_stream() {
         let (stream, messages) = build_stream(8, 5, 3);
         let mut acc = Harnessed::new(RsdKernel::new());
-        let mut store = vec![0u8; 0x40000];
-        store[0x1000..0x1000 + stream.len()].copy_from_slice(&stream);
+        let mut rig = rig_with(&stream);
         acc.mmio_write(accel_reg::CTRL_STATE_ADDR, 0x20000);
-        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_SRC, 0x1000);
-        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_DST, 0x8000);
-        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_LINES, 32);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        let mut port = AccelPort::new();
-        let mut now = 0;
-        for _ in 0..120 {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            now += 1;
-        }
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_PREEMPT);
-        while acc.status() != CtrlStatus::Saved {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            now += 1;
-        }
-        *acc.kernel_mut() = RsdKernel::new();
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_RESUME);
-        while !acc.is_done() {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            now += 1;
-            assert!(now < 1_000_000);
-        }
-        for (c, msg) in messages.iter().enumerate() {
-            let base = 0x8000 + c * 256;
-            assert_eq!(&store[base..base + MESSAGE_LEN], &msg[..], "codeword {c}");
-        }
-    }
-
-    /// Programs and runs one job to completion; returns the cycle count.
-    fn run_job(acc: &mut Harnessed<RsdKernel>, store: &mut Vec<u8>, lines: u64) -> Cycle {
-        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_SRC, 0x1000);
-        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_DST, 0x4000);
-        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_LINES, lines);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        let mut port = AccelPort::new();
-        for now in 0..100_000 {
-            acc.step(now, &mut port);
-            service(&mut port, store, now);
-            if acc.is_done() {
-                return now;
-            }
-        }
-        panic!("kernel never finished");
+        start(&mut acc, 0x8000, 32);
+        rig.run(&mut acc, 120);
+        rig.preempt_resume(&mut acc, RsdKernel::new());
+        rig.finish(&mut acc, 1_000_000);
+        assert_decoded(&rig.mem, 0x8000, &messages);
     }
 
     #[test]
@@ -383,36 +295,23 @@ mod tests {
         for b in &mut stream[256..256 + 40] {
             *b ^= 0x5A;
         }
-        let fresh = {
-            let mut acc = Harnessed::new(RsdKernel::new());
-            let mut store = vec![0u8; 0x8000];
-            store[0x1000..0x1000 + stream.len()].copy_from_slice(&stream);
-            let cycles = run_job(&mut acc, &mut store, 24);
-            (cycles, acc.kernel().serialize(), store)
+        let run_job = |acc: &mut Harnessed<RsdKernel>| {
+            let mut rig = rig_with(&stream);
+            start(acc, 0x4000, 24);
+            (rig.finish(acc, 100_000), acc.kernel().serialize(), rig.mem)
         };
+        let fresh = run_job(&mut Harnessed::new(RsdKernel::new()));
         let failures = &fresh.1[32..40];
         assert_eq!(failures, 1u64.to_le_bytes(), "one codeword must fail");
 
         // The same job on a kernel reset in the middle of another one.
         let mut acc = Harnessed::new(RsdKernel::new());
         let (other, _) = build_stream(4, 3, 12);
-        let mut store = vec![0u8; 0x8000];
-        store[0x1000..0x1000 + other.len()].copy_from_slice(&other);
-        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_SRC, 0x1000);
-        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_DST, 0x6000);
-        acc.mmio_write(accel_reg::APP_BASE + RsdKernel::REG_LINES, 16);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        let mut port = AccelPort::new();
-        for now in 0..100 {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-        }
+        start(&mut acc, 0x6000, 16);
+        rig_with(&other).run(&mut acc, 100);
         assert!(!acc.is_done());
         acc.reset();
         assert_eq!(acc.kernel().serialize(), RsdKernel::new().serialize());
-        let mut store = vec![0u8; 0x8000];
-        store[0x1000..0x1000 + stream.len()].copy_from_slice(&stream);
-        let cycles = run_job(&mut acc, &mut store, 24);
-        assert_eq!((cycles, acc.kernel().serialize(), store), fresh);
+        assert_eq!(run_job(&mut acc), fresh);
     }
 }

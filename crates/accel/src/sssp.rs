@@ -228,11 +228,15 @@ pub struct SsspKernel {
     edge_idx: usize,
     rounds: u64,
     relaxations: u64,
-    /// On-chip vertex-data mode (Zhou–Prasanna style): the distance array
-    /// is streamed into BRAM at start and back out at the end, and edges
-    /// are relaxed against the on-chip copy. Feasible when the vertex data
-    /// fits BRAM; the alternative (0) keeps distances in DRAM and issues a
-    /// dependent read-modify-write per edge.
+    /// The `REG_ONCHIP` register.
+    onchip_reg: bool,
+    /// The job's vertex-data mode, latched from `onchip_reg` at start (and
+    /// from the blob at restore), so a write mid-job cannot switch paths
+    /// under it. On chip (Zhou–Prasanna style), the distance array is
+    /// streamed into BRAM at start and back out at the end, and edges are
+    /// relaxed against the on-chip copy — feasible when the vertex data
+    /// fits BRAM; off chip, distances stay in DRAM and every edge issues a
+    /// dependent read-modify-write.
     onchip: bool,
     dist_vec: Vec<u32>,
     /// The vertices of the round being processed (on-chip mode).
@@ -261,7 +265,8 @@ impl SsspKernel {
     pub const REG_RELAXATIONS: u64 = 32;
     /// Register: 1 = on-chip vertex data (stream dist in/out, relax in
     /// BRAM; a distance array larger than on-chip RAM ends the job),
-    /// 0 = per-edge DRAM read-modify-write.
+    /// 0 = per-edge DRAM read-modify-write. A job runs in the mode it
+    /// started with.
     pub const REG_ONCHIP: u64 = 40;
 
     /// Creates an idle kernel.
@@ -281,6 +286,7 @@ impl SsspKernel {
             edge_idx: 0,
             rounds: 0,
             relaxations: 0,
+            onchip_reg: false,
             onchip: false,
             dist_vec: Vec::new(),
             round_vertices: Vec::new(),
@@ -329,7 +335,7 @@ impl Kernel for SsspKernel {
             Self::REG_GRAPH => self.graph = value,
             Self::REG_DIST => self.dist = value,
             Self::REG_SOURCE => self.source = value,
-            Self::REG_ONCHIP => self.onchip = value != 0,
+            Self::REG_ONCHIP => self.onchip_reg = value != 0,
             _ => {}
         }
     }
@@ -341,7 +347,7 @@ impl Kernel for SsspKernel {
             Self::REG_SOURCE => self.source,
             Self::REG_ROUNDS => self.rounds,
             Self::REG_RELAXATIONS => self.relaxations,
-            Self::REG_ONCHIP => self.onchip as u64,
+            Self::REG_ONCHIP => self.onchip_reg as u64,
             _ => 0,
         }
     }
@@ -355,6 +361,7 @@ impl Kernel for SsspKernel {
         self.edge_idx = 0;
         self.rounds = 0;
         self.relaxations = 0;
+        self.onchip = self.onchip_reg;
         self.phase = Phase::FetchHeader(Fetch::of_lines(&[self.graph]));
     }
 
@@ -408,7 +415,9 @@ impl Kernel for SsspKernel {
                         }
                     }
                 }
-                if engine.input_exhausted() {
+                if engine.aborted() {
+                    Phase::Done
+                } else if engine.input_exhausted() {
                     Phase::NextVertex
                 } else {
                     Phase::LoadDist { engine }
@@ -587,13 +596,10 @@ impl Kernel for SsspKernel {
                     if two_lines {
                         gvas.push(hi_addr & !63);
                     }
-                    if !self.onchip {
-                        // Also fetch the *fresh* distance of u: same-round
-                        // relaxations may already have improved it, and
-                        // using a stale enqueued value would propagate
-                        // worse paths.
-                        gvas.push(self.dist_addr(u) & !63);
-                    }
+                    // Also fetch the *fresh* distance of u: same-round
+                    // relaxations may already have improved it, and using
+                    // a stale enqueued value would propagate worse paths.
+                    gvas.push(self.dist_addr(u) & !63);
                     Phase::FetchOffsets {
                         fetch: Fetch::of_lines(&gvas),
                         lo_addr,
@@ -634,33 +640,27 @@ impl Kernel for SsspKernel {
                             fetch.line(0)[lo_off + 4..lo_off + 8].try_into().unwrap(),
                         )
                     };
-                    let du = if self.onchip {
-                        self.dist_vec.get(u as usize).copied()
+                    let dist_slot = if two_lines { 2 } else { 1 };
+                    let d_off = (self.dist_addr(u) & 63) as usize;
+                    let du = u32::from_le_bytes(
+                        fetch.line(dist_slot)[d_off..d_off + 4].try_into().unwrap(),
+                    );
+                    if !self.edge_range_ok(lo, hi) {
+                        Phase::Done
+                    } else if lo == hi {
+                        self.current = None;
+                        Phase::NextVertex
                     } else {
-                        let dist_slot = if two_lines { 2 } else { 1 };
-                        let d_off = (self.dist_addr(u) & 63) as usize;
-                        Some(u32::from_le_bytes(
-                            fetch.line(dist_slot)[d_off..d_off + 4].try_into().unwrap(),
-                        ))
-                    };
-                    match du {
-                        Some(_) if lo == hi && self.edge_range_ok(lo, hi) => {
-                            self.current = None;
-                            Phase::NextVertex
+                        self.current = Some((u, du));
+                        let [t_run, w_run] = self.edge_runs(lo, hi);
+                        Phase::FetchEdges {
+                            fetch: Fetch::begin([t_run, w_run]),
+                            target_base_addr: t_run.0,
+                            weight_base_addr: w_run.0,
+                            lo,
+                            hi,
+                            target_line_count: t_run.1 as usize,
                         }
-                        Some(du) if self.edge_range_ok(lo, hi) => {
-                            self.current = Some((u, du));
-                            let [t_run, w_run] = self.edge_runs(lo, hi);
-                            Phase::FetchEdges {
-                                fetch: Fetch::begin([t_run, w_run]),
-                                target_base_addr: t_run.0,
-                                weight_base_addr: w_run.0,
-                                lo,
-                                hi,
-                                target_line_count: t_run.1 as usize,
-                            }
-                        }
-                        _ => Phase::Done,
                     }
                 }
             },
@@ -709,37 +709,7 @@ impl Kernel for SsspKernel {
                 }
             },
             Phase::ProcessEdges => {
-                if self.onchip {
-                    // BRAM relaxations: up to a few edges per cycle.
-                    let mut budget = 4;
-                    let mut malformed = false;
-                    while budget > 0 && self.edge_idx < self.edge_list.len() {
-                        let (v, w) = self.edge_list[self.edge_idx];
-                        let (_, du) = self.current.expect("processing a vertex");
-                        let cand = du.saturating_add(w);
-                        let Some(dv) = self.dist_vec.get_mut(v as usize) else {
-                            malformed = true;
-                            break;
-                        };
-                        if cand < *dv {
-                            *dv = cand;
-                            self.relaxations += 1;
-                            if self.in_next.insert(v) {
-                                self.next.push((v, cand));
-                            }
-                        }
-                        self.edge_idx += 1;
-                        budget -= 1;
-                    }
-                    if malformed {
-                        Phase::Done
-                    } else if self.edge_idx >= self.edge_list.len() {
-                        self.current = None;
-                        Phase::NextVertex
-                    } else {
-                        Phase::ProcessEdges
-                    }
-                } else if self.edge_idx >= self.edge_list.len() {
+                if self.edge_idx >= self.edge_list.len() {
                     self.current = None;
                     Phase::NextVertex
                 } else {
@@ -882,66 +852,70 @@ impl Kernel for SsspKernel {
 mod tests {
     use super::*;
     use crate::harness::Harnessed;
+    use crate::rig::{self, Rig};
     use optimus_algo::graph::{sssp, CsrGraph};
     use optimus_fabric::accelerator::Accelerator;
     use optimus_fabric::mmio::accel_reg;
     use optimus_sim::rng::Xoshiro256;
 
-    fn service(port: &mut AccelPort, store: &mut Vec<u8>, now: Cycle) {
-        while let Some(req) = port.take_pending() {
-            let base = req.gva.raw() as usize;
-            if store.len() < base + 64 {
-                store.resize(base + 64, 0);
-            }
-            match req.write {
-                Some(data) => {
-                    store[base..base + 64].copy_from_slice(&data[..]);
-                    port.deliver(req.tag, None, now);
-                }
-                None => {
-                    let mut line = [0u8; 64];
-                    line.copy_from_slice(&store[base..base + 64]);
-                    port.deliver(req.tag, Some(Box::new(line)), now);
-                }
-            }
+    const DIST: usize = 0x100000;
+
+    /// Starts a job from `source` over `graph` (at 0x1000, distances at
+    /// `DIST`); the rig to run it with.
+    fn start(acc: &mut Harnessed<SsspKernel>, graph: &CsrGraph, source: u32, onchip: bool) -> Rig {
+        let mut mem = vec![0u8; 0x1000];
+        mem.extend_from_slice(&graph.to_dram_layout());
+        mem.resize(DIST, 0);
+        for v in 0..graph.vertices() as u32 {
+            mem.extend_from_slice(&if v == source { 0 } else { INF }.to_le_bytes());
         }
+        rig::start(
+            acc,
+            &[
+                (SsspKernel::REG_GRAPH, 0x1000),
+                (SsspKernel::REG_DIST, DIST as u64),
+                (SsspKernel::REG_SOURCE, source as u64),
+                (SsspKernel::REG_ONCHIP, onchip as u64),
+            ],
+        );
+        Rig::new(mem)
+    }
+
+    fn distances(rig: &Rig, graph: &CsrGraph) -> Vec<u32> {
+        let words = rig.mem[DIST..DIST + 4 * graph.vertices()].chunks_exact(4);
+        words
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect()
+    }
+
+    fn run_sssp_mode(graph: &CsrGraph, source: u32, onchip: bool) -> Vec<u32> {
+        let mut acc = Harnessed::new(SsspKernel::new());
+        let mut rig = start(&mut acc, graph, source, onchip);
+        rig.finish(&mut acc, 10_000_000);
+        distances(&rig, graph)
     }
 
     fn run_sssp(graph: &CsrGraph, source: u32) -> Vec<u32> {
         run_sssp_mode(graph, source, false)
     }
 
-    fn run_sssp_mode(graph: &CsrGraph, source: u32, onchip: bool) -> Vec<u32> {
-        let blob = graph.to_dram_layout();
-        let dist_base = 0x100000usize;
-        let mut store = vec![0u8; dist_base + graph.vertices() * 4 + 64];
-        store[0x1000..0x1000 + blob.len()].copy_from_slice(&blob);
-        for v in 0..graph.vertices() {
-            let d = if v as u32 == source { 0u32 } else { INF };
-            store[dist_base + 4 * v..dist_base + 4 * v + 4].copy_from_slice(&d.to_le_bytes());
-        }
-        let mut acc = Harnessed::new(SsspKernel::new());
-        acc.mmio_write(accel_reg::APP_BASE + SsspKernel::REG_GRAPH, 0x1000);
-        acc.mmio_write(accel_reg::APP_BASE + SsspKernel::REG_DIST, dist_base as u64);
-        acc.mmio_write(accel_reg::APP_BASE + SsspKernel::REG_SOURCE, source as u64);
-        acc.mmio_write(accel_reg::APP_BASE + SsspKernel::REG_ONCHIP, onchip as u64);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        let mut port = AccelPort::new();
-        for now in 0..10_000_000 {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            if acc.is_done() {
-                break;
-            }
-        }
-        assert!(acc.is_done(), "SSSP never converged");
-        (0..graph.vertices())
-            .map(|v| {
-                u32::from_le_bytes(
-                    store[dist_base + 4 * v..dist_base + 4 * v + 4].try_into().unwrap(),
+    fn random_graph(seed: u64, n: usize, edges: usize) -> CsrGraph {
+        let mut rng = Xoshiro256::seed_from(seed);
+        let edges: Vec<(u32, u32, u32)> = (0..edges)
+            .map(|_| {
+                (
+                    rng.gen_range(0..n as u64) as u32,
+                    rng.gen_range(0..n as u64) as u32,
+                    rng.gen_range(1..50) as u32,
                 )
             })
-            .collect()
+            .collect();
+        CsrGraph::from_edges(n, &edges)
+    }
+
+    fn chain(n: usize) -> CsrGraph {
+        let edges: Vec<(u32, u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1, 1)).collect();
+        CsrGraph::from_edges(n, &edges)
     }
 
     #[test]
@@ -952,35 +926,13 @@ mod tests {
 
     #[test]
     fn onchip_mode_matches_reference() {
-        let mut rng = Xoshiro256::seed_from(31);
-        let n = 128;
-        let edges: Vec<(u32, u32, u32)> = (0..900)
-            .map(|_| {
-                (
-                    rng.gen_range(0..n as u64) as u32,
-                    rng.gen_range(0..n as u64) as u32,
-                    rng.gen_range(1..50) as u32,
-                )
-            })
-            .collect();
-        let g = CsrGraph::from_edges(n, &edges);
+        let g = random_graph(31, 128, 900);
         assert_eq!(run_sssp_mode(&g, 0, true), sssp(&g, 0));
     }
 
     #[test]
     fn random_graph_distances_match_reference() {
-        let mut rng = Xoshiro256::seed_from(21);
-        let n = 64;
-        let edges: Vec<(u32, u32, u32)> = (0..400)
-            .map(|_| {
-                (
-                    rng.gen_range(0..n as u64) as u32,
-                    rng.gen_range(0..n as u64) as u32,
-                    rng.gen_range(1..50) as u32,
-                )
-            })
-            .collect();
-        let g = CsrGraph::from_edges(n, &edges);
+        let g = random_graph(21, 64, 400);
         assert_eq!(run_sssp(&g, 0), sssp(&g, 0));
     }
 
@@ -997,9 +949,24 @@ mod tests {
     fn vertex_spanning_line_boundary() {
         // Vertex 14/15 put row_offsets[u], row_offsets[u+1] on different
         // lines (offset bytes 8+4·14 = 64 boundary region).
-        let n = 40;
-        let edges: Vec<(u32, u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1, 1)).collect();
-        let g = CsrGraph::from_edges(n, &edges);
+        let g = chain(40);
         assert_eq!(run_sssp(&g, 0), sssp(&g, 0));
+    }
+
+    #[test]
+    fn a_mode_write_mid_job_does_not_switch_the_running_job() {
+        // The register takes the write; the running off-chip job keeps its
+        // mode and still converges to the reference.
+        let g = chain(2_000);
+        let mut acc = Harnessed::new(SsspKernel::new());
+        let mut rig = start(&mut acc, &g, 0, false);
+        rig.run(&mut acc, 60);
+        acc.mmio_write(accel_reg::APP_BASE + SsspKernel::REG_ONCHIP, 1);
+        rig.finish(&mut acc, 10_000_000);
+        assert_eq!(distances(&rig, &g), sssp(&g, 0));
+        assert_eq!(
+            acc.mmio_read(accel_reg::APP_BASE + SsspKernel::REG_ONCHIP),
+            1
+        );
     }
 }

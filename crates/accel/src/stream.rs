@@ -1,17 +1,26 @@
-//! Read-ahead streaming with in-order retirement.
+//! Read-ahead streaming with in-order retirement, and the shell every
+//! streaming kernel is built from.
 //!
 //! Every throughput-oriented benchmark shares the same skeleton: issue
 //! pipelined line reads ahead of the compute, retire lines *in input
 //! order* into the compute (hash update, cipher, filter…), optionally
 //! write transformed lines back, and pace the whole pipeline at the
-//! kernel's per-line compute cost. [`StreamEngine`] implements the skeleton
-//! once.
+//! kernel's per-line compute cost. [`StreamEngine`] implements the read
+//! side once; [`StreamShell`] adds the SRC/DST/LINES registers, the
+//! [`Pacer`] and the blob prefix around it, so a kernel supplies only its
+//! compute and the state that compute carries.
 //!
 //! In-order retirement is also what makes preemption sound: the consume
 //! cursor is a clean prefix, so a kernel's saved state is just "the job
 //! configuration plus the consume cursor plus the compute state at that
 //! cursor".
+//!
+//! A read that comes back master-aborted (no data: its line lies outside
+//! the tenant's window) ends the stream short: the engine issues nothing
+//! more, and once the reads still in flight have returned the input counts
+//! as exhausted, so the job ends as soon as its writes settle.
 
+use crate::ser::{Reader, Writer};
 use optimus_fabric::accelerator::AccelPort;
 use optimus_mem::addr::Gva;
 use optimus_sim::hashing::FastMap;
@@ -38,10 +47,14 @@ pub struct StreamEngine {
     consume_cursor: u64,
     reorder: Vec<Option<Box<[u8; 64]>>>,
     reordered: usize,
+    /// Tag → line index of every read in flight. A response whose tag is
+    /// not here answers a write.
     inflight: FastMap<u32, u64>,
     window: usize,
     write_acks: u64,
     writes_issued: u64,
+    /// A read came back master-aborted: nothing more is issued.
+    aborted: bool,
 }
 
 impl StreamEngine {
@@ -58,6 +71,7 @@ impl StreamEngine {
             window: STREAM_WINDOW,
             write_acks: 0,
             writes_issued: 0,
+            aborted: false,
         }
     }
 
@@ -69,6 +83,7 @@ impl StreamEngine {
         self.reordered = 0;
         self.inflight.clear();
         self.write_acks = self.writes_issued; // nothing outstanding after drain
+        self.aborted = false;
     }
 
     #[inline]
@@ -81,14 +96,16 @@ impl StreamEngine {
         self.consume_cursor
     }
 
-    /// Total lines in the job.
-    pub fn total_lines(&self) -> u64 {
-        self.total_lines
+    /// Whether the stream ended short: a read master-aborted and every
+    /// read still in flight has returned, so no further line arrives.
+    pub fn aborted(&self) -> bool {
+        self.aborted && self.inflight.is_empty()
     }
 
-    /// Whether every line has been consumed.
+    /// Whether no further line will retire: every line has been consumed,
+    /// or the stream [`aborted`](Self::aborted).
     pub fn input_exhausted(&self) -> bool {
-        self.consume_cursor >= self.total_lines
+        self.consume_cursor >= self.total_lines || self.aborted()
     }
 
     /// Whether every write issued through [`note_write`](Self::note_write)
@@ -104,29 +121,27 @@ impl StreamEngine {
     }
 
     /// Absorbs all delivered responses: read data enters the reorder
-    /// buffer, write acknowledgments are counted.
+    /// buffer, a read without data marks the stream aborted, and write
+    /// acknowledgments are counted.
     pub fn absorb(&mut self, port: &mut AccelPort) {
         while let Some(resp) = port.pop_response() {
-            match resp.data {
-                Some(line) => {
-                    if let Some(idx) = self.inflight.remove(&resp.tag.0) {
-                        let slot = self.slot(idx);
-                        debug_assert!(self.reorder[slot].is_none(), "ring slot collision");
-                        self.reorder[slot] = Some(line);
-                        self.reordered += 1;
-                    }
+            match (self.inflight.remove(&resp.tag.0), resp.data) {
+                (Some(idx), Some(line)) => {
+                    let slot = self.slot(idx);
+                    debug_assert!(self.reorder[slot].is_none(), "ring slot collision");
+                    self.reorder[slot] = Some(line);
+                    self.reordered += 1;
                 }
-                None => self.write_acks += 1,
+                (Some(_), None) => self.aborted = true,
+                (None, None) => self.write_acks += 1,
+                (None, Some(_)) => {}
             }
         }
     }
 
     /// Issues read-ahead requests up to the window.
     pub fn issue_reads(&mut self, port: &mut AccelPort, now: Cycle) {
-        while self.read_cursor < self.total_lines
-            && self.reordered + self.inflight.len() < self.window
-            && port.can_issue()
-        {
+        while self.wants_reads() && port.can_issue() {
             let tag = port.read(Gva::new(self.src + self.read_cursor * 64), now);
             self.inflight.insert(tag.0, self.read_cursor);
             self.read_cursor += 1;
@@ -136,7 +151,8 @@ impl StreamEngine {
     /// Whether [`issue_reads`](Self::issue_reads) would issue anything given
     /// a willing port (fast-forward hint: engine-side conditions only).
     pub fn wants_reads(&self) -> bool {
-        self.read_cursor < self.total_lines
+        !self.aborted
+            && self.read_cursor < self.total_lines
             && self.reordered + self.inflight.len() < self.window
     }
 
@@ -153,6 +169,100 @@ impl StreamEngine {
         let idx = self.consume_cursor;
         self.consume_cursor += 1;
         Some((idx, line))
+    }
+}
+
+/// The shell of a streaming kernel: the SRC, DST and LINES registers, the
+/// engine reading `lines` lines from `src`, and the pacer the kernel
+/// spends its per-line cost from.
+#[derive(Debug)]
+pub struct StreamShell {
+    /// Source GVA.
+    pub(crate) src: u64,
+    /// Destination GVA.
+    pub(crate) dst: u64,
+    /// Input length in lines.
+    pub(crate) lines: u64,
+    /// The current job's read-ahead engine.
+    pub(crate) engine: StreamEngine,
+    /// The kernel's compute credit.
+    pub(crate) pacer: Pacer,
+}
+
+impl StreamShell {
+    /// Register: source GVA.
+    pub const REG_SRC: u64 = 0;
+    /// Register: destination GVA.
+    pub const REG_DST: u64 = 8;
+    /// Register: input length in lines.
+    pub const REG_LINES: u64 = 16;
+
+    /// A shell with every register zero and no job.
+    pub(crate) fn new() -> Self {
+        Self {
+            src: 0,
+            dst: 0,
+            lines: 0,
+            engine: StreamEngine::new(0, 0),
+            pacer: Pacer::new(),
+        }
+    }
+
+    /// Writes SRC, DST or LINES; other offsets are ignored.
+    pub(crate) fn write_reg(&mut self, offset: u64, value: u64) {
+        match offset {
+            Self::REG_SRC => self.src = value,
+            Self::REG_DST => self.dst = value,
+            Self::REG_LINES => self.lines = value,
+            _ => {}
+        }
+    }
+
+    /// Reads SRC, DST or LINES; other offsets read as 0.
+    pub(crate) fn read_reg(&self, offset: u64) -> u64 {
+        match offset {
+            Self::REG_SRC => self.src,
+            Self::REG_DST => self.dst,
+            Self::REG_LINES => self.lines,
+            _ => 0,
+        }
+    }
+
+    /// Starts the programmed stream at line `cursor` with no banked
+    /// credit: 0 for a fresh job, the saved cursor on restore.
+    pub(crate) fn start_at(&mut self, cursor: u64) {
+        self.engine = StreamEngine::new(self.src, self.lines);
+        self.engine.resume_at(cursor);
+        self.pacer.reset();
+    }
+
+    /// The prologue of every step: bank a cycle of credit (capped at
+    /// `max_bank`), absorb the delivered responses, issue read-ahead.
+    #[inline]
+    pub(crate) fn pump(&mut self, max_bank: f64, now: Cycle, port: &mut AccelPort) {
+        self.pacer.tick(max_bank);
+        self.engine.absorb(port);
+        self.engine.issue_reads(port, now);
+    }
+
+    /// Writes `line` to output line `idx` (at `dst + 64·idx`), accounted
+    /// for [`StreamEngine::writes_settled`].
+    pub(crate) fn write_line(&mut self, idx: u64, line: [u8; 64], now: Cycle, port: &mut AccelPort) {
+        port.write(Gva::new(self.dst + idx * 64), Box::new(line), now);
+        self.engine.note_write();
+    }
+
+    /// Appends the state blob's prefix: SRC, DST, LINES.
+    pub(crate) fn save(&self, w: &mut Writer) {
+        w.u64(self.src).u64(self.dst).u64(self.lines);
+    }
+
+    /// Reads back the prefix [`save`](Self::save) wrote.
+    pub(crate) fn load(&mut self, r: &mut Reader) -> Option<()> {
+        self.src = r.u64()?;
+        self.dst = r.u64()?;
+        self.lines = r.u64()?;
+        Some(())
     }
 }
 
@@ -203,38 +313,32 @@ impl Pacer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rig::Rig;
 
-    fn service(port: &mut AccelPort, now: Cycle) {
-        while let Some(req) = port.take_pending() {
-            match req.write {
-                Some(_) => {
-                    port.deliver(req.tag, None, now);
-                }
-                None => {
-                    let mut line = [0u8; 64];
-                    line[0] = (req.gva.raw() / 64) as u8;
-                    port.deliver(req.tag, Some(Box::new(line)), now);
-                }
-            }
+    /// A rig whose first `n` lines carry their own index in byte 0.
+    fn indexed(n: usize) -> Rig {
+        let mut mem = vec![0u8; n * 64];
+        for i in 0..n {
+            mem[i * 64] = i as u8;
         }
+        Rig::new(mem)
     }
 
     #[test]
     fn lines_retire_in_order() {
         let mut eng = StreamEngine::new(0, 20);
-        let mut port = AccelPort::new();
+        let mut rig = indexed(20);
         let mut seen = Vec::new();
-        for now in 0..200 {
-            eng.issue_reads(&mut port, now);
-            service(&mut port, now);
-            eng.absorb(&mut port);
+        while !eng.input_exhausted() {
+            eng.issue_reads(&mut rig.port, rig.now);
+            rig.serve();
+            eng.absorb(&mut rig.port);
             while let Some((idx, line)) = eng.next_line() {
                 assert_eq!(line[0] as u64, idx);
                 seen.push(idx);
             }
-            if eng.input_exhausted() {
-                break;
-            }
+            rig.now += 1;
+            assert!(rig.now < 200, "the stream never ended");
         }
         assert_eq!(seen, (0..20).collect::<Vec<_>>());
     }
@@ -256,10 +360,10 @@ mod tests {
     #[test]
     fn resume_at_discards_speculative_state() {
         let mut eng = StreamEngine::new(0, 100);
-        let mut port = AccelPort::new();
-        eng.issue_reads(&mut port, 0);
-        service(&mut port, 0);
-        eng.absorb(&mut port);
+        let mut rig = indexed(100);
+        eng.issue_reads(&mut rig.port, 0);
+        rig.serve();
+        eng.absorb(&mut rig.port);
         eng.next_line();
         eng.next_line();
         assert_eq!(eng.consumed(), 2);
@@ -273,14 +377,41 @@ mod tests {
     #[test]
     fn write_accounting() {
         let mut eng = StreamEngine::new(0, 1);
-        let mut port = AccelPort::new();
+        let mut rig = Rig::new(Vec::new());
         assert!(eng.writes_settled());
         eng.note_write();
-        port.write(Gva::new(0), Box::new([0; 64]), 0);
+        rig.port.write(Gva::new(0), Box::new([0; 64]), 0);
         assert!(!eng.writes_settled());
-        service(&mut port, 1);
-        eng.absorb(&mut port);
+        rig.serve();
+        eng.absorb(&mut rig.port);
         assert!(eng.writes_settled());
+    }
+
+    #[test]
+    fn an_aborted_read_ends_the_stream_once_in_flight_reads_return() {
+        // Lines from 6 on lie outside the window.
+        let mut eng = StreamEngine::new(0, 64);
+        let mut rig = indexed(64);
+        rig.window = 6 * 64;
+        let mut consumed = Vec::new();
+        while !eng.input_exhausted() {
+            eng.issue_reads(&mut rig.port, rig.now);
+            rig.serve();
+            eng.absorb(&mut rig.port);
+            consumed.extend(std::iter::from_fn(|| eng.next_line().map(|(i, _)| i)));
+            rig.now += 1;
+            assert!(rig.now < 100, "the aborted stream never ended");
+        }
+        // The lines before the hole retire in order; nothing more issues.
+        assert!(eng.aborted());
+        assert_eq!(consumed, [0, 1, 2, 3, 4, 5]);
+        assert!(!eng.wants_reads());
+        let issued = eng.read_cursor;
+        eng.issue_reads(&mut rig.port, rig.now);
+        assert_eq!(eng.read_cursor, issued);
+        // A restart clears the abort.
+        eng.resume_at(0);
+        assert!(!eng.aborted() && eng.wants_reads());
     }
 
     #[test]

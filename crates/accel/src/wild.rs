@@ -355,63 +355,37 @@ impl Kernel for WildKernel {
 mod tests {
     use super::*;
     use crate::harness::Harnessed;
-    use optimus_fabric::accelerator::{Accelerator, CtrlStatus};
+    use crate::rig::{self, Rig};
+    use optimus_fabric::accelerator::Accelerator;
     use optimus_fabric::mmio::accel_reg;
 
+    /// The toy auditor window: requests at or above it master-abort.
     const WINDOW: u64 = 0x10000;
 
-    /// A toy auditor + memory: requests below `WINDOW` hit a backing store,
-    /// everything at or above it is master-aborted (delivered with no data).
-    fn service(port: &mut AccelPort, store: &mut Vec<u8>, now: Cycle) {
-        while let Some(req) = port.take_pending() {
-            let base = req.gva.raw();
-            if base >= WINDOW {
-                port.deliver(req.tag, None, now);
-                continue;
-            }
-            let base = base as usize;
-            if store.len() < base + 64 {
-                store.resize(base + 64, 0);
-            }
-            match req.write {
-                Some(data) => {
-                    store[base..base + 64].copy_from_slice(&data[..]);
-                    port.deliver(req.tag, None, now);
-                }
-                None => {
-                    let mut line = [0u8; 64];
-                    line.copy_from_slice(&store[base..base + 64]);
-                    port.deliver(req.tag, Some(Box::new(line)), now);
-                }
-            }
-        }
-    }
-
-    fn run_seeded(seed: u64, ops: u64, wild_every: u64) -> WildKernel {
-        let mut k = WildKernel::new(seed);
-        k.write_reg(WildKernel::REG_BYTES, 0x4000);
-        k.write_reg(WildKernel::REG_OPS, ops);
-        k.write_reg(WildKernel::REG_WILD_BASE, WINDOW + 0x100_0000);
-        k.write_reg(WildKernel::REG_WILD_BYTES, 0x10000);
-        k.write_reg(WildKernel::REG_WILD_EVERY, wild_every);
-        k.start();
-        let mut port = AccelPort::new();
-        let mut store = Vec::new();
-        for now in 0..100_000 {
-            k.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            if k.done() {
-                break;
-            }
-        }
-        assert!(k.done(), "kernel wedged");
-        k
+    /// Runs `ops` legit ops with a wild probe every `wild_every` into a
+    /// fabric that aborts from `window` up; returns the finished kernel.
+    fn run_seeded(seed: u64, ops: u64, wild_every: u64, window: u64) -> WildKernel {
+        let mut acc = Harnessed::new(WildKernel::new(seed));
+        rig::start(
+            &mut acc,
+            &[
+                (WildKernel::REG_BYTES, 0x4000),
+                (WildKernel::REG_OPS, ops),
+                (WildKernel::REG_WILD_BASE, WINDOW + 0x100_0000),
+                (WildKernel::REG_WILD_BYTES, 0x10000),
+                (WildKernel::REG_WILD_EVERY, wild_every),
+            ],
+        );
+        let mut rig = Rig::new(Vec::new());
+        rig.window = window;
+        rig.finish(&mut acc, 100_000);
+        std::mem::replace(acc.kernel_mut(), WildKernel::new(0))
     }
 
     #[test]
     fn aborted_wild_probes_leave_legit_checksum_unchanged() {
-        let clean = run_seeded(7, 500, 0);
-        let wild = run_seeded(7, 500, 4);
+        let clean = run_seeded(7, 500, 0, WINDOW);
+        let wild = run_seeded(7, 500, 4, WINDOW);
         assert_eq!(clean.completed, 500);
         assert_eq!(wild.completed, 500);
         assert_eq!(wild.wild_issued, 125);
@@ -424,75 +398,36 @@ mod tests {
 
     #[test]
     fn wild_read_that_returns_data_counts_as_leak() {
-        let mut k = WildKernel::new(1);
-        k.write_reg(WildKernel::REG_BYTES, 0x1000);
-        k.write_reg(WildKernel::REG_OPS, 8);
-        k.write_reg(WildKernel::REG_WILD_BASE, WINDOW);
-        k.write_reg(WildKernel::REG_WILD_EVERY, 1);
-        k.start();
-        let mut port = AccelPort::new();
         // A broken fabric that answers every read, in or out of window.
-        for now in 0..10_000 {
-            k.step(now, &mut port);
-            while let Some(req) = port.take_pending() {
-                match req.write {
-                    Some(_) => {
-                        port.deliver(req.tag, None, now);
-                    }
-                    None => {
-                        port.deliver(req.tag, Some(Box::new([0xAB; 64])), now);
-                    }
-                }
-            }
-            if k.done() {
-                break;
-            }
-        }
-        assert!(k.done());
+        let k = run_seeded(1, 8, 1, u64::MAX);
         assert!(k.wild_leaked > 0, "leaky reads must be flagged");
     }
 
     #[test]
     fn preempt_resume_preserves_checksum_and_schedule() {
         let mut acc = Harnessed::new(WildKernel::new(9));
-        let mut port = AccelPort::new();
-        let mut store = vec![0u8; 0x8000];
+        let mut rig = Rig::new(Vec::new());
+        rig.window = WINDOW;
         acc.mmio_write(accel_reg::CTRL_STATE_ADDR, 0x8000);
-        acc.mmio_write(accel_reg::APP_BASE + WildKernel::REG_BYTES, 0x4000);
-        acc.mmio_write(accel_reg::APP_BASE + WildKernel::REG_OPS, 600);
-        acc.mmio_write(
-            accel_reg::APP_BASE + WildKernel::REG_WILD_BASE,
-            WINDOW + 0x40_0000,
+        rig::start(
+            &mut acc,
+            &[
+                (WildKernel::REG_BYTES, 0x4000),
+                (WildKernel::REG_OPS, 600),
+                (WildKernel::REG_WILD_BASE, WINDOW + 0x40_0000),
+                (WildKernel::REG_WILD_EVERY, 3),
+            ],
         );
-        acc.mmio_write(accel_reg::APP_BASE + WildKernel::REG_WILD_EVERY, 3);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        let mut now = 0;
-        for _ in 0..200 {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            now += 1;
-        }
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_PREEMPT);
-        while acc.status() != CtrlStatus::Saved {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            now += 1;
-        }
+        rig.run(&mut acc, 200);
         assert!(acc.kernel().completed > 50);
-        *acc.kernel_mut() = WildKernel::new(0);
-        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_RESUME);
-        while !acc.is_done() {
-            acc.step(now, &mut port);
-            service(&mut port, &mut store, now);
-            now += 1;
-            assert!(now < 200_000, "resume wedged");
-        }
+        rig.preempt_resume(&mut acc, WildKernel::new(0));
+        rig.finish(&mut acc, 200_000);
         let resumed = acc.kernel();
         assert_eq!(resumed.completed, 600);
         assert_eq!(resumed.wild_done, 200);
         assert_eq!(resumed.wild_leaked, 0);
         assert_eq!(resumed.legit_aborted, 0);
-        let uninterrupted = run_seeded(9, 600, 3);
+        let uninterrupted = run_seeded(9, 600, 3, WINDOW);
         assert_eq!(resumed.checksum, uninterrupted.checksum);
     }
 }

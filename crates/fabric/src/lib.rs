@@ -19,23 +19,25 @@
 //!                 Accelerator A           Accelerator B
 //! ```
 //!
-//! * [`accelerator`] — the [`Accelerator`](accelerator::Accelerator) trait
-//!   every benchmark implements, its DMA port, and the control-register
-//!   protocol of the preemption interface (§4.2);
+//! * [`accelerator`] — the [`Accelerator`] trait every benchmark
+//!   implements, its DMA port, and the control-register protocol of the
+//!   preemption interface (§4.2);
 //! * [`auditor`] — per-accelerator auditors: page-table-slicing address
 //!   translation, accelerator-ID tagging, and discard of misrouted packets;
 //! * [`mux_tree`] — the configurable multiplexer tree with round-robin
 //!   arbitration (the source of the fairness results in Table 3);
 //! * [`vcu`] — the virtualization control unit with its offset and reset
 //!   tables;
+//! * [`preempt`] — [`PreemptEngine`](preempt::PreemptEngine), the DMA
+//!   streaming of saved state to and from the guest's buffer (the control
+//!   machine around it is `optimus_accel::harness`);
 //! * [`mmio`] — the MMIO address map (§5 "MMIO Slicing");
-//! * [`platform`] — [`PlatformDevice`](platform::PlatformDevice), the
-//!   device-facing surface the hypervisor programs against, plus
-//!   [`DeviceId`](platform::DeviceId) addressing within a multi-device
-//!   node and typed construction errors;
-//! * [`device`] — [`FpgaDevice`](device::FpgaDevice), the cycle-stepped
-//!   composition of all of the above plus the host side, in monitored
-//!   (OPTIMUS) or pass-through (baseline) mode;
+//! * [`platform`] — [`PlatformDevice`], the device-facing surface the
+//!   hypervisor programs against, plus [`DeviceId`] addressing within a
+//!   multi-device node and typed construction errors;
+//! * [`device`] — [`FpgaDevice`], the cycle-stepped composition of all of
+//!   the above plus the host side, in monitored (OPTIMUS) or pass-through
+//!   (baseline) mode;
 //! * [`resources`] / [`synthesis`] — the FPGA resource accounting and the
 //!   synthesis model reproducing Table 2 and the timing-closure constraints
 //!   that force a *tree* of multiplexers at 400 MHz.
@@ -49,7 +51,6 @@ pub mod platform;
 pub mod preempt;
 pub mod resources;
 pub mod synthesis;
-pub mod testing;
 pub mod vcu;
 
 pub use accelerator::{AccelMeta, AccelPort, AccelResponse, Accelerator, CtrlStatus};

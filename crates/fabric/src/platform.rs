@@ -1,11 +1,12 @@
 //! The device-facing surface the hypervisor programs against.
 //!
-//! `Optimus` historically owned one concrete [`FpgaDevice`] and reached
-//! into it directly. The node layer (multiple devices behind one
-//! hypervisor facade) needs that surface named: [`PlatformDevice`] is the
+//! `Optimus` historically owned one concrete
+//! [`FpgaDevice`](crate::device::FpgaDevice) and reached into it directly.
+//! The node layer (multiple devices behind one hypervisor facade) needs
+//! that surface named: [`PlatformDevice`] is the
 //! exact set of operations the hypervisor uses — MMIO, bulk advance,
 //! the `next_event` protocol (inherited from
-//! [`PlatformClock`](optimus_sim::clock::PlatformClock)), host-memory
+//! [`PlatformClock`]), host-memory
 //! access for page installs, preempt/reset, and stats drain. Each device
 //! in a node is addressed by a [`DeviceId`], and construction failures
 //! surface as typed [`FabricError`]s instead of bare panics.

@@ -292,78 +292,6 @@ impl PreemptEngine {
 mod tests {
     use super::*;
 
-    /// Drives the engine against a loopback port that acknowledges
-    /// immediately in order.
-    fn loopback(engine: &mut PreemptEngine, port: &mut AccelPort, store: &mut Vec<u8>) -> PreemptProgress {
-        for now in 0..10_000u64 {
-            let progress = engine.step(now, port);
-            match progress {
-                PreemptProgress::InProgress => {}
-                done => return done,
-            }
-            // Service pending requests like a 1-cycle memory.
-            while let Some(req) = port.take_pending() {
-                let base = req.gva.raw() as usize;
-                match req.write {
-                    Some(data) => {
-                        if store.len() < base + 64 {
-                            store.resize(base + 64, 0);
-                        }
-                        store[base..base + 64].copy_from_slice(&data[..]);
-                        port.deliver(req.tag, None, now);
-                    }
-                    None => {
-                        let mut line = [0u8; 64];
-                        line.copy_from_slice(&store[base..base + 64]);
-                        port.deliver(req.tag, Some(Box::new(line)), now);
-                    }
-                }
-            }
-        }
-        panic!("engine never completed");
-    }
-
-    #[test]
-    fn save_then_restore_round_trips() {
-        let mut engine = PreemptEngine::new();
-        engine.set_state_addr(Gva::new(0x100 * 64));
-        let state: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
-        let mut port = AccelPort::new();
-        let mut store = Vec::new();
-
-        engine.begin_save(state.clone());
-        assert!(engine.is_active());
-        assert_eq!(
-            loopback(&mut engine, &mut port, &mut store),
-            PreemptProgress::SaveDone
-        );
-        assert!(!engine.is_active());
-
-        engine.begin_restore();
-        let got = match loopback(&mut engine, &mut port, &mut store) {
-            PreemptProgress::RestoreDone(v) => v,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(&got[..state.len()], &state[..]);
-    }
-
-    #[test]
-    fn empty_state_still_writes_the_header_line() {
-        let mut engine = PreemptEngine::new();
-        let mut port = AccelPort::new();
-        let mut store = Vec::new();
-        engine.begin_save(Vec::new());
-        assert_eq!(
-            loopback(&mut engine, &mut port, &mut store),
-            PreemptProgress::SaveDone
-        );
-        engine.begin_restore();
-        match loopback(&mut engine, &mut port, &mut store) {
-            PreemptProgress::RestoreDone(v) => assert!(v.is_empty()),
-            other => panic!("{other:?}"),
-        }
-    }
-
     /// Restores from a buffer whose line 0 holds `header` and whose other
     /// lines read as zeros, except `abort`, which master-aborts; returns
     /// the outcome after `cycles` cycles (or on completion).

@@ -9,7 +9,7 @@
 //!    ones are optimized sublinearly (MemBench ≈ 6×; LinkedList's overall
 //!    usage even *decreases*). Each accelerator's measured 8-instance
 //!    factor is a toolchain input carried in its
-//!    [`AccelMeta`](crate::accelerator::AccelMeta); [`replicated_usage`]
+//!    [`AccelMeta`]; [`replicated_usage`]
 //!    interpolates it for other instance counts.
 //!
 //! 2. **Timing closure (§5).** A flat multiplexer with many children

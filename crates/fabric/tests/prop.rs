@@ -2,16 +2,10 @@
 //! invariants, on the in-tree `optimus-testkit` harness (replay failures
 //! with `OPTIMUS_PROP_SEED=<printed seed>`).
 
-use optimus_cci::channel::SelectorPolicy;
 use optimus_cci::packet::{AccelId, Tag, UpPacket};
-use optimus_fabric::accelerator::Accelerator;
 use optimus_fabric::auditor::{AuditVerdict, Auditor, OutboundReq};
-use optimus_fabric::device::FpgaDevice;
-use optimus_fabric::mmio::{accel_mmio_base, accel_reg};
 use optimus_fabric::mux_tree::{MuxTree, TreeConfig};
-use optimus_fabric::testing::StreamCopier;
-use optimus_mem::addr::{Gva, Hpa, Iova, PageSize};
-use optimus_mem::page_table::PageFlags;
+use optimus_mem::addr::{Gva, Iova};
 use optimus_testkit::gens;
 use optimus_testkit::runner::check;
 use optimus_testkit::{prop_assert, prop_assert_eq};
@@ -118,145 +112,6 @@ fn auditor_translation_and_identity() {
             } else {
                 prop_assert_eq!(verdict, AuditVerdict::NotMine);
             }
-            Ok(())
-        },
-    );
-}
-
-fn copier_src(a: usize) -> u64 {
-    0x100_000 + a as u64 * 0x40_000
-}
-
-fn copier_dst(a: usize) -> u64 {
-    0x800_000 + a as u64 * 0x40_000
-}
-
-/// Runs one copier workload on a fresh device in the given fast-forward
-/// mode and returns an exhaustive fingerprint: final cycle, drop/fault
-/// counters, per-port stats, register read-backs, and the destination
-/// memory image. Bit-exact fast-forwarding means this fingerprint is
-/// identical in both modes.
-fn copier_fingerprint(
-    monitored: bool,
-    fastfwd: bool,
-    lines: &[u64],
-    xor: u64,
-    idle_run: u64,
-) -> (Vec<u64>, Vec<u8>) {
-    let mut dev = if monitored {
-        let accels: Vec<Box<dyn Accelerator>> = lines
-            .iter()
-            .map(|_| Box::new(StreamCopier::new()) as Box<dyn Accelerator>)
-            .collect();
-        FpgaDevice::new_monitored(accels, 2, SelectorPolicy::Auto)
-    } else {
-        assert_eq!(lines.len(), 1);
-        FpgaDevice::new_passthrough(Box::new(StreamCopier::new()), SelectorPolicy::Auto)
-    };
-    dev.set_fast_forward(fastfwd);
-    // Identity-map 256 MB of IO space.
-    for i in 0..128u64 {
-        dev.host_mut()
-            .iommu_mut()
-            .map(
-                Iova::new(i * PageSize::Huge.bytes()),
-                Hpa::new(i * PageSize::Huge.bytes()),
-                PageSize::Huge,
-                PageFlags::rw(),
-            )
-            .unwrap();
-    }
-    for (a, &n) in lines.iter().enumerate() {
-        for l in 0..n {
-            let mut line = [0u8; 64];
-            line[0] = (l as u8).wrapping_add(1);
-            line[1] = a as u8;
-            dev.host_mut()
-                .memory_mut()
-                .write_line(Hpa::new(copier_src(a) + l * 64), &line);
-        }
-    }
-    for (a, &n) in lines.iter().enumerate() {
-        let base = accel_mmio_base(a);
-        dev.mmio_write(base + StreamCopier::REG_SRC, copier_src(a));
-        dev.mmio_write(base + StreamCopier::REG_DST, copier_dst(a));
-        dev.mmio_write(base + StreamCopier::REG_LINES, n);
-        dev.mmio_write(base + StreamCopier::REG_XOR, xor);
-        dev.mmio_write(base + accel_reg::CTRL_CMD, accel_reg::CMD_START);
-    }
-    dev.run(idle_run);
-    let finished = dev.run_until(400_000, |d| (0..d.num_accels()).all(|i| d.accel(i).is_done()));
-    let mut fp = vec![
-        dev.now(),
-        finished as u64,
-        dev.dropped_packets(),
-        dev.host().faulted_dmas(),
-        dev.host().total_dma_bytes(),
-    ];
-    for i in 0..dev.num_accels() {
-        let (read, written) = dev.port(i).byte_counts();
-        fp.extend_from_slice(&[
-            read,
-            written,
-            dev.port(i).stale_discarded(),
-            dev.accel(i).is_done() as u64,
-        ]);
-    }
-    // Blocking MMIO reads exercise the mailbox path in both modes too.
-    for a in 0..lines.len() {
-        fp.push(dev.mmio_read(accel_mmio_base(a) + StreamCopier::REG_LINES));
-    }
-    fp.push(dev.now());
-    let mut mem = Vec::new();
-    for (a, &n) in lines.iter().enumerate() {
-        for l in 0..n {
-            mem.extend_from_slice(&dev.host().memory().read_line(Hpa::new(copier_dst(a) + l * 64)));
-        }
-    }
-    (fp, mem)
-}
-
-/// Differential equivalence (monitored fabric): fast-forwarding produces
-/// the exact same final cycle, stats, register values, and memory image as
-/// per-cycle stepping, for arbitrary workload shapes.
-#[test]
-fn fast_forward_is_bit_exact_monitored() {
-    let gen = gens::zip4(
-        gens::u64_in(1..40),
-        gens::u64_in(1..40),
-        gens::u64_in(0..256),
-        gens::u64_in(0..4000),
-    );
-    check(
-        "fast_forward_is_bit_exact_monitored",
-        &gen,
-        |&(la, lb, xor, idle)| {
-            let fast = copier_fingerprint(true, true, &[la, lb], xor, idle);
-            let slow = copier_fingerprint(true, false, &[la, lb], xor, idle);
-            prop_assert_eq!(&fast.0, &slow.0, "stat fingerprints diverge");
-            prop_assert_eq!(&fast.1, &slow.1, "memory images diverge");
-            Ok(())
-        },
-    );
-}
-
-/// Differential equivalence for the pass-through (direct assignment)
-/// fabric, which has no tree and uses the injection-interval gate.
-#[test]
-fn fast_forward_is_bit_exact_passthrough() {
-    let gen = gens::zip3(
-        gens::u64_in(1..64),
-        gens::u64_in(0..256),
-        gens::u64_in(0..4000),
-    );
-    check(
-        "fast_forward_is_bit_exact_passthrough",
-        &gen,
-        |&(lines, xor, idle)| {
-            let fast = copier_fingerprint(false, true, &[lines], xor, idle);
-            let slow = copier_fingerprint(false, false, &[lines], xor, idle);
-            prop_assert_eq!(&fast.0, &slow.0, "stat fingerprints diverge");
-            prop_assert_eq!(&fast.1, &slow.1, "memory images diverge");
             Ok(())
         },
     );

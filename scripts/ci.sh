@@ -6,9 +6,10 @@
 #
 #  1. Hermetic-build check: no Cargo.toml may declare a registry dependency.
 #  2. Tier-1: cargo build --release && cargo test -q, the full workspace
-#     suite, the optimus crate's rustdoc with warnings denied (its intra-doc
-#     links name ~40 items across the hypervisor/ modules), and the fabric +
-#     hypervisor suites again per-cycle (OPTIMUS_NO_FASTFWD=1).
+#     suite, rustdoc with warnings denied for the optimus, fabric and accel
+#     crates (their intra-doc links name items across modules), and the
+#     fabric, accel and hypervisor suites again per-cycle
+#     (OPTIMUS_NO_FASTFWD=1).
 #  3. Bench smoke: every bench target once at tiny scales; each must emit its
 #     BENCH_<target>.json report.
 #  4. Recording planes: one fig5 sweep point with each plane on (twice) and
@@ -51,11 +52,11 @@ echo "== [2/9] tier-1: build + tests, then per-cycle stepping =="
 cargo build --release
 cargo test -q
 cargo test --workspace -q
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q -p optimus
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q -p optimus -p optimus-fabric -p optimus-accel
 # With fast-forwarding disabled the differential property tests compare
 # per-cycle stepping against an explicitly re-enabled fast path, and every
 # other test exercises the seed's original cycle loop.
-OPTIMUS_NO_FASTFWD=1 cargo test -q -p optimus-fabric -p optimus
+OPTIMUS_NO_FASTFWD=1 cargo test -q -p optimus-fabric -p optimus-accel -p optimus
 
 echo "== [3/9] bench smoke (tiny scales, one JSON report per target) =="
 BENCH_DIR="target/bench-reports-ci"

@@ -11,6 +11,7 @@ use optimus_accel::registry::AccelKind;
 use optimus_accel::hash::Md5Kernel;
 use optimus_accel::linked_list::LlKernel;
 use optimus_accel::sssp::SsspKernel;
+use optimus_accel::stream::StreamShell;
 use optimus_accel::{aes::AesKernel, btc::BtcKernel, grn::GrnKernel, membench::MbKernel};
 use optimus_algo::bitcoin::BlockHeader;
 use optimus_bench::jobs::{self, JobParams};
@@ -444,15 +445,27 @@ fn program_sssp(g: &mut GuestCtx<'_>, graph: Option<Vec<u8>>, onchip: bool) {
     g.mmio_write(APP + SsspKernel::REG_ONCHIP, onchip as u64);
 }
 
+/// Programs a 64-line stream job whose source lies out of the window.
+fn program_stream(g: &mut GuestCtx<'_>) {
+    let (src, dst) = (out_of_window(g), g.alloc_dma(64 * 64));
+    g.mmio_write(APP + StreamShell::REG_SRC, src);
+    g.mmio_write(APP + StreamShell::REG_DST, dst.raw());
+    g.mmio_write(APP + StreamShell::REG_LINES, 64);
+}
+
 /// One MMIO write that points a kernel outside its window, or at a graph
 /// that does not hang together, must end that tenant's job as `Done` — not
-/// panic the simulator or allocate by a size read from guest memory —
-/// while the AES tenant on the device's other slot finishes bit-exactly.
-/// Aborted reads show up in `HvStats.discarded_dma`.
+/// panic the simulator, allocate by a size read from guest memory, or wait
+/// forever for a line that was master-aborted — while the AES tenant on the
+/// device's other slot finishes bit-exactly. Aborted reads show up in
+/// `HvStats.discarded_dma`.
 #[test]
 fn wild_pointers_and_malformed_graphs_end_the_job_not_the_simulator() {
     type Program = fn(&mut GuestCtx<'_>);
-    let vectors: [(&str, AccelKind, bool, Program); 8] = [
+    use AccelKind::{Aes, Fir, Gau, Grs, Md5, Rsd, Sbl, Sha, Sw};
+    let streams = [Aes, Md5, Sha, Fir, Rsd, Sw, Gau, Sbl, Grs]
+        .map(|kind| ("stream source out of the window", kind, true, program_stream as Program));
+    let vectors: [(&str, AccelKind, bool, Program); 9] = [
         ("LinkedList start node out of the window", AccelKind::Ll, true, |g| {
             let start = out_of_window(g);
             g.mmio_write(APP + LlKernel::REG_START, start);
@@ -466,6 +479,11 @@ fn wild_pointers_and_malformed_graphs_end_the_job_not_the_simulator() {
         ("SSSP graph out of the window", AccelKind::Sssp, true, |g| program_sssp(g, None, false)),
         ("SSSP graph out of the window, on chip", AccelKind::Sssp, true, |g| {
             program_sssp(g, None, true)
+        }),
+        ("SSSP distance array out of the window, on chip", AccelKind::Sssp, true, |g| {
+            program_sssp(g, Some(csr(2, &[0, 1, 1], &[1], &[1])), true);
+            let dist = out_of_window(g);
+            g.mmio_write(APP + SsspKernel::REG_DIST, dist);
         }),
         ("SSSP vertex count past on-chip RAM", AccelKind::Sssp, false, |g| {
             program_sssp(g, Some(csr(u32::MAX, &[], &[], &[])), true)
@@ -482,7 +500,8 @@ fn wild_pointers_and_malformed_graphs_end_the_job_not_the_simulator() {
             g.mmio_write(APP + SsspKernel::REG_SOURCE, 3);
         }),
     ];
-    for (what, kind, aborts, program) in vectors {
+    for (what, kind, aborts, program) in vectors.into_iter().chain(streams) {
+        let what = format!("{kind:?}: {what}");
         let mut hv = Optimus::new(OptimusConfig::new(vec![AccelKind::Aes, kind]));
         let good = AesTenant::new(&mut hv, "good", 3);
         let vm = hv.create_vm("bad");
