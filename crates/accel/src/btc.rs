@@ -8,11 +8,11 @@
 //! (Table 4).
 
 use crate::harness::Kernel;
+use crate::mover::line;
 use crate::ser::{Reader, Writer};
 use crate::stream::Pacer;
 use optimus_algo::bitcoin::{meets_target, BlockHeader};
 use optimus_fabric::accelerator::{AccelMeta, AccelPort};
-use optimus_mem::addr::Gva;
 use optimus_sim::time::Cycle;
 
 /// Cycles per attempted nonce at 100 MHz (a 4-deep hash pipeline).
@@ -160,7 +160,7 @@ impl Kernel for BtcKernel {
                 }
                 for idx in 0..2u64 {
                     if self.fetch_tags[idx as usize].is_none() && port.can_issue() {
-                        let tag = port.read(Gva::new(self.src + idx * 64), now);
+                        let tag = port.read(line(self.src, idx), now);
                         self.fetch_tags[idx as usize] = Some(tag.0);
                     }
                 }

@@ -8,11 +8,11 @@
 //! GRN scales essentially linearly in Fig. 7.
 
 use crate::harness::Kernel;
+use crate::mover::line;
 use crate::ser::{Reader, Writer};
 use crate::stream::Pacer;
 use optimus_algo::gaussian::CltGaussian;
 use optimus_fabric::accelerator::{AccelMeta, AccelPort};
-use optimus_mem::addr::Gva;
 use optimus_sim::rng::Xoshiro256;
 use optimus_sim::time::Cycle;
 
@@ -99,9 +99,9 @@ impl Kernel for GrnKernel {
             self.acked += 1;
         }
         if self.produced < self.lines && port.can_issue() && self.pacer.try_spend(LINE_COST) {
-            let mut line = [0u8; 64];
-            self.generator.fill_line(&mut line);
-            port.write(Gva::new(self.dst + self.produced * 64), Box::new(line), now);
+            let mut out = [0u8; 64];
+            self.generator.fill_line(&mut out);
+            port.write(line(self.dst, self.produced), Box::new(out), now);
             self.produced += 1;
         }
     }

@@ -8,11 +8,16 @@
 //! memory. [`Harnessed`] implements that contract once, generically;
 //! benchmarks implement only the [`Kernel`] trait (their registers, their
 //! compute, their serializable state).
+//!
+//! The data movement is the crate's one line mover: a save is a scatter
+//! of the framed blob (an 8-byte length header, the state, zero padding
+//! to a whole line), and a restore gathers the header line, then the body
+//! it names. Each latches the state-buffer address when it begins, and
+//! only the port bounds the restore's reads.
 
+use crate::mover::{line, Gather, Got, Scatter};
 use optimus_fabric::accelerator::{AccelMeta, AccelPort, AccelResponse, Accelerator, CtrlStatus};
 use optimus_fabric::mmio::accel_reg;
-use optimus_fabric::preempt::{PreemptEngine, PreemptProgress};
-use optimus_mem::addr::Gva;
 use optimus_sim::time::Cycle;
 
 /// The compute core of a benchmark accelerator.
@@ -69,15 +74,38 @@ pub trait Kernel: Send {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 enum Phase {
     Idle,
     Running,
     Draining,
-    Saving,
+    /// Writing the framed blob.
+    Saving(Vec<u8>, Scatter),
     Saved,
-    Restoring,
+    /// Reading line 0, whose header names the blob's length.
+    RestoringHeader(Gather),
+    /// Reading the rest of the blob: the header line, the payload length
+    /// it names, the body.
+    Restoring(Box<[u8; 64]>, usize, Gather),
     Done,
+}
+
+/// The blob a save writes. The length header makes it self-describing, so
+/// a resume, possibly after other virtual accelerators used this physical
+/// accelerator, recovers the exact length from memory alone.
+fn frame(state: Vec<u8>) -> Vec<u8> {
+    let mut blob = (state.len() as u64).to_le_bytes().to_vec();
+    blob.extend_from_slice(&state);
+    blob.resize(blob.len().next_multiple_of(64), 0);
+    blob
+}
+
+/// The payload length a blob's header names and the lines its frame
+/// spans (header included), or `None` for a length no save could have
+/// written.
+fn framing(header: u64) -> Option<(usize, usize)> {
+    let payload_len = usize::try_from(header).ok()?;
+    Some((payload_len, payload_len.checked_add(8)?.div_ceil(64)))
 }
 
 /// An [`Accelerator`] built from a [`Kernel`] plus the shared preemption
@@ -85,7 +113,8 @@ enum Phase {
 pub struct Harnessed<K: Kernel> {
     kernel: K,
     phase: Phase,
-    engine: PreemptEngine,
+    /// The `CTRL_STATE_ADDR` register: the GVA of the state buffer.
+    state_addr: u64,
 }
 
 impl<K: Kernel> Harnessed<K> {
@@ -94,8 +123,30 @@ impl<K: Kernel> Harnessed<K> {
         Self {
             kernel,
             phase: Phase::Idle,
-            engine: PreemptEngine::new(),
+            state_addr: 0,
         }
+    }
+
+    /// The phase a job resumes in: running, or done if it already is.
+    fn job_phase(&self) -> Phase {
+        if self.kernel.done() {
+            Phase::Done
+        } else {
+            Phase::Running
+        }
+    }
+
+    /// Ends a restore: the kernel resumes from the blob's payload, or, for
+    /// a blob that could not be read back or does not decode, the job is
+    /// lost and the slot comes back empty.
+    fn end_restore(&mut self, payload: Option<&[u8]>) {
+        self.phase = match payload {
+            Some(payload) if self.kernel.restore(payload).is_some() => self.job_phase(),
+            _ => {
+                self.kernel.reset();
+                Phase::Idle
+            }
+        };
     }
 
     /// The wrapped kernel.
@@ -117,7 +168,7 @@ impl<K: Kernel> Accelerator for Harnessed<K> {
     fn reset(&mut self) {
         self.kernel.reset();
         self.phase = Phase::Idle;
-        self.engine = PreemptEngine::new();
+        self.state_addr = 0;
     }
 
     fn mmio_write(&mut self, offset: u64, value: u64) {
@@ -125,11 +176,7 @@ impl<K: Kernel> Accelerator for Harnessed<K> {
             accel_reg::CTRL_CMD => match value {
                 accel_reg::CMD_START => {
                     self.kernel.start();
-                    self.phase = if self.kernel.done() {
-                        Phase::Done
-                    } else {
-                        Phase::Running
-                    };
+                    self.phase = self.job_phase();
                 }
                 accel_reg::CMD_PREEMPT => match self.phase {
                     // A completed job still saves its (final) state so that
@@ -139,14 +186,13 @@ impl<K: Kernel> Accelerator for Harnessed<K> {
                     _ => {}
                 },
                 accel_reg::CMD_RESUME => {
-                    if self.phase == Phase::Saved || self.phase == Phase::Idle {
-                        self.engine.begin_restore();
-                        self.phase = Phase::Restoring;
+                    if matches!(self.phase, Phase::Saved | Phase::Idle) {
+                        self.phase = Phase::RestoringHeader(Gather::of_lines(&[self.state_addr]));
                     }
                 }
                 _ => {}
             },
-            accel_reg::CTRL_STATE_ADDR => self.engine.set_state_addr(Gva::new(value)),
+            accel_reg::CTRL_STATE_ADDR => self.state_addr = value,
             off if off >= accel_reg::APP_BASE => {
                 self.kernel.write_reg(off - accel_reg::APP_BASE, value)
             }
@@ -168,7 +214,7 @@ impl<K: Kernel> Accelerator for Harnessed<K> {
     }
 
     fn step(&mut self, now: Cycle, port: &mut AccelPort) {
-        match self.phase {
+        match &mut self.phase {
             Phase::Idle | Phase::Saved | Phase::Done => {}
             Phase::Running => {
                 self.kernel.step(now, port);
@@ -181,30 +227,43 @@ impl<K: Kernel> Accelerator for Harnessed<K> {
                     self.kernel.on_drain_response(resp);
                 }
                 if port.is_drained() {
-                    self.engine.begin_save(self.kernel.serialize());
-                    self.phase = Phase::Saving;
+                    let blob = frame(self.kernel.serialize());
+                    let scatter = Scatter::new(self.state_addr, blob.len() as u64 / 64);
+                    self.phase = Phase::Saving(blob, scatter);
                 }
             }
-            Phase::Saving => {
-                if self.engine.step(now, port) == PreemptProgress::SaveDone {
+            Phase::Saving(blob, scatter) => {
+                let at = |i: u64| blob[64 * i as usize..][..64].try_into().unwrap();
+                if scatter.poll(port, now, at) {
                     self.phase = Phase::Saved;
                 }
             }
-            Phase::Restoring => match self.engine.step(now, port) {
-                PreemptProgress::RestoreDone(bytes) if self.kernel.restore(&bytes).is_some() => {
-                    self.phase = if self.kernel.done() {
-                        Phase::Done
-                    } else {
-                        Phase::Running
-                    };
+            Phase::RestoringHeader(header) => match header.poll(port, now, 1) {
+                Got::Pending => {}
+                Got::Aborted => self.end_restore(None),
+                Got::Lines => {
+                    let head = Box::new(*header.line(0));
+                    match framing(u64::from_le_bytes(head[..8].try_into().unwrap())) {
+                        // The cycle that receives the header issues no
+                        // body read.
+                        Some((len, lines)) if lines > 1 => {
+                            let body =
+                                Gather::new([(line(self.state_addr, 1).raw(), lines as u64 - 1)]);
+                            self.phase = Phase::Restoring(head, len, body);
+                        }
+                        framed => self.end_restore(framed.map(|(len, _)| &head[8..8 + len])),
+                    }
                 }
-                PreemptProgress::RestoreDone(_) | PreemptProgress::RestoreFailed => {
-                    // An unreadable or undecodable blob: the job is lost
-                    // and the slot comes back empty.
-                    self.kernel.reset();
-                    self.phase = Phase::Idle;
+            },
+            Phase::Restoring(head, len, body) => match body.poll(port, now, usize::MAX) {
+                Got::Pending => {}
+                Got::Aborted => self.end_restore(None),
+                Got::Lines => {
+                    let mut blob = head[8..].to_vec();
+                    body.lines().for_each(|l| blob.extend_from_slice(l));
+                    blob.truncate(*len);
+                    self.end_restore(Some(&blob));
                 }
-                _ => {}
             },
         }
     }
@@ -212,15 +271,20 @@ impl<K: Kernel> Accelerator for Harnessed<K> {
     fn status(&self) -> CtrlStatus {
         match self.phase {
             Phase::Idle => CtrlStatus::Idle,
-            Phase::Running | Phase::Draining | Phase::Restoring => CtrlStatus::Running,
-            Phase::Saving => CtrlStatus::Saving,
+            Phase::Running | Phase::Draining | Phase::RestoringHeader(_) | Phase::Restoring(..) => {
+                CtrlStatus::Running
+            }
+            Phase::Saving(..) => CtrlStatus::Saving,
             Phase::Saved => CtrlStatus::Saved,
             Phase::Done => CtrlStatus::Done,
         }
     }
 
     fn next_event(&self, now: Cycle, port: &AccelPort) -> Option<Cycle> {
-        match self.phase {
+        let mover_event = |wants_issue: bool| {
+            (port.queued_responses() > 0 || (wants_issue && port.can_issue())).then_some(now)
+        };
+        match &self.phase {
             Phase::Idle | Phase::Saved | Phase::Done => None,
             Phase::Running => {
                 // The kernel sees the queued responses on its next step, so
@@ -238,12 +302,9 @@ impl<K: Kernel> Accelerator for Harnessed<K> {
                     None
                 }
             }
-            Phase::Saving | Phase::Restoring => {
-                if port.queued_responses() > 0 || (self.engine.wants_issue() && port.can_issue()) {
-                    Some(now)
-                } else {
-                    None
-                }
+            Phase::Saving(_, scatter) => mover_event(scatter.wants_issue()),
+            Phase::RestoringHeader(gather) | Phase::Restoring(_, _, gather) => {
+                mover_event(gather.wants_issue())
             }
         }
     }
@@ -259,6 +320,8 @@ mod tests {
         meta: AccelMeta,
         target: u64,
         count: u64,
+        /// Saved after the counters, to make the blob span lines.
+        pad: Vec<u8>,
     }
 
     impl Counter {
@@ -278,6 +341,7 @@ mod tests {
                 },
                 target: 0,
                 count: 0,
+                pad: Vec::new(),
             }
         }
     }
@@ -310,12 +374,14 @@ mod tests {
         fn serialize(&self) -> Vec<u8> {
             let mut v = self.target.to_le_bytes().to_vec();
             v.extend_from_slice(&self.count.to_le_bytes());
+            v.extend_from_slice(&self.pad);
             v
         }
         fn restore(&mut self, bytes: &[u8]) -> Option<()> {
             let mut r = crate::ser::Reader::new(bytes);
             self.target = r.u64()?;
             self.count = r.u64()?;
+            self.pad = bytes[16..].to_vec();
             Some(())
         }
         fn reset(&mut self) {
@@ -389,46 +455,86 @@ mod tests {
         assert_eq!(acc.mmio_read(accel_reg::APP_BASE), 0);
     }
 
-    /// Drives a bare engine against the rig until it leaves `InProgress`.
-    fn stream(engine: &mut PreemptEngine, rig: &mut Rig) -> PreemptProgress {
-        for _ in 0..10_000 {
-            match engine.step(rig.now, &mut rig.port) {
-                PreemptProgress::InProgress => rig.serve(),
-                done => return done,
-            }
-            rig.now += 1;
-        }
-        panic!("engine never completed");
-    }
-
     #[test]
     fn save_then_restore_round_trips() {
-        let mut engine = PreemptEngine::new();
-        engine.set_state_addr(Gva::new(0x100 * 64));
-        let state: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
+        // 8 + 16 + 200 bytes: a header line and three body lines.
+        let pad: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
+        let mut acc = Harnessed::new(Counter::new());
         let mut rig = Rig::new(Vec::new());
-        engine.begin_save(state.clone());
-        assert!(engine.is_active());
-        assert_eq!(stream(&mut engine, &mut rig), PreemptProgress::SaveDone);
-        assert!(!engine.is_active());
-        engine.begin_restore();
-        assert_eq!(
-            stream(&mut engine, &mut rig),
-            PreemptProgress::RestoreDone(state)
-        );
+        acc.mmio_write(accel_reg::CTRL_STATE_ADDR, 0x100 * 64);
+        rig::start(&mut acc, &[(0, 100)]);
+        acc.kernel_mut().pad = pad.clone();
+        rig.run(&mut acc, 30);
+        rig.preempt_resume(&mut acc, Counter::new());
+        rig.finish(&mut acc, 2000);
+        assert_eq!(acc.kernel().pad, pad);
+        assert_eq!(acc.kernel().count, 100);
     }
 
     #[test]
     fn empty_state_still_writes_the_header_line() {
-        let mut engine = PreemptEngine::new();
+        assert_eq!(frame(Vec::new()), [0u8; 64]);
+        assert_eq!(framing(0), Some((0, 1)));
+    }
+
+    #[test]
+    fn a_one_line_blob_restores_in_the_header_cycle() {
+        let mut acc = Harnessed::new(Counter::new());
         let mut rig = Rig::new(Vec::new());
-        engine.begin_save(Vec::new());
-        assert_eq!(stream(&mut engine, &mut rig), PreemptProgress::SaveDone);
-        assert_eq!(rig.mem.len(), 64);
-        engine.begin_restore();
-        assert_eq!(
-            stream(&mut engine, &mut rig),
-            PreemptProgress::RestoreDone(Vec::new())
-        );
+        rig::start(&mut acc, &[(0, 100)]);
+        rig.run(&mut acc, 30);
+        rig.preempt_resume(&mut acc, Counter::new());
+        // Cycle 0 reads the header line; cycle 1 receives it and resumes.
+        rig.run(&mut acc, 2);
+        assert!(matches!(acc.phase, Phase::Running));
+        assert_eq!(acc.kernel().count, 30);
+    }
+
+    /// Resumes a counter from a blob at 0x1000 whose header is `header`
+    /// (its body reads as zeros), with reads at or past `window`
+    /// master-aborting; runs until the slot comes back idle or `cycles`
+    /// cycles have passed.
+    fn restore_from(header: u64, window: u64, cycles: Cycle) -> (Harnessed<Counter>, Rig) {
+        let mut acc = Harnessed::new(Counter::new());
+        let mut rig = Rig::new(vec![0u8; 0x1000]);
+        rig.mem.extend_from_slice(&header.to_le_bytes());
+        rig.window = window;
+        acc.mmio_write(accel_reg::CTRL_STATE_ADDR, 0x1000);
+        acc.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_RESUME);
+        while rig.now < cycles && acc.status() != CtrlStatus::Idle {
+            rig.run(&mut acc, 1);
+        }
+        (acc, rig)
+    }
+
+    #[test]
+    fn unreadable_or_impossible_blobs_fail_the_restore() {
+        // The header line master-aborts; a header whose frame overflows; a
+        // line past the header master-aborts.
+        for (header, window) in [(64, 0x1000), (u64::MAX, u64::MAX), (1000, 0x1000 + 3 * 64)] {
+            let (acc, rig) = restore_from(header, window, 1000);
+            assert_eq!(acc.status(), CtrlStatus::Idle, "header {header}");
+            assert!(rig.port.is_drained());
+        }
+        // A length no save wrote streams on (until the hypervisor's
+        // preempt timeout), but holds only the lines actually issued.
+        let (acc, _) = restore_from(1 << 40, u64::MAX, 1000);
+        match &acc.phase {
+            Phase::Restoring(_, _, body) => assert!(body.held() <= 1000 * 4),
+            _ => panic!("restore should still be streaming"),
+        }
+    }
+
+    #[test]
+    fn only_the_port_bounds_restore_reads() {
+        // A 300-line blob whose body is never served: the restore keeps
+        // issuing until the port's outstanding limit, not a stream window.
+        let (mut acc, mut rig) = restore_from(300 * 64, u64::MAX, 2);
+        for _ in 0..200 {
+            acc.step(rig.now, &mut rig.port);
+            while rig.port.take_pending().is_some() {}
+            rig.now += 1;
+        }
+        assert_eq!(rig.port.outstanding(), optimus_cci::params::MAX_OUTSTANDING);
     }
 }

@@ -5,12 +5,19 @@
 //! moved over the simulated interconnect, so end-to-end runs through the
 //! hypervisor produce checkable results, not synthetic byte counts.
 //!
-//! Two pieces of shared machinery keep the kernels small:
+//! Three pieces of shared machinery keep the kernels small:
 //!
 //! * [`harness`] — the control-register state machine of the preemption
 //!   interface (§4.2), generic over a [`Kernel`]: start, drain, save
 //!   state via DMA writes, resume via DMA reads. It is the only decoder of
-//!   the `CMD_*` commands;
+//!   the `CMD_*` commands, and a kernel's `serialize`/`restore` is all the
+//!   preemption surface it has;
+//! * the crate-private line mover — one gather of runs of lines (each
+//!   response placed by tag, an abort ending it once its reads in flight
+//!   return) and one scatter of lines (done when every line is acked),
+//!   shared by the harness's save and restore and SSSP's fetches and
+//!   write-back, plus the one wrapping line-address adder every kernel
+//!   computes its line GVAs with;
 //! * [`stream`] — a read-ahead engine with in-order retirement, and the
 //!   [`StreamShell`](stream::StreamShell) around it (SRC/DST/LINES
 //!   registers, pacer, blob prefix) that every streaming benchmark (AES,
@@ -44,6 +51,7 @@ pub mod hash;
 pub mod image;
 pub mod linked_list;
 pub mod membench;
+mod mover;
 pub mod registry;
 pub mod rsd;
 pub mod ser;

@@ -9,9 +9,9 @@
 //! just the RNG and the operation counter.
 
 use crate::harness::Kernel;
+use crate::mover;
 use crate::ser::{Reader, Writer};
 use optimus_fabric::accelerator::{AccelMeta, AccelPort};
-use optimus_mem::addr::Gva;
 use optimus_sim::rng::Xoshiro256;
 use optimus_sim::time::Cycle;
 
@@ -137,7 +137,7 @@ impl Kernel for MbKernel {
         // One request per 400 MHz cycle — the saturating pattern.
         if (self.ops_target == 0 || self.issued < self.ops_target) && port.can_issue() {
             let line = self.rng.gen_range(0..lines);
-            let gva = Gva::new(self.region + line * 64);
+            let gva = mover::line(self.region, line);
             let write = match self.mode {
                 MbMode::Read => false,
                 MbMode::Write => true,

@@ -17,91 +17,15 @@
 //! which is why the preemption state is just the frontier.
 
 use crate::harness::Kernel;
+use crate::mover::{Gather, Got, Scatter};
 use crate::ser::{Reader, Writer};
 use optimus_fabric::accelerator::{AccelMeta, AccelPort};
 use optimus_mem::addr::Gva;
 use optimus_sim::time::Cycle;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// "Unreachable" distance (matches [`optimus_algo::graph::INF`]).
 pub const INF: u32 = u32::MAX;
-
-/// A pending multi-line fetch over runs of consecutive lines: tag → slot,
-/// plus the lines collected so far (slots number the lines in run order).
-/// Nothing is sized from a run's length, so a guest-read edge range costs
-/// memory only as its lines arrive.
-#[derive(Debug, Default)]
-struct Fetch {
-    expect: HashMap<u32, usize>,
-    lines: Vec<Option<Box<[u8; 64]>>>,
-    /// Runs still to issue: (next line GVA, lines left).
-    to_issue: VecDeque<(u64, u64)>,
-    issued: usize,
-    /// A read came back master-aborted: nothing more is issued and the
-    /// fetch ends once its reads in flight have returned.
-    aborted: bool,
-}
-
-/// Where a [`Fetch`] stands after [`Fetch::poll`].
-enum Got {
-    Pending,
-    Lines,
-    Aborted,
-}
-
-impl Fetch {
-    /// A fetch of `(first line GVA, line count)` runs, issued in order.
-    fn begin(runs: impl IntoIterator<Item = (u64, u64)>) -> Self {
-        Fetch {
-            to_issue: runs.into_iter().filter(|&(_, n)| n > 0).collect(),
-            ..Fetch::default()
-        }
-    }
-
-    /// A fetch of single lines, issued in order.
-    fn of_lines(gvas: &[u64]) -> Self {
-        Self::begin(gvas.iter().map(|&g| (g, 1)))
-    }
-
-    /// Absorbs delivered responses, keeps up to `window` reads in flight,
-    /// and reports whether every line has arrived.
-    fn poll(&mut self, port: &mut AccelPort, now: Cycle, window: usize) -> Got {
-        while let Some(resp) = port.pop_response() {
-            if let Some(slot) = self.expect.remove(&resp.tag.0) {
-                match resp.data {
-                    Some(line) => {
-                        if slot >= self.lines.len() {
-                            self.lines.resize_with(slot + 1, || None);
-                        }
-                        self.lines[slot] = Some(line);
-                    }
-                    None => self.aborted = true,
-                }
-            }
-        }
-        while !self.aborted && self.expect.len() < window && port.can_issue() {
-            let Some(run) = self.to_issue.front_mut() else { break };
-            let gva = run.0;
-            run.0 += 64;
-            run.1 -= 1;
-            if run.1 == 0 {
-                self.to_issue.pop_front();
-            }
-            let tag = port.read(Gva::new(gva), now);
-            self.expect.insert(tag.0, self.issued);
-            self.issued += 1;
-        }
-        match (self.expect.is_empty(), self.aborted) {
-            (true, true) => Got::Aborted,
-            (true, false) if self.to_issue.is_empty() => Got::Lines,
-            _ => Got::Pending,
-        }
-    }
-
-    fn line(&self, slot: usize) -> &[u8; 64] {
-        self.lines[slot].as_deref().expect("fetch complete")
-    }
-}
 
 /// A sorted set of line GVAs stored as disjoint runs
 /// `(first line GVA, lines, slot of the first line)`, so a round's edge
@@ -132,13 +56,13 @@ impl LineRuns {
         LineRuns(merged)
     }
 
-    fn fetch(&self) -> Fetch {
-        Fetch::begin(self.0.iter().map(|&(first, n, _)| (first, n)))
+    fn fetch(&self) -> Gather {
+        Gather::new(self.0.iter().map(|&(first, n, _)| (first, n)))
     }
 
     /// Reads a little-endian u32 at `byte_addr` out of a completed fetch
     /// of these runs.
-    fn u32_at(&self, fetch: &Fetch, byte_addr: u64) -> u32 {
+    fn u32_at(&self, fetch: &Gather, byte_addr: u64) -> u32 {
         let line = byte_addr & !63;
         let (first, _, slot) = self.0[self.0.partition_point(|r| r.0 <= line) - 1];
         let off = (byte_addr - line) as usize;
@@ -150,34 +74,30 @@ impl LineRuns {
 #[derive(Debug)]
 enum Phase {
     Idle,
-    FetchHeader(Fetch),
+    FetchHeader(Gather),
     /// On-chip mode: stream the distance array into BRAM.
     LoadDist {
         engine: crate::stream::StreamEngine,
     },
     /// On-chip mode: stream the final distance array back to DRAM.
-    WriteBack {
-        cursor: u64,
-        acks: u64,
-        issued: u64,
-    },
+    WriteBack(Scatter),
     /// On-chip mode: fetch the row-offset lines of the whole frontier
     /// (pipelined — the frontier's vertices are all known up front).
     RoundOffsets {
-        fetch: Fetch,
+        fetch: Gather,
         runs: LineRuns,
     },
     /// On-chip mode: fetch every edge line the round touches (bulk,
     /// bandwidth-bound streaming).
     RoundEdges {
-        fetch: Fetch,
+        fetch: Gather,
         runs: LineRuns,
         ranges: Vec<(u32, u32, u32)>,
     },
     /// On-chip mode: relax the gathered edges against BRAM, edge `k` of
     /// `ranges[range]` next.
     RoundRelax {
-        fetch: Fetch,
+        fetch: Gather,
         runs: LineRuns,
         ranges: Vec<(u32, u32, u32)>,
         range: usize,
@@ -185,7 +105,7 @@ enum Phase {
     },
     NextVertex,
     FetchOffsets {
-        fetch: Fetch,
+        fetch: Gather,
         /// Byte address of `row_offsets[u]`.
         lo_addr: u64,
         two_lines: bool,
@@ -193,7 +113,7 @@ enum Phase {
         u: u32,
     },
     FetchEdges {
-        fetch: Fetch,
+        fetch: Gather,
         target_base_addr: u64,
         weight_base_addr: u64,
         lo: u32,
@@ -203,7 +123,7 @@ enum Phase {
     },
     ProcessEdges,
     FetchDist {
-        fetch: Fetch,
+        fetch: Gather,
         v: u32,
         cand: u32,
         line_gva: u64,
@@ -362,7 +282,7 @@ impl Kernel for SsspKernel {
         self.rounds = 0;
         self.relaxations = 0;
         self.onchip = self.onchip_reg;
-        self.phase = Phase::FetchHeader(Fetch::of_lines(&[self.graph]));
+        self.phase = Phase::FetchHeader(Gather::of_lines(&[self.graph]));
     }
 
     fn done(&self) -> bool {
@@ -423,36 +343,20 @@ impl Kernel for SsspKernel {
                     Phase::LoadDist { engine }
                 }
             }
-            Phase::WriteBack {
-                mut cursor,
-                mut acks,
-                issued: mut issued_wb,
-            } => {
-                while let Some(resp) = port.pop_response() {
-                    debug_assert!(resp.data.is_none());
-                    acks += 1;
-                }
-                let total_lines = (self.vertices as u64 * 4).div_ceil(64);
-                while cursor < total_lines && port.can_issue() {
-                    let mut line = [0u8; 64];
-                    for k in 0..16u64 {
-                        let v = (cursor * 16 + k) as usize;
-                        let value = self.dist_vec.get(v).copied().unwrap_or(INF);
-                        line[(k * 4) as usize..(k * 4 + 4) as usize]
-                            .copy_from_slice(&value.to_le_bytes());
+            Phase::WriteBack(mut scatter) => {
+                let dist_line = |i: u64| {
+                    let mut out = [0u8; 64];
+                    for (k, word) in out.chunks_exact_mut(4).enumerate() {
+                        let d = self.dist_vec.get(i as usize * 16 + k);
+                        let d = d.copied().unwrap_or(INF);
+                        word.copy_from_slice(&d.to_le_bytes());
                     }
-                    port.write(Gva::new(self.dist + cursor * 64), Box::new(line), now);
-                    cursor += 1;
-                    issued_wb += 1;
-                }
-                if cursor >= total_lines && acks >= issued_wb {
+                    out
+                };
+                if scatter.poll(port, now, dist_line) {
                     Phase::Done
                 } else {
-                    Phase::WriteBack {
-                        cursor,
-                        acks,
-                        issued: issued_wb,
-                    }
+                    Phase::WriteBack(scatter)
                 }
             }
             Phase::RoundOffsets { mut fetch, runs } => match fetch.poll(port, now, 16) {
@@ -580,11 +484,8 @@ impl Kernel for SsspKernel {
                     Phase::NextVertex
                 } else {
                     self.current = None;
-                    Phase::WriteBack {
-                        cursor: 0,
-                        acks: 0,
-                        issued: 0,
-                    }
+                    let lines = (self.vertices as u64 * 4).div_ceil(64);
+                    Phase::WriteBack(Scatter::new(self.dist, lines))
                 }
             }
             Phase::NextVertex => {
@@ -601,7 +502,7 @@ impl Kernel for SsspKernel {
                     // a stale enqueued value would propagate worse paths.
                     gvas.push(self.dist_addr(u) & !63);
                     Phase::FetchOffsets {
-                        fetch: Fetch::of_lines(&gvas),
+                        fetch: Gather::of_lines(&gvas),
                         lo_addr,
                         two_lines,
                         u,
@@ -654,7 +555,7 @@ impl Kernel for SsspKernel {
                         self.current = Some((u, du));
                         let [t_run, w_run] = self.edge_runs(lo, hi);
                         Phase::FetchEdges {
-                            fetch: Fetch::begin([t_run, w_run]),
+                            fetch: Gather::new([t_run, w_run]),
                             target_base_addr: t_run.0,
                             weight_base_addr: w_run.0,
                             lo,
@@ -718,7 +619,7 @@ impl Kernel for SsspKernel {
                     let cand = du.saturating_add(w);
                     let line_gva = self.dist_addr(v) & !63;
                     Phase::FetchDist {
-                        fetch: Fetch::of_lines(&[line_gva]),
+                        fetch: Gather::of_lines(&[line_gva]),
                         v,
                         cand,
                         line_gva,

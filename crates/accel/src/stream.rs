@@ -20,9 +20,9 @@
 //! more, and once the reads still in flight have returned the input counts
 //! as exhausted, so the job ends as soon as its writes settle.
 
+use crate::mover::line;
 use crate::ser::{Reader, Writer};
 use optimus_fabric::accelerator::AccelPort;
-use optimus_mem::addr::Gva;
 use optimus_sim::hashing::FastMap;
 use optimus_sim::time::Cycle;
 
@@ -142,7 +142,7 @@ impl StreamEngine {
     /// Issues read-ahead requests up to the window.
     pub fn issue_reads(&mut self, port: &mut AccelPort, now: Cycle) {
         while self.wants_reads() && port.can_issue() {
-            let tag = port.read(Gva::new(self.src + self.read_cursor * 64), now);
+            let tag = port.read(line(self.src, self.read_cursor), now);
             self.inflight.insert(tag.0, self.read_cursor);
             self.read_cursor += 1;
         }
@@ -245,10 +245,10 @@ impl StreamShell {
         self.engine.issue_reads(port, now);
     }
 
-    /// Writes `line` to output line `idx` (at `dst + 64·idx`), accounted
+    /// Writes `out` to output line `idx` (at `dst + 64·idx`), accounted
     /// for [`StreamEngine::writes_settled`].
-    pub(crate) fn write_line(&mut self, idx: u64, line: [u8; 64], now: Cycle, port: &mut AccelPort) {
-        port.write(Gva::new(self.dst + idx * 64), Box::new(line), now);
+    pub(crate) fn write_line(&mut self, idx: u64, out: [u8; 64], now: Cycle, port: &mut AccelPort) {
+        port.write(line(self.dst, idx), Box::new(out), now);
         self.engine.note_write();
     }
 
@@ -314,6 +314,7 @@ impl Pacer {
 mod tests {
     use super::*;
     use crate::rig::Rig;
+    use optimus_mem::addr::Gva;
 
     /// A rig whose first `n` lines carry their own index in byte 0.
     fn indexed(n: usize) -> Rig {

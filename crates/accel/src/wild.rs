@@ -22,6 +22,7 @@
 //! original did.
 
 use crate::harness::Kernel;
+use crate::mover::line;
 use crate::ser::{Reader, Writer};
 use optimus_fabric::accelerator::{AccelMeta, AccelPort, AccelResponse};
 use optimus_mem::addr::Gva;
@@ -145,7 +146,7 @@ impl WildKernel {
     fn line_at(seed: u64, index: u64, base: u64, span: u64) -> Gva {
         let lines = (span / 64).max(1);
         let h = SplitMix64::mix(seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        Gva::new(base + (h % lines) * 64)
+        line(base, h % lines)
     }
 
     /// Commutative 64-bit fold of a cache line at a given address.

@@ -4,11 +4,11 @@
 //! (replay property failures with `OPTIMUS_PROP_SEED=<printed seed>`).
 
 use optimus_accel::aes::AesKernel;
-use optimus_accel::hash::reg as hash_reg;
+use optimus_accel::hash::{reg as hash_reg, Md5Kernel};
 use optimus_accel::registry::{build_accelerator, AccelKind};
 use optimus_algo::aes::Aes128;
 use optimus_cci::channel::SelectorPolicy;
-use optimus_fabric::accelerator::Accelerator;
+use optimus_fabric::accelerator::{Accelerator, CtrlStatus};
 use optimus_fabric::device::FpgaDevice;
 use optimus_fabric::mmio::{self, accel_mmio_base, accel_reg, vcu_reg};
 use optimus_mem::addr::{Hpa, Iova, PageSize};
@@ -190,19 +190,25 @@ fn digest(kind: AccelKind, data: &[u8]) -> Vec<u8> {
     line
 }
 
+/// Where slot 0 saves its state when [`hash_fingerprint`] preempts it.
+const STATE: u64 = 0x4_000_000;
+
 /// Runs one hashing job per slot (`(kind, lines)`, source data drawn from
 /// `seed`) on a fresh device in the given fast-forward mode, after `idle`
-/// cycles of nothing. Returns an exhaustive fingerprint — final cycle,
-/// drop/fault counters, per-port stats, digest registers read back over
-/// MMIO — and the destination lines, after checking each digest against
-/// `optimus_algo`. Bit-exact fast-forwarding means the fingerprint is
-/// identical in both modes.
+/// cycles of nothing. A non-zero `preempt_at` preempts slot 0 that many
+/// cycles later, waits for `Saved` and resumes it; every MD5 pads its state
+/// to 32 KiB, so the save and the restore span hundreds of lines. Returns
+/// an exhaustive fingerprint — final cycle, drop/fault counters, per-port
+/// stats, digest registers read back over MMIO — and the destination
+/// lines, after checking each digest against `optimus_algo`. Bit-exact
+/// fast-forwarding means the fingerprint is identical in both modes.
 fn hash_fingerprint(
     monitored: bool,
     fastfwd: bool,
     jobs: &[(AccelKind, u64)],
     seed: u64,
     idle: u64,
+    preempt_at: u64,
 ) -> (Vec<u64>, Vec<u8>) {
     let accels: Vec<Box<dyn Accelerator>> = jobs
         .iter()
@@ -221,19 +227,29 @@ fn hash_fingerprint(
         .enumerate()
         .map(|(a, &(_, n))| bytes(seed ^ a as u64, n as usize * 64))
         .collect();
-    for (a, &(_, n)) in jobs.iter().enumerate() {
+    for (a, &(kind, n)) in jobs.iter().enumerate() {
         write(&mut dev, src(a), &data[a]);
         let base = accel_mmio_base(a);
+        let pad = if kind == AccelKind::Md5 { 32 << 10 } else { 0 };
         for (reg, value) in [
             (hash_reg::SRC, src(a)),
             (hash_reg::DST, dst(a)),
             (hash_reg::LINES, n),
+            (Md5Kernel::REG_STATE_PAD, pad),
         ] {
             dev.mmio_write(base + APP + reg, value);
         }
         dev.mmio_write(base + accel_reg::CTRL_CMD, accel_reg::CMD_START);
     }
     dev.run(idle);
+    if preempt_at > 0 {
+        let base = accel_mmio_base(0);
+        dev.run(preempt_at);
+        dev.mmio_write(base + accel_reg::CTRL_STATE_ADDR, STATE);
+        dev.mmio_write(base + accel_reg::CTRL_CMD, accel_reg::CMD_PREEMPT);
+        assert!(dev.run_until(400_000, |d| d.accel(0).status() == CtrlStatus::Saved));
+        dev.mmio_write(base + accel_reg::CTRL_CMD, accel_reg::CMD_RESUME);
+    }
     let finished = dev.run_until(400_000, |d| {
         (0..d.num_accels()).all(|i| d.accel(i).is_done())
     });
@@ -271,24 +287,33 @@ fn hasher() -> gens::Gen<AccelKind> {
     gens::choose(vec![AccelKind::Md5, AccelKind::Sha])
 }
 
+/// No preemption (0, which failures shrink to) half the time, else one
+/// up to 600 cycles into the jobs.
+fn preempt_at() -> gens::Gen<u64> {
+    let at = gens::u64_in(0..1200).map(|v| v.saturating_sub(600));
+    at.with_shrink(|&v| if v > 0 { vec![0, v / 2] } else { Vec::new() })
+}
+
 /// Differential equivalence (monitored fabric): fast-forwarding produces
 /// the exact same final cycle, stats, register values, and memory image as
-/// per-cycle stepping, for arbitrary job shapes. MD5 and SHA-512 are the
-/// stream kernels with their own quiescence hints, so both arms skip.
+/// per-cycle stepping, for arbitrary job shapes, with or without a
+/// mid-job preemption. MD5 and SHA-512 are the stream kernels with their
+/// own quiescence hints, and the harness hints while it saves and
+/// restores, so every arm skips.
 #[test]
 fn fast_forward_is_bit_exact_monitored() {
     let gen = gens::zip4(
         gens::zip2(hasher(), gens::u64_in(1..40)),
         gens::zip2(hasher(), gens::u64_in(1..40)),
-        gens::u64_in(0..256),
-        gens::u64_in(0..4000),
+        gens::zip2(gens::u64_in(0..256), gens::u64_in(0..4000)),
+        preempt_at(),
     );
     check(
         "fast_forward_is_bit_exact_monitored",
         &gen,
-        |&(a, b, seed, idle)| {
-            let fast = hash_fingerprint(true, true, &[a, b], seed, idle);
-            let slow = hash_fingerprint(true, false, &[a, b], seed, idle);
+        |&(a, b, (seed, idle), at)| {
+            let fast = hash_fingerprint(true, true, &[a, b], seed, idle, at);
+            let slow = hash_fingerprint(true, false, &[a, b], seed, idle, at);
             prop_assert_eq!(&fast.0, &slow.0, "stat fingerprints diverge");
             prop_assert_eq!(&fast.1, &slow.1, "memory images diverge");
             Ok(())
@@ -300,17 +325,18 @@ fn fast_forward_is_bit_exact_monitored() {
 /// fabric, which has no tree and uses the injection-interval gate.
 #[test]
 fn fast_forward_is_bit_exact_passthrough() {
-    let gen = gens::zip3(
+    let gen = gens::zip4(
         gens::zip2(hasher(), gens::u64_in(1..64)),
         gens::u64_in(0..256),
         gens::u64_in(0..4000),
+        preempt_at(),
     );
     check(
         "fast_forward_is_bit_exact_passthrough",
         &gen,
-        |&(job, seed, idle)| {
-            let fast = hash_fingerprint(false, true, &[job], seed, idle);
-            let slow = hash_fingerprint(false, false, &[job], seed, idle);
+        |&(job, seed, idle, at)| {
+            let fast = hash_fingerprint(false, true, &[job], seed, idle, at);
+            let slow = hash_fingerprint(false, false, &[job], seed, idle, at);
             prop_assert_eq!(&fast.0, &slow.0, "stat fingerprints diverge");
             prop_assert_eq!(&fast.1, &slow.1, "memory images diverge");
             Ok(())

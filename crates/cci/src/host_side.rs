@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Every stage contributes its calibrated latency (see
-//! [`params`](crate::params)); the response surfaces from
+//! [`params`]); the response surfaces from
 //! [`HostSide::pop_response`] once the simulated clock reaches its computed
 //! arrival time. DMAs that fail translation are *dropped and counted* — the
 //! IOMMU cannot fault-and-retry, which is exactly why OPTIMUS pins

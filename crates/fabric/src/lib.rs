@@ -28,9 +28,6 @@
 //!   arbitration (the source of the fairness results in Table 3);
 //! * [`vcu`] — the virtualization control unit with its offset and reset
 //!   tables;
-//! * [`preempt`] — [`PreemptEngine`](preempt::PreemptEngine), the DMA
-//!   streaming of saved state to and from the guest's buffer (the control
-//!   machine around it is `optimus_accel::harness`);
 //! * [`mmio`] — the MMIO address map (§5 "MMIO Slicing");
 //! * [`platform`] — [`PlatformDevice`], the device-facing surface the
 //!   hypervisor programs against, plus [`DeviceId`] addressing within a
@@ -48,7 +45,6 @@ pub mod device;
 pub mod mmio;
 pub mod mux_tree;
 pub mod platform;
-pub mod preempt;
 pub mod resources;
 pub mod synthesis;
 pub mod vcu;

@@ -6,8 +6,8 @@
 #
 #  1. Hermetic-build check: no Cargo.toml may declare a registry dependency.
 #  2. Tier-1: cargo build --release && cargo test -q, the full workspace
-#     suite, rustdoc with warnings denied for the optimus, fabric and accel
-#     crates (their intra-doc links name items across modules), and the
+#     suite, rustdoc with warnings denied for the whole workspace (intra-doc
+#     links name items across modules), and the
 #     fabric, accel and hypervisor suites again per-cycle
 #     (OPTIMUS_NO_FASTFWD=1).
 #  3. Bench smoke: every bench target once at tiny scales; each must emit its
@@ -52,7 +52,7 @@ echo "== [2/9] tier-1: build + tests, then per-cycle stepping =="
 cargo build --release
 cargo test -q
 cargo test --workspace -q
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q -p optimus -p optimus-fabric -p optimus-accel
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q --workspace
 # With fast-forwarding disabled the differential property tests compare
 # per-cycle stepping against an explicitly re-enabled fast path, and every
 # other test exercises the seed's original cycle loop.

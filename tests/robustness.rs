@@ -445,11 +445,20 @@ fn program_sssp(g: &mut GuestCtx<'_>, graph: Option<Vec<u8>>, onchip: bool) {
     g.mmio_write(APP + SsspKernel::REG_ONCHIP, onchip as u64);
 }
 
-/// Programs a 64-line stream job whose source lies out of the window.
-fn program_stream(g: &mut GuestCtx<'_>) {
-    let (src, dst) = (out_of_window(g), g.alloc_dma(64 * 64));
+/// The last line of the address space, once `g` holds memory (which
+/// anchors its window): the line after it, GVA 0, is out of the window too.
+fn top_line(g: &mut GuestCtx<'_>) -> u64 {
+    let _ = g.alloc_dma(4096);
+    0u64.wrapping_sub(64)
+}
+
+/// Programs a 64-line stream job from `src` into `dst`; a fresh buffer
+/// stands in for either one left `None`.
+fn program_stream(g: &mut GuestCtx<'_>, src: Option<u64>, dst: Option<u64>) {
+    let mut buffer = |at: Option<u64>| at.unwrap_or_else(|| g.alloc_dma(64 * 64).raw());
+    let (src, dst) = (buffer(src), buffer(dst));
     g.mmio_write(APP + StreamShell::REG_SRC, src);
-    g.mmio_write(APP + StreamShell::REG_DST, dst.raw());
+    g.mmio_write(APP + StreamShell::REG_DST, dst);
     g.mmio_write(APP + StreamShell::REG_LINES, 64);
 }
 
@@ -458,14 +467,32 @@ fn program_stream(g: &mut GuestCtx<'_>) {
 /// panic the simulator, allocate by a size read from guest memory, or wait
 /// forever for a line that was master-aborted — while the AES tenant on the
 /// device's other slot finishes bit-exactly. Aborted reads show up in
-/// `HvStats.discarded_dma`.
+/// `HvStats.discarded_dma`. A pointer at the last line of the address
+/// space steps to GVA 0 for its next line instead of overflowing.
 #[test]
 fn wild_pointers_and_malformed_graphs_end_the_job_not_the_simulator() {
     type Program = fn(&mut GuestCtx<'_>);
     use AccelKind::{Aes, Fir, Gau, Grs, Md5, Rsd, Sbl, Sha, Sw};
-    let streams = [Aes, Md5, Sha, Fir, Rsd, Sw, Gau, Sbl, Grs]
-        .map(|kind| ("stream source out of the window", kind, true, program_stream as Program));
-    let vectors: [(&str, AccelKind, bool, Program); 9] = [
+    let streams = [Aes, Md5, Sha, Fir, Rsd, Sw, Gau, Sbl, Grs].into_iter().flat_map(|kind| {
+        let wild: Program = |g| {
+            let src = out_of_window(g);
+            program_stream(g, Some(src), None)
+        };
+        [
+            ("stream source out of the window", kind, true, wild),
+            ("stream source at the top line", kind, true, |g| {
+                let src = top_line(g);
+                program_stream(g, Some(src), None)
+            }),
+        ]
+    });
+    let top_dst: Program = |g| {
+        let dst = top_line(g);
+        program_stream(g, None, Some(dst))
+    };
+    let writers = [Aes, Fir, Rsd, Gau, Sbl, Grs]
+        .map(|kind| ("stream destination at the top line", kind, true, top_dst));
+    let vectors: [(&str, AccelKind, bool, Program); 11] = [
         ("LinkedList start node out of the window", AccelKind::Ll, true, |g| {
             let start = out_of_window(g);
             g.mmio_write(APP + LlKernel::REG_START, start);
@@ -475,6 +502,16 @@ fn wild_pointers_and_malformed_graphs_end_the_job_not_the_simulator() {
             let src = out_of_window(g);
             g.mmio_write(APP + BtcKernel::REG_SRC, src);
             g.mmio_write(APP + BtcKernel::REG_COUNT, 1_000);
+        }),
+        ("BTC header at the top line", AccelKind::Btc, true, |g| {
+            let src = top_line(g);
+            g.mmio_write(APP + BtcKernel::REG_SRC, src);
+            g.mmio_write(APP + BtcKernel::REG_COUNT, 1_000);
+        }),
+        ("GRN destination at the top line", AccelKind::Grn, true, |g| {
+            let dst = top_line(g);
+            g.mmio_write(APP + GrnKernel::REG_DST, dst);
+            g.mmio_write(APP + GrnKernel::REG_LINES, 64);
         }),
         ("SSSP graph out of the window", AccelKind::Sssp, true, |g| program_sssp(g, None, false)),
         ("SSSP graph out of the window, on chip", AccelKind::Sssp, true, |g| {
@@ -500,7 +537,7 @@ fn wild_pointers_and_malformed_graphs_end_the_job_not_the_simulator() {
             g.mmio_write(APP + SsspKernel::REG_SOURCE, 3);
         }),
     ];
-    for (what, kind, aborts, program) in vectors.into_iter().chain(streams) {
+    for (what, kind, aborts, program) in vectors.into_iter().chain(streams).chain(writers) {
         let what = format!("{kind:?}: {what}");
         let mut hv = Optimus::new(OptimusConfig::new(vec![AccelKind::Aes, kind]));
         let good = AesTenant::new(&mut hv, "good", 3);
