@@ -8,7 +8,7 @@
 //! (Table 4).
 
 use crate::harness::Kernel;
-use crate::mover::line;
+use crate::mover::{Gather, Got};
 use crate::ser::{Reader, Writer};
 use crate::stream::Pacer;
 use optimus_algo::bitcoin::{meets_target, BlockHeader};
@@ -18,9 +18,10 @@ use optimus_sim::time::Cycle;
 /// Cycles per attempted nonce at 100 MHz (a 4-deep hash pipeline).
 const HASH_COST: f64 = 4.0;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 enum Phase {
-    FetchHeader,
+    /// Reading the header's two lines.
+    FetchHeader(Gather),
     Mining,
     Finished,
 }
@@ -34,15 +35,10 @@ pub struct BtcKernel {
     start_nonce: u64,
     count: u64,
     header_bytes: [u8; 80],
-    header_lines: u8,
     cursor: u64,
     found: u64,
     phase: Phase,
     pacer: Pacer,
-    /// Tags of the two header-line reads (arrival order may differ).
-    fetch_tags: [Option<u32>; 2],
-    /// A header read came back master-aborted: the job ends unmined.
-    fetch_aborted: bool,
 }
 
 impl Default for BtcKernel {
@@ -74,13 +70,10 @@ impl BtcKernel {
             start_nonce: 0,
             count: 0,
             header_bytes: [0; 80],
-            header_lines: 0,
             cursor: 0,
             found: u64::MAX,
             phase: Phase::Finished,
             pacer: Pacer::new(),
-            fetch_tags: [None, None],
-            fetch_aborted: false,
         }
     }
 }
@@ -115,56 +108,32 @@ impl Kernel for BtcKernel {
     fn start(&mut self) {
         self.cursor = 0;
         self.found = u64::MAX;
-        self.header_lines = 0;
-        self.fetch_tags = [None, None];
-        self.fetch_aborted = false;
         self.phase = if self.count == 0 {
             Phase::Finished
         } else {
-            Phase::FetchHeader
+            Phase::FetchHeader(Gather::new([(self.src, 2)]))
         };
         self.pacer.reset();
     }
 
     fn done(&self) -> bool {
-        self.phase == Phase::Finished
+        matches!(self.phase, Phase::Finished)
     }
 
     fn step(&mut self, now: Cycle, port: &mut AccelPort) {
-        match self.phase {
-            Phase::FetchHeader => {
-                while let Some(resp) = port.pop_response() {
-                    // Match the response to its header line by tag: the two
-                    // reads may return out of order across channels.
-                    let idx = self
-                        .fetch_tags
-                        .iter()
-                        .position(|t| *t == Some(resp.tag.0))
-                        .expect("header fetch tag tracked");
-                    match resp.data {
-                        Some(data) => {
-                            let take = if idx == 0 { 64 } else { 16 };
-                            self.header_bytes[idx * 64..idx * 64 + take]
-                                .copy_from_slice(&data[..take]);
-                        }
-                        None => self.fetch_aborted = true,
-                    }
-                    self.header_lines += 1;
-                    if self.header_lines == 2 {
-                        self.phase = if self.fetch_aborted {
-                            Phase::Finished
-                        } else {
-                            Phase::Mining
-                        };
-                    }
+        match &mut self.phase {
+            // Both reads go out in the first cycle; mining starts on the
+            // step after the last line lands, and a master-aborted line
+            // ends the job unmined.
+            Phase::FetchHeader(fetch) => match fetch.poll(port, now, 2) {
+                Got::Pending => {}
+                Got::Aborted => self.phase = Phase::Finished,
+                Got::Lines => {
+                    self.header_bytes[..64].copy_from_slice(fetch.line(0));
+                    self.header_bytes[64..].copy_from_slice(&fetch.line(1)[..16]);
+                    self.phase = Phase::Mining;
                 }
-                for idx in 0..2u64 {
-                    if self.fetch_tags[idx as usize].is_none() && port.can_issue() {
-                        let tag = port.read(line(self.src, idx), now);
-                        self.fetch_tags[idx as usize] = Some(tag.0);
-                    }
-                }
-            }
+            },
             Phase::Mining => {
                 self.pacer.tick(4.0 * HASH_COST);
                 while self.cursor < self.count && self.pacer.try_spend(HASH_COST) {
@@ -207,7 +176,6 @@ impl Kernel for BtcKernel {
         self.cursor = r.u64()?;
         self.found = r.u64()?;
         self.header_bytes = r.bytes()?.try_into().ok()?;
-        self.header_lines = 2;
         self.phase = if self.found != u64::MAX || self.cursor >= self.count {
             Phase::Finished
         } else {

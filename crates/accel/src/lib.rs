@@ -15,8 +15,8 @@
 //! * the crate-private line mover — one gather of runs of lines (each
 //!   response placed by tag, an abort ending it once its reads in flight
 //!   return) and one scatter of lines (done when every line is acked),
-//!   shared by the harness's save and restore and SSSP's fetches and
-//!   write-back, plus the one wrapping line-address adder every kernel
+//!   shared by the harness's save and restore, SSSP's fetches and
+//!   write-back, BTC's header fetch and the host-centric engine, plus the one wrapping line-address adder every kernel
 //!   computes its line GVAs with;
 //! * [`stream`] — a read-ahead engine with in-order retirement, and the
 //!   [`StreamShell`](stream::StreamShell) around it (SRC/DST/LINES
@@ -40,6 +40,8 @@
 //! | [`btc`] | double-SHA-256 bitcoin miner (compute-bound) |
 //! | [`membench`] | MemBench: random DMA generator (preemptible) |
 //! | [`linked_list`] | LinkedList: dependent-load walker (preemptible) |
+//! | [`wild`] | WildDma: adversarial isolation prober (off-table) |
+//! | [`hc_dma`] | the host-centric model's shell DMA engine (off-table, Fig. 1) |
 //! | [`registry`] | name → accelerator factory + the Table 1/2 metadata |
 
 pub mod aes;
@@ -48,6 +50,7 @@ pub mod fir;
 pub mod grn;
 pub mod harness;
 pub mod hash;
+pub mod hc_dma;
 pub mod image;
 pub mod linked_list;
 pub mod membench;

@@ -1,7 +1,8 @@
 //! The DMA line mover: one gather and one scatter of whole lines.
 //!
-//! The preemption save and restore ([`harness`](crate::harness)) and
-//! SSSP's fetches and on-chip write-back move lines the same way: issue
+//! The preemption save and restore ([`harness`](crate::harness)), SSSP's
+//! fetches and on-chip write-back, BTC's header fetch and the host-centric
+//! engine's transfers ([`hc_dma`](crate::hc_dma)) move lines the same way: issue
 //! line requests while the port takes them, match each response to its
 //! line, and end when every line is answered. Both pieces absorb every
 //! delivered response before they issue.
@@ -106,6 +107,12 @@ impl Gather {
     /// Line `slot` of a complete gather.
     pub(crate) fn line(&self, slot: usize) -> &[u8; 64] {
         self.lines[slot].as_deref().expect("gather complete")
+    }
+
+    /// Lines that have arrived: all of them once complete, fewer once
+    /// aborted.
+    pub(crate) fn arrived(&self) -> u64 {
+        self.lines.iter().flatten().count() as u64
     }
 
     /// Every line of a complete gather, in slot order.

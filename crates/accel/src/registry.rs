@@ -55,6 +55,9 @@ pub enum AccelKind {
     /// excluded from [`ALL`](Self::ALL); used by the isolation spec and
     /// noninterference suites).
     Wild,
+    /// The host-centric model's shell DMA engine (Fig. 1; not a Table 1
+    /// benchmark, excluded from [`ALL`](Self::ALL) like `Wild`).
+    HcDma,
 }
 
 impl AccelKind {
@@ -123,6 +126,7 @@ impl AccelKind {
             AccelKind::Mb => ("MB", "Random Memory Accesses", 1020, 400),
             AccelKind::Ll => ("LL", "Linked List Walker", 695, 400),
             AccelKind::Wild => ("WILD", "Adversarial Out-of-Window Prober", 1020, 400),
+            AccelKind::HcDma => ("HCDMA", "Host-Centric Shell DMA Engine", 0, 400),
         };
         let (alm_pct, bram_pct, alm_scale8, bram_scale8) = match self {
             AccelKind::Aes => (3.62, 2.82, 7.68, 8.16),
@@ -139,7 +143,7 @@ impl AccelKind {
             AccelKind::Btc => (1.32, 0.48, 6.81, 8.67),
             AccelKind::Mb => (0.83, 0.00, 5.83, 8.0),
             AccelKind::Ll => (0.15, 0.00, -1.6, 8.0),
-            AccelKind::Wild => (0.83, 0.00, 5.83, 8.0),
+            AccelKind::Wild | AccelKind::HcDma => (0.83, 0.00, 5.83, 8.0),
         };
         let (state_bytes, demand) = match self {
             AccelKind::Aes => (128, 0.14),
@@ -157,6 +161,7 @@ impl AccelKind {
             AccelKind::Mb => (64, 1.00),
             AccelKind::Ll => (64, 0.02),
             AccelKind::Wild => (96, 1.00),
+            AccelKind::HcDma => (24, 1.00),
         };
         AccelMeta {
             name,
@@ -192,6 +197,7 @@ pub fn build_accelerator(kind: AccelKind, seed: u64) -> Box<dyn Accelerator> {
         AccelKind::Mb => Box::new(Harnessed::new(crate::membench::MbKernel::new(seed))),
         AccelKind::Ll => Box::new(Harnessed::new(crate::linked_list::LlKernel::new())),
         AccelKind::Wild => Box::new(Harnessed::new(crate::wild::WildKernel::new(seed))),
+        AccelKind::HcDma => Box::new(Harnessed::new(crate::hc_dma::HcDmaKernel::new())),
     }
 }
 

@@ -5,6 +5,7 @@
 
 use optimus_accel::aes::AesKernel;
 use optimus_accel::hash::{reg as hash_reg, Md5Kernel};
+use optimus_accel::hc_dma::HcDmaKernel;
 use optimus_accel::registry::{build_accelerator, AccelKind};
 use optimus_algo::aes::Aes128;
 use optimus_cci::channel::SelectorPolicy;
@@ -152,7 +153,7 @@ fn out_of_window_dma_is_master_aborted_and_counted() {
         dev.port(0).is_drained(),
         "aborted requests must retire, not dangle"
     );
-    let integrity = optimus_fabric::platform::PlatformDevice::integrity(&dev);
+    let integrity = dev.integrity();
     assert_eq!(integrity.discarded_dma, dma_discards);
     // Nothing was encrypted from data it never read.
     assert_eq!(read(&dev, win - 0x1000, 4 * 64), [0u8; 4 * 64]);
@@ -180,29 +181,46 @@ fn dst(slot: usize) -> u64 {
     0x800_000 + slot as u64 * 0x40_000
 }
 
-/// The digest a hasher of `kind` leaves as its destination line.
-fn digest(kind: AccelKind, data: &[u8]) -> Vec<u8> {
+/// The destination line a job of `kind` over `data` from `src` leaves: a
+/// hasher's digest, or the engine's descriptor, which it only reads.
+fn expected_dst(kind: AccelKind, src: u64, data: &[u8]) -> Vec<u8> {
     let mut line = vec![0u8; 64];
     match kind {
         AccelKind::Md5 => line[..16].copy_from_slice(&optimus_algo::md5::md5(data)),
-        _ => line.copy_from_slice(&optimus_algo::sha2::sha512(data)),
+        AccelKind::Sha => line.copy_from_slice(&optimus_algo::sha2::sha512(data)),
+        _ => line.copy_from_slice(&descriptor(src, data.len() as u64 / 64)),
     }
     line
 }
 
-/// Where slot 0 saves its state when [`hash_fingerprint`] preempts it.
+/// The engine's descriptor for a job of `lines` lines from `src`.
+fn descriptor(src: u64, lines: u64) -> [u8; 64] {
+    HcDmaKernel::descriptor(&[(src, lines / 2), (src + lines / 2 * 64, lines - lines / 2)])
+}
+
+/// The register a job of `kind` leaves its result in.
+fn result_reg(kind: AccelKind) -> u64 {
+    match kind {
+        AccelKind::HcDma => HcDmaKernel::REG_DELIVERED,
+        _ => hash_reg::DIGEST0,
+    }
+}
+
+/// Where slot 0 saves its state when [`job_fingerprint`] preempts it.
 const STATE: u64 = 0x4_000_000;
 
-/// Runs one hashing job per slot (`(kind, lines)`, source data drawn from
-/// `seed`) on a fresh device in the given fast-forward mode, after `idle`
-/// cycles of nothing. A non-zero `preempt_at` preempts slot 0 that many
-/// cycles later, waits for `Saved` and resumes it; every MD5 pads its state
-/// to 32 KiB, so the save and the restore span hundreds of lines. Returns
-/// an exhaustive fingerprint — final cycle, drop/fault counters, per-port
-/// stats, digest registers read back over MMIO — and the destination
-/// lines, after checking each digest against `optimus_algo`. Bit-exact
+/// Runs one job per slot (`(kind, lines)`, source data drawn from `seed`)
+/// on a fresh device in the given fast-forward mode, after `idle` cycles
+/// of nothing. A hasher digests its lines; the host-centric engine reads
+/// them as two runs of a descriptor in its destination line. A non-zero
+/// `preempt_at` preempts slot 0 that many cycles later, waits for `Saved`
+/// and resumes it; every MD5 pads its state to 32 KiB, so the save and the
+/// restore span hundreds of lines. Returns an exhaustive fingerprint —
+/// final cycle, drop/fault counters, per-port stats, result registers read
+/// back over MMIO — and the destination lines, after checking each digest
+/// against `optimus_algo` and each engine's delivered count. Bit-exact
 /// fast-forwarding means the fingerprint is identical in both modes.
-fn hash_fingerprint(
+fn job_fingerprint(
     monitored: bool,
     fastfwd: bool,
     jobs: &[(AccelKind, u64)],
@@ -231,12 +249,19 @@ fn hash_fingerprint(
         write(&mut dev, src(a), &data[a]);
         let base = accel_mmio_base(a);
         let pad = if kind == AccelKind::Md5 { 32 << 10 } else { 0 };
-        for (reg, value) in [
-            (hash_reg::SRC, src(a)),
-            (hash_reg::DST, dst(a)),
-            (hash_reg::LINES, n),
-            (Md5Kernel::REG_STATE_PAD, pad),
-        ] {
+        let regs = match kind {
+            AccelKind::HcDma => {
+                write(&mut dev, dst(a), &descriptor(src(a), n));
+                vec![(HcDmaKernel::REG_DESC, dst(a))]
+            }
+            _ => vec![
+                (hash_reg::SRC, src(a)),
+                (hash_reg::DST, dst(a)),
+                (hash_reg::LINES, n),
+                (Md5Kernel::REG_STATE_PAD, pad),
+            ],
+        };
+        for (reg, value) in regs {
             dev.mmio_write(base + APP + reg, value);
         }
         dev.mmio_write(base + accel_reg::CTRL_CMD, accel_reg::CMD_START);
@@ -270,21 +295,25 @@ fn hash_fingerprint(
         ]);
     }
     // Blocking MMIO reads exercise the mailbox path in both modes too.
-    for a in 0..jobs.len() {
-        fp.push(dev.mmio_read(accel_mmio_base(a) + APP + hash_reg::DIGEST0));
+    for (a, &(kind, n)) in jobs.iter().enumerate() {
+        let result = dev.mmio_read(accel_mmio_base(a) + APP + result_reg(kind));
+        if kind == AccelKind::HcDma {
+            assert_eq!(result, n, "slot {a} delivered lines");
+        }
+        fp.push(result);
     }
     fp.push(dev.now());
     let mut mem = Vec::new();
     for (a, &(kind, _)) in jobs.iter().enumerate() {
         let line = read(&dev, dst(a), 64);
-        assert_eq!(line, digest(kind, &data[a]), "slot {a} ({kind:?}) digest");
+        assert_eq!(line, expected_dst(kind, src(a), &data[a]), "slot {a} ({kind:?}) output");
         mem.extend_from_slice(&line);
     }
     (fp, mem)
 }
 
-fn hasher() -> gens::Gen<AccelKind> {
-    gens::choose(vec![AccelKind::Md5, AccelKind::Sha])
+fn kind() -> gens::Gen<AccelKind> {
+    gens::choose(vec![AccelKind::Md5, AccelKind::Sha, AccelKind::HcDma])
 }
 
 /// No preemption (0, which failures shrink to) half the time, else one
@@ -298,13 +327,14 @@ fn preempt_at() -> gens::Gen<u64> {
 /// the exact same final cycle, stats, register values, and memory image as
 /// per-cycle stepping, for arbitrary job shapes, with or without a
 /// mid-job preemption. MD5 and SHA-512 are the stream kernels with their
-/// own quiescence hints, and the harness hints while it saves and
-/// restores, so every arm skips.
+/// own quiescence hints, the host-centric engine hints through its
+/// gathers, and the harness hints while it saves and restores, so every
+/// arm skips.
 #[test]
 fn fast_forward_is_bit_exact_monitored() {
     let gen = gens::zip4(
-        gens::zip2(hasher(), gens::u64_in(1..40)),
-        gens::zip2(hasher(), gens::u64_in(1..40)),
+        gens::zip2(kind(), gens::u64_in(1..40)),
+        gens::zip2(kind(), gens::u64_in(1..40)),
         gens::zip2(gens::u64_in(0..256), gens::u64_in(0..4000)),
         preempt_at(),
     );
@@ -312,8 +342,8 @@ fn fast_forward_is_bit_exact_monitored() {
         "fast_forward_is_bit_exact_monitored",
         &gen,
         |&(a, b, (seed, idle), at)| {
-            let fast = hash_fingerprint(true, true, &[a, b], seed, idle, at);
-            let slow = hash_fingerprint(true, false, &[a, b], seed, idle, at);
+            let fast = job_fingerprint(true, true, &[a, b], seed, idle, at);
+            let slow = job_fingerprint(true, false, &[a, b], seed, idle, at);
             prop_assert_eq!(&fast.0, &slow.0, "stat fingerprints diverge");
             prop_assert_eq!(&fast.1, &slow.1, "memory images diverge");
             Ok(())
@@ -326,7 +356,7 @@ fn fast_forward_is_bit_exact_monitored() {
 #[test]
 fn fast_forward_is_bit_exact_passthrough() {
     let gen = gens::zip4(
-        gens::zip2(hasher(), gens::u64_in(1..64)),
+        gens::zip2(kind(), gens::u64_in(1..64)),
         gens::u64_in(0..256),
         gens::u64_in(0..4000),
         preempt_at(),
@@ -335,8 +365,8 @@ fn fast_forward_is_bit_exact_passthrough() {
         "fast_forward_is_bit_exact_passthrough",
         &gen,
         |&(job, seed, idle, at)| {
-            let fast = hash_fingerprint(false, true, &[job], seed, idle, at);
-            let slow = hash_fingerprint(false, false, &[job], seed, idle, at);
+            let fast = job_fingerprint(false, true, &[job], seed, idle, at);
+            let slow = job_fingerprint(false, false, &[job], seed, idle, at);
             prop_assert_eq!(&fast.0, &slow.0, "stat fingerprints diverge");
             prop_assert_eq!(&fast.1, &slow.1, "memory images diverge");
             Ok(())

@@ -3,7 +3,7 @@
 //!
 //! The paper runs 800 K-vertex graphs with 3.2 M–51.2 M edges; this
 //! harness runs the same sweep at 1/`OPTIMUS_FIG1_SCALE` size (default
-//! 1/20). The expected shape: shared-memory fastest; Host-Centric+Config
+//! 1/80). The expected shape: shared-memory fastest; Host-Centric+Config
 //! pays a per-segment DMA-engine configuration that balloons under
 //! trap-and-emulate; Host-Centric+Copy pays CPU marshalling instead.
 //! (Paper: shared memory 17–60 % faster native, 37–85 % faster
@@ -79,10 +79,16 @@ fn main() {
         let graph = optimus_workloads::graphs::fig1_graph(edges_m, scale_div, 11);
         let sm_native = run_shared_memory(&graph, false);
         let sm_virt = run_shared_memory(&graph, true);
-        let hc_cfg_native = run_sssp(&graph, 0, HcMode::Config, TrapCost::Native).cycles;
-        let hc_cfg_virt = run_sssp(&graph, 0, HcMode::Config, TrapCost::Virtualized).cycles;
-        let hc_cp_native = run_sssp(&graph, 0, HcMode::Copy, TrapCost::Native).cycles;
-        let hc_cp_virt = run_sssp(&graph, 0, HcMode::Copy, TrapCost::Virtualized).cycles;
+        let reference = sssp_ref(&graph, 0);
+        let host_centric = |mode, trap| {
+            let r = run_sssp(&graph, 0, mode, trap);
+            assert_eq!(r.dist, reference, "host-centric {mode:?} distances wrong");
+            r.cycles
+        };
+        let hc_cfg_native = host_centric(HcMode::Config, TrapCost::Native);
+        let hc_cfg_virt = host_centric(HcMode::Config, TrapCost::Virtualized);
+        let hc_cp_native = host_centric(HcMode::Copy, TrapCost::Native);
+        let hc_cp_virt = host_centric(HcMode::Copy, TrapCost::Virtualized);
         let ms = |c: Cycle| report::f(c as f64 * 2.5e-6, 2);
         rows.push(vec![
             format!("{edges_m}M/{scale_div}"),

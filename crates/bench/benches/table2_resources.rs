@@ -24,9 +24,9 @@ fn paper_optimus(kind: AccelKind) -> (f64, f64) {
         AccelKind::Btc => (8.99, 4.16),
         AccelKind::Mb => (4.84, 0.00),
         AccelKind::Ll => (-0.24, 0.00),
-        // Not a paper workload; excluded from `AccelKind::ALL`, so the
-        // table loop never reaches it.
-        AccelKind::Wild => (0.0, 0.0),
+        // Not paper workloads; excluded from `AccelKind::ALL`, so the
+        // table loop never reaches them.
+        AccelKind::Wild | AccelKind::HcDma => (0.0, 0.0),
     }
 }
 

@@ -17,8 +17,8 @@ fn paper_share(kind: AccelKind) -> f64 {
         AccelKind::Sw => 0.78, AccelKind::Gau => 0.80, AccelKind::Grs => 0.80,
         AccelKind::Sbl => 0.79, AccelKind::Sssp => 0.75, AccelKind::Btc => 1.00,
         AccelKind::Mb => 0.50, AccelKind::Ll => 1.00,
-        // Not a paper workload; excluded from `AccelKind::ALL`.
-        AccelKind::Wild => 1.00,
+        // Not paper workloads; excluded from `AccelKind::ALL`.
+        AccelKind::Wild | AccelKind::HcDma => 1.00,
     }
 }
 

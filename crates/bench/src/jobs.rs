@@ -172,6 +172,11 @@ pub fn launch(g: &mut GuestCtx, kind: AccelKind, p: &JobParams) {
             g.mmio_write(APP + MbKernel::REG_OPS, 0); // unbounded
             g.mmio_write(APP + MbKernel::REG_SEED, p.seed);
         }
+        AccelKind::HcDma => {
+            // The shell DMA engine runs only as the host-centric model's
+            // single pass-through slot (`optimus::hostcentric`).
+            panic!("HCDMA is not a windowed tenant")
+        }
         AccelKind::Wild => {
             use optimus_accel::wild::WildKernel;
             let bytes = p.working_set.max(1 << 20);

@@ -182,10 +182,11 @@ fn launch_bounded(g: &mut GuestCtx, kind: AccelKind) -> (Vec<(Gva, u64)>, Vec<u6
             g.mmio_write(APP + LlKernel::REG_STEPS, 3000);
             (vec![], vec![LlKernel::REG_DONE_STEPS, LlKernel::REG_CURRENT])
         }
-        AccelKind::Wild => {
-            // The adversarial prober is off-table and exercised by the
-            // isolation/noninterference suites, not the Table 1 sweep.
-            unreachable!("WILD is not part of the migration sweep")
+        AccelKind::Wild | AccelKind::HcDma => {
+            // The off-table kinds (the adversarial prober, the host-centric
+            // engine) are exercised by their own suites, not the Table 1
+            // sweep.
+            unreachable!("{kind:?} is not part of the migration sweep")
         }
     }
 }

@@ -12,17 +12,15 @@
 //!   (HARP's selector is throughput-optimized, which is why the paper pins
 //!   the latency-sensitive LinkedList benchmark to one channel);
 //! * [`host_side`] — the composite host model: channels → IOMMU → DRAM
-//!   service, producing timed responses;
-//! * [`dma_engine`] — a CPU-configured DMA engine used to build the
-//!   *host-centric* baseline of Fig. 1.
+//!   service, producing timed responses. Every DMA of every programming
+//!   model goes through it: the host-centric baseline of Fig. 1 is a
+//!   shell DMA engine on the same device (`optimus_accel::hc_dma`).
 
 pub mod channel;
-pub mod dma_engine;
 pub mod host_side;
 pub mod packet;
 pub mod params;
 
 pub use channel::{Channel, ChannelKind, SelectorPolicy};
-pub use dma_engine::DmaEngine;
 pub use host_side::HostSide;
 pub use packet::{AccelId, DownPacket, Line, Tag, UpPacket};

@@ -7,30 +7,33 @@
 //! has exactly the two options the paper names (§2.1):
 //!
 //! * **Config** — "initiate multiple data transmissions separately and
-//!   sequentially": one DMA-engine configuration (a descriptor-ring
-//!   doorbell MMIO) per segment;
+//!   sequentially": one DMA-engine configuration (a descriptor in memory
+//!   plus one doorbell MMIO) per segment;
 //! * **Copy** — "marshal the data every time before transmission": memcpy
 //!   all segments into a contiguous staging buffer (≈ 6 GB/s of CPU time)
 //!   and launch one large DMA per round.
 //!
-//! Under virtualization every doorbell becomes a ≈ 2 µs trap-and-emulate,
-//! which is precisely the gap Fig. 1 shows widening.
+//! The engine is the [`HcDma`](AccelKind::HcDma) kind on a pass-through
+//! [`Optimus`], so a doorbell is a guest MMIO write and pays the
+//! hypervisor's own trap path: under virtualization every doorbell becomes
+//! a ≈ 2 µs trap-and-emulate, which is precisely the gap Fig. 1 shows
+//! widening. Descriptors are written with plain guest stores (no trap).
 //!
 //! The relaxation compute runs on the CPU against its in-memory distance
-//! array after each round's data lands — functionally identical to the
-//! shared-memory run, so results can be compared bit-for-bit.
+//! array — functionally identical to the shared-memory run, so results can
+//! be compared bit-for-bit. Every transfer must deliver every line it was
+//! configured for: a short one would only shorten the timing.
 
-use crate::hypervisor::TrapCost;
+use crate::hypervisor::{Optimus, TrapCost};
+use crate::vaccel::VaccelId;
+use optimus_accel::hc_dma::HcDmaKernel;
+use optimus_accel::registry::AccelKind;
 use optimus_algo::graph::{CsrGraph, INF};
 use optimus_cci::channel::SelectorPolicy;
-use optimus_cci::dma_engine::DmaEngine;
-use optimus_cci::host_side::HostSide;
-use optimus_cci::packet::AccelId;
 use optimus_cci::params::host_costs;
-use optimus_mem::addr::{Hpa, Iova, PageSize, PAGE_2M};
-use optimus_mem::page_table::PageFlags;
-use optimus_sim::clock::PlatformClock;
-use optimus_sim::time::{ns_to_cycles, Cycle};
+use optimus_fabric::mmio::accel_reg;
+use optimus_mem::addr::Gva;
+use optimus_sim::time::Cycle;
 
 /// The two host-centric strategies of Fig. 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,234 +53,26 @@ pub struct HcResult {
     pub dist: Vec<u32>,
     /// Relaxation rounds executed.
     pub rounds: usize,
-    /// DMA-engine configurations issued.
+    /// DMA-engine configurations issued (one doorbell each).
     pub configs: u64,
     /// Bytes marshalled by the CPU (Copy mode).
     pub copied_bytes: u64,
 }
-
-/// MMIO doorbells per DMA-engine configuration (descriptors live in a
-/// memory ring; one doorbell write launches a prepared descriptor).
-const MMIO_PER_CONFIG: u64 = 1;
 
 /// CPU cost of gathering one non-contiguous segment while marshalling
 /// (Copy mode): a dependent DRAM access per segment, on top of the copy
 /// bandwidth.
 const GATHER_NS_PER_SEGMENT: f64 = 80.0;
 
-struct HcPlatform {
-    host: HostSide,
-    engine: DmaEngine,
-    now: Cycle,
-    fastfwd: bool,
-    /// Batched-stepping burst length (see `advance`).
-    batch: Cycle,
-}
-
-impl HcPlatform {
-    fn new(backing_bytes: u64) -> Self {
-        let mut host = HostSide::new(SelectorPolicy::Auto);
-        // The host-centric driver pins one contiguous buffer up front and
-        // programs the engine with addresses inside it (identity IOVA).
-        let pages = backing_bytes.div_ceil(PAGE_2M) + 1;
-        for i in 0..pages {
-            host.iommu_mut()
-                .map(
-                    Iova::new(i * PAGE_2M),
-                    Hpa::new(i * PAGE_2M),
-                    PageSize::Huge,
-                    PageFlags::rw(),
-                )
-                .expect("fresh identity range");
-        }
-        Self {
-            host,
-            engine: DmaEngine::new(AccelId(0)),
-            now: 0,
-            fastfwd: optimus_sim::simrate::fast_forward_enabled(),
-            batch: optimus_sim::simrate::DEFAULT_BATCH_STEP,
-        }
-    }
-
-    /// Advances the platform clock, pumping the engine. When the engine is
-    /// idle the clock fast-forwards (nothing observable happens cycle by
-    /// cycle while the CPU is busy trapping or copying); while a transfer
-    /// is in flight the clock jumps between event horizons unless
-    /// `OPTIMUS_NO_FASTFWD` pins it to per-cycle stepping — the shared
-    /// [`PlatformClock::advance_toward`] kernel.
-    fn advance(&mut self, cycles: Cycle) {
-        let end = self.now + cycles;
-        // Batched stepping may overshoot the cycle `is_done` flips by up to
-        // one burst: the tail steps are no-ops for a done engine (nothing
-        // left to issue) and only deliver acks at the same ready cycles the
-        // post-loop drain below would, so the final state is identical.
-        let mut burst: Cycle = 1;
-        while self.now < end && !self.engine.is_done() {
-            self.advance_toward_adaptive(end, &mut burst, self.batch);
-        }
-        if self.now < end {
-            // Engine done (or quiescent): nothing observable remains cycle
-            // by cycle. Jump, then drain residual acks of the final lines.
-            self.now = end;
-            while let Some(pkt) = self.host.pop_response(self.now) {
-                self.engine.deliver(&pkt);
-            }
-        }
-    }
-
-    /// Runs a configured transfer to completion, draining the FIFO.
-    fn finish_transfer(&mut self) {
-        while !self.engine.is_done() {
-            self.advance(64);
-        }
-        while self.engine.pop_line().is_some() {}
-    }
-
-    /// Charges MMIO doorbell cost.
-    fn doorbell(&mut self, trap: TrapCost) {
-        let ns = match trap {
-            TrapCost::Native => host_costs::MMIO_NATIVE_NS,
-            TrapCost::Virtualized => host_costs::MMIO_TRAPPED_NS,
-        };
-        self.advance(ns_to_cycles(ns * MMIO_PER_CONFIG as f64));
-    }
-}
-
-impl PlatformClock for HcPlatform {
-    fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Earliest cycle ≥ `now` at which an active engine's step or the
-    /// response drain could do anything; `None` if the platform is fully
-    /// quiescent (nothing in flight, nothing issuable).
-    fn next_event(&self) -> Option<Cycle> {
-        let mut horizon: Option<Cycle> = self.host.next_event(self.now);
-        if self.engine.wants_issue() {
-            let t = self
-                .engine
-                .next_issue_ready()
-                .max(self.host.next_accept(self.now))
-                .max(self.now);
-            horizon = Some(horizon.map_or(t, |h| h.min(t)));
-        }
-        horizon.map(|h| h.max(self.now))
-    }
-
-    fn step_cycle(&mut self) {
-        self.engine.step(self.now, &mut self.host);
-        while let Some(pkt) = self.host.pop_response(self.now) {
-            self.engine.deliver(&pkt);
-        }
-        self.now += 1;
-    }
-
-    fn skip_to(&mut self, t: Cycle) {
-        self.now = t;
-    }
-
-    fn fast_forward(&self) -> bool {
-        self.fastfwd
-    }
-}
-
-/// Runs SSSP under the host-centric model, returning distances and timing.
-pub fn run_sssp(graph: &CsrGraph, source: u32, mode: HcMode, trap: TrapCost) -> HcResult {
-    let blob = graph.to_dram_layout();
+/// The CPU's relaxation: the frontier of every round, and the final
+/// distances.
+fn relax(graph: &CsrGraph, source: u32) -> (Vec<Vec<u32>>, Vec<u32>) {
     let n = graph.vertices();
-    let mut platform = HcPlatform::new(blob.len() as u64 + (1 << 21));
-    platform.host.memory_mut().write(Hpa::new(0), &blob);
-
-    // Byte offsets inside the blob (mirrors the accelerator's layout).
-    let target_base = 8 + 4 * (n as u64 + 1);
-    let weight_base = target_base + 4 * graph.edges() as u64;
-
     let mut dist = vec![INF; n];
-    if n == 0 {
-        return HcResult {
-            cycles: 0,
-            dist,
-            rounds: 0,
-            configs: 0,
-            copied_bytes: 0,
-        };
-    }
     dist[source as usize] = 0;
     let mut frontier = vec![source];
-    let mut rounds = 0;
-    let mut configs = 0u64;
-    let mut copied_bytes = 0u64;
-    let row = graph.row_offsets();
-
-    // Like the shared-memory accelerator, the host-centric design keeps
-    // vertex data on-chip: the CPU streams the distance array in once at
-    // the start and back out at the end (one bulk DMA each way).
-    let dist_lines_total = (n as u64 * 4).div_ceil(64).max(1);
-    platform.doorbell(trap);
-    platform
-        .engine
-        .configure(Iova::new(0), dist_lines_total)
-        .expect("engine idle");
-    configs += 1;
-    platform.finish_transfer();
-
+    let mut rounds = Vec::new();
     while !frontier.is_empty() {
-        rounds += 1;
-        // Gather this round's segments: per-vertex (lo, hi) edge ranges.
-        let segments: Vec<(u32, u32)> = frontier
-            .iter()
-            .map(|&u| (row[u as usize], row[u as usize + 1]))
-            .filter(|&(lo, hi)| lo != hi)
-            .collect();
-        match mode {
-            HcMode::Config => {
-                // One engine configuration per non-contiguous segment: the
-                // per-vertex edge+weight ranges...
-                for &(lo, hi) in &segments {
-                    // One doorbell launches the vertex's prepared descriptor
-                    // pair (targets + weights); the engine chains them.
-                    platform.doorbell(trap);
-                    for base in [target_base, weight_base] {
-                        let from = base + 4 * lo as u64;
-                        let to = base + 4 * hi as u64;
-                        let first = from & !63;
-                        let lines = (to - 1 - first) / 64 + 1;
-                        platform
-                            .engine
-                            .configure(Iova::new(first), lines)
-                            .expect("engine idle");
-                        configs += 1;
-                        platform.finish_transfer();
-                    }
-                }
-            }
-            HcMode::Copy => {
-                // Marshal the edge segments into a contiguous staging
-                // buffer, then one bulk DMA. The CPU gathers whole cache
-                // lines per segment (the granularity it reads at).
-                let bytes: u64 = segments
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        let raw = 8 * (hi - lo) as u64;
-                        raw.div_ceil(64) * 64 * 2
-                    })
-                    .sum::<u64>();
-                copied_bytes += bytes;
-                let memcpy_cycles = (bytes as f64 / host_costs::MEMCPY_GBPS / 2.5
-                    + segments.len() as f64 * GATHER_NS_PER_SEGMENT / 2.5)
-                    .ceil() as Cycle;
-                platform.advance(memcpy_cycles);
-                let lines = bytes.div_ceil(64).max(1);
-                platform.doorbell(trap);
-                platform
-                    .engine
-                    .configure(Iova::new(0), lines)
-                    .expect("engine idle");
-                configs += 1;
-                platform.finish_transfer();
-            }
-        }
-        // The relaxation compute (identical to the shared-memory result).
         let mut next = Vec::new();
         let mut in_next = vec![false; n];
         for &u in &frontier {
@@ -293,24 +88,143 @@ pub fn run_sssp(graph: &CsrGraph, source: u32, mode: HcMode, trap: TrapCost) -> 
                 }
             }
         }
-        frontier = next;
+        rounds.push(std::mem::replace(&mut frontier, next));
     }
+    (rounds, dist)
+}
 
+/// Bytes Copy mode marshals for `segments`: whole lines of targets and of
+/// weights per segment (the granularity the CPU reads at).
+fn marshalled_bytes(segments: &[(u32, u32)]) -> u64 {
+    segments.iter().map(|&(lo, hi)| (8 * (hi - lo) as u64).div_ceil(64) * 64 * 2).sum()
+}
+
+/// The guest driving the engine: its hypervisor, its vaccel, and the one
+/// descriptor line every doorbell launches.
+struct Driver {
+    hv: Optimus,
+    va: VaccelId,
+    desc: Gva,
+    configs: u64,
+}
+
+impl Driver {
+    /// One DMA-engine configuration: store the descriptor naming `runs` of
+    /// `(first line GVA, lines)`, ring the doorbell, and wait trap-free,
+    /// in 64-cycle quanta, until the engine is done.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transfer delivered fewer lines than it named.
+    fn transfer(&mut self, runs: &[(u64, u64)]) {
+        let mut g = self.hv.guest(self.va);
+        g.write_mem(self.desc, &HcDmaKernel::descriptor(runs));
+        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+        while !self.hv.vaccel_completed(self.va) {
+            self.hv.run(64);
+        }
+        self.configs += 1;
+        let delivered = self.hv.device().accel(0).peek_reg(HcDmaKernel::REG_DELIVERED);
+        let want: u64 = runs.iter().map(|&(_, lines)| lines).sum();
+        assert_eq!(delivered, want, "a host-centric transfer of {runs:?} ended short");
+    }
+}
+
+/// Runs SSSP under the host-centric model, returning distances and timing.
+pub fn run_sssp(graph: &CsrGraph, source: u32, mode: HcMode, trap: TrapCost) -> HcResult {
+    let n = graph.vertices();
+    if n == 0 {
+        return HcResult {
+            cycles: 0,
+            dist: Vec::new(),
+            rounds: 0,
+            configs: 0,
+            copied_bytes: 0,
+        };
+    }
+    let (rounds, dist) = relax(graph, source);
+    let row = graph.row_offsets();
+    // Each round's segments: the per-vertex (lo, hi) edge ranges.
+    let segments: Vec<Vec<(u32, u32)>> = rounds
+        .iter()
+        .map(|frontier| {
+            let ranges = frontier.iter().map(|&u| (row[u as usize], row[u as usize + 1]));
+            ranges.filter(|&(lo, hi)| lo != hi).collect()
+        })
+        .collect();
+
+    let mut hv = Optimus::new_passthrough(AccelKind::HcDma, SelectorPolicy::Auto, trap);
+    let vm = hv.create_vm("host-centric");
+    let va = hv.create_vaccel(vm, 0);
+    let blob = graph.to_dram_layout();
+    let dist_lines = (n as u64 * 4).div_ceil(64).max(1);
+    let staging_bytes = match mode {
+        HcMode::Config => 0,
+        HcMode::Copy => segments.iter().map(|s| marshalled_bytes(s)).max().unwrap_or(0),
+    };
+    let (graph_at, dist_at, staging_at, desc) = {
+        let mut g = hv.guest(va);
+        let graph_at = g.alloc_dma(blob.len() as u64);
+        g.write_mem(graph_at, &blob);
+        let dist_at = g.alloc_dma(dist_lines * 64);
+        let init: Vec<u8> = (0..n as u32)
+            .flat_map(|v| if v == source { 0 } else { INF }.to_le_bytes())
+            .collect();
+        g.write_mem(dist_at, &init);
+        // The marshalled bytes only set the transfer's length: the CPU
+        // relaxes against its own copy of the graph.
+        let staging_at = g.alloc_dma(staging_bytes.max(64));
+        let desc = g.alloc_dma(64);
+        g.mmio_write(accel_reg::APP_BASE + HcDmaKernel::REG_DESC, desc.raw());
+        (graph_at.raw(), dist_at.raw(), staging_at.raw(), desc)
+    };
+    let start = hv.now();
+    let mut driver = Driver { hv, va, desc, configs: 0 };
+
+    // Byte offsets inside the blob (mirrors the accelerator's layout).
+    let target_base = graph_at + 8 + 4 * (n as u64 + 1);
+    let weight_base = target_base + 4 * graph.edges() as u64;
+    let mut copied_bytes = 0u64;
+
+    // Like the shared-memory accelerator, the host-centric design keeps
+    // vertex data on-chip: the CPU streams the distance array in once at
+    // the start and back out at the end (one bulk DMA each way).
+    driver.transfer(&[(dist_at, dist_lines)]);
+    for segments in &segments {
+        match mode {
+            HcMode::Config => {
+                // One descriptor per non-contiguous segment, naming the
+                // vertex's target and weight ranges.
+                for &(lo, hi) in segments {
+                    let run = |base: u64| {
+                        let first = (base + 4 * lo as u64) & !63;
+                        (first, (base + 4 * hi as u64 - 1 - first) / 64 + 1)
+                    };
+                    driver.transfer(&[run(target_base), run(weight_base)]);
+                }
+            }
+            HcMode::Copy => {
+                // Marshal the edge segments into the staging buffer, then
+                // one bulk DMA.
+                let bytes = marshalled_bytes(segments);
+                copied_bytes += bytes;
+                let memcpy_cycles = (bytes as f64 / host_costs::MEMCPY_GBPS / 2.5
+                    + segments.len() as f64 * GATHER_NS_PER_SEGMENT / 2.5)
+                    .ceil() as Cycle;
+                driver.hv.run(memcpy_cycles);
+                driver.transfer(&[(staging_at, bytes.div_ceil(64).max(1))]);
+            }
+        }
+    }
     // Write the final distances back (modelled as one more bulk transfer's
-    // worth of time; the engine only reads, so reuse a read of equal size).
-    platform.doorbell(trap);
-    platform
-        .engine
-        .configure(Iova::new(0), dist_lines_total)
-        .expect("engine idle");
-    configs += 1;
-    platform.finish_transfer();
+    // worth of time; the engine only reads, so a read of equal size).
+    driver.transfer(&[(dist_at, dist_lines)]);
 
     HcResult {
-        cycles: platform.now,
+        cycles: driver.hv.now() - start,
         dist,
-        rounds,
-        configs,
+        rounds: rounds.len(),
+        configs: driver.configs,
         copied_bytes,
     }
 }

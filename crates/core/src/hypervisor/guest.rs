@@ -9,9 +9,7 @@ use crate::vaccel::{VaccelId, VaccelRun, VirtualAccel};
 use crate::vm::VmError;
 use optimus_cci::params::host_costs;
 use optimus_fabric::accelerator::CtrlStatus;
-use optimus_fabric::device::FpgaDevice;
 use optimus_fabric::mmio::{accel_mmio_base, accel_reg, ACCEL_PAGE};
-use optimus_fabric::platform::PlatformDevice;
 use optimus_mem::addr::{Gva, Hpa, PageSize, PAGE_2M};
 use optimus_mem::host::{FrameFiller, LineFiller};
 use optimus_mem::page_table::PageFlags;
@@ -23,12 +21,12 @@ use optimus_sim::trace::{self, Track};
 
 /// The guest's view of its virtual accelerator: the paper's guest driver
 /// plus userspace library, with every access charged its software cost.
-pub struct GuestCtx<'a, D: PlatformDevice = FpgaDevice> {
-    pub(super) hv: &'a mut Optimus<D>,
+pub struct GuestCtx<'a> {
+    pub(super) hv: &'a mut Optimus,
     pub(super) va: VaccelId,
 }
 
-impl<D: PlatformDevice> GuestCtx<'_, D> {
+impl GuestCtx<'_> {
     pub(super) fn v(&self) -> &VirtualAccel {
         self.hv.vaccel(self.va)
     }
@@ -196,8 +194,7 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
             let in_page = (PAGE_2M - cur.page_offset(PAGE_2M)) as usize;
             let take = in_page.min(buf.len() - off);
             spec::check_cpu(self.hv.device_id.0, hpa.raw(), take as u64, vm_id.0, false);
-            let hv: &Optimus<D> = self.hv;
-            hv.device.host().memory().read(hpa, &mut buf[off..off + take]);
+            self.hv.device.host().memory().read(hpa, &mut buf[off..off + take]);
             off += take;
         }
     }

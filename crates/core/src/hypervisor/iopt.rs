@@ -10,7 +10,7 @@
 use super::Optimus;
 use crate::snapshot::IoptEntry;
 use crate::vaccel::VirtualAccel;
-use optimus_fabric::platform::PlatformDevice;
+use optimus_fabric::device::FpgaDevice;
 use optimus_mem::addr::{Gva, Hpa, Iova, PageSize, PAGE_2M, PAGE_4K};
 use optimus_mem::page_table::PageFlags;
 use optimus_sim::spec;
@@ -46,7 +46,7 @@ pub(super) enum Release {
     Retrieved { handle: u64, hpa: u64, how: &'static str },
 }
 
-impl<D: PlatformDevice> Optimus<D> {
+impl Optimus {
     /// `v`'s window onto this device's IO page table.
     pub(super) fn window(&self, v: &VirtualAccel) -> Window {
         let offset = match self.passthrough {
@@ -68,8 +68,8 @@ fn entries(size: PageSize) -> (u64, u64) {
 
 /// Installs the guest 2 MB page at `gva`, backed by `hpa`, in `w`'s slice
 /// at granularity `size`, and claims it in the spec model.
-pub(super) fn map_page<D: PlatformDevice>(
-    device: &mut D,
+pub(super) fn map_page(
+    device: &mut FpgaDevice,
     w: Window,
     gva: Gva,
     hpa: u64,
@@ -98,8 +98,8 @@ pub(super) fn map_page<D: PlatformDevice>(
 /// Removes the guest 2 MB page at `gva` from `w`'s slice (registered at
 /// granularity `size`). The IOMMU unmap invalidates IOTLB entries —
 /// speculative ones included — so a stale pointer faults from here on.
-pub(super) fn unmap_page<D: PlatformDevice>(
-    device: &mut D,
+pub(super) fn unmap_page(
+    device: &mut FpgaDevice,
     w: Window,
     gva: Gva,
     size: PageSize,
@@ -124,13 +124,13 @@ pub(super) fn unmap_page<D: PlatformDevice>(
 }
 
 /// The granularity the page at `gva` is registered with in `w`'s slice.
-pub(super) fn page_size<D: PlatformDevice>(device: &D, w: Window, gva: Gva) -> Option<PageSize> {
+pub(super) fn page_size(device: &FpgaDevice, w: Window, gva: Gva) -> Option<PageSize> {
     device.host().iommu().iopt().mapping_size(gva.raw().wrapping_add(w.offset))
 }
 
 /// The device's whole IO page table, ascending by IOVA — what `freeze`
 /// records and `thaw` verifies against.
-pub(super) fn entries_of<D: PlatformDevice>(device: &D) -> Vec<IoptEntry> {
+pub(super) fn entries_of(device: &FpgaDevice) -> Vec<IoptEntry> {
     let mappings = device.host().iommu().iopt().mappings();
     mappings
         .into_iter()

@@ -16,13 +16,13 @@ use crate::snapshot::{HvSnapshot, SlotSnap, SnapshotError, VmSnap, WatchdogSnap}
 use crate::vaccel::{VaccelId, VaccelRun};
 use crate::vm::{Vm, VmId};
 use crate::watchdog::Watchdog;
-use optimus_fabric::platform::PlatformDevice;
+use optimus_fabric::device::FpgaDevice;
 use optimus_sim::journal;
 use optimus_sim::spec;
 use optimus_sim::trace::{self, Track};
 use std::collections::BTreeMap;
 
-impl<D: PlatformDevice> Optimus<D> {
+impl Optimus {
     /// Journals `phase` for every job still in flight. `Frozen` and
     /// `Thawed` are transparent to the SLO derivation (no latency category
     /// is charged to them), so the accounting is identical with or without
@@ -43,7 +43,7 @@ impl<D: PlatformDevice> Optimus<D> {
     /// is issued, no cycle advances — the device keeps running (well,
     /// existing) underneath, exactly like hardware persisting across a
     /// host hypervisor live-update.
-    pub fn freeze(self) -> (HvSnapshot, D) {
+    pub fn freeze(self) -> (HvSnapshot, FpgaDevice) {
         self.mark_in_flight(journal::Phase::Frozen);
         trace::instant(Track::hypervisor(), "live_update.freeze", self.device.now(), &[]);
         let (next_share_handle, shares, retrievals) = self.shares.into_parts();
@@ -116,7 +116,7 @@ impl<D: PlatformDevice> Optimus<D> {
     /// watchdog baselines are ahead of the device's counters;
     /// [`SnapshotError::IoptMismatch`] if the device's IO page table
     /// differs from the snapshot's — the snapshot belongs to another run.
-    pub fn thaw(snap: &HvSnapshot, device: D) -> Result<Self, SnapshotError> {
+    pub fn thaw(snap: &HvSnapshot, device: FpgaDevice) -> Result<Self, SnapshotError> {
         snap.validate(device.num_accels())?;
         if iopt::entries_of(&device) != snap.iopt {
             return Err(SnapshotError::IoptMismatch);

@@ -12,7 +12,6 @@ use super::{CarriedRetrieval, Optimus, ShareRecord};
 use crate::scheduler::MemberState;
 use crate::vaccel::{VaccelId, VirtualAccel};
 use crate::vm::{Vm, VmId};
-use optimus_fabric::platform::PlatformDevice;
 use optimus_mem::addr::{Gva, PageSize, PAGE_2M};
 use optimus_mem::page_table::PageFlags;
 use optimus_sim::metrics;
@@ -91,7 +90,7 @@ impl TenantState {
     }
 }
 
-impl<D: PlatformDevice> Optimus<D> {
+impl Optimus {
     /// Detaches a tenant from this hypervisor for migration: preempts it
     /// off the physical accelerator through the ordinary Fig. 8 drain/save
     /// path (so its execution state lands in its own guest memory), scrubs
@@ -119,7 +118,7 @@ impl<D: PlatformDevice> Optimus<D> {
         }
         // Device-side detach: scrub the slot the tenant vacated (§4.1
         // isolation hygiene — the next occupant must see no residue).
-        self.device.detach_slot(slot);
+        self.device.reset_accel(slot);
         let sched = self.slots[slot].sched.remove(va.0 as u64);
         let sched = sched.expect("vaccel registered in its slot's queue");
         let vaccel = self.vaccels.remove(&va.0).expect("checked above");

@@ -50,7 +50,7 @@ use optimus_cci::params::host_costs;
 use optimus_fabric::accelerator::CtrlStatus;
 use optimus_fabric::device::FpgaDevice;
 use optimus_fabric::mmio::{vcu_reg, VCU_BASE};
-use optimus_fabric::platform::{DeviceId, FabricError, PlatformDevice};
+use optimus_fabric::platform::{DeviceId, FabricError};
 use optimus_mem::host::FrameFiller;
 use optimus_sim::journal;
 use optimus_sim::metrics;
@@ -226,14 +226,10 @@ struct Slot {
     slice_ends: Cycle,
 }
 
-/// The hypervisor.
-///
-/// Generic over the device it mediates: production code uses the default
-/// [`FpgaDevice`]; the node layer and tests only need the
-/// [`PlatformDevice`] surface. Each hypervisor carries the [`DeviceId`]
-/// it is known by within a node (`DeviceId(0)` standalone).
-pub struct Optimus<D: PlatformDevice = FpgaDevice> {
-    device: D,
+/// The hypervisor around one [`FpgaDevice`]. Each hypervisor carries the
+/// [`DeviceId`] it is known by within a node (`DeviceId(0)` standalone).
+pub struct Optimus {
+    device: FpgaDevice,
     device_id: DeviceId,
     passthrough: bool,
     slicing: SlicingConfig,
@@ -328,16 +324,14 @@ impl Optimus {
             shares: ShareTable::from_parts(1, Vec::new(), Vec::new()),
         }
     }
-}
 
-impl<D: PlatformDevice> Optimus<D> {
     /// The simulated device (read-only observation).
-    pub fn device(&self) -> &D {
+    pub fn device(&self) -> &FpgaDevice {
         &self.device
     }
 
     /// Mutable device access (benchmark harness instrumentation only).
-    pub fn device_mut(&mut self) -> &mut D {
+    pub fn device_mut(&mut self) -> &mut FpgaDevice {
         &mut self.device
     }
 
@@ -482,7 +476,7 @@ impl<D: PlatformDevice> Optimus<D> {
     }
 
     /// The guest-side handle for a virtual accelerator.
-    pub fn guest(&mut self, va: VaccelId) -> GuestCtx<'_, D> {
+    pub fn guest(&mut self, va: VaccelId) -> GuestCtx<'_> {
         GuestCtx { hv: self, va }
     }
 
@@ -617,7 +611,7 @@ impl<D: PlatformDevice> Optimus<D> {
         }
         if self.is_scheduled(va) {
             let slot = self.vaccel(va).slot;
-            if self.device.accel_status(slot) == CtrlStatus::Done {
+            if self.device.accel(slot).status() == CtrlStatus::Done {
                 self.retire(va);
                 return true;
             }

@@ -11,7 +11,6 @@ use crate::vaccel::{VaccelId, VaccelRun};
 use crate::watchdog::{AlertKind, IsolationAlert};
 use optimus_fabric::accelerator::CtrlStatus;
 use optimus_fabric::mmio::{accel_mmio_base, accel_reg, vcu_reg, ACCEL_PAGE, VCU_BASE};
-use optimus_fabric::platform::PlatformDevice;
 use optimus_mem::addr::{Gva, PAGE_4K};
 use optimus_sim::journal;
 use optimus_sim::metrics;
@@ -19,7 +18,7 @@ use optimus_sim::spec;
 use optimus_sim::time::{ns_to_cycles, Cycle};
 use optimus_sim::trace::{self, Track};
 
-impl<D: PlatformDevice> Optimus<D> {
+impl Optimus {
     /// Whether `va` is currently occupying its physical slot.
     pub(super) fn is_scheduled(&self, va: VaccelId) -> bool {
         self.slots[self.vaccel(va).slot].current == Some(va)
@@ -142,7 +141,7 @@ impl<D: PlatformDevice> Optimus<D> {
         // run loop, where the ambient device scope may still belong to a
         // sibling device on the node.
         metrics::set_device(self.device_id.0);
-        if self.device.accel_status(slot) == CtrlStatus::Done {
+        if self.device.accel(slot).status() == CtrlStatus::Done {
             // A job that already completed needs no save — but its result
             // registers are about to be lost to the next install, so
             // harvest them into the vaccel's cached register file first
@@ -192,7 +191,7 @@ impl<D: PlatformDevice> Optimus<D> {
         let deadline = preempt_start + self.preempt_timeout;
         loop {
             self.advance(ns_to_cycles(1000.0));
-            let status = self.device.accel_status(slot);
+            let status = self.device.accel(slot).status();
             if trace::enabled()
                 && open == "preempt.drain"
                 && matches!(status, CtrlStatus::Saving | CtrlStatus::Saved)
@@ -292,7 +291,7 @@ impl<D: PlatformDevice> Optimus<D> {
     fn harvest_app_regs(&mut self, va: VaccelId, slot: usize) {
         let mut off = 0;
         while off < ACCEL_PAGE - accel_reg::APP_BASE {
-            let value = self.device.peek_app_reg(slot, off);
+            let value = self.device.accel(slot).peek_reg(off);
             if value != 0 || self.vaccel(va).app_regs.contains_key(&off) {
                 self.vaccel_mut(va).cache_app_reg(off, value);
             }
@@ -368,7 +367,7 @@ impl<D: PlatformDevice> Optimus<D> {
         // Completed jobs retire (but stay resident until displaced, so the
         // guest can read result registers from hardware).
         if let Some(va) = current {
-            if self.device.accel_status(slot) == CtrlStatus::Done {
+            if self.device.accel(slot).status() == CtrlStatus::Done {
                 self.retire(va);
             }
         }

@@ -13,7 +13,7 @@ use super::{GuestCtx, Optimus};
 use crate::snapshot::{wire_enum, Reader, SnapshotError, Wire};
 use crate::vaccel::VaccelId;
 use crate::vm::RetrievedSpan;
-use optimus_fabric::platform::{DeviceId, PlatformDevice};
+use optimus_fabric::platform::DeviceId;
 use optimus_mem::addr::{Gva, PageSize, PAGE_2M};
 use optimus_mem::page_table::PageFlags;
 use std::collections::BTreeMap;
@@ -336,7 +336,7 @@ impl ShareTable {
     }
 }
 
-impl<D: PlatformDevice> Optimus<D> {
+impl Optimus {
     /// The share record for `handle`, if its owner lives here.
     pub fn share_record(&self, handle: u64) -> Option<&ShareRecord> {
         self.shares.get(handle)
@@ -465,7 +465,7 @@ impl<D: PlatformDevice> Optimus<D> {
     }
 }
 
-impl<D: PlatformDevice> GuestCtx<'_, D> {
+impl GuestCtx<'_> {
     /// `mem_share`: offers `bytes` of this guest's memory at `gva`
     /// (2 MB-page granular) to the tenant named `peer`, with `writable`
     /// as the permission ceiling the retriever gets. Returns the share

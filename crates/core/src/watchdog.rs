@@ -15,13 +15,13 @@
 //!   window boundary).
 //!
 //! Detectors read *device-owned deterministic state* — per-port root-grant
-//! counters ([`PlatformDevice::port_forwarded`]), IOTLB statistics, the
+//! counters ([`FpgaDevice::port_forwarded`]), IOTLB statistics, the
 //! forced-reset path — never the metrics plane, so the alert stream is
 //! byte-identical with `OPTIMUS_METRICS=off` and under parallel node
 //! stepping. The metrics plane merely mirrors each alert into the
 //! `hv/isolation_alerts` counter for exposition.
 //!
-//! [`PlatformDevice::port_forwarded`]: optimus_fabric::platform::PlatformDevice::port_forwarded
+//! [`FpgaDevice::port_forwarded`]: optimus_fabric::device::FpgaDevice::port_forwarded
 
 use crate::snapshot::{wire_enum, Reader, SnapshotError, Wire};
 use optimus_fabric::platform::DeviceId;

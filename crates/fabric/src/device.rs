@@ -18,7 +18,7 @@ use crate::accelerator::{AccelPort, Accelerator, CtrlStatus};
 use crate::auditor::{AuditVerdict, Auditor};
 use crate::mmio;
 use crate::mux_tree::{MuxTree, TreeConfig};
-use crate::platform::{DeviceIntegrity, FabricError, PlatformDevice};
+use crate::platform::{DeviceIntegrity, FabricError};
 use crate::vcu::{Vcu, VcuEffect};
 use optimus_cci::channel::SelectorPolicy;
 use optimus_cci::host_side::HostSide;
@@ -235,6 +235,25 @@ impl FpgaDevice {
     /// Packets dropped at the shell/auditor layer (bad address or identity).
     pub fn dropped_packets(&self) -> u64 {
         self.dropped_packets
+    }
+
+    /// The isolation counters: shell drops plus every auditor's discards.
+    pub fn integrity(&self) -> DeviceIntegrity {
+        let mut out = DeviceIntegrity { dropped_packets: self.dropped_packets, ..Default::default() };
+        for a in &self.auditors {
+            let (dma, mmio) = a.discard_counts();
+            out.discarded_dma += dma;
+            out.discarded_mmio += mmio;
+        }
+        out
+    }
+
+    /// Monotone count of accelerator `slot`'s packets that have cleared
+    /// the multiplexer-tree root (0 in pass-through, which has no tree):
+    /// the isolation watchdog diffs it across a window to detect
+    /// starvation.
+    pub fn port_forwarded(&self, slot: usize) -> u64 {
+        self.tree.as_ref().map_or(0, |t| t.forwarded_by(slot))
     }
 
     /// Opens throughput measurement windows on every port.
@@ -692,66 +711,6 @@ impl PlatformClock for FpgaDevice {
     }
 }
 
-impl PlatformDevice for FpgaDevice {
-    fn run(&mut self, cycles: Cycle) {
-        FpgaDevice::run(self, cycles);
-    }
-
-    fn mmio_read(&mut self, addr: u64) -> u64 {
-        FpgaDevice::mmio_read(self, addr)
-    }
-
-    fn mmio_write(&mut self, addr: u64, value: u64) {
-        FpgaDevice::mmio_write(self, addr, value);
-    }
-
-    fn num_accels(&self) -> usize {
-        FpgaDevice::num_accels(self)
-    }
-
-    fn peek_app_reg(&self, slot: usize, offset: u64) -> u64 {
-        self.accels[slot].peek_reg(offset)
-    }
-
-    fn accel_status(&self, slot: usize) -> CtrlStatus {
-        self.accels[slot].status()
-    }
-
-    fn reset_accel(&mut self, slot: usize) {
-        FpgaDevice::reset_accel(self, slot);
-    }
-
-    fn host(&self) -> &HostSide {
-        FpgaDevice::host(self)
-    }
-
-    fn host_mut(&mut self) -> &mut HostSide {
-        FpgaDevice::host_mut(self)
-    }
-
-    fn integrity(&self) -> DeviceIntegrity {
-        let mut out = DeviceIntegrity { dropped_packets: self.dropped_packets, ..Default::default() };
-        for a in &self.auditors {
-            let (dma, mmio) = a.discard_counts();
-            out.discarded_dma += dma;
-            out.discarded_mmio += mmio;
-        }
-        out
-    }
-
-    fn set_fast_forward(&mut self, on: bool) {
-        FpgaDevice::set_fast_forward(self, on);
-    }
-
-    fn set_batch_step(&mut self, k: Cycle) {
-        FpgaDevice::set_batch_step(self, k);
-    }
-
-    fn port_forwarded(&self, slot: usize) -> u64 {
-        self.tree.as_ref().map_or(0, |t| t.forwarded_by(slot))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -822,7 +781,7 @@ mod tests {
         // surface in the device's integrity counters exactly once — it
         // used to live only in the port-local counter, so
         // `HvStats.discarded_dma` undercounted stray traffic.
-        let integrity = PlatformDevice::integrity(&dev);
+        let integrity = dev.integrity();
         assert_eq!(integrity.discarded_dma, 1);
         assert_eq!(integrity.dropped_packets, 1);
     }
@@ -843,7 +802,7 @@ mod tests {
         }
         dev.run(1000);
         assert_eq!(dev.port(1).stale_discarded(), 3);
-        let integrity = PlatformDevice::integrity(&dev);
+        let integrity = dev.integrity();
         assert_eq!(integrity.discarded_dma, 3);
         assert_eq!(integrity.dropped_packets, 3);
     }
@@ -867,7 +826,7 @@ mod tests {
     fn integrity_counters_surface_shell_drops() {
         let mut dev = device(1);
         dev.mmio_read(mmio::accel_mmio_base(5) + 0x40); // master-abort
-        let integrity = PlatformDevice::integrity(&dev);
+        let integrity = dev.integrity();
         assert!(integrity.dropped_packets > 0);
         assert_eq!(integrity.discarded_dma, 0);
     }

@@ -29,9 +29,8 @@
 //! * [`vcu`] — the virtualization control unit with its offset and reset
 //!   tables;
 //! * [`mmio`] — the MMIO address map (§5 "MMIO Slicing");
-//! * [`platform`] — [`PlatformDevice`], the device-facing surface the
-//!   hypervisor programs against, plus [`DeviceId`] addressing within a
-//!   multi-device node and typed construction errors;
+//! * [`platform`] — [`DeviceId`] addressing within a multi-device node,
+//!   typed construction errors and the device's isolation counters;
 //! * [`device`] — [`FpgaDevice`], the cycle-stepped composition of all of
 //!   the above plus the host side, in monitored (OPTIMUS) or pass-through
 //!   (baseline) mode;
@@ -53,5 +52,5 @@ pub use accelerator::{AccelMeta, AccelPort, AccelResponse, Accelerator, CtrlStat
 pub use auditor::Auditor;
 pub use device::{FabricMode, FpgaDevice};
 pub use mux_tree::{MuxTree, TreeConfig};
-pub use platform::{DeviceId, DeviceIntegrity, FabricError, PlatformDevice};
+pub use platform::{DeviceId, DeviceIntegrity, FabricError};
 pub use vcu::Vcu;

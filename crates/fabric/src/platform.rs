@@ -1,20 +1,7 @@
-//! The device-facing surface the hypervisor programs against.
-//!
-//! `Optimus` historically owned one concrete
-//! [`FpgaDevice`](crate::device::FpgaDevice) and reached into it directly.
-//! The node layer (multiple devices behind one hypervisor facade) needs
-//! that surface named: [`PlatformDevice`] is the
-//! exact set of operations the hypervisor uses — MMIO, bulk advance,
-//! the `next_event` protocol (inherited from
-//! [`PlatformClock`]), host-memory
-//! access for page installs, preempt/reset, and stats drain. Each device
-//! in a node is addressed by a [`DeviceId`], and construction failures
-//! surface as typed [`FabricError`]s instead of bare panics.
-
-use crate::accelerator::CtrlStatus;
-use optimus_cci::host_side::HostSide;
-use optimus_sim::clock::PlatformClock;
-use optimus_sim::time::Cycle;
+//! Device naming and device-level reports: each device in a node is
+//! addressed by a [`DeviceId`], construction failures surface as typed
+//! [`FabricError`]s instead of bare panics, and [`DeviceIntegrity`] is what
+//! [`FpgaDevice::integrity`](crate::device::FpgaDevice::integrity) reports.
 
 /// Identifies one device within a node. Single-device deployments use
 /// `DeviceId(0)`.
@@ -68,82 +55,6 @@ pub struct DeviceIntegrity {
     pub discarded_dma: u64,
     /// MMIO accesses the auditors discarded (outside the slice window).
     pub discarded_mmio: u64,
-}
-
-/// The device operations the hypervisor uses, abstracted over the
-/// concrete fabric so a node can own many devices (and tests can
-/// substitute instrumented ones).
-///
-/// Clocking — `now`, `next_event`, fast-forward — comes from the
-/// [`PlatformClock`] supertrait; this trait adds the control plane. The
-/// `Send` supertrait is what lets a node step devices on worker threads.
-pub trait PlatformDevice: PlatformClock + Send {
-    /// Runs the device for `cycles` fabric cycles.
-    fn run(&mut self, cycles: Cycle);
-
-    /// CPU-side blocking MMIO read (steps the device until the response
-    /// returns).
-    fn mmio_read(&mut self, addr: u64) -> u64;
-
-    /// CPU-side MMIO write (takes effect after the transport latency).
-    fn mmio_write(&mut self, addr: u64, value: u64);
-
-    /// Number of physical accelerator slots.
-    fn num_accels(&self) -> usize;
-
-    /// Side-effect-free peek at a slot's application register (offset
-    /// relative to `APP_BASE`), mirroring
-    /// [`Accelerator::peek_reg`](crate::accelerator::Accelerator::peek_reg).
-    /// The hypervisor harvests a completed tenant's result registers with
-    /// this when the slot is handed to another vaccel.
-    fn peek_app_reg(&self, slot: usize, offset: u64) -> u64 {
-        let _ = (slot, offset);
-        0
-    }
-
-    /// Control status of the accelerator in `slot`.
-    fn accel_status(&self, slot: usize) -> CtrlStatus;
-
-    /// Pulses `slot`'s reset line (forced preemption).
-    fn reset_accel(&mut self, slot: usize);
-
-    /// Device-side contract for detaching a tenant from `slot` (migration
-    /// off this device): scrub any datapath state the outgoing tenant left
-    /// behind, the same isolation hygiene §4.1 requires on a VM context
-    /// switch. The default is a reset pulse; devices with extra per-slot
-    /// state override this.
-    fn detach_slot(&mut self, slot: usize) {
-        self.reset_accel(slot);
-    }
-
-    /// The host side (memory, IOMMU, channels).
-    fn host(&self) -> &HostSide;
-
-    /// Mutable host side (page installs, IOPT management).
-    fn host_mut(&mut self) -> &mut HostSide;
-
-    /// Drains the device's isolation counters.
-    fn integrity(&self) -> DeviceIntegrity;
-
-    /// Monotone count of packets from accelerator `slot` that have
-    /// cleared the multiplexer-tree root. Deterministic device-owned
-    /// state the isolation watchdog diffs across its window for
-    /// starvation detection; devices without a tree (pass-through)
-    /// report 0.
-    fn port_forwarded(&self, slot: usize) -> u64 {
-        let _ = slot;
-        0
-    }
-
-    /// Overrides the fast-forward mode sampled at construction.
-    fn set_fast_forward(&mut self, on: bool);
-
-    /// Overrides the batched-stepping burst length sampled at
-    /// construction (1 disables batching). Devices that never batch may
-    /// ignore it.
-    fn set_batch_step(&mut self, k: Cycle) {
-        let _ = k;
-    }
 }
 
 #[cfg(test)]

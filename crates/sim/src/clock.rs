@@ -1,7 +1,7 @@
 //! The event-driven platform clock.
 //!
-//! Every cycle-stepped platform in the workspace (the composed FPGA
-//! device, the host-centric DMA-engine baseline) advances the same way:
+//! A cycle-stepped platform (the composed FPGA device, and the fakes this
+//! module's tests substitute for it) advances the same way:
 //! execute one cycle at a time, except that when event-horizon
 //! fast-forwarding is enabled and the machine is provably idle until some
 //! future cycle, the clock jumps straight to that cycle. [`PlatformClock`]

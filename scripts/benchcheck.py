@@ -193,6 +193,21 @@ def plane(name, prefix, validator, *own):
         monotone(f"{prefix}-short", f"{prefix}-on")
 
 
+def fig1(directory):
+    """Fig 1's ordering holds in every row, native and virtualized: shared
+    memory is faster than host-centric Copy, which is faster than
+    host-centric Config."""
+    table = load(report(directory, "fig1_sssp_models"))["tables"][0]
+    col = {h: i for i, h in enumerate(table["headers"])}
+    for row in table["rows"]:
+        for arms in (("SM", "HC+Copy", "HC+Cfg"), ("SM(V)", "HC+Copy(V)", "HC+Cfg(V)")):
+            ms = [float(row[col[a]]) for a in arms]
+            if not ms[0] < ms[1] < ms[2]:
+                fail(f"fig1 row {row[0]}: not " + " < ".join(f"{a} {row[col[a]]}" for a in arms))
+    print(f"ok: fig1 SM < HC+Copy < HC+Cfg, native and virtualized, in all "
+          f"{len(table['rows'])} rows")
+
+
 def ledger(directory):
     """One traced driver run per ledger workload, its standard output in
     `<directory>/<workload>.out`: the model did not move (sim_fingerprint as
@@ -247,7 +262,8 @@ def pipeline(directory):
 
 
 CHECKS = {f.__name__.replace("_", "-"): f for f in (
-    deps, same, chrome_trace, prometheus, monotone, slo, plane, rebalance, pipeline, ledger)}
+    deps, same, chrome_trace, prometheus, monotone, slo, plane, rebalance, pipeline, fig1,
+    ledger)}
 
 if __name__ == "__main__":
     if len(sys.argv) < 2 or sys.argv[1] not in CHECKS:

@@ -11,7 +11,8 @@
 #     fabric, accel and hypervisor suites again per-cycle
 #     (OPTIMUS_NO_FASTFWD=1).
 #  3. Bench smoke: every bench target once at tiny scales; each must emit its
-#     BENCH_<target>.json report.
+#     BENCH_<target>.json report. Fig 1 must keep SM < HC+Copy < HC+Config
+#     in every row, and a doctored row must be refused.
 #  4. Recording planes: one fig5 sweep point with each plane on (twice) and
 #     off: reports identical minus the plane's own sections, its output
 #     deterministic and valid offline (Chrome trace, Prometheus, SLO
@@ -79,6 +80,27 @@ for b in $BENCHES; do
     fi
 done
 echo "ok: $(ls "$BENCH_DIR" | wc -l) bench reports in $BENCH_DIR"
+check fig1 "$BENCH_DIR"
+# The gate must be able to fail: a copy with the last row's HC+Copy(V)
+# doctored below its SM(V) must be refused, by row.
+DOCTORED="target/fig1-doctored"
+rm -rf "$DOCTORED" && mkdir -p "$DOCTORED"
+row=$(python3 - "$BENCH_DIR" "$DOCTORED" <<'EOF'
+import json, sys
+name = "BENCH_fig1_sssp_models.json"
+rep = json.load(open(f"{sys.argv[1]}/{name}"))
+table = rep["tables"][0]
+col, row = table["headers"].index, table["rows"][-1]
+row[col("HC+Copy(V)")] = f"{float(row[col('SM(V)')]) - 0.01:.2f}"
+json.dump(rep, open(f"{sys.argv[2]}/{name}", "w"))
+print(row[0])
+EOF
+)
+if out=$(check fig1 "$DOCTORED" 2>&1) || ! grep -qF "row $row:" <<<"$out"; then
+    echo "FAIL: the fig1 check did not refuse a doctored row $row"
+    exit 1
+fi
+echo "ok: a doctored fig1 row $row is refused"
 
 echo "== [4/9] recording planes (on/off invisibility, determinism, artifacts) =="
 # plane | env on | env off | own report sections | validator

@@ -9,6 +9,7 @@ use optimus::vaccel::{VaccelId, VaccelRun};
 use optimus_accel::hash::reg as hash_reg;
 use optimus_accel::registry::AccelKind;
 use optimus_accel::hash::Md5Kernel;
+use optimus_accel::hc_dma::HcDmaKernel;
 use optimus_accel::linked_list::LlKernel;
 use optimus_accel::sssp::SsspKernel;
 use optimus_accel::stream::StreamShell;
@@ -462,6 +463,13 @@ fn program_stream(g: &mut GuestCtx<'_>, src: Option<u64>, dst: Option<u64>) {
     g.mmio_write(APP + StreamShell::REG_LINES, 64);
 }
 
+/// Points the host-centric engine at a descriptor naming `runs`.
+fn program_hc_dma(g: &mut GuestCtx<'_>, runs: &[(u64, u64)]) {
+    let desc = g.alloc_dma(4096);
+    g.write_mem(desc, &HcDmaKernel::descriptor(runs));
+    g.mmio_write(APP + HcDmaKernel::REG_DESC, desc.raw());
+}
+
 /// One MMIO write that points a kernel outside its window, or at a graph
 /// that does not hang together, must end that tenant's job as `Done` — not
 /// panic the simulator, allocate by a size read from guest memory, or wait
@@ -492,7 +500,20 @@ fn wild_pointers_and_malformed_graphs_end_the_job_not_the_simulator() {
     };
     let writers = [Aes, Fir, Rsd, Gau, Sbl, Grs]
         .map(|kind| ("stream destination at the top line", kind, true, top_dst));
-    let vectors: [(&str, AccelKind, bool, Program); 11] = [
+    let vectors: [(&str, AccelKind, bool, Program); 14] = [
+        ("descriptor out of the window", AccelKind::HcDma, true, |g| {
+            let desc = out_of_window(g);
+            g.mmio_write(APP + HcDmaKernel::REG_DESC, desc);
+        }),
+        ("run at the top line", AccelKind::HcDma, true, |g| {
+            let top = top_line(g);
+            program_hc_dma(g, &[(top, 4)])
+        }),
+        ("a 2^40-line run after a good one", AccelKind::HcDma, true, |g| {
+            let good = g.alloc_dma(4096).raw();
+            let wild = out_of_window(g);
+            program_hc_dma(g, &[(good, 4), (wild, 1 << 40)])
+        }),
         ("LinkedList start node out of the window", AccelKind::Ll, true, |g| {
             let start = out_of_window(g);
             g.mmio_write(APP + LlKernel::REG_START, start);

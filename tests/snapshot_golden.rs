@@ -24,7 +24,6 @@ use optimus_accel::hash::reg;
 use optimus_accel::registry::AccelKind;
 use optimus_fabric::device::FpgaDevice;
 use optimus_fabric::mmio::accel_reg;
-use optimus_fabric::platform::PlatformDevice;
 use optimus_mem::addr::{Hpa, PAGE_2M};
 use optimus_sim::hashing::FastHasher;
 use optimus_sim::time::ms_to_cycles;
