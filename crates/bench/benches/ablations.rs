@@ -11,7 +11,7 @@
 use optimus::hypervisor::{Optimus, OptimusConfig};
 use optimus::slicing::SlicingConfig;
 use optimus_accel::registry::AccelKind;
-use optimus_bench::jobs::{self, JobParams};
+use optimus_bench::catalog::{self, Spec};
 use optimus_bench::report;
 use optimus_bench::scale;
 use optimus_fabric::mux_tree::TreeConfig;
@@ -25,9 +25,9 @@ fn mb_aggregate(mitigation: bool, jobs_count: usize, ws_per_job: u64) -> f64 {
     for j in 0..jobs_count {
         let vm = hv.create_vm(&format!("vm{j}"));
         let va = hv.create_vaccel(vm, j);
-        let params = JobParams { working_set: ws_per_job, seed: j as u64 + 1, ..JobParams::default() };
+        let params = Spec { working_set: ws_per_job, seed: j as u64 + 1, ..Spec::default() };
         let mut g = hv.guest(va);
-        jobs::launch(&mut g, AccelKind::Mb, &params);
+        catalog::apply(&catalog::program(AccelKind::Mb, &params), &mut g);
     }
     hv.run(scale::warmup_cycles());
     hv.device_mut().open_windows();

@@ -13,7 +13,7 @@
 use optimus::hypervisor::HvStats;
 use optimus::node::{NodeConfig, NodeVaccel, OptimusNode};
 use optimus_accel::registry::AccelKind;
-use optimus_bench::jobs::{self, JobParams};
+use optimus_bench::catalog::{self, Spec, Work};
 use optimus_bench::report;
 use optimus_bench::scale;
 use optimus_fabric::platform::DeviceId;
@@ -34,13 +34,13 @@ fn run_node(devices: usize, integrity: &mut HvStats) -> Vec<f64> {
         .map(|t| node.create_tenant(&format!("tenant{t}")))
         .collect();
     for (t, &h) in tenants.iter().enumerate() {
-        let params = JobParams {
-            window,
+        let params = Spec {
+            work: Work::Window(window),
             seed: derive_seed(7, t as u64),
-            ..JobParams::default()
+            ..Spec::default()
         };
         let mut g = node.guest(h);
-        jobs::launch(&mut g, AccelKind::Mb, &params);
+        catalog::apply(&catalog::program(AccelKind::Mb, &params), &mut g);
     }
     node.run(scale::warmup_cycles());
     node.open_windows();

@@ -12,15 +12,14 @@
 use optimus::hostcentric::{run_sssp, HcMode};
 use optimus::hypervisor::{Optimus, OptimusConfig, TrapCost};
 use optimus_accel::registry::AccelKind;
-use optimus_accel::sssp::SsspKernel;
-use optimus_algo::graph::{sssp as sssp_ref, CsrGraph, INF};
+use optimus_algo::graph::{sssp as sssp_ref, CsrGraph};
+use optimus_bench::catalog;
 use optimus_bench::report;
 use optimus_bench::scale;
 use optimus_cci::channel::SelectorPolicy;
 use optimus_fabric::mmio::accel_reg;
+use optimus_mem::addr::PageSize;
 use optimus_sim::time::Cycle;
-
-const APP: u64 = accel_reg::APP_BASE;
 
 /// Shared-memory run: the real SSSP accelerator, pass-through (native) or
 /// through the OPTIMUS monitor (virtualized).
@@ -32,39 +31,22 @@ fn run_shared_memory(graph: &CsrGraph, virtualized: bool) -> Cycle {
     };
     let vm = hv.create_vm("sssp");
     let va = hv.create_vaccel(vm, 0);
-    let blob = graph.to_dram_layout();
-    let n = graph.vertices();
-    let (gsrc, dist);
-    {
+    let job = catalog::sssp_program(graph, PageSize::Huge, true);
+    let placed = {
         let mut g = hv.guest(va);
-        gsrc = g.alloc_dma(blob.len() as u64);
-        g.write_mem(gsrc, &blob);
-        dist = g.alloc_dma((n as u64 * 4).div_ceil(64) * 64 + 64);
-        let mut init = Vec::with_capacity(n * 4);
-        for v in 0..n {
-            init.extend_from_slice(&if v == 0 { 0u32 } else { INF }.to_le_bytes());
-        }
-        g.write_mem(dist, &init);
-        g.mmio_write(APP + SsspKernel::REG_GRAPH, gsrc.raw());
-        g.mmio_write(APP + SsspKernel::REG_DIST, dist.raw());
-        g.mmio_write(APP + SsspKernel::REG_SOURCE, 0);
-        g.mmio_write(APP + SsspKernel::REG_ONCHIP, 1);
-    }
+        let placed = catalog::alloc(&job, &mut g);
+        catalog::write_regs(&job, &placed, &mut g);
+        placed
+    };
     let start = hv.device().now();
-    {
-        let mut g = hv.guest(va);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-    }
+    hv.guest(va).mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
     assert!(hv.run_until_done(va, 20_000_000_000), "SSSP did not converge");
+    let elapsed = hv.device().now() - start;
     // Verify the distances against the software reference.
-    let mut out = vec![0u8; n * 4];
-    hv.guest(va).read_mem(dist, &mut out);
-    let got: Vec<u32> = out
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    assert_eq!(got, sssp_ref(graph, 0), "accelerator distances wrong");
-    hv.device().now() - start
+    let oracle = catalog::oracle(&job).expect("a bounded job");
+    let verdict = catalog::check(&oracle, &placed, &mut hv.guest(va));
+    assert_eq!(verdict, Ok(()), "accelerator distances wrong");
+    elapsed
 }
 
 fn main() {

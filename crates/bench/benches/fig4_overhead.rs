@@ -6,7 +6,7 @@
 //!     for MemBench, > 92 % for everything else).
 
 use optimus_accel::registry::AccelKind;
-use optimus_bench::jobs::JobParams;
+use optimus_bench::catalog::{Spec, Work};
 use optimus_bench::report;
 use optimus_bench::runner::{run_passthrough, run_spatial, SpatialExp};
 use optimus_bench::scale;
@@ -21,10 +21,10 @@ fn main() {
         ("UPI", SelectorPolicy::UpiOnly, 124.2),
         ("PCIe", SelectorPolicy::PcieOnly, 111.1),
     ] {
-        let params = JobParams {
+        let params = Spec {
             working_set: 64 << 20,
-            window,
-            ..JobParams::default()
+            work: Work::Window(window),
+            ..Spec::default()
         };
         let mut exp = SpatialExp::homogeneous(AccelKind::Ll, 1);
         exp.policy = policy;
@@ -56,7 +56,7 @@ fn main() {
     let mut rows = Vec::new();
     for &(name, paper_pct) in paper {
         let kind = AccelKind::from_name(name).expect("known benchmark");
-        let params = JobParams { window, ..JobParams::default() };
+        let params = Spec::window(window);
         let mut exp = SpatialExp::homogeneous(kind, 1);
         exp.params = params;
         exp.window = window;

@@ -7,7 +7,7 @@
 //! (queuing at the page-table walkers).
 
 use optimus_accel::registry::AccelKind;
-use optimus_bench::jobs::JobParams;
+use optimus_bench::catalog::{Spec, Work};
 use optimus_bench::report;
 use optimus_bench::runner::{run_spatial, SpatialExp};
 use optimus_bench::scale;
@@ -26,11 +26,11 @@ fn sweep(
     for &(label, total_ws) in sizes {
         let mut row = vec![label.to_string()];
         for &jobs in jobs_list {
-            let params = JobParams {
+            let params = Spec {
                 working_set: total_ws / jobs as u64,
-                window,
+                work: Work::Window(window),
                 page,
-                ..JobParams::default()
+                ..Spec::default()
             };
             let mut exp = SpatialExp::homogeneous(AccelKind::Ll, jobs);
             exp.policy = policy;

@@ -6,7 +6,7 @@
 //! saturates; MD5 tops out at ~2× (it alone consumes half the bandwidth).
 
 use optimus_accel::registry::AccelKind;
-use optimus_bench::jobs::JobParams;
+use optimus_bench::catalog::Spec;
 use optimus_bench::report;
 use optimus_bench::runner::{run_spatial, SpatialExp};
 use optimus_bench::scale;
@@ -22,7 +22,7 @@ fn main() {
         let mut row = vec![kind.meta().name.to_string()];
         for &jobs in &jobs_list {
             let mut exp = SpatialExp::homogeneous(kind, jobs);
-            exp.params = JobParams { window, ..JobParams::default() };
+            exp.params = Spec::window(window);
             exp.window = window;
             let results = run_spatial(&exp);
             let agg: f64 = results.iter().map(|r| r.progress as f64).sum();

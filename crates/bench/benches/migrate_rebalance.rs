@@ -16,12 +16,11 @@
 //! exactly that.
 
 use optimus::node::{NodeConfig, NodeVaccel, OptimusNode};
-use optimus_accel::linked_list::LlKernel;
 use optimus_accel::membench::MbKernel;
 use optimus_accel::registry::AccelKind;
+use optimus_bench::catalog::{self, Spec};
 use optimus_bench::report;
 use optimus_bench::scale;
-use optimus_fabric::mmio::accel_reg;
 use optimus_fabric::platform::DeviceId;
 use optimus_sim::metrics;
 use optimus_sim::rng::derive_seed;
@@ -60,39 +59,24 @@ fn main() {
     let mut node = OptimusNode::new(cfg).expect("node boots");
 
     // All eight tenants land on device 0; device 1 stays idle.
+    // The chaser walks a 64-node list; each hog streams over 2 MB.
     let mut victim = node.create_tenant_on(DeviceId(0), "victim");
-    {
-        let mut g = node.guest(victim);
-        let state = g.alloc_dma(1 << 21);
-        g.set_state_buffer(state);
-        let nodes = 64u64;
-        let region = g.alloc_dma(nodes * 64);
-        let mut blob = vec![0u8; (nodes * 64) as usize];
-        for n in 0..nodes {
-            let next = region.raw() + ((n * 7 + 1) % nodes) * 64;
-            blob[(n * 64) as usize..(n * 64 + 8) as usize]
-                .copy_from_slice(&next.to_le_bytes());
-        }
-        g.write_mem(region, &blob);
-        g.mmio_write(accel_reg::APP_BASE + LlKernel::REG_START, region.raw());
-        g.mmio_write(accel_reg::APP_BASE + LlKernel::REG_STEPS, 1 << 30);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-    }
-    for hog in 0..HOGS {
-        let h = node.create_tenant_on(DeviceId(0), &format!("hog{hog}"));
+    for t in 0..=HOGS {
+        let (h, job) = match t {
+            0 => (victim, catalog::program(AccelKind::Ll, &Spec { working_set: 64 * 64, ..Spec::default() })),
+            _ => {
+                let h = node.create_tenant_on(DeviceId(0), &format!("hog{}", t - 1));
+                let seed = derive_seed(0x9e37, t as u64 - 1);
+                let mut hog = catalog::program(AccelKind::Mb, &Spec { working_set: 1 << 21, seed, ..Spec::default() });
+                // Read mode is the kernel's reset value: the hogs skip that write.
+                hog.regs.retain(|&(reg, _)| reg != MbKernel::REG_MODE);
+                (h, hog)
+            }
+        };
         let mut g = node.guest(h);
         let state = g.alloc_dma(1 << 21);
         g.set_state_buffer(state);
-        let region_bytes = 1u64 << 21;
-        let region = g.alloc_dma(region_bytes);
-        g.mmio_write(accel_reg::APP_BASE + MbKernel::REG_REGION, region.raw());
-        g.mmio_write(accel_reg::APP_BASE + MbKernel::REG_BYTES, region_bytes);
-        g.mmio_write(accel_reg::APP_BASE + MbKernel::REG_OPS, u64::MAX);
-        g.mmio_write(
-            accel_reg::APP_BASE + MbKernel::REG_SEED,
-            derive_seed(0x9e37, hog as u64),
-        );
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+        catalog::apply(&job, &mut g);
     }
 
     node.run(scale::warmup_cycles());

@@ -14,8 +14,8 @@
 //!   as a pipeline stall at 8 GB/s (20 B/cycle at the 400 MHz fabric
 //!   clock) — a generous figure for a pinned-page double copy.
 //!
-//! Both variants must produce bit-identical digests (checked against a
-//! host-side replay of the 3×3 clamped window pipeline), so the table
+//! Both variants must produce bit-identical digests (checked against the
+//! job catalogue's GAU and SHA-512 oracles chained), so the table
 //! compares pure plumbing cost: end-to-end cycles, bytes staged through
 //! the CPU, and effective frame throughput.
 //!
@@ -24,11 +24,10 @@
 //! `OPTIMUS_NODE_THREADS=1` and parallel runs and between `OPTIMUS_SPEC`
 //! on and off — ci.sh stage 10 asserts exactly that.
 
-use optimus::node::{NodeConfig, OptimusNode};
+use optimus::node::{NodeConfig, NodeVaccel, OptimusNode};
 use optimus_accel::hash::reg as hash_reg;
-use optimus_accel::image::{ConvKernel, ROW_PIXELS};
 use optimus_accel::registry::AccelKind;
-use optimus_algo::image::{gaussian_blur, Image};
+use optimus_bench::catalog::{self, Fill, Placed, Program, Spec};
 use optimus_bench::report;
 use optimus_fabric::mmio::accel_reg;
 use optimus_fabric::platform::DeviceId;
@@ -53,29 +52,34 @@ fn frame(round: u64) -> Vec<u8> {
         .collect()
 }
 
-/// Host-side replay of the GAU kernel: 3×3 Gaussian over 64-pixel rows
-/// with clamp-to-edge, output row r from window rows (r-1, r, r+1).
-fn filter_frame(input: &[u8]) -> Vec<u8> {
-    let row = |r: u64| -> &[u8] {
-        let r = r.min(LINES - 1) as usize;
-        &input[r * 64..(r + 1) * 64]
-    };
-    let mut out = Vec::with_capacity(input.len());
-    for r in 0..LINES {
-        let mut data = Vec::with_capacity(3 * ROW_PIXELS);
-        data.extend_from_slice(row(r.saturating_sub(1)));
-        data.extend_from_slice(row(r));
-        data.extend_from_slice(row(r + 1));
-        let blurred = gaussian_blur(&Image::new(ROW_PIXELS, 3, 1, data));
-        out.extend_from_slice(&blurred.data()[ROW_PIXELS..2 * ROW_PIXELS]);
-    }
-    out
+/// The two stages' jobs over one frame, reading `input`: GAU filters it
+/// into the producer's output span, SHA-512 hashes a filtered frame.
+fn stages(input: Vec<u8>) -> (Program, Program) {
+    let mut filter = catalog::program(AccelKind::Gau, &Spec::bounded(LINES, 0));
+    filter.buffers[0].fill = Fill::Bytes(input);
+    (filter, catalog::program(AccelKind::Sha, &Spec::bounded(LINES, 0)))
+}
+
+/// The digest the pipeline must produce for `input`: the catalogue's
+/// GAU oracle fed to its SHA-512 oracle.
+fn expected_digest(input: Vec<u8>) -> Vec<u8> {
+    let (filter, mut hash) = stages(input);
+    let filtered = catalog::oracle(&filter).expect("bounded").regions.remove(0).1;
+    hash.buffers[0].fill = Fill::Bytes(filtered);
+    catalog::oracle(&hash).expect("bounded").regions.remove(0).1
 }
 
 struct VariantResult {
     cycles: u64,
     staged_bytes: u64,
-    digests: Vec<[u8; 64]>,
+    digests: Vec<Vec<u8>>,
+}
+
+/// Writes a placed stage's registers again and starts it.
+fn submit(node: &mut OptimusNode, h: NodeVaccel, job: &Program, placed: &Placed) {
+    let mut g = node.guest(h);
+    catalog::write_regs(job, placed, &mut g);
+    g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
 }
 
 /// Runs the full pipeline in one variant and returns its cycle cost and
@@ -88,44 +92,33 @@ fn run_variant(zero_copy: bool) -> VariantResult {
     let consumer = node.create_tenant_on(DeviceId(0), "consumer");
 
     // Producer: input frame buffer plus the filtered-output span.
-    let (input, out_span) = {
-        let mut g = node.guest(producer);
+    // Consumer: a private stage buffer (read by the copy variant only, but
+    // allocated in both so the address maps match) plus the digest line.
+    let (filter, mut hash) = stages(frame(0));
+    let [produced, consumed] = [(producer, &filter), (consumer, &hash)].map(|(h, job)| {
+        let mut g = node.guest(h);
         let state = g.alloc_dma(1 << 21);
         g.set_state_buffer(state);
-        (g.alloc_dma(PAGE_2M), g.alloc_dma(PAGE_2M))
-    };
-    // Consumer: digest line plus (copy variant only) a private stage
-    // buffer. Allocated in both variants so the address maps match.
-    let (dst, stage) = {
-        let mut g = node.guest(consumer);
-        let state = g.alloc_dma(1 << 21);
-        g.set_state_buffer(state);
-        (g.alloc_dma(4096), g.alloc_dma(PAGE_2M))
-    };
+        catalog::alloc(job, &mut g)
+    });
+    let (out_span, stage) = (produced.0[1], consumed.0[0]);
 
     // Zero-copy: the consumer reads the producer's span in place.
-    let sha_src = if zero_copy {
+    if zero_copy {
         let handle = node
             .guest(producer)
             .mem_share(out_span, PAGE_2M, "consumer", false)
             .expect("share filtered span");
-        node.retrieve_shared(handle, consumer).expect("retrieve")
-    } else {
-        stage
-    };
+        let span = node.retrieve_shared(handle, consumer).expect("retrieve");
+        hash.set(hash_reg::SRC, span.raw());
+    }
 
     let mut digests = Vec::new();
     let mut staged_bytes = 0u64;
     let t0 = node.now();
     for round in 0..ROUNDS {
-        node.guest(producer).write_mem(input, &frame(round));
-        {
-            let mut g = node.guest(producer);
-            g.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_SRC, input.raw());
-            g.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_DST, out_span.raw());
-            g.mmio_write(accel_reg::APP_BASE + ConvKernel::REG_LINES, LINES);
-            g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        }
+        node.guest(producer).write_mem(produced.0[0], &frame(round));
+        submit(&mut node, producer, &filter, &produced);
         assert!(node.run_until_done(producer, 400_000_000), "filter completes");
 
         if !zero_copy {
@@ -138,16 +131,10 @@ fn run_variant(zero_copy: bool) -> VariantResult {
             node.run(2 * FRAME_BYTES / STAGE_BYTES_PER_CYCLE);
         }
 
-        {
-            let mut g = node.guest(consumer);
-            g.mmio_write(accel_reg::APP_BASE + hash_reg::SRC, sha_src.raw());
-            g.mmio_write(accel_reg::APP_BASE + hash_reg::DST, dst.raw());
-            g.mmio_write(accel_reg::APP_BASE + hash_reg::LINES, LINES);
-            g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        }
+        submit(&mut node, consumer, &hash, &consumed);
         assert!(node.run_until_done(consumer, 400_000_000), "hash completes");
 
-        let mut digest = [0u8; 64];
+        let mut digest = vec![0u8; 64];
         for i in 0..8 {
             let r = node
                 .guest(consumer)
@@ -165,10 +152,10 @@ fn main() {
     let zero = run_variant(true);
     let copy = run_variant(false);
 
-    // Vacuity guard: every digest matches a host-side replay of the
+    // Vacuity guard: every digest matches the oracles' replay of the
     // filter + hash pipeline, and the two variants agree bit-for-bit.
     for round in 0..ROUNDS {
-        let expect = optimus_algo::sha2::sha512(&filter_frame(&frame(round)));
+        let expect = expected_digest(frame(round));
         assert_eq!(zero.digests[round as usize], expect, "zero-copy digest (round {round})");
         assert_eq!(copy.digests[round as usize], expect, "copy digest (round {round})");
     }

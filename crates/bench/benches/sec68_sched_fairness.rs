@@ -7,7 +7,7 @@
 use optimus::hypervisor::{Optimus, OptimusConfig};
 use optimus::scheduler::SchedPolicy;
 use optimus_accel::registry::AccelKind;
-use optimus_bench::jobs::{self, JobParams};
+use optimus_bench::catalog::{self, Spec};
 use optimus_bench::report;
 use optimus_sim::time::ms_to_cycles;
 
@@ -19,11 +19,11 @@ fn run_policy(policy: SchedPolicy, weights: &[(u32, u32)]) -> Vec<(f64, f64)> {
     for (j, &(w, p)) in weights.iter().enumerate() {
         let vm = hv.create_vm(&format!("vm{j}"));
         let va = hv.create_vaccel_with(vm, 0, w, p);
-        let params = JobParams { seed: j as u64 + 1, ..JobParams::default() };
+        let params = Spec { seed: j as u64 + 1, ..Spec::default() };
         let mut g = hv.guest(va);
         let state = g.alloc_dma(1 << 21);
         g.set_state_buffer(state);
-        jobs::launch(&mut g, AccelKind::Mb, &params);
+        catalog::apply(&catalog::program(AccelKind::Mb, &params), &mut g);
     }
     hv.run(ms_to_cycles(1.0) * 40);
     let occupancy = hv.slot_occupancy(0);

@@ -5,7 +5,7 @@
 //! accelerator deviates more than ≈ 1 % from its 1/8 share.
 
 use optimus_accel::registry::AccelKind;
-use optimus_bench::jobs::JobParams;
+use optimus_bench::catalog::Spec;
 use optimus_bench::report::Report;
 use optimus_bench::runner::{run_spatial, SpatialExp};
 use optimus_bench::scale;
@@ -16,7 +16,7 @@ fn main() {
     let mut rows = Vec::new();
     for kind in AccelKind::ALL {
         let mut exp = SpatialExp::homogeneous(kind, 8);
-        exp.params = JobParams { window, ..JobParams::default() };
+        exp.params = Spec::window(window);
         exp.window = window;
         let results = run_spatial(&exp);
         let progress: Vec<f64> = results.iter().map(|r| r.progress as f64).collect();

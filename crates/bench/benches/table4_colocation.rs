@@ -5,7 +5,7 @@
 //! half its standalone bandwidth; lighter co-tenants leave it more.
 
 use optimus_accel::registry::AccelKind;
-use optimus_bench::jobs::JobParams;
+use optimus_bench::catalog::Spec;
 use optimus_bench::report;
 use optimus_bench::runner::{run_spatial, SpatialExp};
 use optimus_bench::scale;
@@ -27,7 +27,7 @@ fn main() {
     let window = scale::window_cycles();
     // Baseline: standalone MemBench on the 8-slot device.
     let mut exp = SpatialExp::homogeneous(AccelKind::Mb, 1);
-    exp.params = JobParams { window, ..JobParams::default() };
+    exp.params = Spec::window(window);
     exp.window = window;
     let standalone = run_spatial(&exp).remove(0).progress as f64;
 
@@ -41,7 +41,7 @@ fn main() {
             slots,
             active_jobs: 2,
             policy: optimus_cci::channel::SelectorPolicy::Auto,
-            params: JobParams { window, ..JobParams::default() },
+            params: Spec::window(window),
             window,
         };
         let results = run_spatial(&exp);

@@ -4,11 +4,12 @@
 //! or figure; this library holds the machinery they share:
 //!
 //! * [`scale`] — measurement windows and scale factors (env-overridable);
-//! * [`jobs`] — per-benchmark job launchers and progress meters;
-//! * [`runner`] — spatial/latency experiment drivers over the hypervisor;
+//! * [`catalog`] — every kind's guest program and its oracle;
+//! * [`runner`] — spatial/latency experiment drivers over the hypervisor
+//!   and their progress meter;
 //! * [`report`] — uniform paper-vs-measured table printing.
 
-pub mod jobs;
+pub mod catalog;
 pub mod report;
 pub mod runner;
 pub mod scale;

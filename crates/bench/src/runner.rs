@@ -1,11 +1,15 @@
 //! Experiment drivers over the hypervisor.
 
-use crate::jobs::{self, JobParams};
+use crate::catalog::{self, Spec};
 use crate::scale;
 use optimus::hypervisor::{HvStats, Optimus, OptimusConfig, TrapCost};
 use optimus::scheduler::SchedPolicy;
+use optimus_accel::btc::BtcKernel;
+use optimus_accel::hash::Md5Kernel;
 use optimus_accel::registry::AccelKind;
 use optimus_cci::channel::SelectorPolicy;
+use optimus_fabric::device::FpgaDevice;
+use optimus_fabric::mmio::accel_reg::APP_BASE;
 use optimus_sim::rng::derive_seed;
 use optimus_sim::time::{cycles_to_ns, gbps, Cycle};
 
@@ -31,7 +35,7 @@ pub struct SpatialExp {
     /// Channel selection policy.
     pub policy: SelectorPolicy,
     /// Per-job parameters.
-    pub params: JobParams,
+    pub params: Spec,
     /// Measurement window (warm-up uses `scale::warmup_cycles`).
     pub window: Cycle,
 }
@@ -43,7 +47,7 @@ impl SpatialExp {
             slots: vec![kind; 8],
             active_jobs: jobs,
             policy: SelectorPolicy::Auto,
-            params: JobParams::default(),
+            params: Spec::default(),
             window: scale::window_cycles(),
         }
     }
@@ -66,7 +70,7 @@ pub fn run_spatial_with_stats(exp: &SpatialExp) -> (Vec<SlotResult>, HvStats) {
 }
 
 /// Runs the same experiment on the pass-through baseline (one slot only).
-pub fn run_passthrough(kind: AccelKind, policy: SelectorPolicy, params: JobParams, window: Cycle) -> SlotResult {
+pub fn run_passthrough(kind: AccelKind, policy: SelectorPolicy, params: Spec, window: Cycle) -> SlotResult {
     let hv = Optimus::new_passthrough(kind, policy, TrapCost::Virtualized);
     let exp = SpatialExp {
         slots: vec![kind],
@@ -85,8 +89,7 @@ fn launch_and_measure(mut hv: Optimus, exp: &SpatialExp) -> (Vec<SlotResult>, Op
         let va = hv.create_vaccel(vm, slot);
         let mut params = exp.params;
         params.seed = derive_seed(exp.params.seed, slot as u64);
-        let mut g = hv.guest(va);
-        jobs::launch(&mut g, exp.slots[slot], &params);
+        catalog::apply(&catalog::program(exp.slots[slot], &params), &mut hv.guest(va));
     }
     // Warm up, then measure.
     hv.run(scale::warmup_cycles());
@@ -97,7 +100,7 @@ fn launch_and_measure(mut hv: Optimus, exp: &SpatialExp) -> (Vec<SlotResult>, Op
         hv = hv.live_update();
     }
     let progress_at_open: Vec<u64> = (0..n)
-        .map(|s| jobs::progress(hv.device_mut(), exp.slots[s], s))
+        .map(|s| progress(hv.device_mut(), exp.slots[s], s))
         .collect();
     // Warm-up latencies leave with the taken accumulators.
     for s in 0..n {
@@ -109,7 +112,7 @@ fn launch_and_measure(mut hv: Optimus, exp: &SpatialExp) -> (Vec<SlotResult>, Op
     let results = (0..n)
         .map(|s| {
             let progress =
-                jobs::progress(hv.device_mut(), exp.slots[s], s) - progress_at_open[s];
+                progress(hv.device_mut(), exp.slots[s], s) - progress_at_open[s];
             let mean_latency_ns = hv.device_mut().port_mut(s).latency_stats().mean_ns();
             SlotResult {
                 kind: exp.slots[s],
@@ -146,7 +149,7 @@ pub fn run_temporal(
     cfg.time_slice = slice;
     cfg.sched_policy = SchedPolicy::RoundRobin;
     let mut hv = Optimus::new(cfg);
-    let params = JobParams::default();
+    let params = Spec::default();
     for j in 0..jobs_count {
         let vm = hv.create_vm(&format!("vm{j}"));
         let va = hv.create_vaccel(vm, 0);
@@ -155,22 +158,19 @@ pub fn run_temporal(
         let mut g = hv.guest(va);
         let state = g.alloc_dma((state_pad + 1_048_576).max(1 << 21));
         g.set_state_buffer(state);
-        jobs::launch(&mut g, kind, &p);
+        catalog::apply(&catalog::program(kind, &p), &mut g);
         if state_pad > 0 {
             // Worst-case state-size study (Fig. 8c): pad the saved state.
-            g.mmio_write(
-                optimus_fabric::mmio::accel_reg::APP_BASE + crate::jobs::STATE_PAD_REG,
-                state_pad,
-            );
+            g.mmio_write(APP_BASE + Md5Kernel::REG_STATE_PAD, state_pad);
         }
     }
     let total = slice * slices_per_job * jobs_count as u64 + slice;
     hv.run(scale::warmup_cycles());
-    let open = jobs::progress(hv.device_mut(), kind, 0);
+    let open = progress(hv.device_mut(), kind, 0);
     let switches_at_open = hv.stats().context_switches;
     let preemptions_at_open = hv.stats().preemptions;
     hv.run(total);
-    let raw = jobs::progress(hv.device_mut(), kind, 0) - open;
+    let raw = progress(hv.device_mut(), kind, 0) - open;
     let switches = hv.stats().context_switches - switches_at_open;
     let preemptions = hv.stats().preemptions - preemptions_at_open;
     // Port byte counters include the preemption save/restore DMA traffic;
@@ -183,6 +183,18 @@ pub fn run_temporal(
         progress: raw.saturating_sub(state_traffic.min(raw)),
         cycles: total,
         switches,
+    }
+}
+
+/// An application-progress reading: DMA bytes for memory-driven kernels,
+/// hash attempts for the compute-bound miner.
+pub fn progress(device: &mut FpgaDevice, kind: AccelKind, slot: usize) -> u64 {
+    match kind {
+        AccelKind::Btc => device.accel_mut(slot).mmio_read(APP_BASE + BtcKernel::REG_ATTEMPTS),
+        _ => {
+            let (r, w) = device.port(slot).byte_counts();
+            r + w
+        }
     }
 }
 

@@ -19,7 +19,7 @@
 //! FPGA-accessible pages.
 
 use crate::channel::{ChannelKind, ChannelSet, SelectorPolicy};
-use crate::packet::{DownPacket, UpPacket};
+use crate::packet::{AccelId, DownPacket, Tag, UpPacket};
 use crate::params;
 use optimus_mem::host::HostMemory;
 use optimus_mem::iommu::{Iommu, IommuError, TlbLookup};
@@ -222,8 +222,7 @@ impl HostSide {
                                 false,
                             );
                         }
-                        self.faulted_dmas += 1;
-                        self.last_fault = Some(e);
+                        self.abort_faulted(e, src, tag, arrival, kind);
                     }
                 }
             }
@@ -252,7 +251,7 @@ impl HostSide {
                             let link = Track::link(src.0 as usize);
                             trace::complete(link, "dma_write", now, ready - now, &[("iova", iova.raw())]);
                         }
-                        self.push_outbound(DownPacket::DmaWriteAck { dst: src, tag }, ready);
+                        self.push_outbound(DownPacket::DmaAck { dst: src, tag }, ready);
                     }
                     Err(e) => {
                         if spec::enabled() {
@@ -263,12 +262,24 @@ impl HostSide {
                                 true,
                             );
                         }
-                        self.faulted_dmas += 1;
-                        self.last_fault = Some(e);
+                        self.abort_faulted(e, src, tag, arrival, kind);
                     }
                 }
             }
         }
+    }
+
+    /// Answers a DMA the IOMMU could not translate (a pointer inside the
+    /// tenant's window but outside its pinned pages) with a master-abort:
+    /// a data-less [`DownPacket::DmaAck`] that arrives after the channel's
+    /// response latency, so the port retires the request the way it
+    /// retires an auditor reject instead of waiting for it forever. The
+    /// fault is counted either way.
+    fn abort_faulted(&mut self, e: IommuError, dst: AccelId, tag: Tag, arrival: f64, kind: ChannelKind) {
+        self.faulted_dmas += 1;
+        self.last_fault = Some(e);
+        let ready = (arrival + self.channels.response_latency(kind)).ceil() as Cycle;
+        self.push_outbound(DownPacket::DmaAck { dst, tag }, ready);
     }
 
     /// Schedules translation-walk and DRAM-service stages; returns the time
@@ -476,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn unmapped_dma_is_dropped_and_counted() {
+    fn unmapped_dma_is_master_aborted_and_counted() {
         let mut h = HostSide::new(SelectorPolicy::UpiOnly);
         h.submit(
             UpPacket::DmaRead {
@@ -486,9 +497,23 @@ mod tests {
             },
             0,
         );
-        assert!(drain_until(&mut h, 5000).is_empty());
-        assert_eq!(h.faulted_dmas(), 1);
+        h.submit(
+            UpPacket::DmaWrite {
+                iova: Iova::new(0x9990040),
+                data: Box::new([1u8; 64]),
+                src: AccelId(3),
+                tag: Tag(1),
+            },
+            1,
+        );
+        // Both are answered with a data-less ack (a master-abort), so the
+        // port can retire them; neither touches memory.
+        let got: Vec<DownPacket> = drain_until(&mut h, 5000).into_iter().map(|(_, p)| p).collect();
+        let abort = |tag| DownPacket::DmaAck { dst: AccelId(3), tag: Tag(tag) };
+        assert_eq!(got, vec![abort(0), abort(1)]);
+        assert_eq!(h.faulted_dmas(), 2);
         assert!(h.last_fault().is_some());
+        assert_eq!(h.total_dma_bytes(), 0);
     }
 
     #[test]
@@ -506,7 +531,7 @@ mod tests {
         let got = drain_until(&mut h, 4000);
         assert!(matches!(
             got[0].1,
-            DownPacket::DmaWriteAck { dst: AccelId(2), tag: Tag(9) }
+            DownPacket::DmaAck { dst: AccelId(2), tag: Tag(9) }
         ));
         assert_eq!(h.memory().read_line(Hpa::new(0x80)), [0xABu8; 64]);
         assert_eq!(h.total_dma_bytes(), 64);

@@ -93,8 +93,9 @@ pub enum DownPacket {
         /// The request's tag.
         tag: Tag,
     },
-    /// Completion for a previous [`UpPacket::DmaWrite`].
-    DmaWriteAck {
+    /// Data-less completion: acknowledges a previous [`UpPacket::DmaWrite`],
+    /// or master-aborts a DMA read or write the IOMMU could not translate.
+    DmaAck {
         /// Destination accelerator.
         dst: AccelId,
         /// The request's tag.
@@ -119,7 +120,7 @@ impl DownPacket {
     /// routed by address instead).
     pub fn dst(&self) -> Option<AccelId> {
         match self {
-            DownPacket::DmaReadResp { dst, .. } | DownPacket::DmaWriteAck { dst, .. } => Some(*dst),
+            DownPacket::DmaReadResp { dst, .. } | DownPacket::DmaAck { dst, .. } => Some(*dst),
             _ => None,
         }
     }
@@ -145,7 +146,7 @@ mod tests {
 
     #[test]
     fn down_packet_dst_extraction() {
-        let ack = DownPacket::DmaWriteAck {
+        let ack = DownPacket::DmaAck {
             dst: AccelId(1),
             tag: Tag(0),
         };

@@ -169,7 +169,7 @@ impl Auditor {
                     AuditVerdict::NotMine
                 }
             }
-            DownPacket::DmaWriteAck { dst, tag } => {
+            DownPacket::DmaAck { dst, tag } => {
                 if *dst == self.id {
                     AuditVerdict::DeliverDma {
                         tag: *tag,
@@ -333,12 +333,12 @@ mod tests {
     #[test]
     fn accepts_own_dma_rejects_foreign() {
         let mut a = auditor();
-        let own = DownPacket::DmaWriteAck {
+        let own = DownPacket::DmaAck {
             dst: AccelId(2),
             tag: Tag(1),
         };
         assert!(matches!(a.audit(&own), AuditVerdict::DeliverDma { .. }));
-        let foreign = DownPacket::DmaWriteAck {
+        let foreign = DownPacket::DmaAck {
             dst: AccelId(3),
             tag: Tag(1),
         };

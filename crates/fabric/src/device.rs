@@ -513,7 +513,7 @@ impl FpgaDevice {
 
     fn dispatch_down(&mut self, pkt: DownPacket, now: Cycle) {
         match &pkt {
-            DownPacket::DmaReadResp { dst, .. } | DownPacket::DmaWriteAck { dst, .. } => {
+            DownPacket::DmaReadResp { dst, .. } | DownPacket::DmaAck { dst, .. } => {
                 let idx = dst.0 as usize;
                 if idx >= self.accels.len() {
                     self.dropped_packets += 1;

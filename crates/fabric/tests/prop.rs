@@ -101,7 +101,7 @@ fn auditor_translation_and_identity() {
                 }
                 other => prop_assert!(false, "unexpected {:?}", other),
             }
-            let down = optimus_cci::packet::DownPacket::DmaWriteAck {
+            let down = optimus_cci::packet::DownPacket::DmaAck {
                 dst: AccelId(probe),
                 tag: Tag(0),
             };

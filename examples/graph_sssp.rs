@@ -9,12 +9,10 @@
 use optimus::hostcentric::{run_sssp, HcMode};
 use optimus::hypervisor::{Optimus, OptimusConfig, TrapCost};
 use optimus_accel::registry::AccelKind;
-use optimus_accel::sssp::SsspKernel;
-use optimus_algo::graph::{sssp as sssp_ref, INF};
-use optimus_fabric::mmio::accel_reg;
+use optimus_algo::graph::sssp as sssp_ref;
+use optimus_bench::catalog;
+use optimus_mem::addr::PageSize;
 use optimus_workloads::graphs::random_graph;
-
-const APP: u64 = accel_reg::APP_BASE;
 
 fn main() {
     let graph = random_graph(2000, 16_000, 42);
@@ -30,37 +28,15 @@ fn main() {
     let mut hv = Optimus::new(OptimusConfig::new(vec![AccelKind::Sssp]));
     let vm = hv.create_vm("graphs");
     let va = hv.create_vaccel(vm, 0);
-    let blob = graph.to_dram_layout();
-    let n = graph.vertices();
-    let dist;
-    {
-        let mut g = hv.guest(va);
-        let gsrc = g.alloc_dma(blob.len() as u64);
-        g.write_mem(gsrc, &blob);
-        dist = g.alloc_dma((n as u64 * 4).div_ceil(64) * 64 + 64);
-        let mut init = Vec::with_capacity(n * 4);
-        for v in 0..n {
-            init.extend_from_slice(&if v == 0 { 0u32 } else { INF }.to_le_bytes());
-        }
-        g.write_mem(dist, &init);
-        g.mmio_write(APP + SsspKernel::REG_GRAPH, gsrc.raw());
-        g.mmio_write(APP + SsspKernel::REG_DIST, dist.raw());
-        g.mmio_write(APP + SsspKernel::REG_SOURCE, 0);
-        g.mmio_write(APP + SsspKernel::REG_ONCHIP, 1);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-    }
+    let job = catalog::sssp_program(&graph, PageSize::Huge, true);
+    let placed = catalog::apply(&job, &mut hv.guest(va));
     let start = hv.device().now();
     assert!(hv.run_until_done(va, 10_000_000_000));
     let sm_cycles = hv.device().now() - start;
 
-    // Check the distances.
-    let mut out = vec![0u8; n * 4];
-    hv.guest(va).read_mem(dist, &mut out);
-    let got: Vec<u32> = out
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    assert_eq!(got, reference);
+    // Check the distances against the software reference.
+    let oracle = catalog::oracle(&job).expect("a bounded job");
+    assert_eq!(catalog::check(&oracle, &placed, &mut hv.guest(va)), Ok(()));
     println!("shared-memory distances verified ✓");
 
     // Host-centric baselines (also verified internally).

@@ -8,7 +8,7 @@
 
 use optimus::hypervisor::{Optimus, OptimusConfig};
 use optimus_accel::registry::AccelKind;
-use optimus_bench::jobs::{self, JobParams};
+use optimus_bench::catalog::{self, Spec, Work};
 use optimus_sim::time::gbps;
 
 fn main() {
@@ -27,13 +27,13 @@ fn main() {
     for (slot, kind) in kinds.iter().enumerate() {
         let vm = hv.create_vm(&format!("tenant-{slot}"));
         let va = hv.create_vaccel(vm, slot);
-        let params = JobParams {
+        let params = Spec {
             seed: slot as u64 + 1,
-            window: 400_000,
-            ..JobParams::default()
+            work: Work::Window(400_000),
+            ..Spec::default()
         };
         let mut g = hv.guest(va);
-        jobs::launch(&mut g, *kind, &params);
+        catalog::apply(&catalog::program(*kind, &params), &mut g);
         println!("  tenant-{slot}: {} started", kind.meta().name);
     }
 

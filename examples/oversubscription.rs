@@ -8,12 +8,9 @@
 
 use optimus::hypervisor::{Optimus, OptimusConfig};
 use optimus::scheduler::SchedPolicy;
-use optimus_accel::hash::reg;
 use optimus_accel::registry::AccelKind;
-use optimus_fabric::mmio::accel_reg;
+use optimus_bench::catalog::{self, Spec};
 use optimus_sim::time::ms_to_cycles;
-
-const APP: u64 = accel_reg::APP_BASE;
 
 fn run_policy(policy: SchedPolicy, weights: &[(u32, u32)]) {
     let mut cfg = OptimusConfig::new(vec![AccelKind::Md5]);
@@ -21,37 +18,25 @@ fn run_policy(policy: SchedPolicy, weights: &[(u32, u32)]) {
     cfg.sched_policy = policy.clone();
     let mut hv = Optimus::new(cfg);
     let vm = hv.create_vm("shared");
-    let mut vas = Vec::new();
-    let mut datas = Vec::new();
-    let mut dsts = Vec::new();
+    let mut tenants = Vec::new();
     for (j, &(w, p)) in weights.iter().enumerate() {
         let va = hv.create_vaccel_with(vm, 0, w, p);
-        let data: Vec<u8> = (0..524_288u32).map(|i| (i * (j as u32 + 3)) as u8).collect();
-        let mut g = hv.guest(va);
-        let src = g.alloc_dma(data.len() as u64);
-        let dst = g.alloc_dma(4096);
-        let state = g.alloc_dma(1 << 21);
-        g.write_mem(src, &data);
-        g.set_state_buffer(state);
-        g.mmio_write(APP + reg::SRC, src.raw());
-        g.mmio_write(APP + reg::DST, dst.raw());
-        g.mmio_write(APP + reg::LINES, data.len() as u64 / 64);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        vas.push(va);
-        datas.push(data);
-        dsts.push(dst);
+        let mut job = catalog::program(AccelKind::Md5, &Spec::bounded(8192, j as u64 + 3));
+        job.add_state(1 << 21);
+        let placed = catalog::apply(&job, &mut hv.guest(va));
+        tenants.push((va, job, placed));
     }
-    for &va in &vas {
-        assert!(hv.run_until_done(va, 4_000_000_000));
+    for (va, ..) in &tenants {
+        assert!(hv.run_until_done(*va, 4_000_000_000));
     }
     println!("\npolicy {policy:?}: {} context switches, {} forced resets",
         hv.stats().context_switches, hv.stats().forced_resets);
     let occupancy = hv.slot_occupancy(0);
     let total: u64 = occupancy.iter().map(|&(_, c)| c).sum();
     for (i, &(_, occ)) in occupancy.iter().enumerate() {
-        let mut out = vec![0u8; 16];
-        hv.guest(vas[i]).read_mem(dsts[i], &mut out);
-        let ok = out == optimus_algo::md5::md5(&datas[i]).to_vec();
+        let (va, job, placed) = &tenants[i];
+        let oracle = catalog::oracle(job).expect("a bounded job");
+        let ok = catalog::check(&oracle, placed, &mut hv.guest(*va)).is_ok();
         println!(
             "  vaccel {i} (w={}, p={}): {:5.1}% of the accelerator, digest {}",
             weights[i].0,

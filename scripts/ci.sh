@@ -8,8 +8,8 @@
 #  2. Tier-1: cargo build --release && cargo test -q, the full workspace
 #     suite, rustdoc with warnings denied for the whole workspace (intra-doc
 #     links name items across modules), and the
-#     fabric, accel and hypervisor suites again per-cycle
-#     (OPTIMUS_NO_FASTFWD=1).
+#     fabric, accel and hypervisor suites and the job catalogue's
+#     every-kind oracle test again per-cycle (OPTIMUS_NO_FASTFWD=1).
 #  3. Bench smoke: every bench target once at tiny scales; each must emit its
 #     BENCH_<target>.json report. Fig 1 must keep SM < HC+Copy < HC+Config
 #     in every row, and a doctored row must be refused.
@@ -58,6 +58,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q --workspace
 # per-cycle stepping against an explicitly re-enabled fast path, and every
 # other test exercises the seed's original cycle loop.
 OPTIMUS_NO_FASTFWD=1 cargo test -q -p optimus-fabric -p optimus-accel -p optimus
+# Every kind's bounded catalogue job against its oracle, per cycle: each
+# kernel's next_event hint is then checked both fast-forwarded and not.
+OPTIMUS_NO_FASTFWD=1 cargo test -q -p optimus-bench --test catalog_oracles
 
 echo "== [3/9] bench smoke (tiny scales, one JSON report per target) =="
 BENCH_DIR="target/bench-reports-ci"

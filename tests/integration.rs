@@ -1,111 +1,62 @@
 //! Workspace-spanning integration tests: guest workloads through the full
 //! OPTIMUS stack (hypervisor → monitor → tree → auditors → IOMMU → DRAM),
-//! verified against the pure-software references.
+//! verified against the job catalogue's pure-software oracles.
 
 use optimus::hypervisor::{Optimus, OptimusConfig, TrapCost};
 use optimus::scheduler::SchedPolicy;
+use optimus::vaccel::VaccelId;
+use optimus_accel::hash::reg as hash_reg;
 use optimus_accel::registry::AccelKind;
-use optimus_accel::{aes::AesKernel, hash::reg as hash_reg, linked_list::LlKernel,
-    rsd::RsdKernel, sssp::SsspKernel};
-use optimus_algo::graph::{sssp as sssp_ref, INF};
+use optimus_accel::sssp::SsspKernel;
+use optimus_bench::catalog::{self, Fill, Placed, Program, Spec, Value};
 use optimus_cci::channel::SelectorPolicy;
-use optimus_fabric::mmio::accel_reg;
 use optimus_sim::time::ms_to_cycles;
-use optimus_workloads::graphs::random_graph;
-use optimus_workloads::linked_list::linked_list_filler;
-use optimus_workloads::streams::{random_bytes, rs_codeword_stream};
 
-const APP: u64 = accel_reg::APP_BASE;
+/// Creates a VM with a vaccel on `slot` and applies `job` to it.
+fn launch(hv: &mut Optimus, slot: usize, job: &Program) -> (VaccelId, Placed) {
+    let vm = hv.create_vm(&format!("vm{}", hv.num_vaccels()));
+    let va = hv.create_vaccel(vm, slot);
+    (va, catalog::apply(job, &mut hv.guest(va)))
+}
+
+/// Checks a finished job against its oracle.
+fn assert_oracle(hv: &mut Optimus, va: VaccelId, job: &Program, placed: &Placed) {
+    let oracle = catalog::oracle(job).expect("a bounded job has an oracle");
+    assert_eq!(catalog::check(&oracle, placed, &mut hv.guest(va)), Ok(()), "{:?}", job.kind);
+}
+
+/// Runs one bounded job of `kind` alone on a one-slot device and checks it.
+fn run_alone(job: Program) {
+    let mut hv = Optimus::new(OptimusConfig::new(vec![job.kind]));
+    let (va, placed) = launch(&mut hv, 0, &job);
+    assert!(hv.run_until_done(va, 2_000_000_000), "{:?} never finished", job.kind);
+    assert_oracle(&mut hv, va, &job, &placed);
+}
 
 #[test]
 fn aes_end_to_end_matches_software() {
-    let mut hv = Optimus::new(OptimusConfig::new(vec![AccelKind::Aes]));
-    let vm = hv.create_vm("crypt");
-    let va = hv.create_vaccel(vm, 0);
-    let plain = random_bytes(16384, 3);
-    let (src, dst);
-    {
-        let mut g = hv.guest(va);
-        src = g.alloc_dma(plain.len() as u64);
-        dst = g.alloc_dma(plain.len() as u64);
-        g.write_mem(src, &plain);
-        g.mmio_write(APP + AesKernel::REG_SRC, src.raw());
-        g.mmio_write(APP + AesKernel::REG_DST, dst.raw());
-        g.mmio_write(APP + AesKernel::REG_LINES, plain.len() as u64 / 64);
-        g.mmio_write(APP + AesKernel::REG_KEY0, 0x0011223344556677);
-        g.mmio_write(APP + AesKernel::REG_KEY1, 0x8899AABBCCDDEEFF);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-    }
-    assert!(hv.run_until_done(va, 100_000_000));
-    let mut out = vec![0u8; plain.len()];
-    hv.guest(va).read_mem(dst, &mut out);
-    let mut key = [0u8; 16];
-    key[0..8].copy_from_slice(&0x0011223344556677u64.to_le_bytes());
-    key[8..16].copy_from_slice(&0x8899AABBCCDDEEFFu64.to_le_bytes());
-    let mut expect = plain.clone();
-    optimus_algo::aes::Aes128::new(&key).encrypt_ecb(&mut expect);
-    assert_eq!(out, expect);
+    run_alone(catalog::program(AccelKind::Aes, &Spec::bounded(256, 3)));
 }
 
 #[test]
 fn reed_solomon_corrects_errors_through_the_stack() {
-    let mut hv = Optimus::new(OptimusConfig::new(vec![AccelKind::Rsd]));
-    let vm = hv.create_vm("coder");
-    let va = hv.create_vaccel(vm, 0);
-    let (stream, messages) = rs_codeword_stream(8, 12, 5);
-    let (src, dst);
-    {
-        let mut g = hv.guest(va);
-        src = g.alloc_dma(stream.len() as u64);
-        dst = g.alloc_dma(stream.len() as u64);
-        g.write_mem(src, &stream);
-        g.mmio_write(APP + RsdKernel::REG_SRC, src.raw());
-        g.mmio_write(APP + RsdKernel::REG_DST, dst.raw());
-        g.mmio_write(APP + RsdKernel::REG_LINES, stream.len() as u64 / 64);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-    }
-    assert!(hv.run_until_done(va, 200_000_000));
-    let failures = hv.guest(va).mmio_read(APP + RsdKernel::REG_FAILURES);
-    assert_eq!(failures, 0);
-    let mut out = vec![0u8; stream.len()];
-    hv.guest(va).read_mem(dst, &mut out);
-    for (i, msg) in messages.iter().enumerate() {
-        assert_eq!(&out[i * 256..i * 256 + 223], &msg[..], "codeword {i}");
-    }
+    // Eight codewords of twelve symbol errors each: all within capacity,
+    // so the oracle expects every message back and no failure.
+    run_alone(catalog::program(AccelKind::Rsd, &Spec::bounded(32, 5)));
 }
 
 #[test]
 fn sssp_through_the_hypervisor_matches_reference() {
-    let mut hv = Optimus::new(OptimusConfig::new(vec![AccelKind::Sssp]));
-    let vm = hv.create_vm("graph");
-    let va = hv.create_vaccel(vm, 0);
-    let graph = random_graph(300, 2400, 17);
-    let blob = graph.to_dram_layout();
-    let n = graph.vertices();
-    let (gsrc, dist);
-    {
-        let mut g = hv.guest(va);
-        gsrc = g.alloc_dma(blob.len() as u64);
-        g.write_mem(gsrc, &blob);
-        dist = g.alloc_dma((n as u64 * 4).div_ceil(64) * 64 + 64);
-        let mut init = Vec::with_capacity(n * 4);
-        for v in 0..n {
-            init.extend_from_slice(&if v == 0 { 0u32 } else { INF }.to_le_bytes());
-        }
-        g.write_mem(dist, &init);
-        g.mmio_write(APP + SsspKernel::REG_GRAPH, gsrc.raw());
-        g.mmio_write(APP + SsspKernel::REG_DIST, dist.raw());
-        g.mmio_write(APP + SsspKernel::REG_SOURCE, 0);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-    }
-    assert!(hv.run_until_done(va, 2_000_000_000));
-    let mut out = vec![0u8; n * 4];
-    hv.guest(va).read_mem(dist, &mut out);
-    let got: Vec<u32> = out
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    assert_eq!(got, sssp_ref(&graph, 0));
+    // The DRAM vertex-data path: every edge a dependent read-modify-write.
+    let mut job = catalog::program(AccelKind::Sssp, &Spec::bounded(2400, 17));
+    job.set(SsspKernel::REG_ONCHIP, 0);
+    run_alone(job);
+}
+
+#[test]
+fn linked_list_walk_traverses_the_lazy_region() {
+    let spec = Spec { working_set: 4096 * 64, ..Spec::bounded(500, 77) };
+    run_alone(catalog::program(AccelKind::Ll, &spec));
 }
 
 #[test]
@@ -113,58 +64,15 @@ fn eight_spatially_multiplexed_vms_all_compute_correctly() {
     // One MD5 job per physical accelerator, all with different data;
     // every digest must come out right and no DMA may fault.
     let mut hv = Optimus::new(OptimusConfig::new(vec![AccelKind::Md5; 8]));
-    let mut vas = Vec::new();
-    let mut datas = Vec::new();
-    let mut dsts = Vec::new();
-    for slot in 0..8 {
-        let vm = hv.create_vm(&format!("vm{slot}"));
-        let va = hv.create_vaccel(vm, slot);
-        let data = random_bytes(8192, slot as u64 + 100);
-        let mut g = hv.guest(va);
-        let src = g.alloc_dma(data.len() as u64);
-        let dst = g.alloc_dma(4096);
-        g.write_mem(src, &data);
-        g.mmio_write(APP + hash_reg::SRC, src.raw());
-        g.mmio_write(APP + hash_reg::DST, dst.raw());
-        g.mmio_write(APP + hash_reg::LINES, data.len() as u64 / 64);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        vas.push(va);
-        datas.push(data);
-        dsts.push(dst);
-    }
-    for &va in &vas {
-        assert!(hv.run_until_done(va, 400_000_000));
-    }
-    for i in 0..8 {
-        let mut out = vec![0u8; 16];
-        hv.guest(vas[i]).read_mem(dsts[i], &mut out);
-        assert_eq!(out, optimus_algo::md5::md5(&datas[i]).to_vec(), "vm {i}");
+    let jobs: Vec<Program> = (0..8)
+        .map(|slot| catalog::program(AccelKind::Md5, &Spec::bounded(128, slot + 100)))
+        .collect();
+    let launched: Vec<_> = jobs.iter().enumerate().map(|(slot, job)| launch(&mut hv, slot, job)).collect();
+    for (job, (va, placed)) in jobs.iter().zip(&launched) {
+        assert!(hv.run_until_done(*va, 400_000_000));
+        assert_oracle(&mut hv, *va, job, placed);
     }
     assert_eq!(hv.device().host().faulted_dmas(), 0);
-}
-
-#[test]
-fn linked_list_walk_traverses_the_lazy_region() {
-    let mut hv = Optimus::new(OptimusConfig::new(vec![AccelKind::Ll]));
-    let vm = hv.create_vm("walker");
-    let va = hv.create_vaccel(vm, 0);
-    let nodes = 4096u64;
-    let region;
-    {
-        let mut g = hv.guest(va);
-        region = g.alloc_dma_lazy_with(nodes * 64, |gva, hpa| {
-            linked_list_filler(gva, hpa, nodes, 77)
-        });
-        g.mmio_write(APP + LlKernel::REG_START, region.raw());
-        g.mmio_write(APP + LlKernel::REG_STEPS, 500);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-    }
-    assert!(hv.run_until_done(va, 400_000_000));
-    let steps = hv.guest(va).mmio_read(APP + LlKernel::REG_DONE_STEPS);
-    assert_eq!(steps, 500);
-    let current = hv.guest(va).mmio_read(APP + LlKernel::REG_CURRENT);
-    assert!(current >= region.raw() && current < region.raw() + nodes * 64);
-    assert_eq!(current % 64, 0);
 }
 
 #[test]
@@ -175,64 +83,33 @@ fn temporal_multiplexing_preserves_results_across_preemptions() {
     cfg.time_slice = ms_to_cycles(0.05);
     cfg.sched_policy = SchedPolicy::RoundRobin;
     let mut hv = Optimus::new(cfg);
-    let mut vas = Vec::new();
-    let mut plains = Vec::new();
-    let mut dsts = Vec::new();
-    for j in 0..4 {
-        let vm = hv.create_vm(&format!("vm{j}"));
-        let va = hv.create_vaccel(vm, 0);
-        let plain = random_bytes(1_048_576, j as u64 + 50);
-        let mut g = hv.guest(va);
-        let src = g.alloc_dma(plain.len() as u64);
-        let dst = g.alloc_dma(plain.len() as u64);
-        let state = g.alloc_dma(1 << 21);
-        g.write_mem(src, &plain);
-        g.set_state_buffer(state);
-        g.mmio_write(APP + AesKernel::REG_SRC, src.raw());
-        g.mmio_write(APP + AesKernel::REG_DST, dst.raw());
-        g.mmio_write(APP + AesKernel::REG_LINES, plain.len() as u64 / 64);
-        g.mmio_write(APP + AesKernel::REG_KEY0, j as u64 + 1);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        vas.push(va);
-        plains.push(plain);
-        dsts.push(dst);
-    }
-    for &va in &vas {
-        assert!(hv.run_until_done(va, 2_000_000_000));
+    let jobs: Vec<Program> = (0..4)
+        .map(|j| {
+            let mut job = catalog::program(AccelKind::Aes, &Spec::bounded(16384, j + 50));
+            job.add_state(1 << 21);
+            job
+        })
+        .collect();
+    let launched: Vec<_> = jobs.iter().map(|job| launch(&mut hv, 0, job)).collect();
+    for (va, _) in &launched {
+        assert!(hv.run_until_done(*va, 2_000_000_000));
     }
     assert!(hv.stats().context_switches > 4, "jobs must actually interleave");
     assert_eq!(hv.stats().forced_resets, 0);
-    for j in 0..4 {
-        let mut out = vec![0u8; plains[j].len()];
-        hv.guest(vas[j]).read_mem(dsts[j], &mut out);
-        let mut key = [0u8; 16];
-        key[0..8].copy_from_slice(&(j as u64 + 1).to_le_bytes());
-        let mut expect = plains[j].clone();
-        optimus_algo::aes::Aes128::new(&key).encrypt_ecb(&mut expect);
-        assert_eq!(out, expect, "job {j} corrupted by preemption");
+    for (job, (va, placed)) in jobs.iter().zip(&launched) {
+        assert_oracle(&mut hv, *va, job, placed);
     }
 }
 
 #[test]
 fn passthrough_and_optimus_agree_on_results() {
-    let data = random_bytes(4096, 9);
+    let job = catalog::program(AccelKind::Md5, &Spec::bounded(64, 9));
     let run = |mut hv: Optimus| -> Vec<u8> {
-        let vm = hv.create_vm("v");
-        let va = hv.create_vaccel(vm, 0);
-        let (src, dst);
-        {
-            let mut g = hv.guest(va);
-            src = g.alloc_dma(data.len() as u64);
-            dst = g.alloc_dma(4096);
-            g.write_mem(src, &data);
-            g.mmio_write(APP + hash_reg::SRC, src.raw());
-            g.mmio_write(APP + hash_reg::DST, dst.raw());
-            g.mmio_write(APP + hash_reg::LINES, data.len() as u64 / 64);
-            g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        }
+        let (va, placed) = launch(&mut hv, 0, &job);
         assert!(hv.run_until_done(va, 100_000_000));
+        assert_oracle(&mut hv, va, &job, &placed);
         let mut out = vec![0u8; 16];
-        hv.guest(va).read_mem(dst, &mut out);
+        hv.guest(va).read_mem(placed.0[1], &mut out);
         out
     };
     let optimus = run(Optimus::new(OptimusConfig::new(vec![AccelKind::Md5])));
@@ -242,48 +119,35 @@ fn passthrough_and_optimus_agree_on_results() {
         TrapCost::Native,
     ));
     assert_eq!(optimus, pt);
-    assert_eq!(optimus, optimus_algo::md5::md5(&data).to_vec());
 }
 
 #[test]
 fn guest_cannot_reach_another_vms_memory_through_its_slice() {
-    // VM B writes a secret; VM A's accelerator reads its whole slice-window
-    // worth of its own region. A's data must never contain B's secret, and
-    // reads outside A's registered region must fault, not leak.
+    // VM B writes a secret; VM A's accelerator reads past its registered
+    // region, at the same GVAs. A's data must never contain B's secret,
+    // and reads outside A's registered region must fault, not leak.
     let mut hv = Optimus::new(OptimusConfig::new(vec![AccelKind::Md5, AccelKind::Md5]));
-    let vm_a = hv.create_vm("a");
     let vm_b = hv.create_vm("b");
-    let va_a = hv.create_vaccel(vm_a, 0);
     let va_b = hv.create_vaccel(vm_b, 1);
     let secret = vec![0x5Eu8; 4096];
-    let (b_src, a_src);
-    {
-        let mut g = hv.guest(va_b);
-        b_src = g.alloc_dma(4096);
-        g.write_mem(b_src, &secret);
-    }
-    {
-        let mut g = hv.guest(va_a);
-        a_src = g.alloc_dma(4096);
-        // Identical guest virtual addresses across the two VMs.
-        assert_eq!(a_src, b_src);
-        let mut buf = vec![0u8; 4096];
-        g.read_mem(a_src, &mut buf);
-        assert!(buf.iter().all(|&b| b == 0), "A's fresh region must be zeros");
-        // Point A's accelerator at an address beyond its registered region:
-        // the IOMMU must drop the DMA (no mapping in A's slice), not read B.
-        g.mmio_write(APP + hash_reg::SRC, a_src.raw() + (4 << 20));
-        g.mmio_write(APP + hash_reg::LINES, 4);
-        g.mmio_write(APP + hash_reg::DST, a_src.raw());
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-    }
+    let b_src = hv.guest(va_b).alloc_dma(4096);
+    hv.guest(va_b).write_mem(b_src, &secret);
+    // The IOMMU must drop the DMA (no mapping in A's slice), not read B.
+    let mut job = catalog::program(AccelKind::Md5, &Spec::bounded(4, 0));
+    job.buffers[0].fill = Fill::Zero;
+    job.set(hash_reg::SRC, Value::At(0, 4 << 20));
+    let (va_a, placed) = launch(&mut hv, 0, &job);
+    // Identical guest virtual addresses across the two VMs.
+    assert_eq!(placed.0[0], b_src);
     hv.run(ms_to_cycles(1.0));
     assert!(
         hv.device().host().faulted_dmas() > 0,
         "out-of-region DMA must fault"
     );
-    // B's secret is still intact and private.
     let mut buf = vec![0u8; 4096];
+    hv.guest(va_a).read_mem(placed.0[0], &mut buf);
+    assert!(buf.iter().all(|&b| b == 0), "A's region must hold only zeros");
+    // B's secret is still intact and private.
     hv.guest(va_b).read_mem(b_src, &mut buf);
     assert_eq!(buf, secret);
 }
@@ -298,14 +162,9 @@ fn weighted_scheduling_biases_throughput() {
     let heavy = hv.create_vaccel_with(vm, 0, 3, 0);
     let light = hv.create_vaccel_with(vm, 0, 1, 0);
     for (va, seed) in [(heavy, 1u64), (light, 2)] {
-        let mut g = hv.guest(va);
-        let region = g.alloc_dma(1 << 21);
-        let state = g.alloc_dma(1 << 21);
-        g.set_state_buffer(state);
-        g.mmio_write(APP + optimus_accel::membench::MbKernel::REG_REGION, region.raw());
-        g.mmio_write(APP + optimus_accel::membench::MbKernel::REG_BYTES, 1 << 21);
-        g.mmio_write(APP + optimus_accel::membench::MbKernel::REG_SEED, seed);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+        let mut job = catalog::program(AccelKind::Mb, &Spec { working_set: 1 << 21, seed, ..Spec::default() });
+        job.add_state(1 << 21);
+        catalog::apply(&job, &mut hv.guest(va));
     }
     hv.run(ms_to_cycles(8.0));
     let occ = hv.slot_occupancy(0);

@@ -16,16 +16,12 @@
 
 use optimus::hypervisor::{HvStats, Optimus, OptimusConfig};
 use optimus_accel::registry::AccelKind;
-use optimus_accel::{
-    aes::AesKernel, btc::BtcKernel, fir::FirKernel, hash::reg as hash_reg, image::ConvKernel,
-    rsd::RsdKernel, sw::SwKernel,
-};
-use optimus_algo::bitcoin::BlockHeader;
+use optimus_accel::{aes::AesKernel, btc::BtcKernel, sw::SwKernel};
+use optimus_bench::catalog::{self, Fill, Program, Spec};
 use optimus_fabric::mmio::accel_reg;
+use optimus_mem::addr::PageSize;
 use optimus_sim::time::Cycle;
-use optimus_workloads::streams::{
-    random_bytes, rs_codeword_stream, signal_samples, test_image_rows,
-};
+use optimus_workloads::streams::rs_codeword_stream;
 
 const APP: u64 = accel_reg::APP_BASE;
 
@@ -70,72 +66,36 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The input region of tenant `which` (0 or 1) of a slot.
-fn input(kind: AccelKind, which: usize) -> Vec<u8> {
-    let bytes = (LINES[which] * 64) as usize;
-    let seed = 0x6f1d + which as u64;
+/// The catalogue job of tenant `which` (0 or 1) of a slot, edited per
+/// tenant. SW and BTC report through registers only, but get a
+/// destination too, so every tenant maps the same three pages.
+fn job(kind: AccelKind, which: usize) -> Program {
+    let lines = LINES[which];
+    let mut p = catalog::program(kind, &Spec::bounded(lines, 0x6f1d + which as u64));
     match kind {
-        AccelKind::Fir => signal_samples(bytes / 2, seed),
+        AccelKind::Aes => p.set(AesKernel::REG_KEY1, 0x8899_aabb_ccdd_eeff ^ which as u64),
         // The first tenant's codewords are all correctable (12 errors of
         // 16); the second's draw 17 positions with replacement, so about
         // three in five are not and the failure path is pinned too.
-        AccelKind::Rsd => rs_codeword_stream(bytes / 256, [12, 17][which], seed).0,
-        AccelKind::Sw => random_bytes(bytes, seed)
-            .iter()
-            .map(|b| b"ACGT"[(b & 3) as usize])
-            .collect(),
-        AccelKind::Gau => test_image_rows(bytes / 64, seed),
-        AccelKind::Btc => BlockHeader::example().to_bytes().to_vec(),
-        _ => random_bytes(bytes, seed),
-    }
-}
-
-/// The application-register writes that program tenant `which`'s job.
-fn job_regs(kind: AccelKind, which: usize, src: u64, dst: u64) -> Vec<(u64, u64)> {
-    let lines = LINES[which];
-    match kind {
-        AccelKind::Aes => vec![
-            (AesKernel::REG_SRC, src),
-            (AesKernel::REG_DST, dst),
-            (AesKernel::REG_LINES, lines),
-            (AesKernel::REG_KEY0, 0x0011_2233_4455_6677),
-            (AesKernel::REG_KEY1, 0x8899_aabb_ccdd_eeff ^ which as u64),
-        ],
-        AccelKind::Sha | AccelKind::Md5 => vec![
-            (hash_reg::SRC, src),
-            (hash_reg::DST, dst),
-            (hash_reg::LINES, lines),
-        ],
-        AccelKind::Fir => vec![
-            (FirKernel::REG_SRC, src),
-            (FirKernel::REG_DST, dst),
-            (FirKernel::REG_LINES, lines),
-        ],
-        AccelKind::Rsd => vec![
-            (RsdKernel::REG_SRC, src),
-            (RsdKernel::REG_DST, dst),
-            (RsdKernel::REG_LINES, lines),
-        ],
-        AccelKind::Sw => vec![
-            (SwKernel::REG_SRC, src),
-            (SwKernel::REG_LINES, lines),
-            (SwKernel::REG_REF_LINES, [4, 2][which]),
-        ],
-        AccelKind::Gau => vec![
-            (ConvKernel::REG_SRC, src),
-            (ConvKernel::REG_DST, dst),
-            (ConvKernel::REG_LINES, lines),
-        ],
-        AccelKind::Btc => vec![
-            (BtcKernel::REG_SRC, src),
+        AccelKind::Rsd if which == 1 => {
+            let stream = rs_codeword_stream(lines as usize / 4, 17, 0x6f1e).0;
+            p.buffers[0].fill = Fill::Bytes(stream);
+        }
+        AccelKind::Sw => p.set(SwKernel::REG_REF_LINES, [4, 2][which]),
+        AccelKind::Btc => {
             // About one nonce in 4096 meets the first tenant's target;
             // the second's is impossible, so it grinds to the end.
-            (BtcKernel::REG_TARGET, [0x000f_ffff, 0][which]),
-            (BtcKernel::REG_START_NONCE, 1000 * which as u64),
-            (BtcKernel::REG_COUNT, 1 << 20),
-        ],
-        other => unreachable!("{other:?} is not in the compute mix"),
+            p.set(BtcKernel::REG_TARGET, [0x000f_ffff, 0][which]);
+            p.set(BtcKernel::REG_START_NONCE, 1000 * which as u64);
+            p.set(BtcKernel::REG_COUNT, 1 << 20);
+        }
+        _ => {}
     }
+    if p.buffers.len() == 1 {
+        p.buffer(lines * 64, false, PageSize::Huge, Fill::Zero);
+    }
+    p.add_state(STATE_BYTES as u64);
+    p
 }
 
 fn run_mix() -> (Vec<Golden>, HvStats) {
@@ -147,16 +107,11 @@ fn run_mix() -> (Vec<Golden>, HvStats) {
         for (slot, &kind) in KINDS.iter().enumerate() {
             let vm = hv.create_vm(&format!("{kind:?}{which}"));
             let va = hv.create_vaccel(vm, slot);
-            let data = input(kind, which);
+            let job = job(kind, which);
             let mut g = hv.guest(va);
-            let src = g.alloc_dma(data.len() as u64);
-            let dst = g.alloc_dma(LINES[which] * 64);
-            let state = g.alloc_dma(STATE_BYTES as u64);
-            g.write_mem(src, &data);
-            g.set_state_buffer(state);
-            for (reg, value) in job_regs(kind, which, src.raw(), dst.raw()) {
-                g.mmio_write(APP + reg, value);
-            }
+            let placed = catalog::alloc(&job, &mut g);
+            catalog::write_regs(&job, &placed, &mut g);
+            let (dst, state) = (placed.0[1], placed.0[2]);
             tenants.push((va, dst, state, LINES[which]));
         }
     }

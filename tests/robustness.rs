@@ -1,68 +1,45 @@
 //! Robustness and failure-injection tests: misbehaving accelerators and
 //! guests, demand-profile validation, 4 KB-page configurations, and node
-//! scheduling under live cross-device shares.
+//! scheduling under live cross-device shares. Every job is a catalogue
+//! program, edited where the test needs a misbehaving one.
 
-use optimus::hypervisor::{GuestCtx, Optimus, OptimusConfig};
+use optimus::hypervisor::{HvStats, Optimus, OptimusConfig};
 use optimus::node::{NodeConfig, OptimusNode};
 use optimus::scheduler::SchedPolicy;
 use optimus::vaccel::{VaccelId, VaccelRun};
-use optimus_accel::hash::reg as hash_reg;
-use optimus_accel::registry::AccelKind;
 use optimus_accel::hash::Md5Kernel;
 use optimus_accel::hc_dma::HcDmaKernel;
-use optimus_accel::linked_list::LlKernel;
-use optimus_accel::sssp::SsspKernel;
+use optimus_accel::registry::AccelKind;
 use optimus_accel::stream::StreamShell;
-use optimus_accel::{aes::AesKernel, btc::BtcKernel, grn::GrnKernel, membench::MbKernel};
-use optimus_algo::bitcoin::BlockHeader;
-use optimus_bench::jobs::{self, JobParams};
+use optimus_accel::{btc::BtcKernel, grn::GrnKernel, linked_list::LlKernel, membench::MbKernel, sssp::SsspKernel};
+use optimus_bench::catalog::{self, Fill, Placed, Program, Spec, Value};
 use optimus_fabric::accelerator::CtrlStatus;
 use optimus_fabric::mmio::accel_reg;
 use optimus_fabric::platform::DeviceId;
-use optimus_mem::addr::{Gva, PAGE_2M};
-use optimus_sim::time::{gbps, ms_to_cycles};
-use optimus_workloads::streams::random_bytes;
+use optimus_mem::addr::{Gva, PageSize, PAGE_2M};
+use optimus_sim::time::{gbps, ms_to_cycles, Cycle};
 
-const APP: u64 = accel_reg::APP_BASE;
+/// A new VM with a vaccel on `slot`, running `job`.
+fn launch(hv: &mut Optimus, slot: usize, name: &str, job: &Program) -> (VaccelId, Placed) {
+    let vm = hv.create_vm(name);
+    let va = hv.create_vaccel(vm, slot);
+    (va, catalog::apply(job, &mut hv.guest(va)))
+}
+
+/// Whether a finished job left exactly what its oracle says.
+fn matches_oracle(hv: &mut Optimus, va: VaccelId, job: &Program, placed: &Placed) -> bool {
+    let oracle = catalog::oracle(job).expect("a bounded job has an oracle");
+    catalog::check(&oracle, placed, &mut hv.guest(va)).is_ok()
+}
 
 #[test]
 fn forced_reset_recovers_a_stuck_accelerator() {
-    // MemBench in unbounded mode with an *unserviceable* region: its
-    // requests fault at the IOMMU (never acked), so its port never drains
-    // and a preemption can only complete by forced reset.
-    let mut cfg = OptimusConfig::new(vec![AccelKind::Mb]);
-    cfg.time_slice = ms_to_cycles(0.1);
-    cfg.preempt_timeout = ms_to_cycles(0.2);
-    let mut hv = Optimus::new(cfg);
-    let vm = hv.create_vm("stuck");
-    let va_bad = hv.create_vaccel(vm, 0);
-    let va_good = hv.create_vaccel(vm, 0);
-    {
-        let mut g = hv.guest(va_bad);
-        let region = g.alloc_dma(1 << 21);
-        let state = g.alloc_dma(1 << 21);
-        g.set_state_buffer(state);
-        g.mmio_write(APP + MbKernel::REG_REGION, region.raw());
-        // Lie about the region size: half the accesses land beyond the
-        // registered page and fault, leaving the port permanently undrained.
-        g.mmio_write(APP + MbKernel::REG_BYTES, 64 << 20);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-    }
-    {
-        let mut g = hv.guest(va_good);
-        let region = g.alloc_dma(1 << 21);
-        let state = g.alloc_dma(1 << 21);
-        g.set_state_buffer(state);
-        g.mmio_write(APP + MbKernel::REG_REGION, region.raw());
-        g.mmio_write(APP + MbKernel::REG_BYTES, 1 << 21);
-        g.mmio_write(APP + MbKernel::REG_OPS, 2000);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-    }
-    // The stuck vaccel cannot cede; the hypervisor must reset it and the
-    // well-behaved one must still finish.
-    assert!(hv.run_until_done(va_good, 2_000_000_000), "good job starved");
-    assert!(hv.stats().forced_resets > 0, "reset path never exercised");
-    assert!(hv.device().host().faulted_dmas() > 0);
+    // Saving the padded MD5 job's state takes far longer than
+    // `preempt_timeout`: every preemption of it overruns, and only a forced
+    // reset frees the slot for the co-tenant.
+    let stats = padded_md5_beside_a_bounded_one(Some(ms_to_cycles(0.05)));
+    assert!(stats.forced_resets > 0, "reset path never exercised");
+    assert!(stats.alerts_preempt_overrun > 0, "no preemption overran: {stats:?}");
 }
 
 #[test]
@@ -82,12 +59,7 @@ fn measured_demand_matches_table1_profile() {
         let mut hv = Optimus::new(OptimusConfig::new(vec![kind; 8]));
         let vm = hv.create_vm("d");
         let va = hv.create_vaccel(vm, 0);
-        let params = JobParams {
-            window,
-            ..JobParams::default()
-        };
-        let mut g = hv.guest(va);
-        jobs::launch(&mut g, kind, &params);
+        catalog::apply(&catalog::program(kind, &Spec::window(window)), &mut hv.guest(va));
         hv.run(150_000);
         hv.device_mut().open_windows();
         hv.run(window);
@@ -104,44 +76,25 @@ fn measured_demand_matches_table1_profile() {
 
 #[test]
 fn btc_through_hypervisor_finds_software_nonce() {
+    // About one nonce in sixteen meets the bounded job's target.
+    let job = catalog::program(AccelKind::Btc, &Spec::bounded(20_000, 0));
     let mut hv = Optimus::new(OptimusConfig::new(vec![AccelKind::Btc]));
-    let vm = hv.create_vm("miner");
-    let va = hv.create_vaccel(vm, 0);
-    let header = BlockHeader::example();
-    let target = 0x0FFF_FFFFu32;
-    {
-        let mut g = hv.guest(va);
-        let src = g.alloc_dma(4096);
-        g.write_mem(src, &header.to_bytes());
-        g.mmio_write(APP + BtcKernel::REG_SRC, src.raw());
-        g.mmio_write(APP + BtcKernel::REG_TARGET, target as u64);
-        g.mmio_write(APP + BtcKernel::REG_COUNT, 20_000);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-    }
+    let (va, placed) = launch(&mut hv, 0, "miner", &job);
     assert!(hv.run_until_done(va, 2_000_000_000));
-    let found = hv.guest(va).mmio_read(APP + BtcKernel::REG_FOUND);
-    let expect = optimus_algo::bitcoin::mine_range(&header, target.to_be_bytes(), 0, 20_000);
-    assert_eq!(found, expect.unwrap() as u64);
+    let found = hv.guest(va).mmio_read(accel_reg::APP_BASE + BtcKernel::REG_FOUND);
+    assert_ne!(found, u64::MAX, "no nonce found");
+    assert!(matches_oracle(&mut hv, va, &job, &placed));
 }
 
 #[test]
 fn grn_through_hypervisor_produces_unit_normals() {
+    let job = catalog::program(AccelKind::Grn, &Spec::bounded(4000, 2024));
     let mut hv = Optimus::new(OptimusConfig::new(vec![AccelKind::Grn]));
-    let vm = hv.create_vm("gauss");
-    let va = hv.create_vaccel(vm, 0);
-    let lines = 4000u64;
-    let dst;
-    {
-        let mut g = hv.guest(va);
-        dst = g.alloc_dma(lines * 64);
-        g.mmio_write(APP + GrnKernel::REG_DST, dst.raw());
-        g.mmio_write(APP + GrnKernel::REG_LINES, lines);
-        g.mmio_write(APP + GrnKernel::REG_SEED, 2024);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-    }
+    let (va, placed) = launch(&mut hv, 0, "gauss", &job);
     assert!(hv.run_until_done(va, 2_000_000_000));
-    let mut raw = vec![0u8; (lines * 64) as usize];
-    hv.guest(va).read_mem(dst, &mut raw);
+    assert!(matches_oracle(&mut hv, va, &job, &placed));
+    let mut raw = vec![0u8; 4000 * 64];
+    hv.guest(va).read_mem(placed.0[0], &mut raw);
     let samples: Vec<f64> = raw
         .chunks_exact(4)
         .map(|c| i32::from_le_bytes(c.try_into().unwrap()) as f64 / 65536.0)
@@ -155,23 +108,11 @@ fn grn_through_hypervisor_produces_unit_normals() {
 fn four_kilobyte_pages_work_but_thrash_sooner() {
     // Functional equivalence of 4 KB IOPT registration, plus the IOTLB
     // reach difference the paper measures in Fig. 5/6.
-    use optimus::hypervisor::Backing;
-    let run = |small_pages: bool| -> (u64, f64) {
+    let run = |page: PageSize| -> (u64, f64) {
         let mut hv = Optimus::new(OptimusConfig::new(vec![AccelKind::Mb; 8]));
-        let vm = hv.create_vm("pg");
-        let va = hv.create_vaccel(vm, 0);
-        let ws = 16u64 << 20; // 16 MB: inside 2M reach, far past 4K reach
-        {
-            let mut g = hv.guest(va);
-            let region = if small_pages {
-                g.alloc_dma_4k(ws, Backing::Scratch)
-            } else {
-                g.alloc_dma_with(ws, Backing::Scratch)
-            };
-            g.mmio_write(APP + MbKernel::REG_REGION, region.raw());
-            g.mmio_write(APP + MbKernel::REG_BYTES, ws);
-            g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        }
+        // 16 MB: inside 2M reach, far past 4K reach.
+        let spec = Spec { working_set: 16 << 20, page, ..Spec::default() };
+        launch(&mut hv, 0, "pg", &catalog::program(AccelKind::Mb, &spec));
         hv.run(100_000);
         hv.device_mut().open_windows();
         hv.run(300_000);
@@ -180,8 +121,8 @@ fn four_kilobyte_pages_work_but_thrash_sooner() {
         let (_, _, misses, _) = hv.device().host().iommu().tlb().stats();
         (misses, bw)
     };
-    let (misses_2m, bw_2m) = run(false);
-    let (misses_4k, bw_4k) = run(true);
+    let (misses_2m, bw_2m) = run(PageSize::Huge);
+    let (misses_4k, bw_4k) = run(PageSize::Small);
     assert!(misses_4k > misses_2m * 10, "4K must miss far more: {misses_4k} vs {misses_2m}");
     assert!(bw_2m > bw_4k * 2.0, "2M pages must be much faster: {bw_2m} vs {bw_4k}");
 }
@@ -196,15 +137,9 @@ fn priority_scheduler_starves_low_priority_until_high_completes() {
     let high = hv.create_vaccel_with(vm, 0, 1, 9);
     let low = hv.create_vaccel_with(vm, 0, 1, 1);
     for (va, ops, seed) in [(high, 400_000u64, 1u64), (low, 1_000, 2)] {
-        let mut g = hv.guest(va);
-        let region = g.alloc_dma(1 << 21);
-        let state = g.alloc_dma(1 << 21);
-        g.set_state_buffer(state);
-        g.mmio_write(APP + MbKernel::REG_REGION, region.raw());
-        g.mmio_write(APP + MbKernel::REG_BYTES, 1 << 21);
-        g.mmio_write(APP + MbKernel::REG_OPS, ops);
-        g.mmio_write(APP + MbKernel::REG_SEED, seed);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+        let mut job = catalog::program(AccelKind::Mb, &Spec { working_set: 1 << 21, ..Spec::bounded(ops, seed) });
+        job.add_state(1 << 21);
+        catalog::apply(&job, &mut hv.guest(va));
     }
     // While the high-priority job runs, the low one must make no progress.
     hv.run(ms_to_cycles(0.5));
@@ -242,12 +177,8 @@ fn tree_placement_shapes_bandwidth_shares() {
     let vm = hv.create_vm("skew");
     for slot in 0..3 {
         let va = hv.create_vaccel(vm, slot);
-        let mut g = hv.guest(va);
-        let region = g.alloc_dma(1 << 21);
-        g.mmio_write(APP + MbKernel::REG_REGION, region.raw());
-        g.mmio_write(APP + MbKernel::REG_BYTES, 1 << 21);
-        g.mmio_write(APP + MbKernel::REG_SEED, slot as u64 + 1);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+        let spec = Spec { working_set: 1 << 21, seed: slot as u64 + 1, ..Spec::default() };
+        catalog::apply(&catalog::program(AccelKind::Mb, &spec), &mut hv.guest(va));
     }
     hv.run(100_000);
     hv.device_mut().open_windows();
@@ -264,52 +195,38 @@ fn tree_placement_shapes_bandwidth_shares() {
     );
 }
 
-/// One AES tenant with its own VM, source, destination and state buffer.
+/// One AES tenant on slot 0 with its own VM: a bounded catalogue job
+/// with a state buffer.
 struct AesTenant {
     va: VaccelId,
-    src: Gva,
-    dst: Gva,
-    state: Gva,
-    key0: u64,
-    plain: Vec<u8>,
+    job: Program,
+    placed: Placed,
 }
 
 impl AesTenant {
     /// A tenant on slot 0 with its job submitted.
     fn new(hv: &mut Optimus, name: &str, seed: u64) -> Self {
-        let vm = hv.create_vm(name);
-        let va = hv.create_vaccel(vm, 0);
-        let plain = random_bytes(128 << 10, seed);
-        let mut g = hv.guest(va);
-        let src = g.alloc_dma(1 << 17);
-        let dst = g.alloc_dma(1 << 17);
-        let state = g.alloc_dma(PAGE_2M);
-        g.write_mem(src, &plain);
-        g.set_state_buffer(state);
-        let t = Self { va, src, dst, state, key0: seed, plain };
-        t.submit(hv);
-        t
+        let mut job = catalog::program(AccelKind::Aes, &Spec::bounded(2048, seed));
+        job.add_state(PAGE_2M);
+        let (va, placed) = launch(hv, 0, name, &job);
+        Self { va, job, placed }
     }
 
-    /// Programs the job's registers and starts it.
+    /// The state buffer.
+    fn state(&self) -> Gva {
+        self.placed.0[self.job.state.expect("a state buffer")]
+    }
+
+    /// Programs the job's registers again and starts it.
     fn submit(&self, hv: &mut Optimus) {
         let mut g = hv.guest(self.va);
-        g.mmio_write(APP + AesKernel::REG_SRC, self.src.raw());
-        g.mmio_write(APP + AesKernel::REG_DST, self.dst.raw());
-        g.mmio_write(APP + AesKernel::REG_LINES, self.plain.len() as u64 / 64);
-        g.mmio_write(APP + AesKernel::REG_KEY0, self.key0);
+        catalog::write_regs(&self.job, &self.placed, &mut g);
         g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
     }
 
     /// Whether the destination holds exactly the software ciphertext.
     fn output_is_exact(&self, hv: &mut Optimus) -> bool {
-        let mut out = vec![0u8; self.plain.len()];
-        hv.guest(self.va).read_mem(self.dst, &mut out);
-        let mut key = [0u8; 16];
-        key[..8].copy_from_slice(&self.key0.to_le_bytes());
-        let mut expect = self.plain.clone();
-        optimus_algo::aes::Aes128::new(&key).encrypt_ecb(&mut expect);
-        out == expect
+        matches_oracle(hv, self.va, &self.job, &self.placed)
     }
 }
 
@@ -324,16 +241,16 @@ fn corrupted_saved_state_fails_the_restore_not_the_simulator() {
     type Corrupt = fn(&mut Optimus, &AesTenant);
     let corruptions: [(&str, Corrupt); 4] = [
         ("buffer repointed out of the window", |hv, t| {
-            hv.guest(t.va).set_state_buffer(Gva::new(t.state.raw() + (1 << 40)))
+            hv.guest(t.va).set_state_buffer(Gva::new(t.state().raw() + (1 << 40)))
         }),
         ("header whose frame overflows", |hv, t| {
-            hv.guest(t.va).write_mem(t.state, &u64::MAX.to_le_bytes())
+            hv.guest(t.va).write_mem(t.state(), &u64::MAX.to_le_bytes())
         }),
         ("header naming a terabyte", |hv, t| {
-            hv.guest(t.va).write_mem(t.state, &(1u64 << 40).to_le_bytes())
+            hv.guest(t.va).write_mem(t.state(), &(1u64 << 40).to_le_bytes())
         }),
         ("body too short for its kernel", |hv, t| {
-            hv.guest(t.va).write_mem(t.state, &8u64.to_le_bytes())
+            hv.guest(t.va).write_mem(t.state(), &8u64.to_le_bytes())
         }),
     ];
     for (what, corrupt) in corruptions {
@@ -353,7 +270,7 @@ fn corrupted_saved_state_fails_the_restore_not_the_simulator() {
             hv.run(1_000);
         }
         hv.run(2_000);
-        hv.guest(bad.va).set_state_buffer(bad.state);
+        hv.guest(bad.va).set_state_buffer(bad.state());
         // A polling guest resubmits whenever its slot reports the job gone.
         let (mut resubmits, deadline) = (0, hv.now() + 20_000_000);
         loop {
@@ -395,14 +312,9 @@ fn due_slice_deadline_fires_under_a_live_cross_device_share() {
     let handle = node.guest(owner).mem_share(span, PAGE_2M, "peer", false).expect("share");
     node.retrieve_shared(handle, tenants[0]).expect("cross-device retrieve");
     for h in tenants {
-        let mut g = node.guest(h);
-        let state = g.alloc_dma(PAGE_2M);
-        g.set_state_buffer(state);
-        let (src, dst) = (g.alloc_dma(8 << 20), g.alloc_dma(4096));
-        g.mmio_write(APP + hash_reg::SRC, src.raw());
-        g.mmio_write(APP + hash_reg::DST, dst.raw());
-        g.mmio_write(APP + hash_reg::LINES, (8 << 20) / 64);
-        g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+        let mut job = catalog::program(AccelKind::Md5, &Spec::default());
+        job.add_state(PAGE_2M);
+        catalog::apply(&job, &mut node.guest(h));
     }
     node.run(1_000);
     // End a span exactly on device 0's slice deadline.
@@ -416,164 +328,168 @@ fn due_slice_deadline_fires_under_a_live_cross_device_share() {
     assert!(switches >= 9, "slot stopped rotating: {switches} slice boundaries in 200k cycles");
 }
 
-/// A GVA one terabyte past a fresh page of `g`'s: outside its auditor
-/// window, so every access there is master-aborted.
-fn out_of_window(g: &mut GuestCtx<'_>) -> u64 {
-    g.alloc_dma(4096).raw() + (1 << 40)
+/// One terabyte past a buffer: outside its tenant's auditor window.
+const OUT: u64 = 1 << 40;
+/// 16 GB past a buffer: inside its tenant's 64 GB window, but past every
+/// page the tenant pinned.
+const UNMAPPED: u64 = 16 << 30;
+/// The last line of the address space: the line after it, GVA 0, is out
+/// of the window too.
+const TOP: u64 = 0u64.wrapping_sub(64);
+
+/// How a malformed job must end, judged by where its DMAs were aborted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ends {
+    /// At the auditor window (`HvStats.discarded_dma`).
+    Discarded,
+    /// At the IOMMU (`faulted_dmas`).
+    Faulted,
+    /// Nowhere: the kernel refused the malformed input itself.
+    Clean,
 }
 
 /// A CSR graph in `CsrGraph::to_dram_layout` form, malformed at will.
-fn csr(vertices: u32, offsets: &[u32], targets: &[u32], weights: &[u32]) -> Vec<u8> {
+fn csr(vertices: u32, offsets: &[u32], targets: &[u32], weights: &[u32]) -> Fill {
     let words = [vertices, targets.len() as u32].into_iter().chain(offsets.iter().copied());
     let words = words.chain(targets.iter().copied()).chain(weights.iter().copied());
-    words.flat_map(u32::to_le_bytes).collect()
+    Fill::Bytes(words.flat_map(u32::to_le_bytes).collect())
 }
 
-/// Programs an SSSP job from source 0 over `graph` (or over a pointer out
-/// of the window) with a zeroed distance array.
-fn program_sssp(g: &mut GuestCtx<'_>, graph: Option<Vec<u8>>, onchip: bool) {
-    let at = match graph {
-        Some(blob) => {
-            let gva = g.alloc_dma(4096);
-            g.write_mem(gva, &blob);
-            gva.raw()
-        }
-        None => out_of_window(g),
-    };
-    let dist = g.alloc_dma(4096);
-    g.mmio_write(APP + SsspKernel::REG_GRAPH, at);
-    g.mmio_write(APP + SsspKernel::REG_DIST, dist.raw());
-    g.mmio_write(APP + SsspKernel::REG_ONCHIP, onchip as u64);
-}
-
-/// The last line of the address space, once `g` holds memory (which
-/// anchors its window): the line after it, GVA 0, is out of the window too.
-fn top_line(g: &mut GuestCtx<'_>) -> u64 {
-    let _ = g.alloc_dma(4096);
-    0u64.wrapping_sub(64)
-}
-
-/// Programs a 64-line stream job from `src` into `dst`; a fresh buffer
-/// stands in for either one left `None`.
-fn program_stream(g: &mut GuestCtx<'_>, src: Option<u64>, dst: Option<u64>) {
-    let mut buffer = |at: Option<u64>| at.unwrap_or_else(|| g.alloc_dma(64 * 64).raw());
-    let (src, dst) = (buffer(src), buffer(dst));
-    g.mmio_write(APP + StreamShell::REG_SRC, src);
-    g.mmio_write(APP + StreamShell::REG_DST, dst);
-    g.mmio_write(APP + StreamShell::REG_LINES, 64);
-}
-
-/// Points the host-centric engine at a descriptor naming `runs`.
-fn program_hc_dma(g: &mut GuestCtx<'_>, runs: &[(u64, u64)]) {
-    let desc = g.alloc_dma(4096);
-    g.write_mem(desc, &HcDmaKernel::descriptor(runs));
-    g.mmio_write(APP + HcDmaKernel::REG_DESC, desc.raw());
-}
-
-/// One MMIO write that points a kernel outside its window, or at a graph
-/// that does not hang together, must end that tenant's job as `Done` — not
-/// panic the simulator, allocate by a size read from guest memory, or wait
-/// forever for a line that was master-aborted — while the AES tenant on the
-/// device's other slot finishes bit-exactly. Aborted reads show up in
-/// `HvStats.discarded_dma`. A pointer at the last line of the address
-/// space steps to GVA 0 for its next line instead of overflowing.
+/// One edit that points a kernel outside its window, at pages it never
+/// pinned, or at a graph that does not hang together, must end that
+/// tenant's job as `Done` — not panic the simulator, allocate by a size
+/// read from guest memory, or wait forever for a line that was
+/// master-aborted — while the AES tenant on the device's other slot
+/// finishes bit-exactly. A pointer at the last line of the address space
+/// steps to GVA 0 for its next line instead of overflowing. Each row is a
+/// catalogue job with one edit.
 #[test]
 fn wild_pointers_and_malformed_graphs_end_the_job_not_the_simulator() {
-    type Program = fn(&mut GuestCtx<'_>);
+    type Edit = fn(&mut Program);
     use AccelKind::{Aes, Fir, Gau, Grs, Md5, Rsd, Sbl, Sha, Sw};
+    use Ends::{Clean, Discarded, Faulted};
+    const SRC: u64 = StreamShell::REG_SRC;
     let streams = [Aes, Md5, Sha, Fir, Rsd, Sw, Gau, Sbl, Grs].into_iter().flat_map(|kind| {
-        let wild: Program = |g| {
-            let src = out_of_window(g);
-            program_stream(g, Some(src), None)
-        };
         [
-            ("stream source out of the window", kind, true, wild),
-            ("stream source at the top line", kind, true, |g| {
-                let src = top_line(g);
-                program_stream(g, Some(src), None)
-            }),
+            ("stream source out of the window", kind, Discarded, (|p| p.set(SRC, Value::At(0, OUT))) as Edit),
+            ("stream source at the top line", kind, Discarded, |p| p.set(SRC, TOP)),
+            ("stream source in the window, unmapped", kind, Faulted, |p| p.set(SRC, Value::At(0, UNMAPPED))),
         ]
     });
-    let top_dst: Program = |g| {
-        let dst = top_line(g);
-        program_stream(g, None, Some(dst))
-    };
     let writers = [Aes, Fir, Rsd, Gau, Sbl, Grs]
-        .map(|kind| ("stream destination at the top line", kind, true, top_dst));
-    let vectors: [(&str, AccelKind, bool, Program); 14] = [
-        ("descriptor out of the window", AccelKind::HcDma, true, |g| {
-            let desc = out_of_window(g);
-            g.mmio_write(APP + HcDmaKernel::REG_DESC, desc);
+        .map(|kind| ("stream destination at the top line", kind, Discarded, (|p| p.set(StreamShell::REG_DST, TOP)) as Edit));
+    let vectors: [(&str, AccelKind, Ends, Edit); 20] = [
+        ("descriptor out of the window", AccelKind::HcDma, Discarded, |p| {
+            p.set(HcDmaKernel::REG_DESC, Value::At(1, OUT))
         }),
-        ("run at the top line", AccelKind::HcDma, true, |g| {
-            let top = top_line(g);
-            program_hc_dma(g, &[(top, 4)])
+        ("run at the top line", AccelKind::HcDma, Discarded, |p| {
+            p.buffers[1].fill = Fill::Words(vec![Value::Imm(TOP), Value::Imm(4)])
         }),
-        ("a 2^40-line run after a good one", AccelKind::HcDma, true, |g| {
-            let good = g.alloc_dma(4096).raw();
-            let wild = out_of_window(g);
-            program_hc_dma(g, &[(good, 4), (wild, 1 << 40)])
+        ("a 2^40-line run after a good one", AccelKind::HcDma, Discarded, |p| {
+            let runs = [Value::At(0, 0), Value::Imm(4), Value::At(0, OUT), Value::Imm(1 << 40)];
+            p.buffers[1].fill = Fill::Words(runs.to_vec())
         }),
-        ("LinkedList start node out of the window", AccelKind::Ll, true, |g| {
-            let start = out_of_window(g);
-            g.mmio_write(APP + LlKernel::REG_START, start);
-            g.mmio_write(APP + LlKernel::REG_STEPS, 100);
+        ("a 2^40-line run in the window after a good one", AccelKind::HcDma, Faulted, |p| {
+            let runs = [Value::At(0, 0), Value::Imm(4), Value::At(0, UNMAPPED), Value::Imm(1 << 40)];
+            p.buffers[1].fill = Fill::Words(runs.to_vec())
         }),
-        ("BTC header out of the window", AccelKind::Btc, true, |g| {
-            let src = out_of_window(g);
-            g.mmio_write(APP + BtcKernel::REG_SRC, src);
-            g.mmio_write(APP + BtcKernel::REG_COUNT, 1_000);
+        ("LinkedList start node out of the window", AccelKind::Ll, Discarded, |p| {
+            p.set(LlKernel::REG_START, Value::At(0, OUT))
         }),
-        ("BTC header at the top line", AccelKind::Btc, true, |g| {
-            let src = top_line(g);
-            g.mmio_write(APP + BtcKernel::REG_SRC, src);
-            g.mmio_write(APP + BtcKernel::REG_COUNT, 1_000);
+        ("LinkedList start node in the window, unmapped", AccelKind::Ll, Faulted, |p| {
+            p.set(LlKernel::REG_START, Value::At(0, UNMAPPED))
         }),
-        ("GRN destination at the top line", AccelKind::Grn, true, |g| {
-            let dst = top_line(g);
-            g.mmio_write(APP + GrnKernel::REG_DST, dst);
-            g.mmio_write(APP + GrnKernel::REG_LINES, 64);
+        ("BTC header out of the window", AccelKind::Btc, Discarded, |p| {
+            p.set(BtcKernel::REG_SRC, Value::At(0, OUT))
         }),
-        ("SSSP graph out of the window", AccelKind::Sssp, true, |g| program_sssp(g, None, false)),
-        ("SSSP graph out of the window, on chip", AccelKind::Sssp, true, |g| {
-            program_sssp(g, None, true)
+        ("BTC header at the top line", AccelKind::Btc, Discarded, |p| p.set(BtcKernel::REG_SRC, TOP)),
+        ("BTC header in the window, unmapped", AccelKind::Btc, Faulted, |p| {
+            p.set(BtcKernel::REG_SRC, Value::At(0, UNMAPPED))
         }),
-        ("SSSP distance array out of the window, on chip", AccelKind::Sssp, true, |g| {
-            program_sssp(g, Some(csr(2, &[0, 1, 1], &[1], &[1])), true);
-            let dist = out_of_window(g);
-            g.mmio_write(APP + SsspKernel::REG_DIST, dist);
+        ("GRN destination at the top line", AccelKind::Grn, Discarded, |p| p.set(GrnKernel::REG_DST, TOP)),
+        ("GRN destination in the window, unmapped", AccelKind::Grn, Faulted, |p| {
+            p.set(GrnKernel::REG_DST, Value::At(0, UNMAPPED))
         }),
-        ("SSSP vertex count past on-chip RAM", AccelKind::Sssp, false, |g| {
-            program_sssp(g, Some(csr(u32::MAX, &[], &[], &[])), true)
+        ("MemBench region in the window, unmapped", AccelKind::Mb, Faulted, |p| {
+            p.set(MbKernel::REG_REGION, Value::At(0, UNMAPPED))
         }),
-        ("SSSP edge target past the distance array", AccelKind::Sssp, false, |g| {
-            program_sssp(g, Some(csr(2, &[0, 1, 1], &[5], &[1])), true)
+        ("SSSP graph out of the window", AccelKind::Sssp, Discarded, |p| {
+            p.set(SsspKernel::REG_GRAPH, Value::At(0, OUT));
+            p.set(SsspKernel::REG_ONCHIP, 0);
         }),
-        ("SSSP edge range ending before it starts", AccelKind::Sssp, false, |g| {
-            program_sssp(g, Some(csr(2, &[1, 0, 1], &[1], &[1])), false)
+        ("SSSP graph out of the window, on chip", AccelKind::Sssp, Discarded, |p| {
+            p.set(SsspKernel::REG_GRAPH, Value::At(0, OUT))
         }),
-        ("SSSP source past the vertex count", AccelKind::Sssp, false, |g| {
+        ("SSSP graph in the window, unmapped", AccelKind::Sssp, Faulted, |p| {
+            p.set(SsspKernel::REG_GRAPH, Value::At(0, UNMAPPED))
+        }),
+        ("SSSP distance array out of the window, on chip", AccelKind::Sssp, Discarded, |p| {
+            p.buffers[0].fill = csr(2, &[0, 1, 1], &[1], &[1]);
+            p.set(SsspKernel::REG_DIST, Value::At(1, OUT));
+        }),
+        ("SSSP vertex count past on-chip RAM", AccelKind::Sssp, Clean, |p| {
+            p.buffers[0].fill = csr(u32::MAX, &[], &[], &[])
+        }),
+        ("SSSP edge target past the distance array", AccelKind::Sssp, Clean, |p| {
+            p.buffers[0].fill = csr(2, &[0, 1, 1], &[5], &[1])
+        }),
+        ("SSSP edge range ending before it starts", AccelKind::Sssp, Clean, |p| {
+            p.buffers[0].fill = csr(2, &[1, 0, 1], &[1], &[1]);
+            p.set(SsspKernel::REG_ONCHIP, 0);
+        }),
+        ("SSSP source past the vertex count", AccelKind::Sssp, Clean, |p| {
             // Vertex 3's row offsets would be the words after the array.
-            program_sssp(g, Some(csr(2, &[0, 1, 1], &[0], &[1])), true);
-            g.mmio_write(APP + SsspKernel::REG_SOURCE, 3);
+            p.buffers[0].fill = csr(2, &[0, 1, 1], &[0], &[1]);
+            p.set(SsspKernel::REG_SOURCE, 3);
         }),
     ];
-    for (what, kind, aborts, program) in vectors.into_iter().chain(streams).chain(writers) {
+    for (what, kind, ends, edit) in vectors.into_iter().chain(streams).chain(writers) {
         let what = format!("{kind:?}: {what}");
+        let mut job = catalog::program(kind, &Spec { working_set: 1 << 20, ..Spec::bounded(64, 1) });
+        edit(&mut job);
         let mut hv = Optimus::new(OptimusConfig::new(vec![AccelKind::Aes, kind]));
         let good = AesTenant::new(&mut hv, "good", 3);
-        let vm = hv.create_vm("bad");
-        let bad = hv.create_vaccel(vm, 1);
-        {
-            let mut g = hv.guest(bad);
-            program(&mut g);
-            g.mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-        }
+        let (bad, _) = launch(&mut hv, 1, "bad", &job);
         assert!(hv.run_until_done(bad, 2_000_000), "{what}: the at-fault job never ended");
         assert!(hv.run_until_done(good.va, 20_000_000), "{what}: co-tenant starved");
         assert!(good.output_is_exact(&mut hv), "{what}: co-tenant output corrupted");
-        assert_eq!(hv.stats().discarded_dma > 0, aborts, "{what}: discarded DMA");
+        assert_eq!(hv.stats().discarded_dma > 0, ends == Discarded, "{what}: discarded DMA");
+        let faulted = hv.device().host().faulted_dmas();
+        assert_eq!(faulted > 0, ends == Faulted, "{what}: faulted DMA");
     }
+}
+
+/// Runs an MD5 job whose `REG_STATE_PAD` is 2^40 time-sharing one slot
+/// with an identical unpadded job, under `preempt_timeout` (the default if
+/// `None`), until the unpadded one finishes; asserts it matches its oracle
+/// and returns the hypervisor's stats.
+fn padded_md5_beside_a_bounded_one(preempt_timeout: Option<Cycle>) -> HvStats {
+    let mut cfg = OptimusConfig::new(vec![AccelKind::Md5]);
+    cfg.time_slice = 8_000;
+    if let Some(timeout) = preempt_timeout {
+        cfg.preempt_timeout = timeout;
+    }
+    let mut hv = Optimus::new(cfg);
+    let mut job = catalog::program(AccelKind::Md5, &Spec::bounded(16384, 5));
+    job.add_state(16 << 20);
+    let mut padded = job.clone();
+    padded.set(Md5Kernel::REG_STATE_PAD, 1 << 40);
+    // Set-up traps advance simulated time, so both jobs start only once
+    // both are programmed.
+    let [bad, good] = [("bad", &padded), ("good", &job)].map(|(name, job)| {
+        let vm = hv.create_vm(name);
+        let va = hv.create_vaccel(vm, 0);
+        let mut g = hv.guest(va);
+        let placed = catalog::alloc(job, &mut g);
+        catalog::write_regs(job, &placed, &mut g);
+        (va, placed)
+    });
+    for (va, _) in [&bad, &good] {
+        hv.guest(*va).mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
+    }
+    assert!(hv.run_until_done(good.0, 200_000_000), "co-tenant starved");
+    assert!(matches_oracle(&mut hv, good.0, &job, &good.1), "co-tenant digest wrong");
+    hv.stats()
 }
 
 /// MD5's `REG_STATE_PAD` sizes the zero padding every save writes, and the
@@ -583,32 +499,6 @@ fn wild_pointers_and_malformed_graphs_end_the_job_not_the_simulator() {
 /// tenant time-sharing the slot finishes bit-exactly.
 #[test]
 fn a_terabyte_md5_state_pad_is_clamped_to_on_chip_ram() {
-    let mut cfg = OptimusConfig::new(vec![AccelKind::Md5]);
-    cfg.time_slice = 8_000;
-    let mut hv = Optimus::new(cfg);
-    let data = random_bytes(1 << 20, 5);
-    let [bad, good] = ["bad", "good"].map(|name| {
-        let vm = hv.create_vm(name);
-        let va = hv.create_vaccel(vm, 0);
-        let mut g = hv.guest(va);
-        let (src, dst, state) = (g.alloc_dma(1 << 20), g.alloc_dma(4096), g.alloc_dma(16 << 20));
-        g.write_mem(src, &data);
-        g.set_state_buffer(state);
-        g.mmio_write(APP + hash_reg::SRC, src.raw());
-        g.mmio_write(APP + hash_reg::DST, dst.raw());
-        g.mmio_write(APP + hash_reg::LINES, data.len() as u64 / 64);
-        va
-    });
-    hv.guest(bad).mmio_write(APP + Md5Kernel::REG_STATE_PAD, 1 << 40);
-    for va in [bad, good] {
-        hv.guest(va).mmio_write(accel_reg::CTRL_CMD, accel_reg::CMD_START);
-    }
-    assert!(hv.run_until_done(good, 200_000_000), "co-tenant starved");
-    let stats = hv.stats();
+    let stats = padded_md5_beside_a_bounded_one(None);
     assert!(stats.preemptions > 0, "no save ever happened: {stats:?}");
-    let want = optimus_algo::md5::md5(&data);
-    let digest: Vec<u8> = (0..2)
-        .flat_map(|i| hv.guest(good).mmio_read(APP + hash_reg::DIGEST0 + 8 * i).to_le_bytes())
-        .collect();
-    assert_eq!(digest, want, "co-tenant digest wrong");
 }
