@@ -2,27 +2,34 @@
 //!
 //! This is the paper's motivating *pointer-chasing* workload (Fig. 1): the
 //! accelerator walks a CSR graph resident in system memory, and the address
-//! of every access depends on data returned by a previous access — row
-//! offsets name edge ranges, edges name neighbour vertices, neighbour
-//! vertices name distance words. Under the shared-memory model the
-//! accelerator chases these pointers itself; under the host-centric model
-//! every hop needs CPU involvement, which is exactly the gap Fig. 1
-//! measures.
+//! of every access depends on data returned by a previous access — the
+//! frontier names row offsets, row offsets name edge ranges, edges name
+//! neighbour vertices. Under the shared-memory model the accelerator chases
+//! these pointers itself; under the host-centric model every hop needs CPU
+//! involvement, which is exactly the gap Fig. 1 measures.
 //!
 //! The algorithm is the frontier-based Bellman–Ford relaxation of
-//! [`optimus_algo::graph::sssp`] (hardware-friendly: no priority queue).
-//! The frontier lives in on-chip RAM; the distance array lives in DRAM and
-//! is updated with read-modify-write line operations. Relaxations are
-//! monotone, so re-processing a vertex after a preemption is harmless —
-//! which is why the preemption state is just the frontier.
+//! [`optimus_algo::graph::sssp`] (hardware-friendly: no priority queue),
+//! with the vertex data on chip (Zhou–Prasanna style). The distance array
+//! is streamed into BRAM at start; a distance array larger than on-chip RAM
+//! ends the job. Each round gathers the row-offset lines of its whole
+//! frontier, then every edge line the round touches, and relaxes those
+//! edges against the on-chip copy. The final distances are streamed back
+//! to DRAM at the end.
+//!
+//! The preemption state is the on-chip distances, the round's frontier, the
+//! next frontier and how many of the round's edges are relaxed. A resumed
+//! round gathers its lines again and skips those edges, so the job goes on
+//! exactly where it stopped. A job saved before its distances were on chip
+//! starts over: nothing of it has reached DRAM yet.
 
 use crate::harness::Kernel;
 use crate::mover::{Gather, Got, Scatter};
 use crate::ser::{Reader, Writer};
+use crate::stream::StreamEngine;
 use optimus_fabric::accelerator::{AccelMeta, AccelPort};
-use optimus_mem::addr::Gva;
 use optimus_sim::time::Cycle;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 
 /// "Unreachable" distance (matches [`optimus_algo::graph::INF`]).
 pub const INF: u32 = u32::MAX;
@@ -71,62 +78,47 @@ impl LineRuns {
     }
 }
 
+/// The edge after edge `k` of `ranges[range]`, as `(range, k)`; past the
+/// last edge, `range` is `ranges.len()`.
+fn next_edge(ranges: &[(u32, u32, u32)], range: usize, k: u32) -> (usize, u32) {
+    if k + 1 < ranges[range].2 {
+        (range, k + 1)
+    } else {
+        (range + 1, ranges.get(range + 1).map_or(0, |r| r.1))
+    }
+}
+
 #[derive(Debug)]
 enum Phase {
     Idle,
     FetchHeader(Gather),
-    /// On-chip mode: stream the distance array into BRAM.
-    LoadDist {
-        engine: crate::stream::StreamEngine,
-    },
-    /// On-chip mode: stream the final distance array back to DRAM.
+    /// Stream the distance array into BRAM.
+    LoadDist(StreamEngine),
+    /// Stream the final distance array back to DRAM.
     WriteBack(Scatter),
-    /// On-chip mode: fetch the row-offset lines of the whole frontier
-    /// (pipelined — the frontier's vertices are all known up front).
+    /// Start a round on the frontier, or the next frontier, or end the job.
+    NextRound,
+    /// Fetch the row-offset lines of the whole frontier (pipelined — the
+    /// frontier's vertices are all known up front).
     RoundOffsets {
         fetch: Gather,
         runs: LineRuns,
     },
-    /// On-chip mode: fetch every edge line the round touches (bulk,
-    /// bandwidth-bound streaming).
+    /// Fetch every edge line the round touches (bulk, bandwidth-bound
+    /// streaming).
     RoundEdges {
         fetch: Gather,
         runs: LineRuns,
         ranges: Vec<(u32, u32, u32)>,
     },
-    /// On-chip mode: relax the gathered edges against BRAM, edge `k` of
-    /// `ranges[range]` next.
+    /// Relax the gathered edges against BRAM, edge `k` of `ranges[range]`
+    /// next.
     RoundRelax {
         fetch: Gather,
         runs: LineRuns,
         ranges: Vec<(u32, u32, u32)>,
         range: usize,
         k: u32,
-    },
-    NextVertex,
-    FetchOffsets {
-        fetch: Gather,
-        /// Byte address of `row_offsets[u]`.
-        lo_addr: u64,
-        two_lines: bool,
-        /// The vertex whose offsets (and fresh distance) are being fetched.
-        u: u32,
-    },
-    FetchEdges {
-        fetch: Gather,
-        target_base_addr: u64,
-        weight_base_addr: u64,
-        lo: u32,
-        hi: u32,
-        /// Line GVAs of the target half (rest are weights).
-        target_line_count: usize,
-    },
-    ProcessEdges,
-    FetchDist {
-        fetch: Gather,
-        v: u32,
-        cand: u32,
-        line_gva: u64,
     },
     Done,
 }
@@ -140,27 +132,17 @@ pub struct SsspKernel {
     source: u64,
     vertices: u32,
     edges: u32,
-    frontier: VecDeque<(u32, u32)>,
-    next: Vec<(u32, u32)>,
+    /// The round's vertices, kept until the round ends.
+    frontier: Vec<u32>,
+    /// The vertices this round improved: the next round's frontier.
+    next: Vec<u32>,
     in_next: HashSet<u32>,
-    current: Option<(u32, u32)>,
-    edge_list: Vec<(u32, u32)>,
-    edge_idx: usize,
+    /// Edges of the round relaxed so far, in gather order.
+    scanned: u64,
     rounds: u64,
     relaxations: u64,
-    /// The `REG_ONCHIP` register.
-    onchip_reg: bool,
-    /// The job's vertex-data mode, latched from `onchip_reg` at start (and
-    /// from the blob at restore), so a write mid-job cannot switch paths
-    /// under it. On chip (Zhou–Prasanna style), the distance array is
-    /// streamed into BRAM at start and back out at the end, and edges are
-    /// relaxed against the on-chip copy — feasible when the vertex data
-    /// fits BRAM; off chip, distances stay in DRAM and every edge issues a
-    /// dependent read-modify-write.
-    onchip: bool,
+    /// The on-chip copy of the distance array.
     dist_vec: Vec<u32>,
-    /// The vertices of the round being processed (on-chip mode).
-    round_vertices: Vec<u32>,
     phase: Phase,
 }
 
@@ -183,11 +165,6 @@ impl SsspKernel {
     pub const REG_ROUNDS: u64 = 24;
     /// Register (read-only): successful relaxations.
     pub const REG_RELAXATIONS: u64 = 32;
-    /// Register: 1 = on-chip vertex data (stream dist in/out, relax in
-    /// BRAM; a distance array larger than on-chip RAM ends the job),
-    /// 0 = per-edge DRAM read-modify-write. A job runs in the mode it
-    /// started with.
-    pub const REG_ONCHIP: u64 = 40;
 
     /// Creates an idle kernel.
     pub fn new() -> Self {
@@ -198,18 +175,13 @@ impl SsspKernel {
             source: 0,
             vertices: 0,
             edges: 0,
-            frontier: VecDeque::new(),
+            frontier: Vec::new(),
             next: Vec::new(),
             in_next: HashSet::new(),
-            current: None,
-            edge_list: Vec::new(),
-            edge_idx: 0,
+            scanned: 0,
             rounds: 0,
             relaxations: 0,
-            onchip_reg: false,
-            onchip: false,
             dist_vec: Vec::new(),
-            round_vertices: Vec::new(),
             phase: Phase::Idle,
         }
     }
@@ -227,10 +199,6 @@ impl SsspKernel {
         self.target_addr(k) + 4 * self.edges as u64
     }
 
-    fn dist_addr(&self, v: u32) -> u64 {
-        self.dist + 4 * v as u64
-    }
-
     /// Whether `[lo, hi)` is a well-formed (possibly empty) edge range. A
     /// malformed graph in guest memory ends the job instead.
     fn edge_range_ok(&self, lo: u32, hi: u32) -> bool {
@@ -242,6 +210,13 @@ impl SsspKernel {
     fn edge_runs(&self, lo: u32, hi: u32) -> [(u64, u64); 2] {
         [(self.target_addr(lo), self.target_addr(hi)), (self.weight_addr(lo), self.weight_addr(hi))]
             .map(|(from, to)| (from & !63, (to - 1) / 64 - from / 64 + 1))
+    }
+
+    /// Ends the round: its frontier is spent.
+    fn end_round(&mut self) -> Phase {
+        self.frontier.clear();
+        self.scanned = 0;
+        Phase::NextRound
     }
 }
 
@@ -255,7 +230,6 @@ impl Kernel for SsspKernel {
             Self::REG_GRAPH => self.graph = value,
             Self::REG_DIST => self.dist = value,
             Self::REG_SOURCE => self.source = value,
-            Self::REG_ONCHIP => self.onchip_reg = value != 0,
             _ => {}
         }
     }
@@ -267,7 +241,6 @@ impl Kernel for SsspKernel {
             Self::REG_SOURCE => self.source,
             Self::REG_ROUNDS => self.rounds,
             Self::REG_RELAXATIONS => self.relaxations,
-            Self::REG_ONCHIP => self.onchip_reg as u64,
             _ => 0,
         }
     }
@@ -276,12 +249,9 @@ impl Kernel for SsspKernel {
         self.frontier.clear();
         self.next.clear();
         self.in_next.clear();
-        self.current = None;
-        self.edge_list.clear();
-        self.edge_idx = 0;
+        self.scanned = 0;
         self.rounds = 0;
         self.relaxations = 0;
-        self.onchip = self.onchip_reg;
         self.phase = Phase::FetchHeader(Gather::of_lines(&[self.graph]));
     }
 
@@ -306,25 +276,18 @@ impl Kernel for SsspKernel {
                     let line = fetch.line(0);
                     self.vertices = u32::from_le_bytes(line[0..4].try_into().unwrap());
                     self.edges = u32::from_le_bytes(line[4..8].try_into().unwrap());
-                    self.frontier.push_back((self.source as u32, 0));
+                    self.frontier.push(self.source as u32);
                     self.rounds = 1;
                     let dist_bytes = self.vertices as u64 * 4;
-                    if self.source >= self.vertices as u64
-                        || (self.onchip && dist_bytes > crate::ONCHIP_RAM_BYTES)
-                    {
+                    if self.source >= self.vertices as u64 || dist_bytes > crate::ONCHIP_RAM_BYTES {
                         Phase::Done
-                    } else if self.onchip {
-                        let lines = dist_bytes.div_ceil(64);
-                        self.dist_vec.clear();
-                        Phase::LoadDist {
-                            engine: crate::stream::StreamEngine::new(self.dist, lines),
-                        }
                     } else {
-                        Phase::NextVertex
+                        self.dist_vec.clear();
+                        Phase::LoadDist(StreamEngine::new(self.dist, dist_bytes.div_ceil(64)))
                     }
                 }
             },
-            Phase::LoadDist { mut engine } => {
+            Phase::LoadDist(mut engine) => {
                 engine.absorb(port);
                 engine.issue_reads(port, now);
                 while let Some((_, line)) = engine.next_line() {
@@ -338,9 +301,9 @@ impl Kernel for SsspKernel {
                 if engine.aborted() {
                     Phase::Done
                 } else if engine.input_exhausted() {
-                    Phase::NextVertex
+                    Phase::NextRound
                 } else {
-                    Phase::LoadDist { engine }
+                    Phase::LoadDist(engine)
                 }
             }
             Phase::WriteBack(mut scatter) => {
@@ -359,13 +322,36 @@ impl Kernel for SsspKernel {
                     Phase::WriteBack(scatter)
                 }
             }
+            Phase::NextRound => {
+                if !self.frontier.is_empty() {
+                    let lines = (self.frontier.iter())
+                        .flat_map(|&u| {
+                            let lo_addr = self.row_offset_addr(u);
+                            [(lo_addr & !63, 1), ((lo_addr + 4) & !63, 1)]
+                        })
+                        .collect();
+                    let runs = LineRuns::new(lines);
+                    Phase::RoundOffsets {
+                        fetch: runs.fetch(),
+                        runs,
+                    }
+                } else if !self.next.is_empty() {
+                    self.frontier = std::mem::take(&mut self.next);
+                    self.in_next.clear();
+                    self.rounds += 1;
+                    Phase::NextRound
+                } else {
+                    let lines = (self.vertices as u64 * 4).div_ceil(64);
+                    Phase::WriteBack(Scatter::new(self.dist, lines))
+                }
+            }
             Phase::RoundOffsets { mut fetch, runs } => match fetch.poll(port, now, 16) {
                 Got::Pending => Phase::RoundOffsets { fetch, runs },
                 Got::Aborted => Phase::Done,
                 Got::Lines => {
                     // Decode (lo, hi) per frontier vertex, then gather every
                     // edge line the round touches.
-                    let ranges: Option<Vec<(u32, u32, u32)>> = (self.round_vertices.iter())
+                    let ranges: Option<Vec<(u32, u32, u32)>> = (self.frontier.iter())
                         .map(|&u| {
                             let lo_addr = self.row_offset_addr(u);
                             let lo = runs.u32_at(&fetch, lo_addr);
@@ -378,7 +364,7 @@ impl Kernel for SsspKernel {
                         Some(mut ranges) => {
                             ranges.retain(|&(_, lo, hi)| lo < hi);
                             if ranges.is_empty() {
-                                Phase::NextVertex
+                                self.end_round()
                             } else {
                                 let runs = (ranges.iter())
                                     .flat_map(|&(_, lo, hi)| self.edge_runs(lo, hi))
@@ -405,13 +391,24 @@ impl Kernel for SsspKernel {
                     ranges,
                 },
                 Got::Aborted => Phase::Done,
-                Got::Lines => Phase::RoundRelax {
-                    k: ranges[0].1,
-                    fetch,
-                    runs,
-                    ranges,
-                    range: 0,
-                },
+                Got::Lines => {
+                    // A resumed round skips the edges it relaxed before
+                    // its save.
+                    let (mut range, mut k) = (0, ranges[0].1);
+                    for _ in 0..self.scanned {
+                        if range == ranges.len() {
+                            break;
+                        }
+                        (range, k) = next_edge(&ranges, range, k);
+                    }
+                    Phase::RoundRelax {
+                        fetch,
+                        runs,
+                        ranges,
+                        range,
+                        k,
+                    }
+                }
             },
             Phase::RoundRelax {
                 fetch,
@@ -423,7 +420,7 @@ impl Kernel for SsspKernel {
                 let mut budget = 4;
                 let mut malformed = false;
                 while budget > 0 && range < ranges.len() {
-                    let (u, _, hi) = ranges[range];
+                    let u = ranges[range].0;
                     let v = runs.u32_at(&fetch, self.target_addr(k));
                     let w = runs.u32_at(&fetch, self.weight_addr(k));
                     let (Some(&du), Some(&dv)) =
@@ -437,14 +434,11 @@ impl Kernel for SsspKernel {
                         self.dist_vec[v as usize] = cand;
                         self.relaxations += 1;
                         if self.in_next.insert(v) {
-                            self.next.push((v, cand));
+                            self.next.push(v);
                         }
                     }
-                    k += 1;
-                    if k == hi {
-                        range += 1;
-                        k = ranges.get(range).map_or(0, |r| r.1);
-                    }
+                    (range, k) = next_edge(&ranges, range, k);
+                    self.scanned += 1;
                     budget -= 1;
                 }
                 if malformed {
@@ -458,225 +452,13 @@ impl Kernel for SsspKernel {
                         k,
                     }
                 } else {
-                    Phase::NextVertex
+                    self.end_round()
                 }
             }
-            Phase::NextVertex if self.onchip => {
-                if !self.frontier.is_empty() {
-                    self.round_vertices = self.frontier.drain(..).map(|(u, _)| u).collect();
-                    let lines = self
-                        .round_vertices
-                        .iter()
-                        .flat_map(|&u| {
-                            let lo_addr = self.row_offset_addr(u);
-                            [(lo_addr & !63, 1), ((lo_addr + 4) & !63, 1)]
-                        })
-                        .collect();
-                    let runs = LineRuns::new(lines);
-                    Phase::RoundOffsets {
-                        fetch: runs.fetch(),
-                        runs,
-                    }
-                } else if !self.next.is_empty() {
-                    self.frontier = std::mem::take(&mut self.next).into();
-                    self.in_next.clear();
-                    self.rounds += 1;
-                    Phase::NextVertex
-                } else {
-                    self.current = None;
-                    let lines = (self.vertices as u64 * 4).div_ceil(64);
-                    Phase::WriteBack(Scatter::new(self.dist, lines))
-                }
-            }
-            Phase::NextVertex => {
-                if let Some((u, _)) = self.frontier.pop_front() {
-                    let lo_addr = self.row_offset_addr(u);
-                    let hi_addr = lo_addr + 4;
-                    let two_lines = (lo_addr & !63) != (hi_addr & !63);
-                    let mut gvas = vec![lo_addr & !63];
-                    if two_lines {
-                        gvas.push(hi_addr & !63);
-                    }
-                    // Also fetch the *fresh* distance of u: same-round
-                    // relaxations may already have improved it, and using
-                    // a stale enqueued value would propagate worse paths.
-                    gvas.push(self.dist_addr(u) & !63);
-                    Phase::FetchOffsets {
-                        fetch: Gather::of_lines(&gvas),
-                        lo_addr,
-                        two_lines,
-                        u,
-                    }
-                } else if !self.next.is_empty() {
-                    self.frontier = std::mem::take(&mut self.next).into();
-                    self.in_next.clear();
-                    self.rounds += 1;
-                    Phase::NextVertex
-                } else {
-                    self.current = None;
-                    Phase::Done
-                }
-            }
-            Phase::FetchOffsets {
-                mut fetch,
-                lo_addr,
-                two_lines,
-                u,
-            } => match fetch.poll(port, now, 3) {
-                Got::Pending => Phase::FetchOffsets {
-                    fetch,
-                    lo_addr,
-                    two_lines,
-                    u,
-                },
-                Got::Aborted => Phase::Done,
-                Got::Lines => {
-                    let lo_off = (lo_addr & 63) as usize;
-                    let lo =
-                        u32::from_le_bytes(fetch.line(0)[lo_off..lo_off + 4].try_into().unwrap());
-                    let hi = if two_lines {
-                        u32::from_le_bytes(fetch.line(1)[0..4].try_into().unwrap())
-                    } else {
-                        u32::from_le_bytes(
-                            fetch.line(0)[lo_off + 4..lo_off + 8].try_into().unwrap(),
-                        )
-                    };
-                    let dist_slot = if two_lines { 2 } else { 1 };
-                    let d_off = (self.dist_addr(u) & 63) as usize;
-                    let du = u32::from_le_bytes(
-                        fetch.line(dist_slot)[d_off..d_off + 4].try_into().unwrap(),
-                    );
-                    if !self.edge_range_ok(lo, hi) {
-                        Phase::Done
-                    } else if lo == hi {
-                        self.current = None;
-                        Phase::NextVertex
-                    } else {
-                        self.current = Some((u, du));
-                        let [t_run, w_run] = self.edge_runs(lo, hi);
-                        Phase::FetchEdges {
-                            fetch: Gather::new([t_run, w_run]),
-                            target_base_addr: t_run.0,
-                            weight_base_addr: w_run.0,
-                            lo,
-                            hi,
-                            target_line_count: t_run.1 as usize,
-                        }
-                    }
-                }
-            },
-            Phase::FetchEdges {
-                mut fetch,
-                target_base_addr,
-                weight_base_addr,
-                lo,
-                hi,
-                target_line_count,
-            } => match fetch.poll(port, now, 8) {
-                Got::Pending => Phase::FetchEdges {
-                    fetch,
-                    target_base_addr,
-                    weight_base_addr,
-                    lo,
-                    hi,
-                    target_line_count,
-                },
-                Got::Aborted => Phase::Done,
-                Got::Lines => {
-                    let mut edge_list = Vec::with_capacity((hi - lo) as usize);
-                    for k in lo..hi {
-                        let t_addr = self.target_addr(k);
-                        let t_slot = ((t_addr & !63) - target_base_addr) as usize / 64;
-                        let t_off = (t_addr & 63) as usize;
-                        let v = u32::from_le_bytes(
-                            fetch.line(t_slot)[t_off..t_off + 4].try_into().unwrap(),
-                        );
-                        let w_addr = self.weight_addr(k);
-                        let w_slot =
-                            target_line_count + ((w_addr & !63) - weight_base_addr) as usize / 64;
-                        let w_off = (w_addr & 63) as usize;
-                        let w = u32::from_le_bytes(
-                            fetch.line(w_slot)[w_off..w_off + 4].try_into().unwrap(),
-                        );
-                        edge_list.push((v, w));
-                    }
-                    self.edge_idx = 0;
-                    if edge_list.iter().any(|&(v, _)| v >= self.vertices) {
-                        Phase::Done
-                    } else {
-                        self.edge_list = edge_list;
-                        Phase::ProcessEdges
-                    }
-                }
-            },
-            Phase::ProcessEdges => {
-                if self.edge_idx >= self.edge_list.len() {
-                    self.current = None;
-                    Phase::NextVertex
-                } else {
-                    let (v, w) = self.edge_list[self.edge_idx];
-                    let (_, du) = self.current.expect("processing a vertex");
-                    let cand = du.saturating_add(w);
-                    let line_gva = self.dist_addr(v) & !63;
-                    Phase::FetchDist {
-                        fetch: Gather::of_lines(&[line_gva]),
-                        v,
-                        cand,
-                        line_gva,
-                    }
-                }
-            }
-            Phase::FetchDist {
-                mut fetch,
-                v,
-                cand,
-                line_gva,
-            } => match fetch.poll(port, now, 1) {
-                Got::Pending => Phase::FetchDist {
-                    fetch,
-                    v,
-                    cand,
-                    line_gva,
-                },
-                Got::Aborted => Phase::Done,
-                Got::Lines => {
-                    let off = (self.dist_addr(v) - line_gva) as usize;
-                    let mut line = *fetch.line(0);
-                    let old = u32::from_le_bytes(line[off..off + 4].try_into().unwrap());
-                    if cand < old {
-                        if port.can_issue() {
-                            line[off..off + 4].copy_from_slice(&cand.to_le_bytes());
-                            // Fire-and-forget write; its tag-less ack is
-                            // ignored by later fetches.
-                            port.write(Gva::new(line_gva), Box::new(line), now);
-                            self.relaxations += 1;
-                            if self.in_next.insert(v) {
-                                self.next.push((v, cand));
-                            }
-                            self.edge_idx += 1;
-                            Phase::ProcessEdges
-                        } else {
-                            // Port full: retry the write next cycle.
-                            Phase::FetchDist {
-                                fetch,
-                                v,
-                                cand,
-                                line_gva,
-                            }
-                        }
-                    } else {
-                        self.edge_idx += 1;
-                        Phase::ProcessEdges
-                    }
-                }
-            },
         };
     }
 
     fn serialize(&self) -> Vec<u8> {
-        // Preemption state: configuration + frontier (+ the in-flight
-        // vertex, pushed back for re-processing — relaxations are monotone,
-        // so re-running a vertex is safe).
         let mut w = Writer::new();
         w.u64(self.graph)
             .u64(self.dist)
@@ -686,24 +468,14 @@ impl Kernel for SsspKernel {
             .u64(self.rounds)
             .u64(self.relaxations)
             .u64(if matches!(self.phase, Phase::Done) { 1 } else { 0 })
-            .u64(self.onchip as u64);
-        let mut dist_bytes = Vec::with_capacity(self.dist_vec.len() * 4);
-        for d in &self.dist_vec {
-            dist_bytes.extend_from_slice(&d.to_le_bytes());
-        }
+            .u64(self.scanned);
+        let dist_bytes: Vec<u8> = self.dist_vec.iter().flat_map(|d| d.to_le_bytes()).collect();
         w.bytes(&dist_bytes);
-        let mut entries: Vec<(u32, u32)> = Vec::new();
-        if let Some(cur) = self.current {
-            entries.push(cur);
-        }
-        entries.extend(self.frontier.iter().copied());
-        w.u64(entries.len() as u64);
-        for (v, d) in &entries {
-            w.u64(*v as u64).u64(*d as u64);
-        }
-        w.u64(self.next.len() as u64);
-        for (v, d) in &self.next {
-            w.u64(*v as u64).u64(*d as u64);
+        for vertices in [&self.frontier, &self.next] {
+            w.u64(vertices.len() as u64);
+            for &v in vertices {
+                w.u64(v as u64);
+            }
         }
         w.finish()
     }
@@ -718,29 +490,31 @@ impl Kernel for SsspKernel {
         self.rounds = r.u64()?;
         self.relaxations = r.u64()?;
         let done = r.u64()? == 1;
-        self.onchip = r.u64()? == 1;
+        self.scanned = r.u64()?;
         self.dist_vec = r
             .bytes()?
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        let entries = |r: &mut Reader| -> Option<Vec<(u32, u32)>> {
-            (0..r.count(16)?)
-                .map(|_| Some((r.u64()? as u32, r.u64()? as u32)))
-                .collect()
+        let vertices = |r: &mut Reader| -> Option<Vec<u32>> {
+            (0..r.count(8)?).map(|_| Some(r.u64()? as u32)).collect()
         };
-        self.frontier = entries(&mut r)?.into();
-        self.next = entries(&mut r)?;
-        // On-chip relaxation indexes the distance array by these vertices.
-        let fits = |&(v, _): &(u32, u32)| (v as usize) < self.dist_vec.len();
-        if self.onchip && !(self.frontier.iter().all(fits) && self.next.iter().all(fits)) {
+        self.frontier = vertices(&mut r)?;
+        self.next = vertices(&mut r)?;
+        // Relaxation indexes the on-chip distances by these vertices.
+        if !self.frontier.iter().chain(&self.next).all(|&v| v < self.vertices) {
             return None;
         }
-        self.in_next = self.next.iter().map(|&(v, _)| v).collect();
-        self.current = None;
-        self.edge_list.clear();
-        self.edge_idx = 0;
-        self.phase = if done { Phase::Done } else { Phase::NextVertex };
+        self.in_next = self.next.iter().copied().collect();
+        if done {
+            self.phase = Phase::Done;
+        } else if self.rounds > 0 && self.dist_vec.len() == self.vertices as usize {
+            self.phase = Phase::NextRound;
+        } else {
+            // Saved before its distances were all on chip: nothing of the
+            // job has reached DRAM, so it starts over.
+            self.start();
+        }
         Some(())
     }
 
@@ -760,23 +534,24 @@ mod tests {
     use optimus_sim::rng::Xoshiro256;
 
     const DIST: usize = 0x100000;
+    const STATE: u64 = 0x400000;
 
     /// Starts a job from `source` over `graph` (at 0x1000, distances at
-    /// `DIST`); the rig to run it with.
-    fn start(acc: &mut Harnessed<SsspKernel>, graph: &CsrGraph, source: u32, onchip: bool) -> Rig {
+    /// `DIST`, saved state at `STATE`); the rig to run it with.
+    fn start(acc: &mut Harnessed<SsspKernel>, graph: &CsrGraph, source: u32) -> Rig {
         let mut mem = vec![0u8; 0x1000];
         mem.extend_from_slice(&graph.to_dram_layout());
         mem.resize(DIST, 0);
         for v in 0..graph.vertices() as u32 {
             mem.extend_from_slice(&if v == source { 0 } else { INF }.to_le_bytes());
         }
+        acc.mmio_write(accel_reg::CTRL_STATE_ADDR, STATE);
         rig::start(
             acc,
             &[
                 (SsspKernel::REG_GRAPH, 0x1000),
                 (SsspKernel::REG_DIST, DIST as u64),
                 (SsspKernel::REG_SOURCE, source as u64),
-                (SsspKernel::REG_ONCHIP, onchip as u64),
             ],
         );
         Rig::new(mem)
@@ -789,15 +564,18 @@ mod tests {
             .collect()
     }
 
-    fn run_sssp_mode(graph: &CsrGraph, source: u32, onchip: bool) -> Vec<u32> {
-        let mut acc = Harnessed::new(SsspKernel::new());
-        let mut rig = start(&mut acc, graph, source, onchip);
-        rig.finish(&mut acc, 10_000_000);
-        distances(&rig, graph)
+    /// `REG_ROUNDS` and `REG_RELAXATIONS`.
+    fn counters(acc: &mut Harnessed<SsspKernel>) -> [u64; 2] {
+        [SsspKernel::REG_ROUNDS, SsspKernel::REG_RELAXATIONS]
+            .map(|reg| acc.mmio_read(accel_reg::APP_BASE + reg))
     }
 
-    fn run_sssp(graph: &CsrGraph, source: u32) -> Vec<u32> {
-        run_sssp_mode(graph, source, false)
+    /// Runs a job to the end: its distances and [`counters`].
+    fn run_sssp(graph: &CsrGraph, source: u32) -> (Vec<u32>, [u64; 2]) {
+        let mut acc = Harnessed::new(SsspKernel::new());
+        let mut rig = start(&mut acc, graph, source);
+        rig.finish(&mut acc, 10_000_000);
+        (distances(&rig, graph), counters(&mut acc))
     }
 
     fn random_graph(seed: u64, n: usize, edges: usize) -> CsrGraph {
@@ -822,25 +600,21 @@ mod tests {
     #[test]
     fn tiny_graph_distances_match() {
         let g = CsrGraph::from_edges(4, &[(0, 1, 3), (0, 2, 10), (1, 2, 1), (2, 3, 2)]);
-        assert_eq!(run_sssp(&g, 0), sssp(&g, 0));
-    }
-
-    #[test]
-    fn onchip_mode_matches_reference() {
-        let g = random_graph(31, 128, 900);
-        assert_eq!(run_sssp_mode(&g, 0, true), sssp(&g, 0));
+        assert_eq!(run_sssp(&g, 0).0, sssp(&g, 0));
     }
 
     #[test]
     fn random_graph_distances_match_reference() {
-        let g = random_graph(21, 64, 400);
-        assert_eq!(run_sssp(&g, 0), sssp(&g, 0));
+        for (seed, n, edges) in [(21, 64, 400), (31, 128, 900)] {
+            let g = random_graph(seed, n, edges);
+            assert_eq!(run_sssp(&g, 0).0, sssp(&g, 0), "seed {seed}");
+        }
     }
 
     #[test]
     fn disconnected_vertices_remain_inf() {
         let g = CsrGraph::from_edges(5, &[(0, 1, 1)]);
-        let d = run_sssp(&g, 0);
+        let d = run_sssp(&g, 0).0;
         assert_eq!(d[0], 0);
         assert_eq!(d[1], 1);
         assert!(d[2..].iter().all(|&x| x == INF));
@@ -851,23 +625,53 @@ mod tests {
         // Vertex 14/15 put row_offsets[u], row_offsets[u+1] on different
         // lines (offset bytes 8+4·14 = 64 boundary region).
         let g = chain(40);
-        assert_eq!(run_sssp(&g, 0), sssp(&g, 0));
+        assert_eq!(run_sssp(&g, 0).0, sssp(&g, 0));
     }
 
     #[test]
-    fn a_mode_write_mid_job_does_not_switch_the_running_job() {
-        // The register takes the write; the running off-chip job keeps its
-        // mode and still converges to the reference.
-        let g = chain(2_000);
+    fn a_saved_vertex_past_the_vertex_count_fails_the_restore() {
+        let mut saved = SsspKernel::new();
+        (saved.vertices, saved.rounds, saved.dist_vec) = (4, 1, vec![0; 4]);
+        saved.next = vec![3];
+        assert!(SsspKernel::new().restore(&saved.serialize()).is_some());
+        saved.next = vec![4];
+        assert!(SsspKernel::new().restore(&saved.serialize()).is_none());
+    }
+
+    #[test]
+    fn preempt_resume_continues_the_job_exactly() {
+        // One job, preempted the first time it is seen in each phase, and
+        // each time resumed on a clobbered kernel. The load is cut midway,
+        // and the relaxation deep in a large round, where replaying the
+        // edges already relaxed would change both counters.
+        let g = random_graph(41, 512, 3_000);
+        let (_, uninterrupted) = run_sssp(&g, 0);
         let mut acc = Harnessed::new(SsspKernel::new());
-        let mut rig = start(&mut acc, &g, 0, false);
-        rig.run(&mut acc, 60);
-        acc.mmio_write(accel_reg::APP_BASE + SsspKernel::REG_ONCHIP, 1);
-        rig.finish(&mut acc, 10_000_000);
-        assert_eq!(distances(&rig, &g), sssp(&g, 0));
+        let mut rig = start(&mut acc, &g, 0);
+        let mut hit = Vec::new();
+        while !acc.is_done() {
+            let k = acc.kernel();
+            let phase = match k.phase {
+                Phase::FetchHeader(_) => "FetchHeader",
+                Phase::LoadDist(_) if !k.dist_vec.is_empty() => "LoadDist",
+                Phase::RoundOffsets { .. } => "RoundOffsets",
+                Phase::RoundEdges { .. } => "RoundEdges",
+                Phase::RoundRelax { .. } if k.scanned >= 1_000 => "RoundRelax",
+                Phase::WriteBack(_) => "WriteBack",
+                _ => "",
+            };
+            if !phase.is_empty() && !hit.contains(&phase) {
+                hit.push(phase);
+                rig.preempt_resume(&mut acc, SsspKernel::new());
+            }
+            rig.run(&mut acc, 1);
+        }
+        hit.sort_unstable();
         assert_eq!(
-            acc.mmio_read(accel_reg::APP_BASE + SsspKernel::REG_ONCHIP),
-            1
+            hit,
+            ["FetchHeader", "LoadDist", "RoundEdges", "RoundOffsets", "RoundRelax", "WriteBack"]
         );
+        assert_eq!(distances(&rig, &g), sssp(&g, 0));
+        assert_eq!(counters(&mut acc), uninterrupted);
     }
 }

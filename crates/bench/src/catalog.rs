@@ -369,7 +369,6 @@ pub fn sssp_program(graph: &CsrGraph, page: PageSize, bounded: bool) -> Program 
     p.set(SsspKernel::REG_GRAPH, Value::At(blob, 0));
     p.set(SsspKernel::REG_DIST, Value::At(dist, 0));
     p.set(SsspKernel::REG_SOURCE, 0);
-    p.set(SsspKernel::REG_ONCHIP, 1);
     p
 }
 

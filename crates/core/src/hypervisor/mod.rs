@@ -103,9 +103,6 @@ pub enum Backing {
 pub struct OptimusConfig {
     /// Accelerator kinds to configure onto the FPGA (≤ 8).
     pub accels: Vec<AccelKind>,
-    /// Multiplexer-tree arity (2 = the only arrangement that closes
-    /// 400 MHz timing; others are for ablations).
-    pub arity: usize,
     /// CCI-P channel selection policy.
     pub channel_policy: SelectorPolicy,
     /// Page-table-slicing layout.
@@ -130,7 +127,6 @@ impl OptimusConfig {
     pub fn new(accels: Vec<AccelKind>) -> Self {
         Self {
             accels,
-            arity: 2,
             channel_policy: SelectorPolicy::Auto,
             slicing: SlicingConfig::default(),
             time_slice: ms_to_cycles(10.0),
@@ -275,7 +271,8 @@ impl Optimus {
             .enumerate()
             .map(|(i, &k)| build_accelerator(k, slot_seed(config.seed, i)))
             .collect();
-        let device = FpgaDevice::try_new_monitored(accels, config.arity, config.channel_policy)?;
+        // A binary mux tree: the only arrangement that closes 400 MHz timing.
+        let device = FpgaDevice::try_new_monitored(accels, 2, config.channel_policy)?;
         let mut hv = Self::around(device, false, config);
         // Sanity-check the hardware: an OPTIMUS-compatible configuration
         // advertises itself through the VCU magic register.

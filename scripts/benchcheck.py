@@ -208,6 +208,24 @@ def fig1(directory):
           f"{len(table['rows'])} rows")
 
 
+def table4(directory):
+    """Table 4's MemBench throughput beside each co-tenant is within 0.03
+    of the paper's in every row. SSSP is the one waiver, held to
+    [0.75, 0.90]: its demand undershoots the paper's (DESIGN.md,
+    "Implementation deviations")."""
+    table = load(report(directory, "table4_colocation"))["tables"][0]
+    col = {h: i for i, h in enumerate(table["headers"])}
+    waivers = {"SSSP": (0.75, 0.90)}
+    for row in table["rows"]:
+        measured, paper = float(row[col["measured"]]), float(row[col["paper"]])
+        lo, hi = waivers.get(row[0], (paper - 0.03, paper + 0.03))
+        if not lo - 1e-9 <= measured <= hi + 1e-9:
+            fail(f"table4 row {row[0]}: measured {measured:.2f} outside "
+                 f"[{lo:.2f}, {hi:.2f}] (paper {paper:.2f})")
+    print(f"ok: table4 within 0.03 of the paper in all {len(table['rows'])} rows "
+          f"(SSSP in its waiver band)")
+
+
 def ledger(directory):
     """One traced driver run per ledger workload, its standard output in
     `<directory>/<workload>.out`: the model did not move (sim_fingerprint as
@@ -263,7 +281,7 @@ def pipeline(directory):
 
 CHECKS = {f.__name__.replace("_", "-"): f for f in (
     deps, same, chrome_trace, prometheus, monotone, slo, plane, rebalance, pipeline, fig1,
-    ledger)}
+    table4, ledger)}
 
 if __name__ == "__main__":
     if len(sys.argv) < 2 or sys.argv[1] not in CHECKS:

@@ -12,7 +12,8 @@
 #     every-kind oracle test again per-cycle (OPTIMUS_NO_FASTFWD=1).
 #  3. Bench smoke: every bench target once at tiny scales; each must emit its
 #     BENCH_<target>.json report. Fig 1 must keep SM < HC+Copy < HC+Config
-#     in every row, and a doctored row must be refused.
+#     in every row, Table 4 must stay within 0.03 of the paper (SSSP within
+#     its waiver band), and a doctored row of each must be refused.
 #  4. Recording planes: one fig5 sweep point with each plane on (twice) and
 #     off: reports identical minus the plane's own sections, its output
 #     deterministic and valid offline (Chrome trace, Prometheus, SLO
@@ -104,6 +105,24 @@ if out=$(check fig1 "$DOCTORED" 2>&1) || ! grep -qF "row $row:" <<<"$out"; then
     exit 1
 fi
 echo "ok: a doctored fig1 row $row is refused"
+check table4 "$BENCH_DIR"
+# Likewise for Table 4: a copy with SSSP at 0.99, what a DRAM vertex-data
+# SSSP measures, must be refused, by row.
+DOCTORED="target/table4-doctored"
+rm -rf "$DOCTORED" && mkdir -p "$DOCTORED"
+python3 - "$BENCH_DIR" "$DOCTORED" <<'EOF'
+import json, sys
+name = "BENCH_table4_colocation.json"
+rep = json.load(open(f"{sys.argv[1]}/{name}"))
+table = rep["tables"][0]
+next(r for r in table["rows"] if r[0] == "SSSP")[table["headers"].index("measured")] = "0.99"
+json.dump(rep, open(f"{sys.argv[2]}/{name}", "w"))
+EOF
+if out=$(check table4 "$DOCTORED" 2>&1) || ! grep -qF "row SSSP:" <<<"$out"; then
+    echo "FAIL: the table4 check did not refuse a doctored SSSP row"
+    exit 1
+fi
+echo "ok: a doctored table4 SSSP row is refused"
 
 echo "== [4/9] recording planes (on/off invisibility, determinism, artifacts) =="
 # plane | env on | env off | own report sections | validator

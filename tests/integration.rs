@@ -7,7 +7,6 @@ use optimus::scheduler::SchedPolicy;
 use optimus::vaccel::VaccelId;
 use optimus_accel::hash::reg as hash_reg;
 use optimus_accel::registry::AccelKind;
-use optimus_accel::sssp::SsspKernel;
 use optimus_bench::catalog::{self, Fill, Placed, Program, Spec, Value};
 use optimus_cci::channel::SelectorPolicy;
 use optimus_sim::time::ms_to_cycles;
@@ -47,10 +46,7 @@ fn reed_solomon_corrects_errors_through_the_stack() {
 
 #[test]
 fn sssp_through_the_hypervisor_matches_reference() {
-    // The DRAM vertex-data path: every edge a dependent read-modify-write.
-    let mut job = catalog::program(AccelKind::Sssp, &Spec::bounded(2400, 17));
-    job.set(SsspKernel::REG_ONCHIP, 0);
-    run_alone(job);
+    run_alone(catalog::program(AccelKind::Sssp, &Spec::bounded(2400, 17)));
 }
 
 #[test]

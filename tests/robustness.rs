@@ -378,7 +378,7 @@ fn wild_pointers_and_malformed_graphs_end_the_job_not_the_simulator() {
     });
     let writers = [Aes, Fir, Rsd, Gau, Sbl, Grs]
         .map(|kind| ("stream destination at the top line", kind, Discarded, (|p| p.set(StreamShell::REG_DST, TOP)) as Edit));
-    let vectors: [(&str, AccelKind, Ends, Edit); 20] = [
+    let vectors: [(&str, AccelKind, Ends, Edit); 19] = [
         ("descriptor out of the window", AccelKind::HcDma, Discarded, |p| {
             p.set(HcDmaKernel::REG_DESC, Value::At(1, OUT))
         }),
@@ -414,16 +414,12 @@ fn wild_pointers_and_malformed_graphs_end_the_job_not_the_simulator() {
             p.set(MbKernel::REG_REGION, Value::At(0, UNMAPPED))
         }),
         ("SSSP graph out of the window", AccelKind::Sssp, Discarded, |p| {
-            p.set(SsspKernel::REG_GRAPH, Value::At(0, OUT));
-            p.set(SsspKernel::REG_ONCHIP, 0);
-        }),
-        ("SSSP graph out of the window, on chip", AccelKind::Sssp, Discarded, |p| {
             p.set(SsspKernel::REG_GRAPH, Value::At(0, OUT))
         }),
         ("SSSP graph in the window, unmapped", AccelKind::Sssp, Faulted, |p| {
             p.set(SsspKernel::REG_GRAPH, Value::At(0, UNMAPPED))
         }),
-        ("SSSP distance array out of the window, on chip", AccelKind::Sssp, Discarded, |p| {
+        ("SSSP distance array out of the window", AccelKind::Sssp, Discarded, |p| {
             p.buffers[0].fill = csr(2, &[0, 1, 1], &[1], &[1]);
             p.set(SsspKernel::REG_DIST, Value::At(1, OUT));
         }),
@@ -434,8 +430,7 @@ fn wild_pointers_and_malformed_graphs_end_the_job_not_the_simulator() {
             p.buffers[0].fill = csr(2, &[0, 1, 1], &[5], &[1])
         }),
         ("SSSP edge range ending before it starts", AccelKind::Sssp, Clean, |p| {
-            p.buffers[0].fill = csr(2, &[1, 0, 1], &[1], &[1]);
-            p.set(SsspKernel::REG_ONCHIP, 0);
+            p.buffers[0].fill = csr(2, &[1, 0, 1], &[1], &[1])
         }),
         ("SSSP source past the vertex count", AccelKind::Sssp, Clean, |p| {
             // Vertex 3's row offsets would be the words after the array.
