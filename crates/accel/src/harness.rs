@@ -94,9 +94,10 @@ enum Phase {
 /// a resume, possibly after other virtual accelerators used this physical
 /// accelerator, recovers the exact length from memory alone.
 fn frame(state: Vec<u8>) -> Vec<u8> {
-    let mut blob = (state.len() as u64).to_le_bytes().to_vec();
+    let len = state.len() as u64;
+    let mut blob = len.to_le_bytes().to_vec();
     blob.extend_from_slice(&state);
-    blob.resize(blob.len().next_multiple_of(64), 0);
+    blob.resize(accel_reg::framed_state_bytes(len).expect("state fits memory") as usize, 0);
     blob
 }
 
@@ -104,8 +105,8 @@ fn frame(state: Vec<u8>) -> Vec<u8> {
 /// spans (header included), or `None` for a length no save could have
 /// written.
 fn framing(header: u64) -> Option<(usize, usize)> {
-    let payload_len = usize::try_from(header).ok()?;
-    Some((payload_len, payload_len.checked_add(8)?.div_ceil(64)))
+    let lines = accel_reg::framed_state_bytes(header)? / 64;
+    Some((usize::try_from(header).ok()?, usize::try_from(lines).ok()?))
 }
 
 /// An [`Accelerator`] built from a [`Kernel`] plus the shared preemption

@@ -9,9 +9,9 @@ use optimus_accel::hash::Md5Kernel;
 use optimus_accel::registry::AccelKind;
 use optimus_cci::channel::SelectorPolicy;
 use optimus_fabric::device::FpgaDevice;
-use optimus_fabric::mmio::accel_reg::APP_BASE;
+use optimus_fabric::mmio::accel_reg::{self, APP_BASE};
 use optimus_sim::rng::derive_seed;
-use optimus_sim::time::{cycles_to_ns, gbps, Cycle};
+use optimus_sim::time::{gbps, Cycle};
 
 /// Result for one accelerator slot in a spatial experiment.
 #[derive(Debug, Clone)]
@@ -175,10 +175,11 @@ pub fn run_temporal(
     let preemptions = hv.stats().preemptions - preemptions_at_open;
     // Port byte counters include the preemption save/restore DMA traffic;
     // subtract it so `progress` measures *application* throughput. Each
-    // actual preemption moves the (framed, padded) state once out and once
+    // actual preemption moves the kind's framed state once out and once
     // back in (the resume).
-    let state_lines = (state_pad + 256).div_ceil(64) + 1;
-    let state_traffic = preemptions * 2 * state_lines * 64;
+    let state_size = hv.device_mut().accel_mut(0).mmio_read(accel_reg::CTRL_STATE_SIZE);
+    let framed = accel_reg::framed_state_bytes(state_size).expect("state fits memory");
+    let state_traffic = preemptions * 2 * framed;
     TemporalResult {
         progress: raw.saturating_sub(state_traffic.min(raw)),
         cycles: total,
@@ -196,14 +197,4 @@ pub fn progress(device: &mut FpgaDevice, kind: AccelKind, slot: usize) -> u64 {
             r + w
         }
     }
-}
-
-/// Mean DMA latency (ns) helper for LinkedList experiments.
-pub fn ll_mean_latency(result: &SlotResult) -> f64 {
-    result.mean_latency_ns
-}
-
-/// Converts a window cycle count to seconds for rate math.
-pub fn window_secs(window: Cycle) -> f64 {
-    cycles_to_ns(window) * 1e-9
 }

@@ -11,7 +11,7 @@ use optimus_cci::params::host_costs;
 use optimus_fabric::accelerator::CtrlStatus;
 use optimus_fabric::mmio::{accel_mmio_base, accel_reg, ACCEL_PAGE};
 use optimus_mem::addr::{Gva, Hpa, PageSize, PAGE_2M};
-use optimus_mem::host::{FrameFiller, LineFiller};
+use optimus_mem::host::LineFiller;
 use optimus_mem::page_table::PageFlags;
 use optimus_sim::journal;
 use optimus_sim::metrics;
@@ -41,55 +41,22 @@ impl GuestCtx<'_> {
         self.alloc_dma_with(bytes, Backing::Normal)
     }
 
-    /// [`alloc_dma`](Self::alloc_dma) with a lazily synthesized backing
-    /// whose filler needs the region's own addresses (e.g. linked lists
-    /// with absolute next pointers).
-    pub fn alloc_dma_lazy_with(
-        &mut self,
-        bytes: u64,
-        make: impl FnOnce(Gva, Hpa) -> FrameFiller,
-    ) -> Gva {
-        self.alloc_dma_lazy_sized(bytes, PageSize::Huge, make)
-    }
-
-    /// [`alloc_dma_lazy_with`](Self::alloc_dma_lazy_with) with a chosen IO
-    /// page granularity.
-    pub fn alloc_dma_lazy_sized(
-        &mut self,
-        bytes: u64,
-        io_page: PageSize,
-        make: impl FnOnce(Gva, Hpa) -> FrameFiller,
-    ) -> Gva {
-        let (gva, hpa, len) = self.alloc_dma_addressed(bytes, io_page);
-        let filler = make(gva, hpa);
-        self.hv.device.host_mut().memory_mut().add_lazy_region(hpa, len, filler);
-        gva
-    }
-
-    /// [`alloc_dma_lazy_sized`](Self::alloc_dma_lazy_sized) for generators
-    /// that can synthesize a single 64-byte line: transient reads then fill
-    /// only the lines they touch instead of the whole 4 KB frame, which is
-    /// the difference between 2 and 128 permutation evaluations per pointer
-    /// chase in the LinkedList workloads.
+    /// [`alloc_dma`](Self::alloc_dma) with a chosen IO page granularity
+    /// and a lazily synthesized backing whose line generator needs the
+    /// region's own addresses (e.g. linked lists with absolute next
+    /// pointers). Transient reads fill only the lines they touch.
     pub fn alloc_dma_lazy_lines_sized(
         &mut self,
         bytes: u64,
         io_page: PageSize,
         make: impl FnOnce(Gva, Hpa) -> LineFiller,
     ) -> Gva {
-        let (gva, hpa, len) = self.alloc_dma_addressed(bytes, io_page);
+        let gva = self.alloc_dma_inner(bytes, Backing::Normal, io_page);
+        let hpa = self.gva_to_hpa(gva).expect("fresh region maps");
+        let len = bytes.div_ceil(PAGE_2M).max(1) * PAGE_2M;
         let line = make(gva, hpa);
         self.hv.device.host_mut().memory_mut().add_lazy_region_lines(hpa, len, line);
         gva
-    }
-
-    /// First phase of the lazy allocations, whose fillers need the
-    /// region's own addresses: allocates normally and returns the base
-    /// GVA, the base HPA and the length in bytes.
-    fn alloc_dma_addressed(&mut self, bytes: u64, io_page: PageSize) -> (Gva, Hpa, u64) {
-        let gva = self.alloc_dma_inner(bytes, Backing::Normal, io_page);
-        let hpa = self.gva_to_hpa(gva).expect("fresh region maps");
-        (gva, hpa, bytes.div_ceil(PAGE_2M).max(1) * PAGE_2M)
     }
 
     /// [`alloc_dma`](Self::alloc_dma) but registered with 4 KB IO page
@@ -98,8 +65,8 @@ impl GuestCtx<'_> {
         self.alloc_dma_inner(bytes, backing, PageSize::Small)
     }
 
-    /// [`alloc_dma`](Self::alloc_dma) with explicit host backing (lazy or
-    /// scratch regions for huge benchmark datasets).
+    /// [`alloc_dma`](Self::alloc_dma) with explicit host backing (scratch
+    /// regions for bulk benchmark output).
     pub fn alloc_dma_with(&mut self, bytes: u64, backing: Backing) -> Gva {
         self.alloc_dma_inner(bytes, backing, PageSize::Huge)
     }
@@ -120,7 +87,6 @@ impl GuestCtx<'_> {
         let memory = self.hv.device.host_mut().memory_mut();
         match backing {
             Backing::Normal => {}
-            Backing::Lazy(filler) => memory.add_lazy_region(hpa_base, pages * PAGE_2M, filler),
             Backing::Scratch => memory.add_scratch_region(hpa_base, pages * PAGE_2M),
         }
         // Register every page (guest driver behaviour: make pages
@@ -134,18 +100,13 @@ impl GuestCtx<'_> {
 
     /// The shadow-paging hypercall for one 2 MB page: the guest reports
     /// (GVA, GPA); the hypervisor validates, pins, and maps IOVA → HPA.
+    /// `Small` splits the page into 512 4 KB IOPT entries (the paper's
+    /// 4 KB-page comparison configuration).
     ///
     /// # Panics
     ///
     /// Panics if the guest's claim fails validation (a driver bug).
-    pub fn register_page(&mut self, gva: Gva) {
-        self.register_page_sized(gva, PageSize::Huge)
-    }
-
-    /// [`register_page`](Self::register_page) with a chosen IO page table
-    /// granularity: `Small` splits the 2 MB guest page into 512 4 KB IOPT
-    /// entries (the paper's 4 KB-page comparison configuration).
-    pub fn register_page_sized(&mut self, gva: Gva, io_page: PageSize) {
+    fn register_page_sized(&mut self, gva: Gva, io_page: PageSize) {
         let vm = self.hv.vm(self.v().vm);
         let gpa = vm.gva_to_gpa(gva).expect("registering an unmapped page");
         let hpa = vm.validate_hypercall(gva, gpa).expect("hypercall validation failed");

@@ -51,7 +51,6 @@ use optimus_fabric::accelerator::CtrlStatus;
 use optimus_fabric::device::FpgaDevice;
 use optimus_fabric::mmio::{vcu_reg, VCU_BASE};
 use optimus_fabric::platform::{DeviceId, FabricError};
-use optimus_mem::host::FrameFiller;
 use optimus_sim::journal;
 use optimus_sim::metrics;
 use optimus_sim::rng::derive_seed;
@@ -93,8 +92,6 @@ wire_enum!(TrapCost, "trap", 0 => TrapCost::Native, 1 => TrapCost::Virtualized);
 pub enum Backing {
     /// Ordinary zero-filled memory.
     Normal,
-    /// Lazily synthesized content (huge deterministic datasets).
-    Lazy(FrameFiller),
     /// Writes counted but discarded (bulk benchmark output).
     Scratch,
 }

@@ -161,7 +161,8 @@ impl Optimus {
             // burning a preempt window and without ever marking vanished
             // state as saved.
             let size_reg = accel_mmio_base(slot) + accel_reg::CTRL_STATE_SIZE;
-            let framed = (8 + self.device.mmio_read(size_reg)).div_ceil(64) * 64;
+            let framed = accel_reg::framed_state_bytes(self.device.mmio_read(size_reg))
+                .expect("state fits memory");
             if self.state_buffer_resolves(va, framed) {
                 self.drain_and_save(va, slot);
             } else {

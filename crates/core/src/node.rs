@@ -359,23 +359,8 @@ impl OptimusNode {
     /// to the owner) before the mirror's GVA and IOPT mappings — and any
     /// speculative IOTLB state — are torn down.
     pub fn relinquish_shared(&mut self, handle: u64, peer: NodeVaccel) -> Result<(), ShareError> {
-        if let Some(i) = self.cross_shares.iter().position(|c| c.handle == handle) {
-            let cs = self.cross_shares[i].clone();
-            if cs.retr.device != peer.device.0 as usize {
-                return Err(ShareError::NotRetriever);
-            }
-            if cs.writable {
-                self.copy_pages(&cs.retr, &cs.owner);
-            }
-            self.devices[cs.retr.device]
-                .detach_foreign_retrieval(handle, "relinquished")
-                .expect("cross share has a live mirror");
-            self.devices[cs.owner.device]
-                .share_record_mut(handle)
-                .expect("cross share has a live record")
-                .state = ShareState::Relinquished;
-            self.cross_shares.remove(i);
-            return Ok(());
+        if let Some(ended) = self.end_cross_share(handle, peer.device, ShareState::Relinquished) {
+            return ended;
         }
         self.devices[peer.device.0 as usize].guest(peer.va).mem_relinquish(handle)
     }
@@ -383,25 +368,45 @@ impl OptimusNode {
     /// Reclaims a share on behalf of its owner, force-revoking a cross-
     /// device retriever's mirror if one is still live. Terminal.
     pub fn reclaim_shared(&mut self, handle: u64, owner: NodeVaccel) -> Result<(), ShareError> {
-        if let Some(i) = self.cross_shares.iter().position(|c| c.handle == handle) {
-            let cs = self.cross_shares[i].clone();
-            if cs.owner.device != owner.device.0 as usize {
-                return Err(ShareError::NotOwner);
-            }
-            if cs.writable {
-                self.copy_pages(&cs.retr, &cs.owner);
-            }
-            self.devices[cs.retr.device]
-                .detach_foreign_retrieval(handle, "reclaimed")
-                .expect("cross share has a live mirror");
-            self.devices[cs.owner.device]
-                .share_record_mut(handle)
-                .expect("cross share has a live record")
-                .state = ShareState::Reclaimed;
-            self.cross_shares.remove(i);
-            return Ok(());
+        if let Some(ended) = self.end_cross_share(handle, owner.device, ShareState::Reclaimed) {
+            return ended;
         }
         self.devices[owner.device.0 as usize].guest(owner.va).mem_reclaim(handle)
+    }
+
+    /// Ends `handle` as a cross-device share, leaving its record in `end`:
+    /// `Relinquished` on behalf of the retriever's device, `Reclaimed` on
+    /// behalf of the owner's. A writable share first pushes the mirror back
+    /// to the owner; then the mirror is torn down. `None` when `handle` is
+    /// not a cross-device share.
+    fn end_cross_share(
+        &mut self,
+        handle: u64,
+        caller: DeviceId,
+        end: ShareState,
+    ) -> Option<Result<(), ShareError>> {
+        let i = self.cross_shares.iter().position(|c| c.handle == handle)?;
+        let cs = self.cross_shares[i].clone();
+        let (side, refusal, how) = if end == ShareState::Relinquished {
+            (cs.retr.device, ShareError::NotRetriever, "relinquished")
+        } else {
+            (cs.owner.device, ShareError::NotOwner, "reclaimed")
+        };
+        if side != caller.0 as usize {
+            return Some(Err(refusal));
+        }
+        if cs.writable {
+            self.copy_pages(&cs.retr, &cs.owner);
+        }
+        self.devices[cs.retr.device]
+            .detach_foreign_retrieval(handle, how)
+            .expect("cross share has a live mirror");
+        self.devices[cs.owner.device]
+            .share_record_mut(handle)
+            .expect("cross share has a live record")
+            .state = end;
+        self.cross_shares.remove(i);
+        Some(Ok(()))
     }
 
     /// Synchronizes every cross-device share along its authoritative
@@ -423,47 +428,55 @@ impl OptimusNode {
         self.cross_shares = shares;
     }
 
-    /// Copies a share side's frames onto the other side's, page by page,
-    /// refinement-checking each page against the spec model's frame
-    /// ownership (the sync acts on the node's behalf, like migration).
+    /// Copies a share side's frames onto the other side's.
     fn copy_pages(&mut self, src: &ShareSide, dst: &ShareSide) {
+        let pages: Vec<(u64, u64)> =
+            src.hpas.iter().copied().zip(dst.hpas.iter().copied()).collect();
+        self.move_frames((src.device, src.spec_vm), (dst.device, dst.spec_vm), &pages);
+    }
+
+    /// Copies each `(source HPA, destination HPA)` 2 MB page of `pages`
+    /// from the host memory of device `from` to that of device `to`. Each
+    /// page is refinement-checked against the spec model's frame ownership
+    /// (`src_vm` owns the source frames, `dst_vm` the destination's): the
+    /// copy acts on the node's behalf, for a migration or a share sync.
+    /// Between devices, runs of contiguous pages are adopted as one span:
+    /// materialized frames copied, lazy and scratch registrations
+    /// translated.
+    fn move_frames(
+        &mut self,
+        (from, src_vm): (usize, u32),
+        (to, dst_vm): (usize, u32),
+        pages: &[(u64, u64)],
+    ) {
         if spec::enabled() {
-            for (&s, &d) in src.hpas.iter().zip(&dst.hpas) {
-                spec::check_adopt(
-                    src.device as u32,
-                    s,
-                    src.spec_vm,
-                    dst.device as u32,
-                    d,
-                    dst.spec_vm,
-                );
+            for &(s, d) in pages {
+                spec::check_adopt(from as u32, s, src_vm, to as u32, d, dst_vm);
             }
         }
-        if src.device == dst.device {
+        if from == to {
             // Owner and mirror co-resident (a migration landed them
             // together): copy through a bounce buffer.
-            let hv = &mut self.devices[src.device];
+            let hv = &mut self.devices[from];
             let mut buf = vec![0u8; PAGE_2M as usize];
-            for (&s, &d) in src.hpas.iter().zip(&dst.hpas) {
+            for &(s, d) in pages {
                 hv.device().host().memory().read(Hpa::new(s), &mut buf);
                 hv.device_mut().host_mut().memory_mut().write(Hpa::new(d), &buf);
             }
             return;
         }
-        let (lo, hi) = (src.device.min(dst.device), src.device.max(dst.device));
-        let (head, tail) = self.devices.split_at_mut(hi);
-        let (src_hv, dst_hv) = if src.device < dst.device {
-            (&mut head[lo], &mut tail[0])
+        let (head, tail) = self.devices.split_at_mut(from.max(to));
+        let (src, dst) = if from < to {
+            (&head[from], &mut tail[0])
         } else {
-            (&mut tail[0], &mut head[lo])
+            (&tail[0], &mut head[to])
         };
-        for (&s, &d) in src.hpas.iter().zip(&dst.hpas) {
-            dst_hv.device_mut().host_mut().memory_mut().adopt_span(
-                src_hv.device().host().memory(),
-                Hpa::new(s),
-                Hpa::new(d),
-                PAGE_2M,
-            );
+        let (src, dst) = (src.device().host().memory(), dst.device_mut().host_mut().memory_mut());
+        let contiguous =
+            |a: &(u64, u64), b: &(u64, u64)| b.0 == a.0 + PAGE_2M && b.1 == a.1 + PAGE_2M;
+        for run in pages.chunk_by(contiguous) {
+            let (s, d) = run[0];
+            dst.adopt_span(src, Hpa::new(s), Hpa::new(d), run.len() as u64 * PAGE_2M);
         }
     }
 
@@ -492,13 +505,8 @@ impl OptimusNode {
         // Flush cross-device spans before surgery so both sides agree on
         // the bytes the migration copies.
         self.sync_cross_shares();
-        let (lo, hi) = (from.0.min(to.0) as usize, from.0.max(to.0) as usize);
-        let (head, tail) = self.devices.split_at_mut(hi);
-        let (src, dst) = if from.0 < to.0 {
-            (&mut head[lo], &mut tail[0])
-        } else {
-            (&mut tail[0], &mut head[lo])
-        };
+        let (from_idx, to_idx) = (from.0 as usize, to.0 as usize);
+        let src = &mut self.devices[from_idx];
         let src_vm = src.vaccel_vm(h.va);
         // Share records this tenant owns, captured pre-detach: handle,
         // old frames, whether a co-resident retriever holds a live
@@ -513,45 +521,17 @@ impl OptimusNode {
         let t = src.detach_tenant(h.va)?;
         let job = t.vaccel.job;
         let carried: Vec<CarriedRetrieval> = t.retrievals.clone();
-        let (va, copies) = dst.attach_tenant(t)?;
-        if spec::enabled() {
-            // Every frame copy must read the detached tenant's own frames
-            // on the source device and write the freshly attached tenant's
-            // frames on the destination — nothing else.
-            let src_vm = src_vm.expect("detach succeeded, vaccel existed").0;
-            let dst_vm = dst.vaccel_vm(va).expect("freshly attached").0;
-            for &(s, d) in &copies {
-                spec::check_adopt(from.0, s, src_vm, to.0, d, dst_vm);
-            }
-        }
-        // Move the tenant's bytes: coalesce the per-page copy list into
-        // contiguous spans and adopt each across host memories.
-        let mut i = 0;
-        while i < copies.len() {
-            let (src_base, dst_base) = copies[i];
-            let mut len = PAGE_2M;
-            while i + 1 < copies.len()
-                && copies[i + 1].0 == copies[i].0 + PAGE_2M
-                && copies[i + 1].1 == copies[i].1 + PAGE_2M
-            {
-                i += 1;
-                len += PAGE_2M;
-            }
-            dst.device_mut().host_mut().memory_mut().adopt_span(
-                src.device().host().memory(),
-                Hpa::new(src_base),
-                Hpa::new(dst_base),
-                len,
-            );
-            i += 1;
-        }
-        // Re-resolve share state around the move.
-        let (from_idx, to_idx) = (from.0 as usize, to.0 as usize);
+        let (va, copies) = self.devices[to_idx].attach_tenant(t)?;
+        let src_vm = src_vm.expect("detach succeeded, vaccel existed").0;
         let dst_vm = self.devices[to_idx]
             .vaccel_vm(va)
             .expect("freshly attached")
             .0;
-        // Spans this tenant had *retrieved*: rebuild each as a mirror on
+        // Move the tenant's bytes: every copy reads the detached tenant's
+        // own frames on the source and writes the freshly attached
+        // tenant's frames on the destination — nothing else.
+        self.move_frames((from_idx, src_vm), (to_idx, dst_vm), &copies);
+        // Re-resolve share state around the move. Spans this tenant had *retrieved*: rebuild each as a mirror on
         // the destination, at its original GVA so in-flight register
         // state stays valid, and (re-)register the cross-device sync.
         for r in &carried {
@@ -609,11 +589,10 @@ impl OptimusNode {
                 // now act as the retriever-side mirror. The old frames'
                 // spec ownership (the detached VM id) rides along for the
                 // sync's refinement checks.
-                let old_vm = src_vm.expect("detach succeeded, vaccel existed").0;
                 self.cross_shares.push(CrossShare {
                     handle,
                     owner,
-                    retr: ShareSide { device: from_idx, spec_vm: old_vm, hpas: old_hpas },
+                    retr: ShareSide { device: from_idx, spec_vm: src_vm, hpas: old_hpas },
                     writable,
                 });
             }
@@ -709,11 +688,6 @@ impl OptimusNode {
             total.accumulate(&hv.stats());
         }
         total
-    }
-
-    /// Per-device statistics in device-index order.
-    pub fn device_stats(&self) -> Vec<HvStats> {
-        self.devices.iter().map(|hv| hv.stats()).collect()
     }
 
     /// Every device's isolation alerts, concatenated in device-index
@@ -861,6 +835,7 @@ fn env_threads() -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hypervisor::Backing;
     use optimus_fabric::mmio::accel_reg;
 
     fn mb_node(devices: usize, threads: usize) -> OptimusNode {
@@ -1007,6 +982,30 @@ mod tests {
             node.device(DeviceId(0)).share_state(handle),
             Some(ShareState::Reclaimed)
         );
+    }
+
+    #[test]
+    fn cross_device_scratch_share_keeps_one_mirror_registration() {
+        // Every sync re-adopts the shared span into the mirror; the mirror
+        // must not register the span's scratch range once per chunk.
+        let mut cfg = NodeConfig::new(vec![AccelKind::Mb, AccelKind::Mb], 2);
+        cfg.threads = Some(1);
+        cfg.time_slice = 6_000;
+        let mut node = OptimusNode::new(cfg).expect("node boots");
+        let owner = node.create_tenant_on(DeviceId(0), "owner");
+        let peer = node.create_tenant_on(DeviceId(1), "peer");
+        let span = node.guest(owner).alloc_dma_with(PAGE_2M, Backing::Scratch);
+        let handle = node
+            .guest(owner)
+            .mem_share(span, PAGE_2M, "peer", false)
+            .expect("share");
+        let got = node.retrieve_shared(handle, peer).expect("cross retrieve");
+        let mirror = node.guest(peer).gva_to_hpa(got).expect("mirror maps");
+        start_mb_job(&mut node, owner, 1 << 40, 1);
+        start_mb_job(&mut node, peer, 1 << 40, 2);
+        node.run(400_000);
+        let memory = node.device(DeviceId(1)).device().host().memory();
+        assert_eq!(memory.scratch_regions_in(mirror, PAGE_2M).len(), 1);
     }
 
     #[test]

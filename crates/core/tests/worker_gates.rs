@@ -7,6 +7,7 @@ use optimus::node::{NodeConfig, OptimusNode};
 use optimus_accel::membench::MbKernel;
 use optimus_accel::registry::AccelKind;
 use optimus_fabric::mmio::accel_reg;
+use optimus_mem::addr::PageSize;
 use optimus_sim::{journal, metrics, spec, trace};
 use std::sync::{Arc, Mutex};
 
@@ -43,12 +44,12 @@ fn workers_inherit_runtime_gate_overrides_in_both_directions() {
         let h = node.create_tenant(name);
         let mut g = node.guest(h);
         let seen = seen.clone();
-        let region = g.alloc_dma_lazy_with(1 << 20, move |_, _| {
-            Arc::new(move |_, frame| {
+        let region = g.alloc_dma_lazy_lines_sized(1 << 20, PageSize::Huge, move |_, _| {
+            Arc::new(move |_, line| {
                 if std::thread::current().id() != dispatcher.0 {
                     seen.lock().expect("probe log").push(gates());
                 }
-                frame.fill(0);
+                line.fill(0);
             })
         });
         g.mmio_write(accel_reg::APP_BASE + MbKernel::REG_REGION, region.raw());

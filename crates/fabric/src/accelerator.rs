@@ -260,11 +260,6 @@ impl AccelPort {
         self.meter.close_window(now);
     }
 
-    /// Measured bandwidth over the window, GB/s.
-    pub fn window_gbps(&self) -> f64 {
-        self.meter.gbps()
-    }
-
     /// Bytes moved inside the window.
     pub fn window_bytes(&self) -> u64 {
         self.meter.bytes()

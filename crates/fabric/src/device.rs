@@ -398,11 +398,6 @@ impl FpgaDevice {
         self.fastfwd = on;
     }
 
-    /// The batched-stepping burst length [`run`](Self::run) uses.
-    pub fn batch_step(&self) -> Cycle {
-        self.batch
-    }
-
     /// Overrides the burst-length cap set at construction
     /// (`DEFAULT_BATCH_STEP`; 1 disables batching). Used by the differential
     /// equivalence tests to run identical devices batched and unbatched

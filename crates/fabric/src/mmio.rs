@@ -77,6 +77,14 @@ pub mod accel_reg {
     pub const CTRL_STATE_ADDR: u64 = 0x10;
     /// Read-only: bytes of state the accelerator saves on preemption.
     pub const CTRL_STATE_SIZE: u64 = 0x18;
+
+    /// Bytes a save of `state_size` bytes of state occupies in the state
+    /// buffer, and a resume reads back: an 8-byte length header, then the
+    /// state, padded to whole 64-byte lines. `None` past the address space.
+    pub fn framed_state_bytes(state_size: u64) -> Option<u64> {
+        state_size.checked_add(8)?.checked_next_multiple_of(64)
+    }
+
     /// First application register; everything below is privileged control.
     pub const APP_BASE: u64 = 0x40;
 
@@ -117,5 +125,17 @@ mod tests {
         for reg in [CTRL_CMD, CTRL_STATUS, CTRL_STATE_ADDR, CTRL_STATE_SIZE] {
             assert!(reg < APP_BASE);
         }
+    }
+
+    #[test]
+    fn a_framed_save_is_header_plus_state_in_whole_lines() {
+        use accel_reg::framed_state_bytes;
+        // LinkedList's 32-byte state frames to one line, MemBench's 80 to two.
+        assert_eq!(framed_state_bytes(32), Some(64));
+        assert_eq!(framed_state_bytes(56), Some(64));
+        assert_eq!(framed_state_bytes(57), Some(128));
+        assert_eq!(framed_state_bytes(80), Some(128));
+        assert_eq!(framed_state_bytes(u64::MAX - 60), None);
+        assert_eq!(framed_state_bytes(u64::MAX), None);
     }
 }

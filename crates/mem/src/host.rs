@@ -3,17 +3,19 @@
 //! The evaluation platform has 188 GB of DRAM and several experiments sweep
 //! working sets up to 8 GB. The simulator cannot (and need not) allocate
 //! that much: [`HostMemory`] stores only the 4 KB frames that have actually
-//! been touched, and supports two density optimizations that preserve
+//! been touched, and supports three density optimizations that preserve
 //! observable behaviour:
 //!
 //! * **Zero-fill reads** — reading a never-written frame returns zeros
 //!   without materializing it (exactly what fresh anonymous memory reads as
 //!   on the real machine).
 //! * **Lazy fill regions** — a region can be registered with a deterministic
-//!   generator that synthesizes a frame's contents on first touch. This is
-//!   how multi-gigabyte linked-list workloads exist without being stored:
-//!   the generator computes each node's next-pointer from a Feistel
-//!   permutation (see `optimus-sim::perm`).
+//!   line generator that synthesizes each 64-byte line on demand. A read
+//!   synthesizes only the lines it touches, without storing them; a write
+//!   materializes the frame by running the generator over its 64 lines.
+//!   This is how multi-gigabyte linked-list workloads exist without being
+//!   stored: the generator computes each node's next-pointer from a
+//!   Feistel permutation (see `optimus-sim::perm`).
 //! * **Scratch regions** — store-free benchmark output regions: writes are
 //!   counted but discarded. Only the performance harness uses these;
 //!   correctness tests always use fully materialized memory.
@@ -38,29 +40,19 @@ use std::sync::Arc;
 /// A 4 KB backing frame.
 type Frame = Box<[u8; PAGE_4K as usize]>;
 
-/// A deterministic page-content generator for a lazy region.
+/// A deterministic content generator for a lazy region.
 ///
-/// Called with the frame's base HPA and the frame buffer to fill. Fillers are
-/// reference-counted so a region can be re-registered on another device's
-/// host memory during migration without re-deriving the generator.
-pub type FrameFiller = Arc<dyn Fn(Hpa, &mut [u8; PAGE_4K as usize]) + Send + Sync>;
-
-/// A line-granular content generator for a lazy region.
-///
-/// Called with the line's base HPA and a zeroed 64-byte buffer. Regions
-/// registered through [`HostMemory::add_lazy_region_lines`] synthesize only
-/// the lines a read actually touches: a pointer-chasing workload reads one
-/// random line per frame, and synthesizing the other 63 (the whole-frame
-/// [`FrameFiller`] contract) costs ~64× the useful work.
+/// Called with a line's base HPA and a zeroed 64-byte buffer to fill. A
+/// pointer-chasing workload reads one random line per frame, so reads
+/// synthesize only the lines they touch. Generators are reference-counted
+/// so a region can be re-registered on another device's host memory during
+/// migration without re-deriving the generator.
 pub type LineFiller = Arc<dyn Fn(Hpa, &mut [u8; CACHE_LINE as usize]) + Send + Sync>;
 
 struct LazyRegion {
     base: u64,
     len: u64,
-    filler: FrameFiller,
-    /// Line-granular fast path for transient reads, when the generator can
-    /// produce a single line without its neighbours.
-    line: Option<LineFiller>,
+    line: LineFiller,
 }
 
 /// Sparse, lazily materialized host physical memory.
@@ -101,44 +93,19 @@ impl HostMemory {
         }
     }
 
-    /// Registers `[base, base+len)` as a lazy region whose frames are
-    /// synthesized by `filler` on first touch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base`/`len` are not 4 KB aligned.
-    pub fn add_lazy_region(&mut self, base: Hpa, len: u64, filler: FrameFiller) {
-        assert!(base.is_aligned(PAGE_4K) && len % PAGE_4K == 0, "lazy regions are page-granular");
-        self.lazy.push(LazyRegion {
-            base: base.raw(),
-            len,
-            filler,
-            line: None,
-        });
-    }
-
-    /// Registers `[base, base+len)` as a lazy region defined by a
-    /// line-granular generator. The whole-frame filler (used when a write
-    /// materializes a frame) is derived by running the generator over all
-    /// 64 lines; transient reads synthesize only the lines they touch.
+    /// Registers `[base, base+len)` as a lazy region defined by the line
+    /// generator `line`: reads synthesize the lines they touch, and a write
+    /// materializes the frame from all 64 of its lines.
     ///
     /// # Panics
     ///
     /// Panics if `base`/`len` are not 4 KB aligned.
     pub fn add_lazy_region_lines(&mut self, base: Hpa, len: u64, line: LineFiller) {
         assert!(base.is_aligned(PAGE_4K) && len % PAGE_4K == 0, "lazy regions are page-granular");
-        let per_line = Arc::clone(&line);
-        let filler: FrameFiller = Arc::new(move |frame_hpa: Hpa, frame: &mut [u8; PAGE_4K as usize]| {
-            for (i, chunk) in frame.chunks_exact_mut(CACHE_LINE as usize).enumerate() {
-                let line_hpa = Hpa::new(frame_hpa.raw() + i as u64 * CACHE_LINE);
-                per_line(line_hpa, chunk.try_into().unwrap());
-            }
-        });
         self.lazy.push(LazyRegion {
             base: base.raw(),
             len,
-            filler,
-            line: Some(line),
+            line,
         });
     }
 
@@ -174,7 +141,10 @@ impl HostMemory {
         if !self.frames.contains_key(&frame_base) {
             let mut frame: Frame = Box::new([0u8; PAGE_4K as usize]);
             if let Some(idx) = self.lazy_region_of(frame_base) {
-                (self.lazy[idx].filler)(Hpa::new(frame_base), &mut frame);
+                let line = &self.lazy[idx].line;
+                for (i, chunk) in frame.chunks_exact_mut(CACHE_LINE as usize).enumerate() {
+                    line(Hpa::new(frame_base + i as u64 * CACHE_LINE), chunk.try_into().unwrap());
+                }
             }
             self.frames.insert(frame_base, frame);
         }
@@ -198,26 +168,20 @@ impl HostMemory {
                 }
                 None => {
                     if let Some(idx) = self.lazy_region_of(frame_base) {
-                        // Synthesize without caching: reads alone must not
-                        // grow memory when sweeping huge working sets.
-                        if let Some(line_filler) = &self.lazy[idx].line {
-                            // Line-granular generator: synthesize only the
-                            // lines this read overlaps, not the whole frame.
-                            let first = offset / CACHE_LINE as usize;
-                            let last = (offset + take - 1) / CACHE_LINE as usize;
-                            for li in first..=last {
-                                let line_base = li * CACHE_LINE as usize;
-                                let mut line = [0u8; CACHE_LINE as usize];
-                                line_filler(Hpa::new(frame_base + line_base as u64), &mut line);
-                                let lo = offset.max(line_base);
-                                let hi = (offset + take).min(line_base + CACHE_LINE as usize);
-                                buf[filled + (lo - offset)..filled + (hi - offset)]
-                                    .copy_from_slice(&line[lo - line_base..hi - line_base]);
-                            }
-                        } else {
-                            let mut frame = [0u8; PAGE_4K as usize];
-                            (self.lazy[idx].filler)(Hpa::new(frame_base), &mut frame);
-                            buf[filled..filled + take].copy_from_slice(&frame[offset..offset + take]);
+                        // Synthesize only the lines this read overlaps, and
+                        // without caching: reads alone must not grow memory
+                        // when sweeping huge working sets.
+                        let line_filler = &self.lazy[idx].line;
+                        let first = offset / CACHE_LINE as usize;
+                        let last = (offset + take - 1) / CACHE_LINE as usize;
+                        for li in first..=last {
+                            let line_base = li * CACHE_LINE as usize;
+                            let mut line = [0u8; CACHE_LINE as usize];
+                            line_filler(Hpa::new(frame_base + line_base as u64), &mut line);
+                            let lo = offset.max(line_base);
+                            let hi = (offset + take).min(line_base + CACHE_LINE as usize);
+                            buf[filled + (lo - offset)..filled + (hi - offset)]
+                                .copy_from_slice(&line[lo - line_base..hi - line_base]);
                         }
                     } else {
                         buf[filled..filled + take].fill(0);
@@ -302,17 +266,6 @@ impl HostMemory {
         bases
     }
 
-    /// Lazy regions overlapping `[base, base+len)` as
-    /// `(region_base, region_len, filler)` triples, in registration order.
-    pub fn lazy_regions_in(&self, base: Hpa, len: u64) -> Vec<(u64, u64, FrameFiller)> {
-        let (lo, hi) = (base.raw(), base.raw() + len);
-        self.lazy
-            .iter()
-            .filter(|r| r.base < hi && r.base + r.len > lo)
-            .map(|r| (r.base, r.len, Arc::clone(&r.filler)))
-            .collect()
-    }
-
     /// Scratch regions overlapping `[base, base+len)` as
     /// `(region_base, region_len)` pairs, in registration order.
     pub fn scratch_regions_in(&self, base: Hpa, len: u64) -> Vec<(u64, u64)> {
@@ -327,10 +280,16 @@ impl HostMemory {
     /// Adopts the span `[src_base, src_base+len)` of `src` into this memory
     /// at `[dst_base, dst_base+len)`: materialized frames are copied
     /// byte-for-byte, and the overlapping portions of lazy and scratch
-    /// regions are re-registered at the translated addresses. Lazy fillers
+    /// regions are registered at the translated addresses. Line generators
     /// are shared (`Arc`) and wrapped so they keep seeing source-relative
-    /// frame addresses — synthesized content is therefore identical on both
-    /// sides. This is the host-memory half of cross-device tenant migration.
+    /// line addresses — synthesized content is therefore identical on both
+    /// sides. This is the host-memory half of cross-device tenant migration
+    /// and of cross-device share syncs.
+    ///
+    /// A range this memory already carries at the same translated base and
+    /// length is not registered again: the earlier registration answers
+    /// every lookup in it, so a repeat would only lengthen the region scans
+    /// (a cross-device share re-adopts the same pages at every sync).
     ///
     /// # Panics
     ///
@@ -346,38 +305,29 @@ impl HostMemory {
             let frame = src.frames.get(&frame_base).expect("listed frame exists");
             self.frames.insert(frame_base.wrapping_add(shift), frame.clone());
         }
-        for region in src.lazy.iter().filter(|r| {
-            r.base < src_base.raw() + len && r.base + r.len > src_base.raw()
-        }) {
-            // Only the overlap with the span moves; clamp to it.
-            let lo = region.base.max(src_base.raw());
-            let hi = (region.base + region.len).min(src_base.raw() + len);
-            let back_shift = src_base.raw().wrapping_sub(dst_base.raw());
-            let filler = Arc::clone(&region.filler);
-            let wrapped: FrameFiller = Arc::new(move |hpa: Hpa, frame: &mut [u8; PAGE_4K as usize]| {
-                filler(Hpa::new(hpa.raw().wrapping_add(back_shift)), frame)
+        // Only a region's overlap with the span moves: clamp, then translate.
+        let (span_lo, span_hi) = (src_base.raw(), src_base.raw() + len);
+        let clamp = |base: u64, len: u64| {
+            let lo = base.max(span_lo);
+            (lo.wrapping_add(shift), (base + len).min(span_hi) - lo)
+        };
+        for region in src.lazy.iter().filter(|r| r.base < span_hi && r.base + r.len > span_lo) {
+            let (base, len) = clamp(region.base, region.len);
+            if self.lazy.iter().any(|r| (r.base, r.len) == (base, len)) {
+                continue;
+            }
+            let line = Arc::clone(&region.line);
+            let back_shift = shift.wrapping_neg();
+            let line: LineFiller = Arc::new(move |hpa: Hpa, buf: &mut [u8; CACHE_LINE as usize]| {
+                line(Hpa::new(hpa.raw().wrapping_add(back_shift)), buf)
             });
-            // Carry the line-granular fast path across the move too — a
-            // migrated pointer-chasing region must not silently fall back
-            // to whole-frame synthesis.
-            let wrapped_line: Option<LineFiller> = region.line.as_ref().map(|line| {
-                let line = Arc::clone(line);
-                let f: LineFiller = Arc::new(move |hpa: Hpa, buf: &mut [u8; CACHE_LINE as usize]| {
-                    line(Hpa::new(hpa.raw().wrapping_add(back_shift)), buf)
-                });
-                f
-            });
-            self.lazy.push(LazyRegion {
-                base: lo.wrapping_add(shift),
-                len: hi - lo,
-                filler: wrapped,
-                line: wrapped_line,
-            });
+            self.lazy.push(LazyRegion { base, len, line });
         }
         for (scr_base, scr_len) in src.scratch_regions_in(src_base, len) {
-            let lo = scr_base.max(src_base.raw());
-            let hi = (scr_base + scr_len).min(src_base.raw() + len);
-            self.add_scratch_region(Hpa::new(lo.wrapping_add(shift)), hi - lo);
+            let range = clamp(scr_base, scr_len);
+            if !self.scratch.contains(&range) {
+                self.scratch.push(range);
+            }
         }
     }
 }
@@ -423,19 +373,20 @@ mod tests {
         HostMemory::new().read_line(Hpa::new(0x41));
     }
 
+    /// A line generator writing `byte(address)` into every byte.
+    fn by_address(byte: fn(u64) -> u8) -> LineFiller {
+        Arc::new(move |base, line| {
+            for (i, b) in line.iter_mut().enumerate() {
+                *b = byte(base.raw() + i as u64);
+            }
+        })
+    }
+
     #[test]
     fn lazy_region_synthesizes_content() {
         let mut mem = HostMemory::new();
-        mem.add_lazy_region(
-            Hpa::new(0x10000),
-            0x4000,
-            Arc::new(|base, frame| {
-                // Each byte = low bits of its own address.
-                for (i, b) in frame.iter_mut().enumerate() {
-                    *b = (base.raw() as usize + i) as u8;
-                }
-            }),
-        );
+        // Each byte = low bits of its own address.
+        mem.add_lazy_region_lines(Hpa::new(0x10000), 0x4000, by_address(|a| a as u8));
         let mut buf = [0u8; 4];
         mem.read(Hpa::new(0x10100), &mut buf);
         assert_eq!(buf, [0x00, 0x01, 0x02, 0x03]);
@@ -446,11 +397,7 @@ mod tests {
     #[test]
     fn lazy_region_write_preserves_rest_of_frame() {
         let mut mem = HostMemory::new();
-        mem.add_lazy_region(
-            Hpa::new(0x0),
-            0x1000,
-            Arc::new(|_, frame| frame.fill(0xAA)),
-        );
+        mem.add_lazy_region_lines(Hpa::new(0x0), 0x1000, Arc::new(|_, line| line.fill(0xAA)));
         mem.write(Hpa::new(0x10), &[0x55]);
         let mut buf = [0u8; 3];
         mem.read(Hpa::new(0xF), &mut buf);
@@ -460,53 +407,37 @@ mod tests {
     }
 
     #[test]
-    fn line_region_matches_frame_region_and_stays_lazy() {
-        // The same generator registered line-wise and frame-wise must be
-        // indistinguishable to readers, at any offset and span.
+    fn line_region_reads_generator_bytes_and_writes_keep_the_rest() {
+        // A read at any offset and span sees exactly the generator's bytes,
+        // across line and frame boundaries, without materializing.
         let fill_byte = |addr: u64| (addr >> 3) as u8 ^ (addr as u8);
-        let mut by_frame = HostMemory::new();
-        by_frame.add_lazy_region(
-            Hpa::new(0x10000),
-            0x4000,
-            Arc::new(move |base, frame| {
-                for (i, b) in frame.iter_mut().enumerate() {
-                    *b = fill_byte(base.raw() + i as u64);
-                }
-            }),
-        );
-        let mut by_line = HostMemory::new();
-        by_line.add_lazy_region_lines(
-            Hpa::new(0x10000),
-            0x4000,
-            Arc::new(move |base, line| {
-                for (i, b) in line.iter_mut().enumerate() {
-                    *b = fill_byte(base.raw() + i as u64);
-                }
-            }),
-        );
-        for addr in [0x10000u64, 0x10040, 0x10FC0, 0x11000, 0x13FC0] {
-            assert_eq!(
-                by_line.read_line(Hpa::new(addr)),
-                by_frame.read_line(Hpa::new(addr)),
-                "line mismatch at {addr:#x}"
-            );
+        let mut mem = HostMemory::new();
+        mem.add_lazy_region_lines(Hpa::new(0x10000), 0x4000, by_address(fill_byte));
+        let want = |addr: u64, len: u64| (addr..addr + len).map(fill_byte).collect::<Vec<u8>>();
+        let spans = [
+            (0x10000, 64),
+            (0x10040, 64),
+            (0x10FC0, 64),
+            (0x13FC0, 64),
+            (0x10030, 100),
+            (0x10FF9, 20),
+            (0x10001, 3 * 4096),
+        ];
+        for (addr, len) in spans {
+            let mut got = vec![0u8; len as usize];
+            mem.read(Hpa::new(addr), &mut got);
+            assert_eq!(got, want(addr, len), "mismatch at {addr:#x}+{len}");
         }
-        // Unaligned span crossing a line boundary.
-        let mut a = [0u8; 100];
-        let mut b = [0u8; 100];
-        by_line.read(Hpa::new(0x10030), &mut a);
-        by_frame.read(Hpa::new(0x10030), &mut b);
-        assert_eq!(a, b);
-        assert_eq!(by_line.materialized_frames(), 0);
-        // A write materializes via the derived frame filler; content of the
-        // rest of the frame still matches the generator.
-        by_line.write(Hpa::new(0x10040), &[0xEE; 64]);
-        assert_eq!(by_line.materialized_frames(), 1);
-        let mut tail = [0u8; 64];
-        by_line.read(Hpa::new(0x10080), &mut tail);
-        let mut want = [0u8; 64];
-        by_frame.read(Hpa::new(0x10080), &mut want);
-        assert_eq!(tail, want);
+        assert_eq!(mem.materialized_frames(), 0);
+        // A write materializes the frame from the generator; the rest of
+        // the frame keeps its generated bytes.
+        mem.write(Hpa::new(0x10040), &[0xEE; 64]);
+        assert_eq!(mem.materialized_frames(), 1);
+        let mut frame = vec![0u8; 4096];
+        mem.read(Hpa::new(0x10000), &mut frame);
+        let mut expect = want(0x10000, 4096);
+        expect[0x40..0x80].fill(0xEE);
+        assert_eq!(frame, expect);
     }
 
     #[test]
@@ -521,11 +452,10 @@ mod tests {
         );
         let mut dst = HostMemory::new();
         dst.adopt_span(&src, Hpa::new(0x10000), Hpa::new(0x50000), 0x2000);
-        let adopted = &dst.lazy[0];
-        assert!(adopted.line.is_some(), "line fast path lost in migration");
-        // Content is source-relative, same as the frame-filler contract.
+        // Content is source-relative, and reading it stays transient.
         let line = dst.read_line(Hpa::new(0x50040));
         assert_eq!(u64::from_le_bytes(line[0..8].try_into().unwrap()), 0x10040);
+        assert_eq!(dst.materialized_frames(), 0);
     }
 
     #[test]
@@ -551,7 +481,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "page-granular")]
     fn lazy_region_must_be_page_aligned() {
-        HostMemory::new().add_lazy_region(Hpa::new(0x10), 0x1000, Arc::new(|_, _| {}));
+        HostMemory::new().add_lazy_region_lines(Hpa::new(0x10), 0x1000, Arc::new(|_, _| {}));
     }
 
     #[test]
@@ -566,15 +496,8 @@ mod tests {
         // Materialized data, a lazy tail, and a scratch window, all inside
         // the migrated span [0x10000, 0x20000).
         src.write(Hpa::new(0x10040), &[0x5A; 64]);
-        src.add_lazy_region(
-            Hpa::new(0x14000),
-            0x2000,
-            Arc::new(|base, frame| {
-                for (i, b) in frame.iter_mut().enumerate() {
-                    *b = ((base.raw() >> 12) as usize + i) as u8;
-                }
-            }),
-        );
+        let byte = |a: u64| (a >> 12) as u8 ^ a as u8;
+        src.add_lazy_region_lines(Hpa::new(0x14000), 0x2000, by_address(byte));
         src.add_scratch_region(Hpa::new(0x18000), 0x1000);
 
         let mut dst = HostMemory::new();
@@ -597,5 +520,21 @@ mod tests {
         let mut dst2 = HostMemory::new();
         dst2.adopt_span(&src, Hpa::new(0x10000), Hpa::new(0x90000), 0x10000);
         assert_eq!(dst2.materialized_frames_in(Hpa::new(0xa0000), 0x1000), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn adopting_a_span_again_registers_nothing_new() {
+        let mut src = HostMemory::new();
+        src.add_lazy_region_lines(Hpa::new(0x10000), 0x2000, by_address(|a| a as u8));
+        src.add_scratch_region(Hpa::new(0x12000), 0x1000);
+        let mut dst = HostMemory::new();
+        for _ in 0..5 {
+            dst.adopt_span(&src, Hpa::new(0x10000), Hpa::new(0x90000), 0x4000);
+        }
+        assert_eq!((dst.lazy.len(), dst.scratch.len()), (1, 1));
+        // A different translation is a different range and still registers.
+        dst.adopt_span(&src, Hpa::new(0x10000), Hpa::new(0xA0000), 0x4000);
+        assert_eq!((dst.lazy.len(), dst.scratch.len()), (2, 2));
+        assert_eq!(dst.read_line(Hpa::new(0x90040))[0], 0x40);
     }
 }

@@ -227,16 +227,6 @@ impl IoTlb {
     pub fn stats(&self) -> (u64, u64, u64, u64) {
         (self.hits, self.speculative_hits, self.misses, self.conflict_evictions)
     }
-
-    /// Fraction of lookups that missed (0 if no lookups yet).
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.speculative_hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
 }
 
 /// The IOMMU: an IOTLB in front of the single IO page table.
@@ -265,11 +255,6 @@ impl Iommu {
     /// The IO page table, for the hypervisor's shadow-paging code.
     pub fn iopt(&self) -> &PageTable {
         &self.iopt
-    }
-
-    /// Mutable access to the IO page table (hypervisor only).
-    pub fn iopt_mut(&mut self) -> &mut PageTable {
-        &mut self.iopt
     }
 
     /// The IOTLB (for statistics inspection).

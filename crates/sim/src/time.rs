@@ -36,11 +36,6 @@ pub fn cycles_to_ns(cycles: Cycle) -> f64 {
     cycles as f64 * NS_PER_CYCLE
 }
 
-/// Converts microseconds to fabric cycles.
-pub fn us_to_cycles(us: f64) -> Cycle {
-    ns_to_cycles(us * 1e3)
-}
-
 /// Converts milliseconds to fabric cycles.
 pub fn ms_to_cycles(ms: f64) -> Cycle {
     ns_to_cycles(ms * 1e6)

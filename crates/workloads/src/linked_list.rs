@@ -3,48 +3,30 @@
 //! The LinkedList benchmark walks a list "distributed randomly in DRAM"
 //! over working sets up to 8 GB. The layout is a Feistel pseudo-random
 //! permutation over node slots: slot `i` stores a pointer to slot `π(i)`,
-//! so any 4 KB frame of the region can be synthesized on first touch —
-//! no gigabytes of host RAM required.
+//! so any 64-byte line of the region can be synthesized on demand — no
+//! gigabytes of host RAM required.
 
 use optimus_mem::addr::{Gva, Hpa};
-use optimus_mem::host::{FrameFiller, LineFiller};
+use optimus_mem::host::LineFiller;
 use optimus_sim::perm::FeistelPermutation;
 
-/// Builds the lazy frame filler for a list of `nodes` 64-byte nodes whose
-/// region starts at guest virtual address `region_gva` and is backed
-/// contiguously starting at host physical address `region_hpa`.
+/// Builds the lazy line generator for a list of `nodes` 64-byte nodes
+/// whose region starts at guest virtual address `region_gva` and is backed
+/// contiguously starting at host physical address `region_hpa`, for
+/// registration via
+/// [`HostMemory::add_lazy_region_lines`](optimus_mem::host::HostMemory::add_lazy_region_lines).
 ///
 /// Node `i` (at `region_gva + 64·i`) stores the GVA of its successor in
 /// its first eight bytes — the pointers are *guest virtual*, exactly what
-/// the shared-memory accelerator dereferences.
+/// the shared-memory accelerator dereferences. The walk dereferences one
+/// random node (= one 64-byte line) per step, and synthesizing a line
+/// costs exactly two permutation evaluations.
 ///
 /// The successor function is a single Hamiltonian cycle in random order:
 /// the node at slot `π(k)` points at slot `π(k+1 mod n)`, so a walk from
 /// any node visits every node exactly once per lap. (Using `π` directly
 /// as the successor would decompose the region into random-length cycles,
 /// making walk throughput depend on which cycle the start node landed in.)
-pub fn linked_list_filler(
-    region_gva: Gva,
-    region_hpa: Hpa,
-    nodes: u64,
-    seed: u64,
-) -> FrameFiller {
-    let line = linked_list_line_filler(region_gva, region_hpa, nodes, seed);
-    std::sync::Arc::new(move |frame_hpa: Hpa, frame: &mut [u8; optimus_mem::addr::PAGE_4K as usize]| {
-        for (line_idx, chunk) in frame.chunks_exact_mut(64).enumerate() {
-            let hpa = Hpa::new(frame_hpa.raw() + line_idx as u64 * 64);
-            line(hpa, chunk.try_into().unwrap());
-        }
-    })
-}
-
-/// Line-granular variant of [`linked_list_filler`], for registration via
-/// [`HostMemory::add_lazy_region_lines`](optimus_mem::host::HostMemory::add_lazy_region_lines).
-///
-/// The walk dereferences one random node (= one 64-byte line) per step, so
-/// synthesizing a line costs exactly two permutation evaluations — against
-/// 128 for the whole-frame path that computes 63 neighbours the walk never
-/// looks at before they leave scope.
 pub fn linked_list_line_filler(
     region_gva: Gva,
     region_hpa: Hpa,
@@ -65,11 +47,6 @@ pub fn linked_list_line_filler(
     })
 }
 
-/// The canonical starting node of a walk (node 0's GVA).
-pub fn start_of_walk(region_gva: Gva) -> Gva {
-    region_gva
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,7 +58,7 @@ mod tests {
         let gva = Gva::new(0x10_0000);
         let hpa = Hpa::new(0x40_0000);
         let mut mem = HostMemory::new();
-        mem.add_lazy_region(hpa, nodes * 64, linked_list_filler(gva, hpa, nodes, 7));
+        mem.add_lazy_region_lines(hpa, nodes * 64, linked_list_line_filler(gva, hpa, nodes, 7));
         // Walk in software via the memory image.
         let mut seen = std::collections::HashSet::new();
         let mut cur = gva.raw();
@@ -104,12 +81,13 @@ mod tests {
     fn same_seed_same_layout() {
         let gva = Gva::new(0);
         let hpa = Hpa::new(0);
-        let f1 = linked_list_filler(gva, hpa, 256, 9);
-        let f2 = linked_list_filler(gva, hpa, 256, 9);
-        let mut a = [0u8; 4096];
-        let mut b = [0u8; 4096];
-        f1(Hpa::new(0), &mut a);
-        f2(Hpa::new(0), &mut b);
-        assert_eq!(a, b);
+        let f1 = linked_list_line_filler(gva, hpa, 256, 9);
+        let f2 = linked_list_line_filler(gva, hpa, 256, 9);
+        for line in (0..256 * 64).step_by(64) {
+            let (mut a, mut b) = ([0u8; 64], [0u8; 64]);
+            f1(Hpa::new(line), &mut a);
+            f2(Hpa::new(line), &mut b);
+            assert_eq!(a, b, "node {}", line / 64);
+        }
     }
 }
