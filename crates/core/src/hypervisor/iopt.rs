@@ -125,7 +125,8 @@ pub(super) fn unmap_page(
 
 /// The granularity the page at `gva` is registered with in `w`'s slice.
 pub(super) fn page_size(device: &FpgaDevice, w: Window, gva: Gva) -> Option<PageSize> {
-    device.host().iommu().iopt().mapping_size(gva.raw().wrapping_add(w.offset))
+    let walk = device.host().iommu().iopt().walk(gva.raw().wrapping_add(w.offset));
+    walk.leaf.map(|(_, _, size)| size)
 }
 
 /// The device's whole IO page table, ascending by IOVA — what `freeze`

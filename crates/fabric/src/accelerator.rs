@@ -328,11 +328,15 @@ pub trait Accelerator: Send {
     ///
     /// Returning `Some(t)` with `t > now` (or `None`, meaning "indefinitely
     /// quiescent") asserts that every [`step`](Self::step) before `t` is a
-    /// *pure no-op* — no state change, no port activity — provided no new
-    /// responses are delivered and no MMIO register is written in the gap
-    /// (the device re-polls the hint after either). The device additionally
-    /// never skips while the port has queued responses or pending requests,
-    /// so hints only need to reason about the accelerator's own state.
+    /// *pure no-op* — no state change, no port activity — provided nothing
+    /// touches the accelerator or its port in the gap. The device caches
+    /// the hint per slot and skips the accelerator's steps until it is due,
+    /// while other slots run on; it re-polls the hint after a response
+    /// delivery, an MMIO read or write, the auditor taking a pending
+    /// request (which frees [`AccelPort::can_issue`]), or a reset. It also
+    /// wakes the accelerator on its next edge while responses are queued,
+    /// so hints only need to reason about the accelerator's own state and
+    /// the port's issue capacity.
     ///
     /// The default `Some(now)` ("an event this cycle") disables skipping, so
     /// implementations are correct by default and opt in incrementally.

@@ -30,6 +30,14 @@ use optimus_sim::queue::TimedQueue;
 use optimus_sim::spec;
 use optimus_sim::time::{ClockDivider, Cycle};
 
+/// A slot wake that no cycle reaches: the accelerator is quiescent until
+/// poked.
+const NEVER: Cycle = Cycle::MAX;
+
+/// The wake of a slot whose hint must be re-polled: every cycle is at or
+/// after it, so the slot steps on each of its edges.
+const STALE: Cycle = 0;
+
 /// The fabric configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricMode {
@@ -59,6 +67,13 @@ pub struct FpgaDevice {
     shell_regs: Box<[u64]>,
     dropped_packets: u64,
     fastfwd: bool,
+    /// Per slot, the fabric cycle its accelerator next needs a step: the
+    /// edge-adjusted [`Accelerator::next_event`] hint cached by the last
+    /// horizon pass, or [`NEVER`]. A slot is *stale* when its wake is at
+    /// or before `now` ([`STALE`] after every poke; see
+    /// [`poke`](Self::poke)): it steps on each of its edges until a
+    /// horizon pass refreshes it. A clean slot is skipped until its wake.
+    wake: Vec<Cycle>,
     /// Burst length for batched stepping (see [`Self::run`]); 1 = scan the
     /// event horizon before every stepped cycle (pre-batching behavior).
     batch: Cycle,
@@ -143,6 +158,7 @@ impl FpgaDevice {
             shell_regs: vec![0; mmio::SHELL_SIZE as usize].into_boxed_slice(),
             dropped_packets: 0,
             fastfwd: optimus_sim::simrate::fast_forward_enabled(),
+            wake: vec![STALE; n],
             batch: optimus_sim::simrate::DEFAULT_BATCH_STEP,
             trace_status,
         })
@@ -172,6 +188,7 @@ impl FpgaDevice {
             shell_regs: vec![0; mmio::SHELL_SIZE as usize].into_boxed_slice(),
             dropped_packets: 0,
             fastfwd: optimus_sim::simrate::fast_forward_enabled(),
+            wake: vec![STALE],
             batch: optimus_sim::simrate::DEFAULT_BATCH_STEP,
             trace_status,
         }
@@ -209,6 +226,7 @@ impl FpgaDevice {
 
     /// Mutable port access (for measurement windows).
     pub fn port_mut(&mut self, i: usize) -> &mut AccelPort {
+        self.poke(i);
         &mut self.ports[i]
     }
 
@@ -219,7 +237,21 @@ impl FpgaDevice {
 
     /// Mutable accelerator access (tests and direct configuration).
     pub fn accel_mut(&mut self, i: usize) -> &mut dyn Accelerator {
+        self.poke(i);
         self.accels[i].as_mut()
+    }
+
+    /// Marks slot `i` stale: its cached wake no longer holds, so it steps
+    /// on each of its edges until the next horizon pass re-polls its hint.
+    /// Every `&mut` path to slot `i`'s accelerator or port goes through
+    /// here, or writes [`STALE`] directly inside the step body, where other
+    /// fields are borrowed: a response delivery or auditor abort, the
+    /// auditor taking a pending request, an MMIO access, a reset, and
+    /// [`accel_mut`](Self::accel_mut) / [`port_mut`](Self::port_mut). (The
+    /// step that ran a slot needs no poke: it ran because the slot's wake
+    /// was due, so the wake is already behind `now`.)
+    fn poke(&mut self, i: usize) {
+        self.wake[i] = STALE;
     }
 
     /// Auditor `i` (discard counters for isolation tests).
@@ -262,6 +294,7 @@ impl FpgaDevice {
         for p in &mut self.ports {
             p.open_window(now);
         }
+        self.wake.fill(STALE);
     }
 
     /// Closes throughput measurement windows on every port.
@@ -270,6 +303,7 @@ impl FpgaDevice {
         for p in &mut self.ports {
             p.close_window(now);
         }
+        self.wake.fill(STALE);
     }
 
     /// Advances the machine one fabric cycle.
@@ -290,9 +324,13 @@ impl FpgaDevice {
             self.dispatch_down(pkt, now);
         }
 
-        // 2. Rising clock edges.
+        // 2. Rising clock edges of the slots that are due: stale, or at
+        // their cached wake. A clean slot before its wake is skipped; by
+        // the `next_event` contract its step would be a pure no-op. A
+        // stepped slot is stale from the next cycle on: it was due, so its
+        // wake is behind `now`.
         for i in 0..self.accels.len() {
-            if self.dividers[i].tick(now) {
+            if self.wake[i] <= now && self.dividers[i].tick(now) {
                 self.accels[i].step(now, &mut self.ports[i]);
             }
         }
@@ -304,6 +342,9 @@ impl FpgaDevice {
                 for i in 0..self.accels.len() {
                     if self.ports[i].has_pending() && tree.can_accept(i) {
                         let req = self.ports[i].take_pending().expect("pending checked");
+                        // A freed pending entry can re-enable `can_issue`,
+                        // and an abort below delivers to the same port.
+                        self.wake[i] = STALE;
                         match self.auditors[i].translate(req) {
                             Ok(pkt) => tree.inject(i, pkt, now),
                             Err((tag, _)) => Self::abort_outbound(
@@ -332,6 +373,7 @@ impl FpgaDevice {
                     && self.host.can_accept(now)
                 {
                     let req = self.ports[0].take_pending().expect("pending checked");
+                    self.wake[0] = STALE;
                     match self.auditors[0].translate(req) {
                         Ok(pkt) => {
                             self.host.submit(pkt, now);
@@ -396,6 +438,9 @@ impl FpgaDevice {
     /// identical devices in opposite modes within one process.
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fastfwd = on;
+        // Off means every accelerator steps on every edge: nothing
+        // refreshes the wake cache, so start it all stale.
+        self.wake.fill(STALE);
     }
 
     /// Overrides the burst-length cap set at construction
@@ -411,46 +456,79 @@ impl FpgaDevice {
     ///
     /// A cycle may be skipped only if stepping it is provably a pure no-op;
     /// every term below is conservative (`Some(now)` whenever in doubt), so
-    /// fast-forward is bit-exact by construction.
+    /// fast-forward is bit-exact by construction. A pure read: clean slots
+    /// contribute their cached wake, stale ones are polled live, so the
+    /// value is the one the clock's horizon pass
+    /// ([`PlatformClock::next_event`]) computes and caches.
     pub fn next_event(&self) -> Option<Cycle> {
         let now = self.now;
-        let mut horizon: Option<Cycle> = None;
-        let mut merge = |t: Cycle| {
-            let t = t.max(now);
-            horizon = Some(horizon.map_or(t, |h: Cycle| h.min(t)));
-        };
+        let mut horizon = self.fabric_event(now);
+        for (i, &w) in self.wake.iter().enumerate() {
+            let w = if w > now { w } else { self.slot_wake(i, now) };
+            horizon = horizon.min(w).min(self.auditor_event(i, now));
+        }
+        (horizon != NEVER).then_some(horizon)
+    }
 
-        // 1. Downstream pipeline delivery.
-        if let Some(t) = self.down_pipe.next_ready() {
-            merge(t);
-        }
-        // 6. Host responses (DMA completions, CPU MMIO ops in flight).
-        if let Some(t) = self.host.next_event(now) {
-            merge(t);
-        }
-        // 4/5. Tree arbitration and root drain.
-        if let Some(tree) = self.tree.as_ref() {
-            if let Some(t) = tree.next_event(now) {
-                merge(t);
-            }
-        }
-        // 2/3. Accelerator edges and auditor forwarding.
-        for i in 0..self.accels.len() {
-            if self.ports[i].has_pending() {
-                // The auditor forwards pending requests every fabric cycle.
-                merge(now);
-                continue;
-            }
-            let hint = if self.ports[i].queued_responses() > 0 {
-                Some(now)
+    /// The clock's horizon pass: [`next_event`](Self::next_event), storing
+    /// each stale slot's freshly polled wake. Only the slots touched since
+    /// the last pass cost an [`Accelerator::next_event`] call.
+    fn refresh_horizon(&mut self) -> Option<Cycle> {
+        let now = self.now;
+        let mut horizon = self.fabric_event(now);
+        for i in 0..self.wake.len() {
+            let w = self.wake[i];
+            let w = if w > now {
+                // A cached wake later than the live hint is the one way the
+                // cache could skip a step that changes state.
+                debug_assert!(
+                    w <= self.slot_wake(i, now),
+                    "slot {i}: cached wake {w} is later than its live hint {} at cycle {now}",
+                    self.slot_wake(i, now)
+                );
+                w
             } else {
-                self.accels[i].next_event(now, &self.ports[i])
+                let fresh = self.slot_wake(i, now);
+                self.wake[i] = fresh;
+                fresh
             };
-            if let Some(t) = hint {
-                merge(self.dividers[i].next_edge(t.max(now)));
-            }
+            horizon = horizon.min(w).min(self.auditor_event(i, now));
         }
-        horizon
+        (horizon != NEVER).then_some(horizon)
+    }
+
+    /// The earliest event outside the accelerators, or [`NEVER`]:
+    /// downstream delivery (1), host responses and MMIO in flight (6), tree
+    /// arbitration and root drain (4/5).
+    fn fabric_event(&self, now: Cycle) -> Cycle {
+        let tree = self.tree.as_ref().and_then(|t| t.next_event(now));
+        [self.down_pipe.next_ready(), self.host.next_event(now), tree]
+            .into_iter()
+            .flatten()
+            .fold(NEVER, |h, t| h.min(t.max(now)))
+    }
+
+    /// Auditor `i`'s event (3): it forwards a pending request every fabric
+    /// cycle, whatever its accelerator's wake.
+    fn auditor_event(&self, i: usize, now: Cycle) -> Cycle {
+        if self.ports[i].has_pending() {
+            now
+        } else {
+            NEVER
+        }
+    }
+
+    /// Slot `i`'s live wake at `now` (2): the next edge while responses
+    /// are queued, otherwise the edge at or after the accelerator's own
+    /// hint, or [`NEVER`].
+    fn slot_wake(&self, i: usize, now: Cycle) -> Cycle {
+        let port = &self.ports[i];
+        let hint = if port.queued_responses() > 0 {
+            Some(now)
+        } else {
+            self.accels[i].next_event(now, port)
+        };
+        hint.map_or(NEVER, |t| self.dividers[i].next_edge(t.max(now)))
     }
 
     /// Runs the machine for `cycles` fabric cycles, batching busy
@@ -516,6 +594,7 @@ impl FpgaDevice {
                 }
                 match self.auditors[idx].audit(&pkt) {
                     AuditVerdict::DeliverDma { tag, data } => {
+                        self.poke(idx);
                         if !self.ports[idx].deliver(tag, data, now) {
                             // Stale tag (e.g. a response outliving a reset):
                             // the port discarded it, and the discard must
@@ -593,6 +672,7 @@ impl FpgaDevice {
                                 mmio::ACCEL_PAGE,
                             );
                         }
+                        self.poke(idx);
                         self.accels[idx].mmio_write(offset, v);
                     }
                     AuditVerdict::DeliverMmio { offset, write: None } => {
@@ -605,6 +685,7 @@ impl FpgaDevice {
                                 mmio::ACCEL_PAGE,
                             );
                         }
+                        self.poke(idx);
                         let value = self.accels[idx].mmio_read(offset);
                         self.host.submit(UpPacket::MmioReadResp { addr, value }, now);
                     }
@@ -629,6 +710,7 @@ impl FpgaDevice {
     /// state, its port, and any of its packets queued in the tree. In-flight
     /// host-side packets return later and are discarded as stale.
     pub fn reset_accel(&mut self, index: usize) {
+        self.poke(index);
         self.accels[index].reset();
         self.ports[index].reset();
         if let Some(tree) = self.tree.as_mut() {
@@ -680,8 +762,8 @@ impl PlatformClock for FpgaDevice {
         self.now
     }
 
-    fn next_event(&self) -> Option<Cycle> {
-        FpgaDevice::next_event(self)
+    fn next_event(&mut self) -> Option<Cycle> {
+        self.refresh_horizon()
     }
 
     fn step_cycle(&mut self) {
@@ -750,6 +832,197 @@ mod tests {
             .map(|_| Box::new(Present(meta.clone())) as Box<dyn Accelerator>)
             .collect();
         FpgaDevice::new_monitored(accels, 2, SelectorPolicy::Auto)
+    }
+
+    /// A probe for the wake cache. It spins (changes state on every step)
+    /// for as many steps as it was built with, and issues as many reads as
+    /// an MMIO write to any register asks for. It counts its steps and
+    /// logs the cycle of every step that observes something: an MMIO
+    /// access or reset since its last step, a response, or an issue.
+    struct Probe {
+        meta: AccelMeta,
+        spin: u64,
+        want: u64,
+        touched: bool,
+        steps: u64,
+        events: u64,
+        log: u64,
+    }
+
+    impl Probe {
+        const STEPS: u64 = 0;
+        const EVENTS: u64 = 8;
+        const LOG: u64 = 16;
+    }
+
+    impl Accelerator for Probe {
+        fn meta(&self) -> &AccelMeta {
+            &self.meta
+        }
+        fn reset(&mut self) {
+            self.want = 0;
+            self.touched = true;
+        }
+        fn mmio_write(&mut self, _: u64, value: u64) {
+            self.want = value;
+            self.touched = true;
+        }
+        fn mmio_read(&mut self, _: u64) -> u64 {
+            self.touched = true;
+            self.events
+        }
+        fn step(&mut self, now: Cycle, port: &mut AccelPort) {
+            self.steps += 1;
+            self.spin = self.spin.saturating_sub(1);
+            let mut seen = std::mem::take(&mut self.touched);
+            while port.pop_response().is_some() {
+                seen = true;
+            }
+            while self.want > 0 && port.can_issue() {
+                port.read(optimus_mem::addr::Gva::new(self.want << 12), now);
+                self.want -= 1;
+                seen = true;
+            }
+            if seen {
+                self.events += 1;
+                self.log = (self.log ^ now).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        fn status(&self) -> CtrlStatus {
+            CtrlStatus::Idle
+        }
+        fn peek_reg(&self, offset: u64) -> u64 {
+            match offset {
+                Probe::STEPS => self.steps,
+                Probe::EVENTS => self.events,
+                _ => self.log,
+            }
+        }
+        fn next_event(&self, now: Cycle, port: &AccelPort) -> Option<Cycle> {
+            let busy = self.spin > 0 || self.touched || (self.want > 0 && port.can_issue());
+            busy.then_some(now)
+        }
+    }
+
+    fn meta() -> AccelMeta {
+        AccelMeta {
+            name: "PROBE",
+            description: "wake-cache probe",
+            freq_mhz: 400,
+            verilog_loc: 0,
+            alm_pct: 0.0,
+            bram_pct: 0.0,
+            alm_scale8: 8.0,
+            bram_scale8: 8.0,
+            state_bytes: 0,
+            demand: 0.0,
+        }
+    }
+
+    fn probe(spin: u64) -> Box<dyn Accelerator> {
+        Box::new(Probe { meta: meta(), spin, want: 0, touched: false, steps: 0, events: 0, log: 0 })
+    }
+
+    /// A monitored device of probes, one per entry of `spins`.
+    fn probes(spins: &[u64], fastfwd: bool) -> FpgaDevice {
+        let accels = spins.iter().map(|&spin| probe(spin)).collect();
+        let mut dev = FpgaDevice::new_monitored(accels, 2, SelectorPolicy::Auto);
+        dev.set_fast_forward(fastfwd);
+        dev
+    }
+
+    #[test]
+    fn an_idle_slot_beside_a_busy_one_is_not_stepped() {
+        let mut dev = probes(&[0, 10_000], true);
+        dev.run(10_000);
+        assert_eq!(dev.accel(1).peek_reg(Probe::STEPS), 10_000, "the busy slot steps every edge");
+        let idle = dev.accel(0).peek_reg(Probe::STEPS);
+        assert!(idle <= 1, "the idle slot stepped {idle} times beside a busy neighbour");
+    }
+
+    #[test]
+    fn every_poke_steps_the_slot_on_its_next_edge() {
+        // Each trigger runs on a fast-forwarded device and on one stepped
+        // per cycle, where the probe steps on every edge. The probe's log
+        // of cycles at which it observed something must agree, so after
+        // every poke the cached slot stepped on its next edge, no later.
+        for passthrough in [false, true] {
+            let build = |fastfwd| {
+                let mut dev = if passthrough {
+                    FpgaDevice::new_passthrough(probe(0), SelectorPolicy::Auto)
+                } else {
+                    probes(&[0], fastfwd)
+                };
+                dev.set_fast_forward(fastfwd);
+                dev
+            };
+            poke_triggers([build(true), build(false)]);
+        }
+    }
+
+    /// Runs every poke trigger on `devs` (fast-forwarded, per-cycle) and
+    /// compares the probe in slot 0 after each.
+    fn poke_triggers(mut devs: [FpgaDevice; 2]) {
+        let app = mmio::accel_mmio_base(0) + mmio::accel_reg::APP_BASE;
+        let triggers: [(&str, u64, &dyn Fn(&mut FpgaDevice)); 7] = [
+            ("MMIO write", 1, &|d| {
+                d.mmio_write(app, 0);
+                d.run(2_000);
+            }),
+            ("MMIO read", 1, &|d| {
+                d.mmio_read(app);
+                d.run(2_000);
+            }),
+            // One read: the write's step issues it, its (faulted) response
+            // comes back through the auditor.
+            ("response delivery", 2, &|d| {
+                d.mmio_write(app, 1);
+                d.run(5_000);
+            }),
+            // More reads than the port holds: the probe waits on a full
+            // pending queue behind a backlogged tree leaf, and each release
+            // lets it issue again.
+            ("pending release", 0, &|d| {
+                d.mmio_write(app, 256);
+                d.run(200_000);
+            }),
+            ("VCU reset pulse", 1, &|d| {
+                d.mmio_write(mmio::VCU_BASE + vcu_reg::RESET_TABLE, 1);
+                d.run(2_000);
+            }),
+            ("accel_mut", 1, &|d| {
+                d.accel_mut(0).mmio_read(0);
+                d.run(2_000);
+            }),
+            // A response handed to the port directly, for a read issued
+            // and taken off the port's pending queue here.
+            ("port_mut", 1, &|d| {
+                let now = d.now();
+                let tag = d.port_mut(0).read(optimus_mem::addr::Gva::new(0), now);
+                d.port_mut(0).take_pending();
+                d.port_mut(0).deliver(tag, None, now);
+                d.run(2_000);
+            }),
+        ];
+        for (name, new_events, trigger) in triggers {
+            let before = devs[0].accel(0).peek_reg(Probe::EVENTS);
+            for d in &mut devs {
+                trigger(d);
+            }
+            let [fast, slow] = &devs;
+            assert_eq!(fast.now(), slow.now(), "{name}");
+            for reg in [Probe::EVENTS, Probe::LOG] {
+                assert_eq!(fast.accel(0).peek_reg(reg), slow.accel(0).peek_reg(reg), "{name}");
+            }
+            let events = fast.accel(0).peek_reg(Probe::EVENTS) - before;
+            if new_events > 0 {
+                assert_eq!(events, new_events, "{name}: events the probe observed");
+            } else {
+                assert!(events > 64, "{name}: the probe issued in only {events} steps");
+            }
+        }
+        let stepped = |d: &FpgaDevice| d.accel(0).peek_reg(Probe::STEPS);
+        assert!(stepped(&devs[0]) * 10 < stepped(&devs[1]), "the cache skipped nothing");
     }
 
     #[test]

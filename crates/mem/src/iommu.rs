@@ -17,7 +17,7 @@
 //! * on a miss the IOMMU must fetch the IO page table **over the system
 //!   interconnect** (HARP's IOMMU is not integrated into the CPU), so a
 //!   miss costs a multi-hundred-nanosecond walk, one access per radix level
-//!   ([`PageTable::walk_depth`]);
+//!   (the depth [`PageTable::walk`] reports);
 //! * consecutive accesses that stay within one 2 MB region appear to take a
 //!   **speculative fast path** (the paper's explanation for the anomalously
 //!   high single-job read throughput in Fig. 6b), modeled here as the
@@ -346,17 +346,14 @@ impl Iommu {
             }
             return Ok(Translation { hpa, lookup });
         }
-        // Miss: hardware walk of the IO page table.
-        let walk_steps = self.iopt.walk_depth(iova.raw());
-        match self.iopt.translate(iova.raw()) {
-            Some((pa, flags)) => {
+        // Miss: one hardware walk of the IO page table.
+        let walk = self.iopt.walk(iova.raw());
+        let walk_steps = walk.depth;
+        match walk.leaf {
+            Some((pa, flags, size)) => {
                 if is_write && !flags.write {
                     return Err(IommuError::WriteDenied { iova });
                 }
-                let size = self
-                    .iopt
-                    .mapping_size(iova.raw())
-                    .expect("translate succeeded, mapping must exist");
                 let page_base = Hpa::new(pa & !(size.bytes() - 1));
                 let evictions_before = self.tlb.conflict_evictions;
                 self.tlb.fill(iova, page_base, size, flags.write);

@@ -12,9 +12,9 @@
 //! The table is a genuine 4-level radix tree over 48-bit addresses with
 //! 9 bits per level. Leaves can sit at level 1 (4 KB pages) or level 2
 //! (2 MB huge pages), mirroring x86's PTE/PDE split; the IOMMU's walk
-//! latency model charges one memory access per level traversed, so
-//! [`PageTable::walk_depth`] is part of the performance model, not just
-//! bookkeeping.
+//! latency model charges one memory access per level traversed, so the
+//! depth [`PageTable::walk`] reports is part of the performance model, not
+//! just bookkeeping.
 //!
 //! # Examples
 //!
@@ -29,7 +29,7 @@
 //! ```
 
 use crate::addr::PageSize;
-use std::collections::HashMap;
+use optimus_sim::hashing::FastMap;
 
 /// Permission and status bits attached to a mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,9 +86,20 @@ impl core::fmt::Display for MapError {
 impl std::error::Error for MapError {}
 
 /// One node of the radix tree: 512 slots.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Node {
-    entries: HashMap<u16, Entry>,
+    entries: FastMap<u16, Entry>,
+}
+
+/// What one hardware walk of the table finds for an address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Walk {
+    /// Node accesses the walker made, whether or not it hit a mapping.
+    /// Feeds the IOTLB-miss latency model.
+    pub depth: u32,
+    /// The mapping covering the address, if any: the translated physical
+    /// address, the mapping's flags and its page size.
+    pub leaf: Option<(u64, PageFlags, PageSize)>,
 }
 
 #[derive(Debug, Clone)]
@@ -125,9 +136,7 @@ impl PageTable {
     /// Creates an empty table (just a root node).
     pub fn new() -> Self {
         Self {
-            nodes: vec![Node {
-                entries: HashMap::new(),
-            }],
+            nodes: vec![Node::default()],
             mapped_count: 0,
         }
     }
@@ -175,9 +184,7 @@ impl PageTable {
                 Some(Entry::Leaf { .. }) => return Err(MapError::Overlap),
                 None => {
                     let t = self.nodes.len();
-                    self.nodes.push(Node {
-                        entries: HashMap::new(),
-                    });
+                    self.nodes.push(Node::default());
                     self.nodes[node].entries.insert(idx, Entry::Table(t));
                     t
                 }
@@ -209,45 +216,30 @@ impl PageTable {
         Err(MapError::NotMapped)
     }
 
+    /// Walks the table for `va` once, as the hardware walker does: the
+    /// levels touched and the leaf found, if any.
+    pub fn walk(&self, va: u64) -> Walk {
+        let mut node = 0usize;
+        let mut depth = 0;
+        for level in (1..=LEVELS).rev() {
+            depth += 1;
+            match self.nodes[node].entries.get(&index_at_level(va, level)) {
+                Some(Entry::Table(t)) => node = *t,
+                Some(Entry::Leaf { pa, flags }) => {
+                    let size = if level == 2 { PageSize::Huge } else { PageSize::Small };
+                    let offset = va & (size.bytes() - 1);
+                    return Walk { depth, leaf: Some((pa + offset, *flags, size)) };
+                }
+                None => return Walk { depth, leaf: None },
+            }
+        }
+        Walk { depth, leaf: None }
+    }
+
     /// Translates `va`, returning the physical address and the mapping's
     /// flags, or `None` if unmapped.
     pub fn translate(&self, va: u64) -> Option<(u64, PageFlags)> {
-        let mut node = 0usize;
-        for level in (1..=LEVELS).rev() {
-            let idx = index_at_level(va, level);
-            match self.nodes[node].entries.get(&idx)? {
-                Entry::Table(t) => node = *t,
-                Entry::Leaf { pa, flags } => {
-                    let size = if level == 2 {
-                        PageSize::Huge
-                    } else {
-                        PageSize::Small
-                    };
-                    let offset = va & (size.bytes() - 1);
-                    return Some((pa + offset, *flags));
-                }
-            }
-        }
-        None
-    }
-
-    /// Returns the page size of the mapping covering `va`, if any.
-    pub fn mapping_size(&self, va: u64) -> Option<PageSize> {
-        let mut node = 0usize;
-        for level in (1..=LEVELS).rev() {
-            let idx = index_at_level(va, level);
-            match self.nodes[node].entries.get(&idx)? {
-                Entry::Table(t) => node = *t,
-                Entry::Leaf { .. } => {
-                    return Some(if level == 2 {
-                        PageSize::Huge
-                    } else {
-                        PageSize::Small
-                    })
-                }
-            }
-        }
-        None
+        self.walk(va).leaf.map(|(pa, flags, _)| (pa, flags))
     }
 
     /// Enumerates every leaf mapping as `(va, pa, size, flags)`, sorted by
@@ -283,23 +275,6 @@ impl PageTable {
             }
         }
     }
-
-    /// Number of node accesses a hardware walker performs to resolve `va`
-    /// (whether or not the walk hits a mapping). Feeds the IOTLB-miss
-    /// latency model.
-    pub fn walk_depth(&self, va: u64) -> u32 {
-        let mut node = 0usize;
-        let mut depth = 0;
-        for level in (1..=LEVELS).rev() {
-            depth += 1;
-            let idx = index_at_level(va, level);
-            match self.nodes[node].entries.get(&idx) {
-                Some(Entry::Table(t)) => node = *t,
-                _ => return depth,
-            }
-        }
-        depth
-    }
 }
 
 #[cfg(test)]
@@ -325,7 +300,8 @@ mod tests {
         let (pa, flags) = pt.translate(2 * PAGE_2M + 0x12345).unwrap();
         assert_eq!(pa, 7 * PAGE_2M + 0x12345);
         assert!(!flags.write);
-        assert_eq!(pt.mapping_size(2 * PAGE_2M + 5), Some(PageSize::Huge));
+        let leaf = pt.walk(2 * PAGE_2M + 5).leaf;
+        assert_eq!(leaf, Some((7 * PAGE_2M + 5, PageFlags::ro(), PageSize::Huge)));
     }
 
     #[test]
@@ -399,13 +375,17 @@ mod tests {
     }
 
     #[test]
-    fn walk_depth_counts_levels() {
+    fn walk_counts_levels() {
         let mut pt = PageTable::new();
-        assert_eq!(pt.walk_depth(0x1000), 1); // root miss
+        assert_eq!(pt.walk(0x1000), Walk { depth: 1, leaf: None }); // root miss
         pt.map(0x1000, 0x2000, PageSize::Small, PageFlags::rw()).unwrap();
-        assert_eq!(pt.walk_depth(0x1000), 4); // full 4-level walk
+        // Full 4-level walk.
+        assert_eq!(pt.walk(0x1008).depth, 4);
+        assert_eq!(pt.walk(0x1008).leaf, Some((0x2008, PageFlags::rw(), PageSize::Small)));
+        // A miss in the populated level-1 node still touches all four.
+        assert_eq!(pt.walk(0x3000), Walk { depth: 4, leaf: None });
         pt.map(PAGE_2M * 512, 0, PageSize::Huge, PageFlags::rw()).unwrap();
-        assert_eq!(pt.walk_depth(PAGE_2M * 512), 3); // huge leaf at level 2
+        assert_eq!(pt.walk(PAGE_2M * 512).depth, 3); // huge leaf at level 2
     }
 
     #[test]

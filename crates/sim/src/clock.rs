@@ -27,7 +27,12 @@ pub trait PlatformClock {
     /// can do anything, or `None` if the machine is quiescent until
     /// externally poked. Must be conservative: returning `Some(t)` with
     /// `t > now` asserts every step before `t` is a pure no-op.
-    fn next_event(&self) -> Option<Cycle>;
+    ///
+    /// This is the clock's horizon pass. It takes `&mut self` so a
+    /// platform may refresh cached per-component hints in the same pass
+    /// (`FpgaDevice` caches each slot's wake cycle), but the value must be
+    /// the one a pure scan of the machine's state would return.
+    fn next_event(&mut self) -> Option<Cycle>;
 
     /// Executes exactly one cycle.
     fn step_cycle(&mut self);
@@ -54,7 +59,9 @@ pub trait PlatformClock {
 
     /// Advances toward `end`: skips directly to the next event when
     /// fast-forwarding is on and the machine is provably idle, otherwise
-    /// executes one cycle. Never moves past `end`.
+    /// executes one cycle. Never moves past `end`. A skip returns without
+    /// stepping, so a caller polling state between calls (a blocking MMIO
+    /// read) sees the skipped-to cycle before it executes.
     fn advance_toward(&mut self, end: Cycle) {
         if self.fast_forward() {
             match self.next_event() {
@@ -79,6 +86,11 @@ pub trait PlatformClock {
     /// than it was long, keeping the wasted no-op steps proportional to
     /// the useful ones.
     ///
+    /// A skip that lands before `end` steps the landed cycle in the same
+    /// call: the skipped-to cycle is an event by definition, so scanning
+    /// again would only return it. Latency-bound runs make one horizon
+    /// scan per event, not two.
+    ///
     /// # Why bursts are bit-exact
     ///
     /// [`next_event`](Self::next_event)'s contract makes every skippable
@@ -97,9 +109,12 @@ pub trait PlatformClock {
                     return;
                 }
                 Some(t) if t > self.now() => {
-                    self.skip_to(t.min(end));
                     *burst = 1;
-                    return;
+                    if t >= end {
+                        self.skip_to(end);
+                        return;
+                    }
+                    self.skip_to(t);
                 }
                 _ => {}
             }
@@ -121,13 +136,22 @@ mod tests {
         period: Cycle,
         work: u64,
         fastfwd: bool,
+        /// Horizon scans made so far.
+        scans: u64,
+    }
+
+    impl Strober {
+        fn new(period: Cycle, fastfwd: bool) -> Self {
+            Self { now: 0, period, work: 0, fastfwd, scans: 0 }
+        }
     }
 
     impl PlatformClock for Strober {
         fn now(&self) -> Cycle {
             self.now
         }
-        fn next_event(&self) -> Option<Cycle> {
+        fn next_event(&mut self) -> Option<Cycle> {
+            self.scans += 1;
             Some(self.now.next_multiple_of(self.period))
         }
         fn step_cycle(&mut self) {
@@ -153,13 +177,31 @@ mod tests {
 
     #[test]
     fn fast_forward_is_bit_exact_and_bounded_by_end() {
-        let mut slow = Strober { now: 0, period: 97, work: 0, fastfwd: false };
-        let mut fast = Strober { now: 0, period: 97, work: 0, fastfwd: true };
+        let mut slow = Strober::new(97, false);
+        let mut fast = Strober::new(97, true);
         run(&mut slow, 10_000);
         run(&mut fast, 10_000);
         assert_eq!(slow.now, fast.now);
         assert_eq!(slow.work, fast.work);
         assert_eq!(fast.now, 10_000);
+    }
+
+    #[test]
+    fn an_adaptive_run_scans_the_horizon_once_per_event() {
+        let mut slow = Strober::new(97, false);
+        run(&mut slow, 10_000);
+        let mut fast = Strober::new(97, true);
+        let mut burst = 1;
+        while fast.now < 10_000 {
+            fast.advance_toward_adaptive(10_000, &mut burst, 64);
+        }
+        assert_eq!((fast.now, fast.work), (slow.now, slow.work));
+        // Events at 0, 97, …, 9991: one scan each, plus the final scan
+        // that finds no event before the end. Scanning again after every
+        // skip would make it two per event.
+        let events = 10_000u64.div_ceil(97);
+        assert_eq!(fast.work, events);
+        assert_eq!(fast.scans, events + 1);
     }
 
     #[test]
@@ -169,7 +211,7 @@ mod tests {
             fn now(&self) -> Cycle {
                 self.0
             }
-            fn next_event(&self) -> Option<Cycle> {
+            fn next_event(&mut self) -> Option<Cycle> {
                 None
             }
             fn step_cycle(&mut self) {
