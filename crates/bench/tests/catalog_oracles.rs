@@ -58,6 +58,16 @@ fn every_kind_matches_its_oracle_and_a_flipped_bit_is_refused() {
     }
 }
 
+/// Cycles each tenant of an eight-slot run may take to finish. The
+/// slowest passing case among replay seeds 1..=100 ends at cycle 1.72 M;
+/// 20 M is ≈ 11× that. Some draws never finish: an SSSP job four times
+/// the base size on the time-shared slot, with a 3.6–5.6 k-cycle slice,
+/// re-gathers its whole round after every restore and never reaches the
+/// relaxation (replay seeds 19, 21, 47, 54 and 85). With this budget
+/// such a draw fails in seconds and the runner names its seed, instead of
+/// stepping 400 M cycles.
+const TENANT_BUDGET: u64 = 20_000_000;
+
 /// What one eight-slot run leaves behind: the final cycle, the
 /// hypervisor's counters, each port's byte counts, and each tenant's
 /// oracle verdict.
@@ -92,7 +102,7 @@ fn eight_slots(kinds: &[AccelKind], shared: usize, stagger: u64, slice: u64, fas
         hv.run(stagger * (1 + i as u64 % 3));
     }
     for (i, (va, ..)) in tenants.iter().enumerate() {
-        assert!(hv.run_until_done(*va, 400_000_000), "tenant {i}'s job never ended");
+        assert!(hv.run_until_done(*va, TENANT_BUDGET), "tenant {i}'s job never ended");
     }
     let verdicts = tenants
         .iter()
@@ -149,6 +159,9 @@ fn eight_slots_fast_forward_matches_per_cycle() {
         },
     );
     // Not every draw outlasts a slice, but the run as a whole must have
-    // saved and restored beside its neighbours.
-    assert!(preemptions.get() > 0, "no case preempted the shared slot");
+    // saved and restored beside its neighbours. (A replay runs one case,
+    // which need not preempt.)
+    if cfg.replay_seed.is_none() {
+        assert!(preemptions.get() > 0, "no case preempted the shared slot");
+    }
 }

@@ -176,97 +176,58 @@ impl HostSide {
     /// arrival time. MMIO read responses are queued for
     /// [`take_mmio_response`](Self::take_mmio_response).
     pub fn submit(&mut self, pkt: UpPacket, now: Cycle) {
-        match pkt {
+        // One path for both DMA directions: `data` is the payload of a
+        // write and `None` for a read.
+        let (iova, data, src, tag) = match pkt {
             UpPacket::MmioReadResp { addr, value } => {
                 // MMIO responses return to the CPU mailbox; software costs
                 // dominate (see params::host_costs).
                 let ready = now + self.mmio_latency;
                 self.mmio_mailbox.push((ready, addr, value));
+                return;
             }
-            UpPacket::DmaRead { iova, src, tag } => {
-                let (arrival, kind) = self.channels.admit(now);
-                self.account_channel(kind, now);
-                match self.iommu.translate_tagged(iova, false, now, src.0 as u32) {
-                    Ok(tr) => {
-                        if spec::enabled() {
-                            // The device scope is claimed by the stepping
-                            // hypervisor before `device.run`, so it names
-                            // the device this host side belongs to.
-                            spec::check_dma(
-                                metrics::device_scope(),
-                                src.0 as u32,
-                                iova.raw(),
-                                tr.hpa.raw(),
-                                false,
-                            );
-                        }
-                        let done = self.schedule_service(arrival, tr.lookup, src.0 as u32);
-                        let data = Box::new(self.memory.read_line(tr.hpa));
-                        self.total_dma_bytes += 64;
-                        let ready =
-                            (done + self.channels.response_latency(kind)).ceil() as Cycle;
-                        metrics::inc(metrics::CCI_DMA_BYTES, src.0 as u32, 64);
-                        metrics::observe(metrics::CCI_DMA_RT_CYCLES, src.0 as u32, ready - now);
-                        if trace::enabled() {
-                            let link = Track::link(src.0 as usize);
-                            trace::complete(link, "dma_read", now, ready - now, &[("iova", iova.raw())]);
-                        }
-                        self.push_outbound(DownPacket::DmaReadResp { data, dst: src, tag }, ready);
-                    }
-                    Err(e) => {
-                        if spec::enabled() {
-                            spec::check_dma_fault(
-                                metrics::device_scope(),
-                                src.0 as u32,
-                                iova.raw(),
-                                false,
-                            );
-                        }
-                        self.abort_faulted(e, src, tag, arrival, kind);
-                    }
+            UpPacket::DmaRead { iova, src, tag } => (iova, None, src, tag),
+            UpPacket::DmaWrite { iova, data, src, tag } => (iova, Some(data), src, tag),
+        };
+        let (write, tenant) = (data.is_some(), src.0 as u32);
+        let (arrival, kind) = self.channels.admit(now);
+        self.account_channel(kind, now);
+        let tr = match self.iommu.translate_tagged(iova, write, now, tenant) {
+            Ok(tr) => tr,
+            Err(e) => {
+                if spec::enabled() {
+                    spec::check_dma_fault(metrics::device_scope(), tenant, iova.raw(), write);
                 }
+                return self.abort_faulted(e, src, tag, arrival, kind);
             }
-            UpPacket::DmaWrite { iova, data, src, tag } => {
-                let (arrival, kind) = self.channels.admit(now);
-                self.account_channel(kind, now);
-                match self.iommu.translate_tagged(iova, true, now, src.0 as u32) {
-                    Ok(tr) => {
-                        if spec::enabled() {
-                            spec::check_dma(
-                                metrics::device_scope(),
-                                src.0 as u32,
-                                iova.raw(),
-                                tr.hpa.raw(),
-                                true,
-                            );
-                        }
-                        let done = self.schedule_service(arrival, tr.lookup, src.0 as u32);
-                        self.memory.write_line(tr.hpa, &data);
-                        self.total_dma_bytes += 64;
-                        let ready =
-                            (done + self.channels.response_latency(kind)).ceil() as Cycle;
-                        metrics::inc(metrics::CCI_DMA_BYTES, src.0 as u32, 64);
-                        metrics::observe(metrics::CCI_DMA_RT_CYCLES, src.0 as u32, ready - now);
-                        if trace::enabled() {
-                            let link = Track::link(src.0 as usize);
-                            trace::complete(link, "dma_write", now, ready - now, &[("iova", iova.raw())]);
-                        }
-                        self.push_outbound(DownPacket::DmaAck { dst: src, tag }, ready);
-                    }
-                    Err(e) => {
-                        if spec::enabled() {
-                            spec::check_dma_fault(
-                                metrics::device_scope(),
-                                src.0 as u32,
-                                iova.raw(),
-                                true,
-                            );
-                        }
-                        self.abort_faulted(e, src, tag, arrival, kind);
-                    }
-                }
-            }
+        };
+        if spec::enabled() {
+            // The device scope is claimed by the stepping hypervisor
+            // before `device.run`, so it names the device this host side
+            // belongs to.
+            spec::check_dma(metrics::device_scope(), tenant, iova.raw(), tr.hpa.raw(), write);
         }
+        let done = self.schedule_service(arrival, tr.lookup, tenant);
+        let response = match data {
+            None => {
+                let data = Box::new(self.memory.read_line(tr.hpa));
+                DownPacket::DmaReadResp { data, dst: src, tag }
+            }
+            Some(data) => {
+                self.memory.write_line(tr.hpa, &data);
+                DownPacket::DmaAck { dst: src, tag }
+            }
+        };
+        self.total_dma_bytes += 64;
+        let ready = (done + self.channels.response_latency(kind)).ceil() as Cycle;
+        metrics::inc(metrics::CCI_DMA_BYTES, tenant, 64);
+        metrics::observe(metrics::CCI_DMA_RT_CYCLES, tenant, ready - now);
+        if trace::enabled() {
+            let name = if write { "dma_write" } else { "dma_read" };
+            let link = Track::link(src.0 as usize);
+            trace::complete(link, name, now, ready - now, &[("iova", iova.raw())]);
+        }
+        self.push_outbound(response, ready);
     }
 
     /// Answers a DMA the IOMMU could not translate (a pointer inside the

@@ -4,7 +4,7 @@
 //! [`super::shares`].)
 
 use super::iopt::{self, Claim};
-use super::{Backing, Optimus};
+use super::{Backing, HvEvent, Optimus};
 use crate::vaccel::{VaccelId, VaccelRun, VirtualAccel};
 use crate::vm::VmError;
 use optimus_cci::params::host_costs;
@@ -13,11 +13,9 @@ use optimus_fabric::mmio::{accel_mmio_base, accel_reg, ACCEL_PAGE};
 use optimus_mem::addr::{Gva, Hpa, PageSize, PAGE_2M};
 use optimus_mem::host::LineFiller;
 use optimus_mem::page_table::PageFlags;
-use optimus_sim::journal;
 use optimus_sim::metrics;
 use optimus_sim::spec;
 use optimus_sim::time::ns_to_cycles;
-use optimus_sim::trace::{self, Track};
 
 /// The guest's view of its virtual accelerator: the paper's guest driver
 /// plus userspace library, with every access charged its software cost.
@@ -113,20 +111,17 @@ impl GuestCtx<'_> {
         let w = self.hv.window(self.v());
         let flags = PageFlags::rw();
         iopt::map_page(&mut self.hv.device, w, gva, hpa.raw(), io_page, flags, Claim::Owned);
-        self.hv.stats.pinned_pages += 1;
+        self.hv.record(HvEvent::PagesPinned(1));
         self.hypercall_cost(("gva", gva.raw()));
     }
 
     /// Charges one trapped-hypercall round trip, flight-recorded with its
     /// identifying argument (the page's GVA, or the share handle as `key`).
     pub(super) fn hypercall_cost(&mut self, arg: (&'static str, u64)) {
-        self.hv.stats.hypercalls += 1;
-        let c = ns_to_cycles(host_costs::HYPERCALL_NS);
+        let cycles = ns_to_cycles(host_costs::HYPERCALL_NS);
         metrics::set_device(self.hv.device_id.0);
-        metrics::inc(metrics::HV_HYPERCALLS, self.va.0, 1);
-        let (track, now) = (Track::vaccel(self.va.0), self.hv.device.now());
-        trace::complete(track, "hypercall", now, c, &[arg]);
-        self.hv.advance(c);
+        self.hv.record(HvEvent::Hypercall { va: self.va, arg, cycles });
+        self.hv.advance(cycles);
     }
 
     /// Writes guest memory (CPU-side access through the two-stage tables).
@@ -189,7 +184,7 @@ impl GuestCtx<'_> {
         // *neighbour's* MMIO page — and a cached out-of-page app register
         // would replay there on every install. Drop it at the trap.
         if offset >= ACCEL_PAGE {
-            self.hv.stats.discarded_mmio += 1;
+            self.hv.record(HvEvent::MmioDiscarded);
             return;
         }
         match offset {
@@ -207,24 +202,12 @@ impl GuestCtx<'_> {
                     if self.hv.vaccel(va).job == 0 || was_completed {
                         let job = self.hv.mint_job();
                         self.hv.vaccel_mut(va).job = job;
-                        let now = self.hv.device.now();
-                        let vm = self.hv.vaccel(va).vm;
-                        if journal::enabled() {
-                            let payload = self.hv.vm(vm).allocated_bytes();
-                            let tenant = self.hv.vm(vm).name().to_string();
-                            journal::submit(
-                                job,
-                                &tenant,
-                                va.0,
-                                self.hv.device_id.0,
-                                payload,
-                                now,
-                            );
-                        }
+                        self.hv.record(HvEvent::Submit { va, job });
                         // Share handoff: a consumer reading a span it
                         // retrieved links its job to the producer's.
-                        if let Some(p) = self.hv.peer_job(vm.0, false) {
-                            self.hv.job_linked(va, job, p, now);
+                        let vm = self.v().vm.0;
+                        if let Some(producer) = self.hv.peer_job(vm, false) {
+                            self.hv.record(HvEvent::Linked { va, consumer: job, producer });
                         }
                     }
                     let slot = self.v().slot;
@@ -236,7 +219,7 @@ impl GuestCtx<'_> {
                         // The vaccel is already resident: the start
                         // forwards straight to hardware, so the install
                         // phase is just this posted write.
-                        self.hv.job_phase(va, job, journal::Phase::Installed, self.hv.device.now());
+                        let start = self.hv.device.now();
                         self.forward_mmio(accel_reg::CTRL_CMD, accel_reg::CMD_START);
                         // The start is a posted fabric write. On a restart
                         // (resident, already-retired vaccel) the slot still
@@ -245,7 +228,7 @@ impl GuestCtx<'_> {
                         // new job before it runs. Let it land, as
                         // `install` does for its register replay.
                         self.hv.advance(ns_to_cycles(500.0));
-                        self.hv.job_phase(va, job, journal::Phase::Executing, self.hv.device.now());
+                        self.hv.record(HvEvent::Started { job, start });
                     }
                 }
                 // CMD_PREEMPT / CMD_RESUME are privileged: guests cannot
@@ -275,7 +258,7 @@ impl GuestCtx<'_> {
         // See `mmio_write`: out-of-page offsets would read the neighbour's
         // registers once rebased. Master-abort them as all-zero reads.
         if offset >= ACCEL_PAGE {
-            self.hv.stats.discarded_mmio += 1;
+            self.hv.record(HvEvent::MmioDiscarded);
             return 0;
         }
         match offset {

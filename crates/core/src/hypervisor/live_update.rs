@@ -8,44 +8,26 @@
 //! `Watchdog`).
 
 use super::shares::ShareTable;
-use super::{iopt, Optimus, Slot};
+use super::{iopt, HvEvent, Optimus, Slot};
 use crate::alloc::FrameAllocator;
 use crate::scheduler::SliceScheduler;
 use crate::slicing::SlicingConfig;
 use crate::snapshot::{HvSnapshot, SlotSnap, SnapshotError, VmSnap, WatchdogSnap};
-use crate::vaccel::{VaccelId, VaccelRun};
+use crate::vaccel::VaccelId;
 use crate::vm::{Vm, VmId};
 use crate::watchdog::Watchdog;
 use optimus_fabric::device::FpgaDevice;
-use optimus_sim::journal;
 use optimus_sim::spec;
-use optimus_sim::trace::{self, Track};
 use std::collections::BTreeMap;
 
 impl Optimus {
-    /// Journals `phase` for every job still in flight. `Frozen` and
-    /// `Thawed` are transparent to the SLO derivation (no latency category
-    /// is charged to them), so the accounting is identical with or without
-    /// a mid-run live-update — they exist for the causal record alone.
-    fn mark_in_flight(&self, phase: journal::Phase) {
-        if journal::enabled() {
-            let now = self.device.now();
-            for v in self.vaccels.values() {
-                if v.job != 0 && v.run != VaccelRun::Completed {
-                    journal::phase(v.job, phase, now);
-                }
-            }
-        }
-    }
-
     /// Freezes this hypervisor into a versioned [`HvSnapshot`] and hands
     /// back the device it mediated. Pure software-state capture: no MMIO
     /// is issued, no cycle advances — the device keeps running (well,
     /// existing) underneath, exactly like hardware persisting across a
     /// host hypervisor live-update.
-    pub fn freeze(self) -> (HvSnapshot, FpgaDevice) {
-        self.mark_in_flight(journal::Phase::Frozen);
-        trace::instant(Track::hypervisor(), "live_update.freeze", self.device.now(), &[]);
+    pub fn freeze(mut self) -> (HvSnapshot, FpgaDevice) {
+        self.record(HvEvent::Frozen);
         let (next_share_handle, shares, retrievals) = self.shares.into_parts();
         let snap = HvSnapshot {
             device_id: self.device_id,
@@ -166,7 +148,7 @@ impl Optimus {
                 slice_ends: s.slice_ends,
             })
             .collect();
-        let hv = Self {
+        let mut hv = Self {
             device,
             device_id: snap.device_id,
             passthrough: snap.passthrough,
@@ -199,8 +181,7 @@ impl Optimus {
                 snap.retrievals.clone(),
             ),
         };
-        hv.mark_in_flight(journal::Phase::Thawed);
-        trace::instant(Track::hypervisor(), "live_update.thaw", hv.device.now(), &[]);
+        hv.record(HvEvent::Thawed);
         Ok(hv)
     }
 

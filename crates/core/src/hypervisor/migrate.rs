@@ -8,14 +8,13 @@
 //! memories after the attach.
 
 use super::iopt::{self, Claim, Release};
-use super::{CarriedRetrieval, Optimus, ShareRecord};
+use super::{CarriedRetrieval, HvEvent, Optimus, ShareRecord};
 use crate::scheduler::MemberState;
-use crate::vaccel::{VaccelId, VirtualAccel};
+use crate::vaccel::{VaccelId, VaccelRun, VirtualAccel};
 use crate::vm::{Vm, VmId};
 use optimus_mem::addr::{Gva, PageSize, PAGE_2M};
 use optimus_mem::page_table::PageFlags;
 use optimus_sim::metrics;
-use optimus_sim::trace::{self, Track};
 
 /// Why a tenant could not be detached from or attached to a hypervisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,13 +171,8 @@ impl Optimus {
             io_pages.push(size);
         }
         metrics::set_device(self.device_id.0);
-        let now = self.device.now();
-        let args = [("va", va.0 as u64), ("slot", slot as u64)];
-        trace::instant(Track::hypervisor(), "migrate.detach", now, &args);
-        if vaccel.job != 0 {
-            // Flow arrow across the migration gap, closed at attach.
-            trace::flow_start(Track::vaccel(va.0), "job", now, vaccel.job);
-        }
+        let (job, saved) = (vaccel.job, vaccel.run == VaccelRun::SavedInMemory);
+        self.record(HvEvent::Moved { va, slot, job, saved, arrived: false });
         Ok(TenantState {
             name: vm.name().to_string(),
             next_gva: vm.next_gva(),
@@ -251,12 +245,8 @@ impl Optimus {
             self.shares.insert(rec);
         }
         metrics::set_device(self.device_id.0);
-        let now = self.device.now();
-        let args = [("va", id.0 as u64), ("slot", slot as u64)];
-        trace::instant(Track::hypervisor(), "migrate.attach", now, &args);
-        if vaccel.job != 0 {
-            trace::flow_end(Track::vaccel(id.0), "job", now, vaccel.job);
-        }
+        let (job, saved) = (vaccel.job, vaccel.run == VaccelRun::SavedInMemory);
+        self.record(HvEvent::Moved { va: id, slot, job, saved, arrived: true });
         self.vaccels.insert(id.0, vaccel);
         self.slots[slot].sched.insert_member(MemberState { key: id.0 as u64, ..t.sched });
         Ok((id, copies))
@@ -267,7 +257,6 @@ impl Optimus {
 mod tests {
     use super::*;
     use crate::hypervisor::{OptimusConfig, TrapCost};
-    use crate::vaccel::VaccelRun;
     use optimus_accel::registry::AccelKind;
     use optimus_cci::channel::SelectorPolicy;
     use optimus_fabric::mmio::accel_reg;

@@ -25,16 +25,19 @@
 //! | `migrate` | [`TenantState`]: `detach_tenant` / `attach_tenant` |
 //! | `live_update` | `freeze` / `thaw` / `live_update` over [`HvSnapshot`](crate::snapshot::HvSnapshot) |
 //! | `guest` | [`GuestCtx`]: DMA allocation, the shadow-paging hypercall, the MMIO trap path |
+//! | `record` | no state: `record`, the one emit of every control event (trap, install, preemption, migration, …) to the stats and the recording planes |
 
 mod guest;
 mod iopt;
 mod live_update;
 mod migrate;
+mod record;
 mod sched;
 mod shares;
 
 pub use guest::GuestCtx;
 pub use migrate::{MigrateError, TenantState};
+pub(crate) use record::HvEvent;
 pub use shares::{CarriedRetrieval, RetrievalState, ShareError, ShareRecord, ShareState};
 
 use crate::alloc::FrameAllocator;
@@ -51,11 +54,9 @@ use optimus_fabric::accelerator::CtrlStatus;
 use optimus_fabric::device::FpgaDevice;
 use optimus_fabric::mmio::{vcu_reg, VCU_BASE};
 use optimus_fabric::platform::{DeviceId, FabricError};
-use optimus_sim::journal;
 use optimus_sim::metrics;
 use optimus_sim::rng::derive_seed;
 use optimus_sim::time::{ms_to_cycles, ns_to_cycles, Cycle};
-use optimus_sim::trace::{self, Track};
 use shares::ShareTable;
 use std::collections::BTreeMap;
 
@@ -491,50 +492,13 @@ impl Optimus {
         self.device.run(cycles);
     }
 
-    /// Charges one trapped-MMIO round trip to `va` (flight-recorded as a
-    /// `mmio_trap` span on the vaccel's track; `offset` is the BAR0
+    /// Charges one trapped-MMIO round trip to `va` (`offset` is the BAR0
     /// register that trapped).
     fn trap_cost(&mut self, va: VaccelId, offset: u64) {
-        self.stats.traps += 1;
-        let c = self.trap.cycles();
+        let cycles = self.trap.cycles();
         metrics::set_device(self.device_id.0);
-        metrics::inc(metrics::HV_MMIO_TRAPS, va.0, 1);
-        metrics::observe(metrics::HV_MMIO_TRAP_CYCLES, va.0, c);
-        let now = self.device.now();
-        trace::complete(Track::vaccel(va.0), "mmio_trap", now, c, &[("offset", offset)]);
-        self.advance(c);
-    }
-
-    /// The one job-lifecycle emit: journals `phase` for `job` and draws the
-    /// Perfetto flow-arrow edge that phase implies on `va`'s track — an
-    /// arrow opens where the job leaves the hardware (`Saved`) or hands
-    /// its output on (`Complete`) and closes where it rejoins (`Restored`)
-    /// — so the journal and the trace cannot disagree about when. A
-    /// vaccel that never started a job (`job == 0`) emits nothing.
-    fn job_phase(&self, va: VaccelId, job: u64, phase: journal::Phase, ts: Cycle) {
-        if job == 0 {
-            return;
-        }
-        journal::phase(job, phase, ts);
-        let track = Track::vaccel(va.0);
-        match phase {
-            journal::Phase::Saved | journal::Phase::Complete => {
-                trace::flow_start(track, "job", ts, job)
-            }
-            journal::Phase::Restored => trace::flow_end(track, "job", ts, job),
-            _ => {}
-        }
-    }
-
-    /// [`job_phase`](Self::job_phase) for a share handoff: links
-    /// `consumer` (running on `va`) to the `producer` whose output it
-    /// reads, and closes the arrow the producer's completion opened.
-    fn job_linked(&self, va: VaccelId, consumer: u64, producer: u64, ts: Cycle) {
-        if consumer == 0 {
-            return;
-        }
-        journal::link(consumer, producer, ts);
-        trace::flow_end(Track::vaccel(va.0), "job", ts, producer);
+        self.record(HvEvent::Trap { va, offset, cycles });
+        self.advance(cycles);
     }
 
     /// Runs the platform for `cycles` fabric cycles, performing temporal

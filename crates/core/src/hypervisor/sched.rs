@@ -4,19 +4,18 @@
 //! transitions between occupants: `install` (reset, program the slice
 //! window, replay the cached registers, start or resume), `preempt_slot`
 //! (drain + save, with one forced-reset fallback), the end-of-slice
-//! decision, job retirement, and the watchdog's window evaluation.
+//! decision, job retirement, and the watchdog's window evaluation. Each
+//! transition reports itself through one [`HvEvent`] record.
 
-use super::Optimus;
+use super::{HvEvent, Optimus};
 use crate::vaccel::{VaccelId, VaccelRun};
-use crate::watchdog::{AlertKind, IsolationAlert};
+use crate::watchdog::AlertKind;
 use optimus_fabric::accelerator::CtrlStatus;
 use optimus_fabric::mmio::{accel_mmio_base, accel_reg, vcu_reg, ACCEL_PAGE, VCU_BASE};
 use optimus_mem::addr::{Gva, PAGE_4K};
-use optimus_sim::journal;
 use optimus_sim::metrics;
 use optimus_sim::spec;
 use optimus_sim::time::{ns_to_cycles, Cycle};
-use optimus_sim::trace::{self, Track};
 
 impl Optimus {
     /// Whether `va` is currently occupying its physical slot.
@@ -83,13 +82,6 @@ impl Optimus {
         let run = v.run;
         let pending_start = v.pending_start;
         let job = v.job;
-        // A restore closes the flow arrow the save opened: the job's span
-        // resumes here after its off-hardware gap.
-        let phase = match run {
-            VaccelRun::SavedInMemory => journal::Phase::Restored,
-            _ => journal::Phase::Installed,
-        };
-        self.job_phase(va, job, phase, install_start);
         self.device.mmio_write(base + accel_reg::CTRL_STATE_ADDR, state_buffer);
         // Move the cached register file out, replay it, and move it back:
         // installs happen on every context switch, so avoid re-collecting
@@ -99,6 +91,7 @@ impl Optimus {
             self.device.mmio_write(base + accel_reg::APP_BASE + off, val);
         }
         self.vaccel_mut(va).app_regs = regs;
+        let restored = run == VaccelRun::SavedInMemory;
         match run {
             VaccelRun::SavedInMemory => {
                 self.device.mmio_write(base + accel_reg::CTRL_CMD, accel_reg::CMD_RESUME);
@@ -113,19 +106,7 @@ impl Optimus {
         self.slots[slot].current = Some(va);
         // Let the install MMIOs settle (they are asynchronous writes).
         self.advance(ns_to_cycles(500.0));
-        self.job_phase(va, job, journal::Phase::Executing, self.device.now());
-        let install_cycles = self.device.now() - install_start;
-        metrics::inc(metrics::HV_INSTALLS, va.0, 1);
-        metrics::observe(metrics::HV_INSTALL_CYCLES, va.0, install_cycles);
-        // Register replay + reset + CMD_RESUME/CMD_START: the restore
-        // half of the preemption machinery (a fresh start shows as
-        // `preempt.install`, resuming saved state as `preempt.restore`).
-        let name = match run {
-            VaccelRun::SavedInMemory => "preempt.restore",
-            _ => "preempt.install",
-        };
-        let track = Track::vaccel(va.0);
-        trace::complete(track, name, install_start, install_cycles, &[("slot", slot as u64)]);
+        self.record(HvEvent::Installed { va, slot, job, start: install_start, restored });
     }
 
     /// Takes the vaccel currently on `slot` (if any) off the hardware:
@@ -179,109 +160,41 @@ impl Optimus {
     fn drain_and_save(&mut self, va: VaccelId, slot: usize) {
         let cmd = accel_mmio_base(slot) + accel_reg::CTRL_CMD;
         self.device.mmio_write(cmd, accel_reg::CMD_PREEMPT);
-        self.stats.preemptions += 1;
-        let preempt_start = self.device.now();
-        metrics::inc(metrics::HV_PREEMPTIONS, slot as u32, 1);
         let job = self.vaccel(va).job;
-        self.job_phase(va, job, journal::Phase::Preempted, preempt_start);
-        let track = Track::vaccel(va.0);
-        // Drain phase: from CMD_PREEMPT until the accelerator reports it
-        // started streaming state out.
-        trace::begin(track, "preempt.drain", preempt_start, &[("slot", slot as u64)]);
-        let mut open = "preempt.drain";
-        let deadline = preempt_start + self.preempt_timeout;
+        self.record(HvEvent::Preempted { va, slot, job });
+        let start = self.device.now();
+        let deadline = start + self.preempt_timeout;
         loop {
             self.advance(ns_to_cycles(1000.0));
-            let status = self.device.accel(slot).status();
-            if trace::enabled()
-                && open == "preempt.drain"
-                && matches!(status, CtrlStatus::Saving | CtrlStatus::Saved)
-            {
-                // Drain ended, save streaming began (observed at the
-                // hypervisor's polling granularity; the fabric-side
-                // `preempt.save` span on the accel track is cycle-exact).
-                let now = self.device.now();
-                trace::end(track, open, now);
-                open = "preempt.save";
-                trace::begin(track, open, now, &[]);
-            }
-            if status == CtrlStatus::Saved {
+            if self.device.accel(slot).status() == CtrlStatus::Saved {
                 self.vaccel_mut(va).run = VaccelRun::SavedInMemory;
-                let now = self.device.now();
-                metrics::observe(metrics::HV_PREEMPT_CYCLES, slot as u32, now - preempt_start);
-                trace::end(track, open, now);
-                // The job leaves the hardware here: the arrow this phase
-                // opens runs to the eventual restore (or migration
-                // target).
-                self.job_phase(va, job, journal::Phase::Saved, now);
-                return;
+                return self.record(HvEvent::Saved { va, slot, job, start });
             }
             if self.device.now() >= deadline {
-                return self.force_reset(va, slot, 0, Some((preempt_start, open)));
+                return self.force_reset(va, slot, 0, Some(start));
             }
         }
     }
 
     /// The one fallback under both ways a preemption fails (§4.2): resets
-    /// `slot` through the VCU, counts it, raises the alert and journals
-    /// the phase. `drain` is `None` when the save was refused up front
-    /// (`framed` bytes of state buffer do not resolve), or the start cycle
-    /// and still-open trace span of the drain that outlived
+    /// `slot` through the VCU and records why. `drain` is `None` when the
+    /// save was refused up front (`framed` bytes of state buffer do not
+    /// resolve), or the start cycle of the drain that outlived
     /// `preempt_timeout`. The job's progress is lost; it restarts from its
     /// cached registers at its next slice.
-    fn force_reset(
-        &mut self,
-        va: VaccelId,
-        slot: usize,
-        framed: u64,
-        drain: Option<(Cycle, &'static str)>,
-    ) {
+    fn force_reset(&mut self, va: VaccelId, slot: usize, framed: u64, drain: Option<Cycle>) {
         self.device
             .mmio_write(VCU_BASE + vcu_reg::RESET_TABLE + slot as u64 * 8, 1);
         self.advance(ns_to_cycles(1000.0));
-        self.stats.forced_resets += 1;
-        metrics::inc(metrics::HV_FORCED_RESETS, slot as u32, 1);
-        let now = self.device.now();
-        let (kind, observed, threshold, phase, mark) = match drain {
-            None => (
-                AlertKind::SaveRefused,
-                framed as f64,
-                0.0,
-                journal::Phase::SaveRefused,
-                "preempt.save_refused",
-            ),
-            Some((start, _)) => {
-                metrics::observe(metrics::HV_PREEMPT_CYCLES, slot as u32, now - start);
-                (
-                    AlertKind::PreemptOverrun,
-                    (now - start) as f64,
-                    self.preempt_timeout as f64,
-                    journal::Phase::ForcedReset,
-                    "preempt.forced_reset",
-                )
-            }
-        };
         let job = self.vaccel(va).job;
-        self.raise_alert(IsolationAlert {
-            kind,
-            device: self.device_id,
-            slot: Some(slot),
-            at: now,
-            observed,
-            threshold,
-            job: (job != 0).then_some(job),
-            peer_job: None,
+        self.record(match drain {
+            None => HvEvent::SaveRefused { va, slot, job, framed },
+            Some(start) => HvEvent::ForcedReset { va, slot, job, start },
         });
-        self.job_phase(va, job, phase, now);
         let v = self.vaccel_mut(va);
         v.forced_resets += 1;
         v.run = VaccelRun::Fresh;
         v.pending_start = true;
-        let track = Track::vaccel(va.0);
-        if let Some((_, open)) = drain {
-            trace::end(track, open, now);
-        }
-        trace::instant(track, mark, now, &[("slot", slot as u64)]);
     }
 
     /// Copies the physical slot's application register file into the
@@ -321,7 +234,6 @@ impl Optimus {
     /// physical accelerator (so the guest can still read result registers
     /// from hardware) until another virtual accelerator needs the slot.
     pub(super) fn retire(&mut self, va: VaccelId) {
-        let now = self.device.now();
         let v = self.vaccel_mut(va);
         // Guests may keep polling CTRL_STATUS after completion (the slot
         // still latches `Done` while the vaccel is resident); only the
@@ -333,9 +245,7 @@ impl Optimus {
         let job = v.job;
         self.slots[slot].sched.set_runnable(va.0 as u64, false);
         if fresh {
-            // Opens a flow arrow toward whoever consumes this job's output
-            // through a share handoff (closed at the consumer's link).
-            self.job_phase(va, job, journal::Phase::Complete, now);
+            self.record(HvEvent::Complete { job });
         }
     }
 
@@ -353,17 +263,7 @@ impl Optimus {
 
     /// Performs the end-of-slice decision for `slot`.
     pub(super) fn slice_boundary(&mut self, slot: usize) {
-        self.stats.context_switches += 1;
-        metrics::inc(metrics::HV_CONTEXT_SWITCHES, slot as u32, 1);
-        // How far past the nominal deadline the boundary actually ran
-        // (scheduling slop from the chunked advance loop).
-        metrics::observe(
-            metrics::HV_SLICE_OVERRUN_CYCLES,
-            slot as u32,
-            self.device.now().saturating_sub(self.slots[slot].slice_ends),
-        );
-        let now = self.device.now();
-        trace::instant(Track::hypervisor(), "slice_boundary", now, &[("slot", slot as u64)]);
+        self.record(HvEvent::SliceBoundary { slot });
         let current = self.slots[slot].current;
         // Completed jobs retire (but stay resident until displaced, so the
         // guest can read result registers from hardware).
@@ -387,28 +287,6 @@ impl Optimus {
                 self.slots[slot].slice_ends = self.device.now() + self.time_slice;
             }
         }
-    }
-
-    /// Records an alert in the retained list, the `HvStats` counters, and
-    /// the metrics plane.
-    fn raise_alert(&mut self, alert: IsolationAlert) {
-        match alert.kind {
-            AlertKind::Starvation => self.stats.alerts_starvation += 1,
-            AlertKind::IotlbThrash => self.stats.alerts_iotlb_thrash += 1,
-            AlertKind::PreemptOverrun => self.stats.alerts_preempt_overrun += 1,
-            AlertKind::SaveRefused => self.stats.alerts_save_refused += 1,
-        }
-        metrics::inc(metrics::HV_ISOLATION_ALERTS, alert.kind.metric_label(), 1);
-        trace::instant(
-            Track::hypervisor(),
-            "isolation_alert",
-            alert.at,
-            &[
-                ("kind", alert.kind.metric_label() as u64),
-                ("slot", alert.slot.map_or(u64::MAX, |s| s as u64)),
-            ],
-        );
-        self.watchdog.push(alert);
     }
 
     /// One watchdog window evaluation: diffs device-owned counters since
@@ -453,16 +331,8 @@ impl Optimus {
                     let v = self.vaccel(va);
                     let job = (v.job != 0).then_some(v.job);
                     let peer_job = job.and_then(|_| self.peer_job(v.vm.0, true));
-                    self.raise_alert(IsolationAlert {
-                        kind: AlertKind::Starvation,
-                        device: self.device_id,
-                        slot: Some(s),
-                        at: now,
-                        observed: d,
-                        threshold,
-                        job,
-                        peer_job,
-                    });
+                    let (kind, slot, observed) = (AlertKind::Starvation, Some(s), d);
+                    self.record(HvEvent::Alert { kind, slot, observed, threshold, job, peer_job });
                 }
                 sum += d;
                 sum_sq += d.powi(2);
@@ -484,16 +354,9 @@ impl Optimus {
         if dl >= cfg.min_lookups {
             let rate = dc as f64 / dl as f64;
             if rate > cfg.thrash_rate {
-                self.raise_alert(IsolationAlert {
-                    kind: AlertKind::IotlbThrash,
-                    device: self.device_id,
-                    slot: None,
-                    at: now,
-                    observed: rate,
-                    threshold: cfg.thrash_rate,
-                    job: None,
-                    peer_job: None,
-                });
+                let (kind, threshold) = (AlertKind::IotlbThrash, cfg.thrash_rate);
+                let (slot, job, peer_job) = (None, None, None);
+                self.record(HvEvent::Alert { kind, slot, observed: rate, threshold, job, peer_job });
             }
         }
         self.watchdog.next_eval = now + cfg.window;

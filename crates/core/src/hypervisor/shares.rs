@@ -9,7 +9,7 @@
 //! space and IOPT slice goes through the walker in [`super::iopt`].
 
 use super::iopt::{self, Claim, Release};
-use super::{GuestCtx, Optimus};
+use super::{GuestCtx, HvEvent, Optimus};
 use crate::snapshot::{wire_enum, Reader, SnapshotError, Wire};
 use crate::vaccel::VaccelId;
 use crate::vm::RetrievedSpan;
@@ -395,7 +395,7 @@ impl Optimus {
             let page = Gva::new(gva.raw() + i as u64 * PAGE_2M);
             iopt::map_page(&mut self.device, w, page, hpa, PageSize::Huge, flags, claim);
         }
-        self.stats.pinned_pages += hpas.len() as u64;
+        self.record(HvEvent::PagesPinned(hpas.len() as u64));
         gva
     }
 
@@ -522,7 +522,8 @@ impl GuestCtx<'_> {
         // A consumer with a job already in flight links to the producer
         // right here (jobs submitted later link at their own start).
         if let Some(producer) = self.hv.vm_job(owner) {
-            self.hv.job_linked(self.va, self.v().job, producer, self.hv.device.now());
+            let (va, consumer) = (self.va, self.v().job);
+            self.hv.record(HvEvent::Linked { va, consumer, producer });
         }
         self.hypercall_cost(("key", handle));
         Ok(gva)

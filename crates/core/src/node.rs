@@ -45,7 +45,7 @@
 //! byte-identical. `OPTIMUS_NODE_THREADS=1` forces serial stepping.
 
 use crate::hypervisor::{
-    CarriedRetrieval, GuestCtx, HvStats, MigrateError, Optimus, OptimusConfig, ShareError,
+    CarriedRetrieval, GuestCtx, HvEvent, HvStats, MigrateError, Optimus, OptimusConfig, ShareError,
     ShareState, TrapCost,
 };
 use crate::scheduler::SchedPolicy;
@@ -54,7 +54,6 @@ use crate::watchdog::{AlertKind, IsolationAlert};
 use optimus_accel::registry::AccelKind;
 use optimus_fabric::platform::{DeviceId, FabricError};
 use optimus_mem::addr::{Gva, Hpa, PAGE_2M};
-use optimus_sim::journal;
 use optimus_sim::metrics;
 use optimus_sim::plane::{Chunk, Gates};
 use optimus_sim::rng::derive_seed;
@@ -343,13 +342,9 @@ impl OptimusNode {
         // A consumer with a job already in flight links to the producer
         // across the device boundary (jobs submitted later link at their
         // own start, exactly as on the same-device path).
-        if journal::enabled() {
-            let consumer = self.devices[pd].vaccel_job(peer.va).unwrap_or(0);
-            if consumer != 0 {
-                if let Some(producer) = self.devices[od].vm_job(owner_vm) {
-                    journal::link(consumer, producer, self.devices[pd].now());
-                }
-            }
+        let consumer = self.devices[pd].vaccel_job(peer.va).unwrap_or(0);
+        if let Some(producer) = self.devices[od].vm_job(owner_vm) {
+            self.devices[pd].record(HvEvent::Linked { va: peer.va, consumer, producer });
         }
         Ok(gva)
     }
@@ -597,12 +592,7 @@ impl OptimusNode {
                 });
             }
         }
-        if job != 0 {
-            // Stamped on the destination clock: the journey's first phase
-            // on the new device (the accounting treats it like a requeue).
-            journal::phase(job, journal::Phase::Migrated, self.devices[to_idx].now());
-        }
-        metrics::inc_at(metrics::NODE_MIGRATIONS, to.0, 0, 1);
+        self.devices[to_idx].record(HvEvent::Migrated { job });
         Ok(NodeVaccel { device: to, va })
     }
 

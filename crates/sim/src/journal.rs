@@ -303,9 +303,10 @@ pub fn submit(job: JobId, tenant: &str, vaccel: u32, device: u32, payload_bytes:
 /// Appends one phase transition to a job's record (creating a stub
 /// record if this thread has never seen the job — worker threads stub
 /// jobs submitted on the main thread, and the merge fills the metadata).
+/// Job 0, the id of no job, records nothing.
 #[inline]
 pub fn phase(job: JobId, phase: Phase, ts: Cycle) {
-    if !enabled() {
+    if !enabled() || job == 0 {
         return;
     }
     PLANE.with(|p| {

@@ -61,9 +61,11 @@ def deps():
 
 
 def chrome_trace(directory):
-    """The exported Chrome trace is well-formed, complete, and cycle-monotone;
-    the aggregate counts beside it come from the metrics plane."""
-    events = load(report(directory, kind="TRACE"))["traceEvents"]
+    """The exported Chrome trace is well-formed, complete, and cycle-monotone,
+    and its flow arrows pair up; the aggregate counts beside it come from the
+    metrics plane."""
+    doc = load(report(directory, kind="TRACE"))
+    events = doc["traceEvents"]
     if not isinstance(events, list) or not events:
         fail("traceEvents missing or empty")
     names = {e.get("name") for e in events}
@@ -85,11 +87,28 @@ def chrome_trace(directory):
             fail(f"cycle stamps not monotone: {e['args']['cycle']} after {last}")
         last = e["args"]["cycle"]
     print(f"ok: trace JSON valid ({len(events)} events, {len(names)} distinct names)")
+    flows(events, doc.get("otherData", {}).get("dropped_events", 0))
     traps = sum(s.get("value", 0) for s in load(report(directory)).get("metrics", [])
                 if (s["layer"], s["name"]) == ("hv", "mmio_traps"))
     if not traps:
         fail("traced BENCH json counts no hv/mmio_traps in its metrics section")
     print(f"ok: metrics section beside the trace counts {traps} MMIO traps")
+
+
+def flows(events, dropped):
+    """Per flow id, `s` and `f` events alternate in file (cycle) order and
+    start with `s`, so no arrow finishes before it starts. A ring that
+    dropped events may have evicted the `s` of an id's first arrow."""
+    open_ids = {}
+    for e in events:
+        if e.get("ph") not in ("s", "f"):
+            continue
+        starts, was_open = e["ph"] == "s", open_ids.get(e["id"])
+        if was_open == starts or (was_open is None and not starts and not dropped):
+            fail(f"flow {e['id']}: `{e['ph']}` at cycle {e['args']['cycle']} while the "
+                 f"arrow is {'open' if was_open else 'closed'}")
+        open_ids[e["id"]] = starts
+    print(f"ok: flow arrows alternate start/finish ({len(open_ids)} ids)")
 
 
 def prometheus(directory):
